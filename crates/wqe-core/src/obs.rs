@@ -64,9 +64,15 @@ pub struct CounterRegistry {
     pub cache_misses: u64,
     /// Star-view cache evictions.
     pub cache_evictions: u64,
-    /// Point distance-oracle calls (`distance_within`).
+    /// Point distance-oracle calls (`distance_within`). The matcher's
+    /// join asks only in batches, so these now come from operator
+    /// generation's `RfE` check alone — plus, on the live overlay tier,
+    /// from `DeltaOracle` answering a batch pair by pair. A query that
+    /// reaches neither reports 0 here; that is not "no distance work".
     pub oracle_dist_calls: u64,
-    /// Batched distance-oracle calls (`dist_batch`).
+    /// Batched distance-oracle calls (`dist_batch`): one per constraint
+    /// per domain chunk of the matcher's join, plus operator generation's
+    /// `AddE` witness probes.
     pub oracle_dist_batch_calls: u64,
     /// PLL label entries scanned by the merge-join/probe kernels across
     /// all point and batched oracle calls — the work metric the batch

@@ -160,15 +160,21 @@ impl BoundedBfsOracle {
     /// never left mid-update by the code below — entries are inserted with
     /// a single `insert` after being fully computed.
     fn reach_from(&self, u: NodeId) -> Arc<HashMap<NodeId, u32>> {
-        if let Some(hit) = self
-            .memo
+        self.memoized(u).unwrap_or_else(|| self.traverse(u))
+    }
+
+    /// The memoized reach set of `u`, if any.
+    fn memoized(&self, u: NodeId) -> Option<Arc<HashMap<NodeId, u32>>> {
+        self.memo
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .map
             .get(&u)
-        {
-            return Arc::clone(hit);
-        }
+            .cloned()
+    }
+
+    /// Runs the cold traversal from `u` and memoizes it when complete.
+    fn traverse(&self, u: NodeId) -> Arc<HashMap<NodeId, u32>> {
         // The active session's governor (if any) bounds the traversal. All
         // three scratch paths — the shared buffer, the poison-recovered
         // buffer, and the `WouldBlock` one-shot fallback — honor it.
@@ -218,32 +224,45 @@ impl DistanceOracle for BoundedBfsOracle {
         reach.get(&v).copied().filter(|&d| d <= bound)
     }
 
-    /// Batched queries run **one** traversal per distinct source node in
-    /// the batch: every pair's answer is served from a per-batch map of
-    /// reach sets, keyed by source, filled lazily in pair order. Unlike
-    /// the earlier consecutive-run cache, interleaved sources (`a, b, a,
-    /// b, …`) cost two traversals, not one per run — even when the shared
-    /// memo is too small to hold them.
+    /// Batched queries run at most **one** traversal per distinct source
+    /// node in the batch. A pair repeating the previous pair's source (the
+    /// fixed-source shape) reuses its reach set outright; any other pair
+    /// costs what a pointwise call does — one memo lookup — and only a
+    /// memo *miss* goes through a per-batch map of the traversals this
+    /// batch ran, so interleaved cold sources (`a, b, a, b, …`) cost two
+    /// traversals, not one per run, even when the shared memo is too small
+    /// to hold them.
     ///
-    /// Before each new traversal (and every 64 pairs) the batch polls the
-    /// active governor for cancellation/deadline; on a trip the remaining
-    /// pairs come back `None` (conservatively unreachable) — by then the
-    /// querying search is terminating and already tagged partial.
+    /// The batch polls the active governor for cancellation/deadline at
+    /// its first pair and every 64 pairs after — not per fresh source: a
+    /// fixed-target batch (the matcher's join) has a fresh source on
+    /// *every* pair, and each cold traversal already polls on its own. On
+    /// a trip the remaining pairs come back `None` (conservatively
+    /// unreachable) — by then the querying search is terminating and
+    /// already tagged partial.
     fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
         obs::with_current(|p| p.add(obs::Counter::OracleDistBatch, 1));
         let bound = bound.min(self.horizon);
         let gov = governor::current();
         let mut out = Vec::with_capacity(pairs.len());
-        let mut reaches: HashMap<NodeId, Arc<HashMap<NodeId, u32>>> = HashMap::new();
+        let mut traversed: HashMap<NodeId, Arc<HashMap<NodeId, u32>>> = HashMap::new();
+        let mut last: Option<(NodeId, Arc<HashMap<NodeId, u32>>)> = None;
         for (i, &(u, v)) in pairs.iter().enumerate() {
-            let fresh = !reaches.contains_key(&u);
             if let Some(g) = gov.as_deref() {
-                if (fresh || i % 64 == 63) && g.halt().is_some() {
+                if i % 64 == 0 && g.halt().is_some() {
                     out.resize(pairs.len(), None);
                     break;
                 }
             }
-            let reach = reaches.entry(u).or_insert_with(|| self.reach_from(u));
+            let reach = match &last {
+                Some((lu, reach)) if *lu == u => reach,
+                _ => {
+                    let reach = self.memoized(u).unwrap_or_else(|| {
+                        Arc::clone(traversed.entry(u).or_insert_with(|| self.traverse(u)))
+                    });
+                    &last.insert((u, reach)).1
+                }
+            };
             out.push(reach.get(&v).copied().filter(|&d| d <= bound));
         }
         out

@@ -21,107 +21,12 @@
 //! they only trade construction time against per-query time.
 
 use crate::bfs::BoundedBfsOracle;
-use crate::kernel;
+use crate::kernel::BatchScratch;
 use crate::oracle::DistanceOracle;
-use crate::pll::{PllIndex, PllParts};
+use crate::pll::{BuildLabels, PllIndex};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use wqe_graph::{Graph, NodeId};
-
-/// Per-node label vectors in repairable (unflattened) form.
-struct RepairLabels {
-    out_ranks: Vec<Vec<u32>>,
-    out_dists: Vec<Vec<u32>>,
-    in_ranks: Vec<Vec<u32>>,
-    in_dists: Vec<Vec<u32>>,
-    /// Inverse of the landmark order: `node_of_rank[r]` is the node whose
-    /// pruned BFS committed entries at rank `r` (recovered from the
-    /// self-entries `(rank(v), 0)` every labeled node carries).
-    node_of_rank: Vec<u32>,
-}
-
-impl RepairLabels {
-    fn unflatten(parts: &PllParts) -> RepairLabels {
-        let n = parts.out_offsets.len() - 1;
-        let cut = |offsets: &[u32], ranks: &[u32], dists: &[u32]| {
-            let mut r = Vec::with_capacity(n);
-            let mut d = Vec::with_capacity(n);
-            for w in offsets.windows(2) {
-                let (lo, hi) = (w[0] as usize, w[1] as usize);
-                r.push(ranks[lo..hi].to_vec());
-                d.push(dists[lo..hi].to_vec());
-            }
-            (r, d)
-        };
-        let (out_ranks, out_dists) = cut(&parts.out_offsets, &parts.out_ranks, &parts.out_dists);
-        let (in_ranks, in_dists) = cut(&parts.in_offsets, &parts.in_ranks, &parts.in_dists);
-        let mut node_of_rank = vec![u32::MAX; n];
-        for v in 0..n {
-            for (i, &d) in in_dists[v].iter().enumerate() {
-                if d == 0 {
-                    node_of_rank[in_ranks[v][i] as usize] = v as u32;
-                }
-            }
-        }
-        RepairLabels {
-            out_ranks,
-            out_dists,
-            in_ranks,
-            in_dists,
-            node_of_rank,
-        }
-    }
-
-    /// `min(dist(u, hub) + dist(hub, v))` over the current labels.
-    #[inline]
-    fn query(&self, u: usize, v: usize) -> u32 {
-        kernel::merge_join(
-            &self.out_ranks[u],
-            &self.out_dists[u],
-            &self.in_ranks[v],
-            &self.in_dists[v],
-        )
-        .0
-    }
-
-    /// Inserts or min-updates entry `(rank, d)` in a label, keeping the
-    /// rank order the merge kernels require.
-    fn upsert(ranks: &mut Vec<u32>, dists: &mut Vec<u32>, rank: u32, d: u32) {
-        match ranks.binary_search(&rank) {
-            Ok(i) => dists[i] = dists[i].min(d),
-            Err(i) => {
-                ranks.insert(i, rank);
-                dists.insert(i, d);
-            }
-        }
-    }
-
-    fn flatten(self) -> PllParts {
-        let fold = |ranks: Vec<Vec<u32>>, dists: Vec<Vec<u32>>| {
-            let total: usize = ranks.iter().map(Vec::len).sum();
-            let mut offsets = Vec::with_capacity(ranks.len() + 1);
-            let mut fr = Vec::with_capacity(total);
-            let mut fd = Vec::with_capacity(total);
-            offsets.push(0u32);
-            for (r, d) in ranks.into_iter().zip(dists) {
-                fr.extend_from_slice(&r);
-                fd.extend_from_slice(&d);
-                offsets.push(fr.len() as u32);
-            }
-            (offsets, fr, fd)
-        };
-        let (out_offsets, out_ranks, out_dists) = fold(self.out_ranks, self.out_dists);
-        let (in_offsets, in_ranks, in_dists) = fold(self.in_ranks, self.in_dists);
-        PllParts {
-            out_offsets,
-            out_ranks,
-            out_dists,
-            in_offsets,
-            in_ranks,
-            in_dists,
-        }
-    }
-}
 
 /// Incrementally repairs a PLL index after pure edge insertions.
 ///
@@ -131,7 +36,9 @@ impl RepairLabels {
 /// direction resumes its pruned BFS from `b` at depth `d(w, a) + 1`, and
 /// symmetrically every hub covering `b` backward resumes from `a` —
 /// patching only labels the new edge can have shortened, with the same
-/// certify-then-label pruning as the static build.
+/// certify-then-label pruning as the static build: each resumed search
+/// tables the hub's fixed label side once and probes every visited node's
+/// label against it (the build's own `BuildLabels` store and certifier).
 ///
 /// `budget` caps total BFS visits across all resumed searches; exceeding
 /// it returns `None` with no partial effects (the caller keeps the old
@@ -144,62 +51,50 @@ pub fn repair_insertions(
     inserted: &[(NodeId, NodeId)],
     budget: u64,
 ) -> Option<PllIndex> {
-    let parts = index.to_parts();
+    let parts = index.parts();
     if parts.out_offsets.len() != graph.node_count() + 1 {
         return None; // node set changed: not a pure insertion delta
     }
-    let mut labels = RepairLabels::unflatten(&parts);
-    let mut visits = 0u64;
+    let mut labels = BuildLabels::unflatten(parts);
     let n = graph.node_count();
+    // Inverse of the landmark order: `node_of_rank[r]` is the node whose
+    // pruned BFS committed entries at rank `r` (recovered from the
+    // self-entries `(rank(v), 0)` every labeled node carries).
+    let mut node_of_rank = vec![u32::MAX; n];
+    for v in 0..n {
+        let (ranks, dists) = labels.visited_label(v, true);
+        for (&r, &d) in ranks.iter().zip(dists) {
+            if d == 0 {
+                node_of_rank[r as usize] = v as u32;
+            }
+        }
+    }
+    let mut visits = 0u64;
     let mut visited = vec![false; n];
     let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
+    let mut table = BatchScratch::new();
 
     // One resumed pruned BFS: hub `wr` continues from `start` at depth
     // `d0`, patching the forward (`L_in`) or backward (`L_out`) labels.
-    let resume = |labels: &mut RepairLabels,
-                  visited: &mut [bool],
-                  queue: &mut VecDeque<(u32, u32)>,
-                  visits: &mut u64,
-                  wr: u32,
-                  start: u32,
-                  d0: u32,
-                  forward: bool|
-     -> bool {
-        let wnode = labels.node_of_rank[wr as usize] as usize;
+    // The hub's fixed side is never written by its own traversal, so it
+    // is tabled once per resume.
+    let mut resume = |labels: &mut BuildLabels, wr: u32, start: u32, d0: u32, forward: bool| {
+        labels.load_landmark(&mut table, node_of_rank[wr as usize] as usize, forward);
         queue.clear();
         queue.push_back((start, d0));
         visited[start as usize] = true;
         let mut touched = vec![start];
         let mut ok = true;
         while let Some((x, d)) = queue.pop_front() {
-            *visits += 1;
-            if *visits > budget {
+            visits += 1;
+            if visits > budget {
                 ok = false;
                 break;
             }
-            let certified = if forward {
-                labels.query(wnode, x as usize)
-            } else {
-                labels.query(x as usize, wnode)
-            };
-            if certified <= d {
+            if labels.certified(&table, x as usize, forward) <= d {
                 continue;
             }
-            if forward {
-                RepairLabels::upsert(
-                    &mut labels.in_ranks[x as usize],
-                    &mut labels.in_dists[x as usize],
-                    wr,
-                    d,
-                );
-            } else {
-                RepairLabels::upsert(
-                    &mut labels.out_ranks[x as usize],
-                    &mut labels.out_dists[x as usize],
-                    wr,
-                    d,
-                );
-            }
+            labels.upsert(x as usize, forward, wr, d);
             let neighbors = if forward {
                 graph.out_neighbors(NodeId(x))
             } else {
@@ -219,44 +114,22 @@ pub fn repair_insertions(
         ok
     };
 
+    // Hubs covering `x` on the side a `forward` traversal writes, copied
+    // out because the resumed searches patch the labels they came from.
+    let hubs_of = |labels: &BuildLabels, x: NodeId, forward: bool| -> Vec<(u32, u32)> {
+        let (ranks, dists) = labels.visited_label(x.index(), forward);
+        ranks.iter().copied().zip(dists.iter().copied()).collect()
+    };
     for &(a, b) in inserted {
         // Forward: hubs that reach `a` now also reach through `a -> b`.
-        let hubs: Vec<(u32, u32)> = labels.in_ranks[a.index()]
-            .iter()
-            .copied()
-            .zip(labels.in_dists[a.index()].iter().copied())
-            .collect();
-        for (wr, delta) in hubs {
-            if !resume(
-                &mut labels,
-                &mut visited,
-                &mut queue,
-                &mut visits,
-                wr,
-                b.0,
-                delta + 1,
-                true,
-            ) {
+        for (wr, delta) in hubs_of(&labels, a, true) {
+            if !resume(&mut labels, wr, b.0, delta + 1, true) {
                 return None;
             }
         }
         // Backward: hubs reachable from `b` are now reachable from `a`.
-        let hubs: Vec<(u32, u32)> = labels.out_ranks[b.index()]
-            .iter()
-            .copied()
-            .zip(labels.out_dists[b.index()].iter().copied())
-            .collect();
-        for (wr, delta) in hubs {
-            if !resume(
-                &mut labels,
-                &mut visited,
-                &mut queue,
-                &mut visits,
-                wr,
-                a.0,
-                delta + 1,
-                false,
-            ) {
+        for (wr, delta) in hubs_of(&labels, b, false) {
+            if !resume(&mut labels, wr, a.0, delta + 1, false) {
                 return None;
             }
         }
@@ -495,32 +368,82 @@ mod tests {
         assert_eq!(overlay.distance_within(fresh, NodeId(1), u32::MAX), Some(2));
     }
 
+    /// Raw draw of the repair properties: node count, base edges, and
+    /// candidate insertions (normalized by [`repair_case`]).
+    fn arb_repair_draw() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, Vec<(u32, u32)>)> {
+        (
+            3usize..14,
+            proptest::collection::vec((0u32..14, 0u32..14), 0..30),
+            proptest::collection::vec((0u32..14, 0u32..14), 1..5),
+        )
+    }
+
+    /// Old graph, new graph, and the distinct fresh edges between them;
+    /// `None` when the draw inserts nothing new.
+    fn repair_case(
+        n: usize,
+        base_edges: Vec<(u32, u32)>,
+        new_edges: Vec<(u32, u32)>,
+    ) -> Option<(Graph, Graph, Vec<(NodeId, NodeId)>)> {
+        let base_edges: Vec<(u32, u32)> = base_edges
+            .into_iter()
+            .map(|(u, v)| (u % n as u32, v % n as u32))
+            .filter(|(u, v)| u != v)
+            .collect();
+        let mut all = base_edges.clone();
+        let mut inserted = Vec::new();
+        for (u, v) in new_edges {
+            let e = (u % n as u32, v % n as u32);
+            if e.0 != e.1 && !all.contains(&e) {
+                all.push(e);
+                inserted.push((NodeId(e.0), NodeId(e.1)));
+            }
+        }
+        (!inserted.is_empty())
+            .then(|| (build_graph(n, &base_edges), build_graph(n, &all), inserted))
+    }
+
+    /// Build and repair changed how a BFS visit is certified (one table
+    /// probe instead of a merge-join), never what it certifies: the
+    /// repaired label arrays over the very cases
+    /// `repair_matches_fresh_build` draws still hash to the value recorded
+    /// with merge-join certification.
+    #[test]
+    fn repaired_labels_match_merge_join_certified_repair() {
+        let mut h: u64 = 0xcbf29ce484222325; // FNV-1a over every label word
+        for case in 0..64 {
+            let mut rng = proptest::deterministic_rng("repair_matches_fresh_build", case);
+            let (n, base_edges, new_edges) = arb_repair_draw().sample(&mut rng);
+            let Some((old, new, inserted)) = repair_case(n, base_edges, new_edges) else {
+                continue;
+            };
+            let repaired = repair_insertions(&PllIndex::build(&old), &new, &inserted, u64::MAX)
+                .expect("unbounded budget always repairs");
+            let p = repaired.parts();
+            for arr in [
+                &p.out_offsets,
+                &p.out_ranks,
+                &p.out_dists,
+                &p.in_offsets,
+                &p.in_ranks,
+                &p.in_dists,
+            ] {
+                for b in arr.iter().flat_map(|x| x.to_le_bytes()) {
+                    h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+                }
+            }
+        }
+        assert_eq!(h, 0xc72936e9385513fe);
+    }
+
     proptest! {
         /// Repaired labels answer exactly like a fresh build on the new
         /// graph, for random base graphs and random insertion batches.
         #[test]
-        fn repair_matches_fresh_build(
-            n in 3usize..14,
-            base_edges in proptest::collection::vec((0u32..14, 0u32..14), 0..30),
-            new_edges in proptest::collection::vec((0u32..14, 0u32..14), 1..5),
-        ) {
-            let base_edges: Vec<(u32, u32)> = base_edges
-                .into_iter()
-                .map(|(u, v)| (u % n as u32, v % n as u32))
-                .filter(|(u, v)| u != v)
-                .collect();
-            let mut all = base_edges.clone();
-            let mut inserted = Vec::new();
-            for (u, v) in new_edges {
-                let e = (u % n as u32, v % n as u32);
-                if e.0 != e.1 && !all.contains(&e) {
-                    all.push(e);
-                    inserted.push((NodeId(e.0), NodeId(e.1)));
-                }
-            }
-            prop_assume!(!inserted.is_empty());
-            let old = build_graph(n, &base_edges);
-            let new = build_graph(n, &all);
+        fn repair_matches_fresh_build((n, base_edges, new_edges) in arb_repair_draw()) {
+            let Some((old, new, inserted)) = repair_case(n, base_edges, new_edges) else {
+                return Ok(());
+            };
             let idx = PllIndex::build(&old);
             let repaired = repair_insertions(&idx, &new, &inserted, u64::MAX)
                 .expect("unbounded budget always repairs");

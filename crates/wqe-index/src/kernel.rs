@@ -2,8 +2,10 @@
 //!
 //! Every 2-hop distance query is a merge-join of two rank-sorted label
 //! arrays. This module holds the portable scalar reference kernel, an AVX2
-//! variant, and the amortized batch path (a rank-indexed source table plus
-//! a rank cutoff) that `dist_batch` uses when many targets share a source.
+//! variant, and the amortized table path (a rank-indexed table of one
+//! fixed label plus a rank cutoff) used wherever one endpoint stays fixed
+//! while many are probed: `dist_batch` groups sharing a source *or* a
+//! target, and the certification step of PLL construction and repair.
 //!
 //! ## Dispatch
 //!
@@ -218,6 +220,11 @@ pub const MIN_GROUP: usize = 4;
 /// Reusable state for the grouped batch path: a rank-indexed distance
 /// table holding the current source's out-label, plus the list of touched
 /// ranks so clearing costs `O(|label|)`, not `O(n)`.
+///
+/// "Source" and "out-label" name the common case only. The table is just
+/// rank → distance: loading a fixed *target's* `L_in` and probing each
+/// source's `L_out` computes the same minimum, and so does loading a
+/// landmark's label once per pruned BFS and probing every visited node's.
 ///
 /// The batch trick is twofold. Loading `L_out(u)` once amortizes the
 /// out-side scan over every target sharing the source, and recording the

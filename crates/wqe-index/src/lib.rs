@@ -38,7 +38,7 @@ pub use pll::{LabelStats, PllIndex, PllParts, PllSlices};
 
 #[cfg(test)]
 mod proptests {
-    use crate::{BoundedBfsOracle, DistanceOracle, PllIndex};
+    use crate::{BoundedBfsOracle, DistanceOracle, HybridOracle, PllIndex};
     use proptest::prelude::*;
     use wqe_graph::{Graph, GraphBuilder, NodeId};
 
@@ -103,24 +103,50 @@ mod proptests {
             }
         }
 
-        /// Batched PLL answers match pointwise `distance_within` on random
-        /// pair lists (mixed group sizes exercise both the table and the
-        /// pairwise paths).
+        /// Batched answers match pointwise `distance_within` — and nothing
+        /// panics — for every oracle with a `dist_batch` of its own, on
+        /// the three batch shapes callers produce: one source against many
+        /// targets, many sources against one target (the matcher's join on
+        /// an edge leaving the node being placed), and unrelated pairs.
+        /// Lengths straddle `MIN_GROUP`, so tabled and pairwise paths both
+        /// run; the forced-scalar CI pass reruns this under the other
+        /// kernel.
         #[test]
-        fn pll_dist_batch_matches_pointwise(
+        fn dist_batch_matches_pointwise_on_every_shape(
             g in arb_graph(),
-            picks in proptest::collection::vec((0usize..24, 0usize..24), 0..60),
+            shape in 0u8..3,
+            anchor in 0usize..24,
+            picks in proptest::collection::vec((0usize..24, 0usize..24), 0..40),
             bound in 0u32..6,
         ) {
-            let pll = PllIndex::build_with(&g, 2);
             let n = g.node_count();
+            let node = |i: usize| NodeId((i % n) as u32);
             let pairs: Vec<(NodeId, NodeId)> = picks
                 .into_iter()
-                .map(|(u, v)| (NodeId((u % n) as u32), NodeId((v % n) as u32)))
+                .map(|(u, v)| match shape {
+                    0 => (node(anchor), node(v)),
+                    1 => (node(u), node(anchor)),
+                    _ => (node(u), node(v)),
+                })
                 .collect();
-            let batched = pll.dist_batch(&pairs, bound);
-            for (&(u, v), got) in pairs.iter().zip(&batched) {
-                prop_assert_eq!(*got, pll.distance_within(u, v, bound));
+            let pll = PllIndex::build_with(&g, 2);
+            let g = std::sync::Arc::new(g);
+            let oracles: [(&str, Box<dyn DistanceOracle + '_>); 5] = [
+                ("PllSlices", Box::new(pll.as_slices())),
+                ("PllIndex", Box::new(&pll)),
+                ("HybridOracle::Pll", Box::new(HybridOracle::auto(&g, 5, usize::MAX))),
+                ("HybridOracle::Bfs", Box::new(HybridOracle::auto(&g, 5, 0))),
+                (
+                    "BoundedBfsOracle",
+                    Box::new(BoundedBfsOracle::new(std::sync::Arc::clone(&g), 5).with_capacity(2)),
+                ),
+            ];
+            for (name, oracle) in &oracles {
+                let batched = oracle.dist_batch(&pairs, bound);
+                prop_assert_eq!(batched.len(), pairs.len(), "{}", name);
+                for (&(u, v), got) in pairs.iter().zip(&batched) {
+                    prop_assert_eq!(*got, pll.distance_within(u, v, bound), "{} {:?}->{:?}", name, u, v);
+                }
             }
         }
     }

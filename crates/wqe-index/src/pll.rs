@@ -29,25 +29,39 @@
 //! [`crate::kernel`], which dispatches between a scalar and an AVX2
 //! variant pinned bit-identical to each other.
 //!
-//! ## Parallel construction (rank-windowed batches)
+//! ## Construction: rank windows, table certification
 //!
-//! [`PllIndex::build_with`] parallelizes construction: landmarks are
-//! processed in rank order in fixed-size *windows*; the forward/backward
-//! pruned BFS of every landmark in a window runs concurrently on a
-//! [`wqe_pool::WorkerPool`], pruning only against the labels *frozen* from
-//! previous windows; the window's label entries are then committed in rank
-//! order (keeping every label sorted by rank). Intra-window landmarks
-//! cannot prune against each other, so the labels may carry a few redundant
-//! entries compared to the strictly sequential build — but every entry is a
-//! real path length and the completeness argument of Akiba et al. only
-//! relies on pruning hubs having *strictly higher* rank, which frozen
-//! previous windows guarantee. Distances answered are therefore still
-//! exact, and the label set is a deterministic function of the window size
-//! alone: thread count changes wall-clock, never the index.
-//! [`PllIndex::build`] is the window-size-1 special case (classic maximally
-//! pruned sequential PLL). Each worker reuses a bitset-visited BFS scratch
-//! across landmarks, so a build allocates O(n) once per worker instead of
-//! once per landmark.
+//! [`PllIndex::build_with`] processes landmarks in rank order in
+//! fixed-size *windows*; the forward/backward pruned BFS of every landmark
+//! in a window runs concurrently on a [`wqe_pool::WorkerPool`], pruning
+//! only against the labels *frozen* from previous windows; the window's
+//! label entries are then committed in rank order (keeping every label
+//! sorted by rank). Intra-window landmarks cannot prune against each
+//! other, so the labels may carry a few redundant entries compared to the
+//! strictly sequential build — but every entry is a real path length and
+//! the completeness argument of Akiba et al. only relies on pruning hubs
+//! having *strictly higher* rank, which frozen previous windows guarantee.
+//! Distances answered are therefore still exact, and the label set is a
+//! deterministic function of the window size alone: thread count changes
+//! wall-clock, never the index. [`PllIndex::build`] is the window-size-1
+//! special case (classic maximally pruned sequential PLL).
+//!
+//! Every BFS visit must be *certified*: is `dist(w, x) <= d` already
+//! implied by the committed labels? One side of that 2-hop query — the
+//! landmark's own label — is fixed for the whole traversal, so the
+//! traversal loads it **once** into a rank-indexed table
+//! ([`BatchScratch::load_source`]) and certifies each visited node with a
+//! single pass over *that node's* label ([`BatchScratch::probe`], cut off
+//! at the landmark's highest rank) instead of a two-sided merge-join per
+//! visit. A forward BFS tables `L_out(w)` and probes `L_in(x)`; a backward
+//! BFS tables `L_in(w)` and probes `L_out(x)` — the table is only
+//! rank-indexed, it does not care which direction filled it. The probe
+//! returns exactly the merge-join's minimum, so the labels are
+//! bit-identical to a merge-join-certified build. Incremental repair
+//! ([`crate::repair_insertions`]) resumes the same traversals through the
+//! same [`BuildLabels`] store and certifier, so build and repair cannot
+//! diverge. Each worker reuses its BFS scratch (bitset + queue) and its
+//! certification table across the landmarks it processes.
 
 use crate::kernel::{self, BatchScratch, MIN_GROUP};
 use crate::oracle::DistanceOracle;
@@ -254,12 +268,22 @@ impl<'a> PllSlices<'a> {
         (d != u32::MAX).then_some(d)
     }
 
-    /// Batched distances with caller-provided scratch: pairs are grouped
-    /// by source (first-occurrence order); groups of [`MIN_GROUP`] or more
-    /// targets load `L_out(u)` into the scratch table once and probe each
-    /// target's in-label with a rank cutoff, smaller groups merge-join
-    /// pairwise. Answers are bit-identical to pointwise
-    /// [`PllSlices::distance_within`] either way — the grouping only
+    /// Batched distances with caller-provided scratch. Whenever one
+    /// endpoint is shared by [`MIN_GROUP`] or more pairs, its label is
+    /// loaded into the scratch table once and every pair is answered by a
+    /// probe of the *other* endpoint's label under a rank cutoff:
+    ///
+    /// * **fixed source** (`(u, v1), (u, v2), …`): table `L_out(u)`, probe
+    ///   each `L_in(v)`;
+    /// * **fixed target** (`(u1, v), (u2, v), …`): table `L_in(v)`, probe
+    ///   each `L_out(u)` — the shape the matcher's join produces for a
+    ///   pattern edge leaving the node being placed.
+    ///
+    /// Both whole-batch shapes are detected by one linear scan; anything
+    /// else is grouped by source (first-occurrence order), with groups of
+    /// `MIN_GROUP` or more tabled and smaller ones merge-joined pairwise.
+    /// Answers are bit-identical to pointwise
+    /// [`PllSlices::distance_within`] on every path — the shape only
     /// changes how many label entries get scanned.
     pub fn dist_batch_with(
         &self,
@@ -268,6 +292,44 @@ impl<'a> PllSlices<'a> {
         bound: u32,
     ) -> Vec<Option<u32>> {
         let mut out = vec![None; pairs.len()];
+        let mut scanned = 0u64;
+        let within = |d: u32| (d != u32::MAX && d <= bound).then_some(d);
+        let shared = match pairs.first() {
+            Some(&(u0, v0)) if pairs.len() >= MIN_GROUP => {
+                if pairs.iter().all(|&(u, _)| u == u0) {
+                    Some(true)
+                } else if pairs.iter().all(|&(_, v)| v == v0) {
+                    Some(false)
+                } else {
+                    None
+                }
+            }
+            _ => None,
+        };
+        if let Some(fixed_source) = shared {
+            let (fr, fd) = if fixed_source {
+                self.out_label(pairs[0].0)
+            } else {
+                self.in_label(pairs[0].1)
+            };
+            scanned += scratch.load_source(fr, fd);
+            for (slot, &(u, v)) in out.iter_mut().zip(pairs) {
+                if u == v {
+                    *slot = Some(0);
+                    continue;
+                }
+                let (pr, pd) = if fixed_source {
+                    self.in_label(v)
+                } else {
+                    self.out_label(u)
+                };
+                let (d, s) = scratch.probe(pr, pd);
+                scanned += s;
+                *slot = within(d);
+            }
+            obs::with_current(|p| p.add(obs::Counter::OracleLabelEntries, scanned));
+            return out;
+        }
         let mut order: Vec<NodeId> = Vec::new();
         let mut groups: HashMap<NodeId, Vec<u32>> = HashMap::new();
         for (idx, &(u, _)) in pairs.iter().enumerate() {
@@ -279,7 +341,6 @@ impl<'a> PllSlices<'a> {
                 })
                 .push(idx as u32);
         }
-        let mut scanned = 0u64;
         for u in order {
             let idxs = &groups[&u];
             let (or_, od) = self.out_label(u);
@@ -300,7 +361,7 @@ impl<'a> PllSlices<'a> {
                     kernel::merge_join(or_, od, ir, id_)
                 };
                 scanned += s;
-                out[ix as usize] = (d != u32::MAX && d <= bound).then_some(d);
+                out[ix as usize] = within(d);
             }
         }
         obs::with_current(|p| p.add(obs::Counter::OracleLabelEntries, scanned));
@@ -345,10 +406,13 @@ impl DistanceOracle for PllSlices<'_> {
         self.distance(u, v).filter(|&d| d <= bound)
     }
 
+    /// Allocates a one-shot [`BatchScratch`] per call — a borrowed `Copy`
+    /// view has nowhere to keep one. Fine for tests and one-off batches;
+    /// holders that serve traffic ([`PllIndex`], the snapshot oracle) keep
+    /// a scratch and call [`PllSlices::dist_batch_with`] instead.
     fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
         obs::with_current(|p| p.add(obs::Counter::OracleDistBatch, 1));
-        let mut scratch = BatchScratch::new();
-        self.dist_batch_with(&mut scratch, pairs, bound)
+        self.dist_batch_with(&mut BatchScratch::new(), pairs, bound)
     }
 }
 
@@ -379,11 +443,17 @@ impl BfsScratch {
     }
 }
 
-/// Build-time label store: per-node rank/distance vectors per direction,
-/// flattened into [`PllParts`] once construction finishes. Kept split so
-/// the certification merge-joins during the build run through the same
-/// [`kernel`] as serving queries.
-struct BuildLabels {
+/// The one build-time label store: per-node rank/distance vectors per
+/// direction, shared by static construction and incremental repair
+/// ([`crate::repair_insertions`]) and flattened into [`PllParts`] when
+/// either finishes. It owns the table certifier, so the two cannot drift
+/// apart in how a BFS visit is pruned.
+///
+/// Traversals are described by a `forward` flag. A forward traversal from
+/// landmark `w` reads the *fixed* side `L_out(w)` and probes/writes the
+/// `L_in` labels of the nodes it visits; a backward traversal is the
+/// mirror image (`L_in(w)` fixed, `L_out(x)` probed and written).
+pub(crate) struct BuildLabels {
     out_ranks: Vec<Vec<u32>>,
     out_dists: Vec<Vec<u32>>,
     in_ranks: Vec<Vec<u32>>,
@@ -400,16 +470,107 @@ impl BuildLabels {
         }
     }
 
-    /// `min(dist(u, hub) + dist(hub, v))` over the committed labels.
+    /// Cuts flat label arrays back into per-node vectors (repair input).
+    pub(crate) fn unflatten(parts: &PllParts) -> Self {
+        let cut = |offsets: &[u32], flat: &[u32]| -> Vec<Vec<u32>> {
+            offsets
+                .windows(2)
+                .map(|w| flat[w[0] as usize..w[1] as usize].to_vec())
+                .collect()
+        };
+        BuildLabels {
+            out_ranks: cut(&parts.out_offsets, &parts.out_ranks),
+            out_dists: cut(&parts.out_offsets, &parts.out_dists),
+            in_ranks: cut(&parts.in_offsets, &parts.in_ranks),
+            in_dists: cut(&parts.in_offsets, &parts.in_dists),
+        }
+    }
+
+    pub(crate) fn flatten(self) -> PllParts {
+        let fold = |ranks: Vec<Vec<u32>>, dists: Vec<Vec<u32>>| {
+            let total = ranks.iter().map(Vec::len).sum::<usize>();
+            let mut offsets = Vec::with_capacity(ranks.len() + 1);
+            let mut flat_r = Vec::with_capacity(total);
+            let mut flat_d = Vec::with_capacity(total);
+            offsets.push(0u32);
+            for (r, d) in ranks.into_iter().zip(dists) {
+                flat_r.extend_from_slice(&r);
+                flat_d.extend_from_slice(&d);
+                offsets.push(flat_r.len() as u32);
+            }
+            (offsets, flat_r, flat_d)
+        };
+        let (out_offsets, out_ranks, out_dists) = fold(self.out_ranks, self.out_dists);
+        let (in_offsets, in_ranks, in_dists) = fold(self.in_ranks, self.in_dists);
+        PllParts {
+            out_offsets,
+            out_ranks,
+            out_dists,
+            in_offsets,
+            in_ranks,
+            in_dists,
+        }
+    }
+
+    /// The label a `forward` traversal probes and writes at node `x`:
+    /// `L_in(x)` forward, `L_out(x)` backward.
+    pub(crate) fn visited_label(&self, x: usize, forward: bool) -> (&[u32], &[u32]) {
+        if forward {
+            (&self.in_ranks[x], &self.in_dists[x])
+        } else {
+            (&self.out_ranks[x], &self.out_dists[x])
+        }
+    }
+
+    fn visited_label_mut(&mut self, x: usize, forward: bool) -> (&mut Vec<u32>, &mut Vec<u32>) {
+        if forward {
+            (&mut self.in_ranks[x], &mut self.in_dists[x])
+        } else {
+            (&mut self.out_ranks[x], &mut self.out_dists[x])
+        }
+    }
+
+    /// Starts a traversal from landmark node `w`: loads the side of its
+    /// label that stays fixed throughout (`L_out(w)` forward, `L_in(w)`
+    /// backward) into the certification table, replacing the previous
+    /// landmark's.
+    pub(crate) fn load_landmark(&self, table: &mut BatchScratch, w: usize, forward: bool) {
+        let (ranks, dists) = self.visited_label(w, !forward);
+        table.load_source(ranks, dists);
+    }
+
+    /// `min(dist(landmark, hub) + dist(hub, x))` over the current labels
+    /// (mirrored when backward), `u32::MAX` when no hub connects them: one
+    /// probe of `x`'s label against the table [`Self::load_landmark`]
+    /// filled — the same minimum a merge-join of the two labels yields.
     #[inline]
-    fn query(&self, u: usize, v: usize) -> u32 {
-        kernel::merge_join(
-            &self.out_ranks[u],
-            &self.out_dists[u],
-            &self.in_ranks[v],
-            &self.in_dists[v],
-        )
-        .0
+    pub(crate) fn certified(&self, table: &BatchScratch, x: usize, forward: bool) -> u32 {
+        let (ranks, dists) = self.visited_label(x, forward);
+        table.probe(ranks, dists).0
+    }
+
+    /// Appends entry `(rank, d)` to the label a `forward` traversal writes
+    /// at `x`. Static construction commits ranks in increasing order, so
+    /// appending keeps the label rank-sorted.
+    fn push(&mut self, x: usize, forward: bool, rank: u32, d: u32) {
+        let (ranks, dists) = self.visited_label_mut(x, forward);
+        debug_assert!(ranks.last().is_none_or(|&r| r < rank));
+        ranks.push(rank);
+        dists.push(d);
+    }
+
+    /// Inserts or min-updates entry `(rank, d)` in the label a `forward`
+    /// traversal writes at `x`, keeping the rank order the kernels require
+    /// (repair patches labels out of rank order).
+    pub(crate) fn upsert(&mut self, x: usize, forward: bool, rank: u32, d: u32) {
+        let (ranks, dists) = self.visited_label_mut(x, forward);
+        match ranks.binary_search(&rank) {
+            Ok(i) => dists[i] = dists[i].min(d),
+            Err(i) => {
+                ranks.insert(i, rank);
+                dists.insert(i, d);
+            }
+        }
     }
 }
 
@@ -467,58 +628,35 @@ impl PllIndex {
             type LandmarkLabels = (Vec<(NodeId, u32)>, Vec<(NodeId, u32)>);
             let results: Vec<LandmarkLabels> = pool.map_init(
                 chunk,
-                || BfsScratch::new(n),
-                |scratch, _, &w| {
-                    let fwd = Self::pruned_bfs(graph, w, true, &labels, scratch);
-                    let bwd = Self::pruned_bfs(graph, w, false, &labels, scratch);
+                || (BfsScratch::new(n), BatchScratch::new()),
+                |(bfs, table), _, &w| {
+                    let fwd = Self::pruned_bfs(graph, w, true, &labels, bfs, table);
+                    let bwd = Self::pruned_bfs(graph, w, false, &labels, bfs, table);
                     (fwd, bwd)
                 },
             );
             for (i, (fwd, bwd)) in results.into_iter().enumerate() {
                 let wrank = base_rank + i as u32;
                 for (u, d) in fwd {
-                    labels.in_ranks[u.index()].push(wrank);
-                    labels.in_dists[u.index()].push(d);
+                    labels.push(u.index(), true, wrank, d);
                 }
                 for (u, d) in bwd {
-                    labels.out_ranks[u.index()].push(wrank);
-                    labels.out_dists[u.index()].push(d);
+                    labels.push(u.index(), false, wrank, d);
                 }
             }
         }
 
-        let flatten = |ranks: Vec<Vec<u32>>, dists: Vec<Vec<u32>>| {
-            let total = ranks.iter().map(Vec::len).sum::<usize>();
-            let mut offsets = Vec::with_capacity(ranks.len() + 1);
-            let mut flat_r = Vec::with_capacity(total);
-            let mut flat_d = Vec::with_capacity(total);
-            offsets.push(0u32);
-            for (r, d) in ranks.into_iter().zip(dists) {
-                flat_r.extend_from_slice(&r);
-                flat_d.extend_from_slice(&d);
-                offsets.push(flat_r.len() as u32);
-            }
-            (offsets, flat_r, flat_d)
-        };
-        let (out_offsets, out_ranks, out_dists) = flatten(labels.out_ranks, labels.out_dists);
-        let (in_offsets, in_ranks, in_dists) = flatten(labels.in_ranks, labels.in_dists);
         PllIndex {
-            parts: PllParts {
-                out_offsets,
-                out_ranks,
-                out_dists,
-                in_offsets,
-                in_ranks,
-                in_dists,
-            },
+            parts: labels.flatten(),
             scratch: Mutex::new(BatchScratch::new()),
         }
     }
 
     /// One pruned BFS from landmark `w`, certifying against the frozen
-    /// `labels` and *collecting* the entries `(vertex, distance)` instead
-    /// of writing them (so concurrent BFS runs can share the frozen labels
-    /// immutably). The traversal is level-ordered: the level index *is*
+    /// `labels` (the landmark's fixed side is tabled once, up front; each
+    /// visit is one probe) and *collecting* the entries `(vertex,
+    /// distance)` instead of writing them (so concurrent BFS runs can
+    /// share the frozen labels immutably). The traversal is level-ordered: the level index *is*
     /// the distance, so the scratch needs only a visited bitset, no
     /// per-node distance array. Within a single landmark this is
     /// equivalent to the classic in-place formulation: a landmark's own
@@ -532,7 +670,9 @@ impl PllIndex {
         forward: bool,
         labels: &BuildLabels,
         scratch: &mut BfsScratch,
+        table: &mut BatchScratch,
     ) -> Vec<(NodeId, u32)> {
+        labels.load_landmark(table, w.index(), forward);
         scratch.queue.clear();
         scratch.queue.push(w);
         scratch.visit(w.index());
@@ -549,12 +689,7 @@ impl PllIndex {
             head += 1;
             // Prune if existing labels already certify dist(w,u) <= d
             // (forward: w -> u; backward: u -> w).
-            let certified = if forward {
-                labels.query(w.index(), u.index())
-            } else {
-                labels.query(u.index(), w.index())
-            };
-            if certified <= d {
+            if labels.certified(table, u.index(), forward) <= d {
                 continue;
             }
             // Record the label. Ranks are committed in increasing order
@@ -606,7 +741,13 @@ impl PllIndex {
         self.as_slices().stats()
     }
 
-    /// The flat label arrays, cloned for persistence.
+    /// The flat label arrays, borrowed — what the snapshot writer and the
+    /// repair tier read, so serializing an index never copies it first.
+    pub fn parts(&self) -> &PllParts {
+        &self.parts
+    }
+
+    /// The flat label arrays, cloned (an owned exchange copy).
     pub fn to_parts(&self) -> PllParts {
         self.parts.clone()
     }

@@ -6,6 +6,34 @@
 //! `dist(h(u), h(u')) <= L_Q(e)` for every pattern edge, and the
 //! verification of a candidate stops as soon as one valuation is found
 //! (the Threshold-Algorithm-style early exit the paper describes).
+//!
+//! ## Chunked batch filtering
+//!
+//! Placing pattern node `u` means testing every value of its domain
+//! against the already-placed neighbors of `u`. Each such constraint has
+//! one endpoint *fixed* (the neighbor's image) and one varying (the domain
+//! value), which is exactly the shape `DistanceOracle::dist_batch` answers
+//! from a single rank table instead of one merge-join per pair. So the
+//! search never asks about one pair at a time: it takes the domain in
+//! chunks, drops values already used (injectivity), and filters the rest
+//! through one `dist_batch` per constraint — the first constraint over the
+//! whole chunk, later ones over the survivors only, the same short-circuit
+//! a per-value `all` performs.
+//!
+//! Chunks start at [`CHUNK_START`] values and double up to [`CHUNK_CAP`]:
+//! the search returns at the first witness, so everything asked about
+//! *after* the witness in its chunk is wasted, and a small first chunk
+//! bounds that waste where witnesses come early while long fruitless
+//! domains still amortize into large batches.
+//!
+//! Batching moves oracle calls, not search steps: after a chunk is
+//! filtered its values are still walked one by one in domain order, each
+//! charged one step *before* it is looked at, recursing exactly where the
+//! pointwise search would. `steps`, the value at which [`Truncated`]
+//! fires, and the valuation found are therefore those of the pointwise
+//! search (pinned against a `#[cfg(test)]` pointwise twin in
+//! `matcher/proptests.rs`); only the oracle sees a few more pairs (the
+//! chunk overshoot).
 
 use crate::pattern::{PatternQuery, QNodeId};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -86,6 +114,13 @@ pub fn verify_candidate<O: DistanceOracle + ?Sized>(
     }
 }
 
+/// Domain values filtered per oracle round trip: the first chunk of each
+/// domain scan, doubling per chunk up to [`CHUNK_CAP`] (see module docs).
+const CHUNK_START: usize = 8;
+/// Largest chunk; past this the table load is long amortized and a bigger
+/// batch only delays the step-budget check.
+const CHUNK_CAP: usize = 256;
+
 #[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
 fn backtrack<O: DistanceOracle + ?Sized>(
     graph: &Graph,
@@ -102,8 +137,7 @@ fn backtrack<O: DistanceOracle + ?Sized>(
         return Ok(true);
     }
     let u = order[depth];
-    let empty: Vec<NodeId> = Vec::new();
-    let domain = domains.get(&u).unwrap_or(&empty);
+    let domain = domains.get(&u).map_or(&[][..], Vec::as_slice);
     // Constraints against already-assigned neighbors.
     let constraints: Vec<(NodeId, bool, u32)> = q
         .edges()
@@ -118,42 +152,65 @@ fn backtrack<O: DistanceOracle + ?Sized>(
             }
         })
         .collect();
-    for &v in domain {
-        if *steps == 0 {
-            return Err(Truncated);
-        }
-        *steps -= 1;
-        if used.contains(&v) {
-            continue;
-        }
-        let ok = constraints.iter().all(|&(other, u_is_source, bound)| {
-            if u_is_source {
-                // edge u -> other: dist(v, h(other)) <= bound
-                oracle.within(v, other, bound)
-            } else {
-                oracle.within(other, v, bound)
+    // Positions (within the current chunk) of the values that are unused
+    // and satisfy every constraint, ascending; `pairs` is the batch buffer.
+    let mut survivors: Vec<usize> = Vec::new();
+    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+    let mut rest = domain;
+    let mut chunk_len = CHUNK_START;
+    while !rest.is_empty() {
+        let (chunk, tail) = rest.split_at(chunk_len.min(rest.len()));
+        rest = tail;
+        chunk_len = (chunk_len * 2).min(CHUNK_CAP);
+        // `used` holds only shallower placements here (deeper ones are
+        // undone before the recursion returns), so it is constant across
+        // the chunk and can be applied up front.
+        survivors.clear();
+        survivors.extend((0..chunk.len()).filter(|&i| !used.contains(&chunk[i])));
+        for &(other, u_is_source, bound) in &constraints {
+            if survivors.is_empty() {
+                break;
             }
-        });
-        if !ok {
-            continue;
+            pairs.clear();
+            pairs.extend(survivors.iter().map(|&i| {
+                if u_is_source {
+                    // edge u -> other: dist(v, h(other)) <= bound
+                    (chunk[i], other)
+                } else {
+                    (other, chunk[i])
+                }
+            }));
+            let within = oracle.dist_batch(&pairs, bound);
+            let mut answers = within.iter();
+            survivors.retain(|_| answers.next().is_some_and(Option::is_some));
         }
-        assignment.insert(u, v);
-        used.insert(v);
-        if backtrack(
-            graph,
-            oracle,
-            q,
-            order,
-            domains,
-            depth + 1,
-            assignment,
-            used,
-            steps,
-        )? {
-            return Ok(true);
+        let mut next_survivor = survivors.iter().copied().peekable();
+        for (i, &v) in chunk.iter().enumerate() {
+            if *steps == 0 {
+                return Err(Truncated);
+            }
+            *steps -= 1;
+            if next_survivor.next_if_eq(&i).is_none() {
+                continue;
+            }
+            assignment.insert(u, v);
+            used.insert(v);
+            if backtrack(
+                graph,
+                oracle,
+                q,
+                order,
+                domains,
+                depth + 1,
+                assignment,
+                used,
+                steps,
+            )? {
+                return Ok(true);
+            }
+            assignment.remove(&u);
+            used.remove(&v);
         }
-        assignment.remove(&u);
-        used.remove(&v);
     }
     Ok(false)
 }

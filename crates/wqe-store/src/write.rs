@@ -222,7 +222,7 @@ pub(crate) fn write_snapshot_versioned(
 ) -> std::io::Result<u64> {
     let mut sections = graph_sections(graph, pll.is_some())?;
     if let Some(pll) = pll {
-        sections.extend(pll_sections(&pll.to_parts(), version));
+        sections.extend(pll_sections(pll.parts(), version));
     }
     let mut w = SnapshotWriter::create_with_version(path, sections.len(), version)?;
     for (id, payload) in &sections {

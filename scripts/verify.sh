@@ -112,6 +112,13 @@ WQE_FORCE_SCALAR=1 cargo test -p wqe-index -q
 echo "==> kernels: cargo test -p wqe-index -q"
 cargo test -p wqe-index -q
 
+# Both passes above include the batch-shape proptest (fixed source, fixed
+# target, mixed; every oracle with its own dist_batch). The snapshot-mapped
+# oracle lives a crate up, so its shape parity gets its own scalar pass
+# (the default-kernel pass is the store suite above).
+echo "==> kernels: WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q"
+WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q
+
 # The batched oracle's headline number, in work counts (wall-clock-free):
 # dist_batch must scan >= 2x fewer label entries than pairwise merge-joins
 # with bit-identical answers, and the streamed million-node snapshot must
@@ -182,5 +189,15 @@ grep -q '"within_target": true' results/BENCH_live.json || {
     echo "bench_live: live write-path target missed (speedup/overhead/parity)" >&2
     exit 1
 }
+
+# The layered benchmark (benchmark/, its own package): the harness's unit
+# tests, then every workload on toy inputs with all correctness checks on
+# (answers digests, TracingOracle counts == program counters). No timing
+# gate here — speed claims are made with `run.sh --repeat` + `compare`.
+echo "==> benchmark: harness unit tests"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark: run.sh --smoke"
+benchmark/run.sh --smoke
 
 echo "verify: OK"

@@ -9,7 +9,8 @@
 use std::sync::Arc;
 use wqe::core::{EngineCtx, Session, WhyQuestion, WqeConfig};
 use wqe::datagen::{
-    dbpedia_like, generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig,
+    dbpedia_like, generate_query, generate_why, imdb_like, QueryGenConfig, TopologyKind,
+    WhyGenConfig,
 };
 use wqe::index::{BoundedBfsOracle, DistanceOracle, HybridOracle, PllIndex};
 
@@ -175,6 +176,51 @@ fn parallel_pll_build_matches_bfs_and_is_thread_count_invariant() {
                 builds[0].distance(u, v),
                 bfs.distance_within(u, v, u32::MAX),
                 "{u:?}->{v:?}"
+            );
+        }
+    }
+}
+
+/// FNV-1a over every word of the six label arrays.
+fn label_digest(idx: &PllIndex) -> u64 {
+    let p = idx.parts();
+    let mut h: u64 = 0xcbf29ce484222325;
+    for arr in [
+        &p.out_offsets,
+        &p.out_ranks,
+        &p.out_dists,
+        &p.in_offsets,
+        &p.in_ranks,
+        &p.in_dists,
+    ] {
+        for b in arr.iter().flat_map(|x| x.to_le_bytes()) {
+            h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+        }
+    }
+    h
+}
+
+/// Table certification changed how a BFS visit is pruned, never which
+/// visits are: the label arrays still hash to the values recorded from the
+/// merge-join-certified build (PR 11), at every thread count.
+#[test]
+fn pll_build_labels_pinned_to_merge_join_certified_build() {
+    let pinned: [(&str, u64, u64); 4] = [
+        ("imdb", 1, 0xfe67a4b86e1e22ab),
+        ("dbpedia", 1, 0xd32b417bc3abd319),
+        ("imdb", 7, 0x8c9c01f1f25454b9),
+        ("dbpedia", 7, 0x4b3aa777dcaa8bb8),
+    ];
+    for (kind, seed, want) in pinned {
+        let graph = match kind {
+            "imdb" => imdb_like(0.02, seed),
+            _ => dbpedia_like(0.02, seed),
+        };
+        for threads in THREAD_COUNTS {
+            assert_eq!(
+                label_digest(&PllIndex::build_with(&graph, threads)),
+                want,
+                "{kind}_like(0.02, {seed}) at {threads} threads"
             );
         }
     }

@@ -177,8 +177,8 @@ fn snapshot_loaded_answers_bit_identical_to_fresh() {
 /// The batched oracle path must be provenance-invariant too: `dist_batch`
 /// through the snapshot's zero-copy labels (`SnapshotOracle`, shared
 /// scratch behind a `try_lock`) answers exactly like the freshly built
-/// `PllIndex`, at every bound and under concurrent callers (which exercise
-/// the per-call scratch fallback).
+/// `PllIndex`, at every bound, on every batch shape, and under concurrent
+/// callers (which exercise the per-call scratch fallback).
 #[test]
 fn dist_batch_parity_fresh_vs_snapshot() {
     let graph = Arc::new(dbpedia_like(0.02, 5));
@@ -200,6 +200,24 @@ fn dist_batch_parity_fresh_vs_snapshot() {
             loaded.oracle().dist_batch(&pairs, bound),
             "bound {bound}"
         );
+    }
+
+    // The whole-batch shapes: one source against every node, and every
+    // node against one target (the matcher's join), equal to pointwise.
+    for anchor in [NodeId(0), NodeId(n / 2), NodeId(n - 1)] {
+        let fixed_source: Vec<_> = graph.node_ids().map(|v| (anchor, v)).collect();
+        let fixed_target: Vec<_> = graph.node_ids().map(|u| (u, anchor)).collect();
+        for shape in [&fixed_source, &fixed_target] {
+            let batched = loaded.oracle().dist_batch(shape, 4);
+            assert_eq!(batched, fresh.oracle().dist_batch(shape, 4));
+            for (&(u, v), got) in shape.iter().zip(&batched) {
+                assert_eq!(
+                    *got,
+                    loaded.oracle().distance_within(u, v, 4),
+                    "{u:?}->{v:?}"
+                );
+            }
+        }
     }
 
     let expected = fresh.oracle().dist_batch(&pairs, 4);
