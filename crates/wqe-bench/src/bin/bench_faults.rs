@@ -10,13 +10,12 @@
 //! cache probe consults [`fault::fire`]. This harness prices that
 //! machinery on the same generated why-question suite twice per rep:
 //!
-//! * `bare` — no fault plan installed: each hook is one relaxed atomic
-//!   load, and `ResilientOracle` passes straight through to its primary.
-//!   This is the production serving path.
-//! * `armed` — a plan is installed with every site armed at an
+//! * `bare` — no fault plan in scope: each hook is one thread-local
+//!   borrow and a branch. This is the production serving path.
+//! * `armed` — a plan is entered with every site armed at an
 //!   astronomically large period *and* a zero fault budget, so it never
-//!   fires but every hook pays full freight: the `RwLock` read, the
-//!   schedule hash, and the oracle ladder's per-call `catch_unwind`.
+//!   fires but every hook pays full freight: the schedule hash and the
+//!   budget check.
 //!
 //! Both modes must produce bit-identical answers; the JSON records the
 //! min-over-reps wall clock of each mode and the relative overhead, with
@@ -155,15 +154,10 @@ fn main() {
     let mut bare_ms = f64::INFINITY;
     let mut armed_ms = f64::INFINITY;
     let mut answers_identical = true;
-    let bare = |wl: &Workload| {
-        fault::uninstall();
-        run_suite(wl, &ctx, &cfg)
-    };
+    let bare = |wl: &Workload| run_suite(wl, &ctx, &cfg);
     let armed = |wl: &Workload| {
-        fault::install(Arc::clone(&plan));
-        let r = run_suite(wl, &ctx, &cfg);
-        fault::uninstall();
-        r
+        let _fault = fault::enter(Arc::clone(&plan));
+        run_suite(wl, &ctx, &cfg)
     };
     for rep in 0..reps {
         let ((b_ms, b_fp), (a_ms, a_fp)) = if rep % 2 == 0 {

@@ -244,7 +244,7 @@ impl EngineCtx {
     /// Bundles a graph with [`HybridOracle::default_for`] at the paper's
     /// default distance horizon (`b_m = 4`), wrapped in the
     /// [`ResilientOracle`] degradation ladder (retry → circuit breaker →
-    /// answer-parity BFS fallback). With no fault plan installed the wrap
+    /// answer-parity BFS fallback). With no fault plan in scope the wrap
     /// is a pass-through; answers are always bit-identical either way.
     /// Sugar for `builder().graph(graph).build()`.
     pub fn with_default_oracle(graph: Arc<Graph>) -> Self {

@@ -101,7 +101,7 @@ pub struct CounterRegistry {
     /// (`crate::ctx::EngineCtx::from_snapshot`); zero for contexts built
     /// from a parsed graph.
     pub snapshot_bytes_mapped: u64,
-    /// Faults fired by an installed `FaultPlan` (zero with no plan).
+    /// Faults fired by a scoped `FaultPlan` (zero with no plan).
     pub faults_injected: u64,
     /// Degradation-ladder retries of transient oracle/worker faults.
     pub retries: u64,

@@ -1047,7 +1047,9 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Builds a service and spawns its `max_inflight` worker threads.
+    /// Builds a service and spawns its `max_inflight` worker threads. The
+    /// workers run under the calling thread's fault plan, if any (see
+    /// [`wqe_pool::fault::enter`]).
     pub fn new(ctx: EngineCtx, config: ServiceConfig) -> Self {
         QueryService::build(ctx, None, config)
     }
@@ -1081,12 +1083,17 @@ impl QueryService {
             failed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         });
+        // A service built inside a fault scope runs every job under that
+        // plan, for its whole life; one built outside never faults.
+        let plan = wqe_pool::fault::current();
         let workers = (0..workers_n)
             .map(|i| {
                 let inner = Arc::clone(&inner);
+                let plan = plan.clone();
                 std::thread::Builder::new()
                     .name(format!("wqe-serve-{i}"))
                     .spawn(move || {
+                        let _fault = plan.map(wqe_pool::fault::enter);
                         while let Some(job) = inner.queue.pop() {
                             process(&inner, job);
                         }
@@ -1196,38 +1203,11 @@ impl QueryService {
         // Normalize once so the cached key and the session agree.
         effective = request.algorithm.apply_to(effective);
 
-        // Load shedding: the governor as admission control. Depth past the
-        // hard watermark sheds Low-priority work outright; past the soft
-        // watermark every admitted request gets a tightened effective
-        // deadline (linearly down to `min_deadline_ms`), which — being
-        // part of the effective config — also keys the cache.
-        let shed = &self.inner.shed;
-        if shed.enabled {
-            let queue_len = self.inner.queue.len();
-            let queue_cap = self.inner.queue.capacity();
-            let ratio = queue_len as f64 / queue_cap.max(1) as f64;
-            if ratio >= shed.hard_watermark && request.priority == Priority::Low {
-                self.inner.rejected.fetch_add(1, Ordering::Relaxed);
-                self.inner.profiler.add(Counter::ShedRequest, 1);
-                refuse(QueryStatus::Shed {
-                    reason: ShedReason::Overload {
-                        queue_len,
-                        queue_cap,
-                    },
-                });
-                return id;
-            }
-            if ratio >= shed.soft_watermark {
-                let span = (shed.hard_watermark - shed.soft_watermark).max(f64::EPSILON);
-                let f = ((ratio - shed.soft_watermark) / span).clamp(0.0, 1.0);
-                let imposed =
-                    shed.base_deadline_ms + (shed.min_deadline_ms - shed.base_deadline_ms) * f;
-                effective.deadline_ms = if effective.deadline_ms > 0.0 {
-                    effective.deadline_ms.min(imposed)
-                } else {
-                    imposed
-                };
-            }
+        if let Some(reason) = self.shed_or_tighten(request.priority, &mut effective) {
+            self.inner.rejected.fetch_add(1, Ordering::Relaxed);
+            self.inner.profiler.add(Counter::ShedRequest, 1);
+            refuse(QueryStatus::Shed { reason });
+            return id;
         }
 
         // Pin the epoch the job will answer against — at admission, so a
@@ -1299,6 +1279,39 @@ impl QueryService {
             }
         }
         id
+    }
+
+    /// Load shedding: the governor as admission control. Depth past the
+    /// hard watermark sheds Low-priority work outright; past the soft
+    /// watermark every admitted request gets a tightened effective
+    /// deadline in `effective` (linearly down to `min_deadline_ms`), which
+    /// — being part of the effective config — also keys the cache.
+    fn shed_or_tighten(&self, priority: Priority, effective: &mut WqeConfig) -> Option<ShedReason> {
+        let shed = &self.inner.shed;
+        if !shed.enabled {
+            return None;
+        }
+        let queue_len = self.inner.queue.len();
+        let queue_cap = self.inner.queue.capacity();
+        let ratio = queue_len as f64 / queue_cap.max(1) as f64;
+        if ratio >= shed.hard_watermark && priority == Priority::Low {
+            return Some(ShedReason::Overload {
+                queue_len,
+                queue_cap,
+            });
+        }
+        if ratio >= shed.soft_watermark {
+            let span = (shed.hard_watermark - shed.soft_watermark).max(f64::EPSILON);
+            let f = ((ratio - shed.soft_watermark) / span).clamp(0.0, 1.0);
+            let imposed =
+                shed.base_deadline_ms + (shed.min_deadline_ms - shed.base_deadline_ms) * f;
+            effective.deadline_ms = if effective.deadline_ms > 0.0 {
+                effective.deadline_ms.min(imposed)
+            } else {
+                imposed
+            };
+        }
+        None
     }
 
     /// Submits and blocks for the response.
@@ -1801,21 +1814,68 @@ mod tests {
             other => panic!("expected overload shed, got {other:?}"),
         }
         // Normal priority is still admitted past the hard watermark, but
-        // with a tightened (imposed) deadline in its effective config.
-        let normal = svc.submit(QueryRequest::new(q, Algorithm::WhyMany));
-        svc.resume();
-        let resp = normal.wait();
-        assert!(
-            !resp.is_rejected(),
-            "normal priority is never overload-shed"
+        // with a tightened (imposed) deadline in its effective config:
+        // checked against the paused queue's logical state, not a clock.
+        let mut effective = base_cfg();
+        assert_eq!(svc.shed_or_tighten(Priority::Normal, &mut effective), None);
+        assert_eq!(
+            effective.deadline_ms, 20.0,
+            "hard watermark imposes the minimum"
         );
+        let normal = svc.submit(QueryRequest::new(q, Algorithm::WhyMany));
+        // Read while paused: exactly the one Overload shed so far. Once
+        // resumed, held jobs may also be shed at dequeue (their tightened
+        // deadlines can elapse in the queue), so counters are not final.
         let stats = svc.stats();
         assert_eq!(stats.counters.shed_requests, 1);
         assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.queue_depth, 4, "three held jobs plus the normal one");
+        svc.resume();
+        let resp = normal.wait();
+        match resp.status {
+            QueryStatus::Shed {
+                reason: ShedReason::DeadlineElapsed { deadline_ms, .. },
+            } => assert_eq!(deadline_ms, 20.0, "shed against the tightened deadline"),
+            QueryStatus::Shed { reason } => panic!("normal priority overload-shed: {reason:?}"),
+            _ => assert!(!resp.is_rejected(), "normal priority is never rejected"),
+        }
         for p in held {
             let r = p.wait();
             assert!(r.report().is_some() || r.is_shed());
         }
+    }
+
+    #[test]
+    fn plan_entered_before_new_reaches_the_service_workers() {
+        use wqe_pool::fault::{self, FaultPlan, FaultSite};
+        let plan = Arc::new(FaultPlan::new(3).arm(FaultSite::AnswerCache, 1));
+        let cfg = || ServiceConfig {
+            max_inflight: 1,
+            base_config: base_cfg(),
+            ..Default::default()
+        };
+        let (bare, q) = service(cfg());
+        let (armed, _) = {
+            let _fault = fault::enter(Arc::clone(&plan));
+            service(cfg())
+        };
+        // Requests come from this thread, outside any scope: only where
+        // each service was built decides whether its workers fault.
+        for svc in [&bare, &armed] {
+            svc.call(QueryRequest::new(q.clone(), Algorithm::AnsW));
+        }
+        let warm = |svc: &QueryService| {
+            svc.call(QueryRequest::new(q.clone(), Algorithm::AnsW))
+                .cache_hit()
+        };
+        assert!(warm(&bare), "unscoped service hits its cache");
+        assert!(!warm(&armed), "scoped service's cache probes fault");
+        assert_eq!(bare.stats().counters.faults_injected, 0);
+        assert!(armed.stats().counters.faults_injected > 0);
+        assert_eq!(
+            plan.fired(FaultSite::AnswerCache),
+            armed.stats().counters.faults_injected
+        );
     }
 
     #[test]

@@ -154,9 +154,9 @@ impl BoundedBfsOracle {
     }
 
     /// The memo is shared by every session on the context, so its locks
-    /// recover from poison: a panic in one session (e.g. injected by a
-    /// `FaultOracle` in front of this one, or a bug in a verifier thread)
-    /// must never take the cache down for its siblings. The map itself is
+    /// recover from poison: a panic in one session (an injected pool-worker
+    /// fault, or a bug in a verifier thread) must never take the cache
+    /// down for its siblings. The map itself is
     /// never left mid-update by the code below — entries are inserted with
     /// a single `insert` after being fully computed.
     fn reach_from(&self, u: NodeId) -> Arc<HashMap<NodeId, u32>> {

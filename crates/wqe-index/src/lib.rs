@@ -24,17 +24,17 @@
 
 mod bfs;
 mod delta;
-mod fault;
 pub mod kernel;
 mod oracle;
 mod pll;
+mod resilient;
 
 pub use bfs::BoundedBfsOracle;
 pub use delta::{repair_insertions, DeltaOracle};
-pub use fault::{FaultKind, FaultOracle, ResilientOracle};
 pub use kernel::{active_kernel, BatchScratch, Kernel};
 pub use oracle::{DistanceOracle, HybridOracle, PLL_NODE_LIMIT};
 pub use pll::{LabelStats, PllIndex, PllParts, PllSlices};
+pub use resilient::ResilientOracle;
 
 #[cfg(test)]
 mod proptests {

@@ -2,12 +2,22 @@
 //!
 //! A [`FaultPlan`] is a deterministic schedule of infrastructure faults —
 //! which *call numbers* at which [`FaultSite`]s misbehave — derived from a
-//! single seed by the same splitmix64 construction the data generator and
-//! `FaultOracle` use. Like the [`governor`](crate::governor) and the
+//! single seed by the same splitmix64 construction the data generator
+//! uses. Like the [`governor`](crate::governor) and the
 //! [`profiler`](crate::obs), the plan lives in `wqe-pool` (the bottom of
 //! the crate graph) so every layer above — the snapshot store, the
 //! distance oracles, the matcher caches, the serving queue — can consult
-//! one global plan without a dependency cycle.
+//! it without a dependency cycle.
+//!
+//! ## Scope
+//!
+//! A plan is active only inside a thread-local scope opened with
+//! [`enter`], exactly like `governor::enter` and `obs::enter`. The scope
+//! travels with the work: `WorkerPool` re-enters the caller's plan on its
+//! workers, and `QueryService` and the HTTP server capture the plan that
+//! was current when they were built for every thread they spawn. Code
+//! running outside any scope — a concurrent test that armed nothing, say
+//! — never sees a fault.
 //!
 //! ## Determinism under parallelism
 //!
@@ -21,10 +31,10 @@
 //!
 //! ## Hot-path cost
 //!
-//! Injection sites call the free function [`fire`]. With no plan installed
-//! that is a single relaxed atomic load ([`active`]) — measured against
-//! the <3% overhead gate by `bench_faults`. With a plan installed but the
-//! site unarmed, it is the load plus an `RwLock` read acquisition.
+//! Injection sites call the free function [`fire`]. With no plan in scope
+//! that is one thread-local borrow and a branch — measured against the
+//! <3% overhead gate by `bench_faults`. With a plan in scope but the site
+//! unarmed, it is one more branch.
 //!
 //! ## Never-wrong contract
 //!
@@ -36,8 +46,9 @@
 //! *values* in flight.
 
 use crate::obs;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::Arc;
 
 /// Where a fault can be injected. Each site has its own call counter,
 /// period, and budget inside a [`FaultPlan`].
@@ -116,8 +127,7 @@ impl std::fmt::Display for FaultSite {
 }
 
 /// The splitmix64 mixing function — the same constants the data generator
-/// and `FaultOracle` use, re-exported so every fault consumer shares one
-/// schedule construction.
+/// uses, so every fault schedule shares one construction.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -145,8 +155,7 @@ struct SiteState {
 ///
 /// Build one with [`FaultPlan::new`] + [`arm`](FaultPlan::arm) (or
 /// [`all_sites`](FaultPlan::all_sites) / [`from_env`](FaultPlan::from_env))
-/// and install it globally with [`install`] or the test-friendly
-/// [`with_plan`].
+/// and activate it on a thread with [`enter`].
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
@@ -197,7 +206,7 @@ impl FaultPlan {
     /// returns `None` when absent or unparsable) selects the schedule,
     /// `WQE_FAULT_PERIOD` (default 16) the firing rate, and
     /// `WQE_FAULT_SITES` (comma-separated [`FaultSite`] names, default
-    /// all) the armed sites. The CLI installs this at startup, which is
+    /// all) the armed sites. The CLI enters this for its whole run, which is
     /// the chaos quick-start path in the README.
     pub fn from_env() -> Option<FaultPlan> {
         let seed: u64 = std::env::var("WQE_FAULT_SEED").ok()?.trim().parse().ok()?;
@@ -241,8 +250,8 @@ impl FaultPlan {
         if !word.is_multiple_of(s.period) {
             return None;
         }
-        // Budget check mirrors FaultOracle: a decrement past zero is
-        // restored so the counter stays sane under races.
+        // A decrement past zero is restored so the budget stays sane
+        // under races.
         if s.remaining.load(Ordering::Relaxed) <= 0 {
             return None;
         }
@@ -275,75 +284,46 @@ impl FaultPlan {
     }
 }
 
-/// One relaxed load on every [`fire`] call while no plan is installed —
-/// the entire no-fault cost of the injection hooks.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static PLAN: RwLock<Option<Arc<FaultPlan>>> = RwLock::new(None);
-/// Serializes tests that install global plans (see [`with_plan`]).
-static EXCLUSIVE: Mutex<()> = Mutex::new(());
-
-/// Whether a fault plan is currently installed. Injection sites that need
-/// to gate extra work (a `catch_unwind`, say) on fault mode use this.
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
+thread_local! {
+    static CURRENT: RefCell<Vec<Arc<FaultPlan>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Installs `plan` as the process-global fault plan. Prefer [`with_plan`]
-/// in tests — it also serializes against other plan-installing tests.
-pub fn install(plan: Arc<FaultPlan>) {
-    let mut slot = PLAN.write().unwrap_or_else(PoisonError::into_inner);
-    *slot = Some(plan);
-    ACTIVE.store(true, Ordering::Relaxed);
+/// A scope guard returned by [`enter`]; dropping it pops the plan off the
+/// thread-local stack (panic-safe: unwinding drops it too).
+#[must_use = "the fault plan is active only while the scope guard lives"]
+pub struct FaultScope {
+    _private: (),
 }
 
-/// Removes the process-global fault plan, returning every [`fire`] site to
-/// its single-relaxed-load pass-through.
-pub fn uninstall() {
-    let mut slot = PLAN.write().unwrap_or_else(PoisonError::into_inner);
-    ACTIVE.store(false, Ordering::Relaxed);
-    *slot = None;
+impl Drop for FaultScope {
+    fn drop(&mut self) {
+        CURRENT.with(|c| {
+            c.borrow_mut().pop();
+        });
+    }
 }
 
-/// The currently installed plan, if any (for post-run assertions on
+/// Pushes `plan` as the calling thread's current fault plan until the
+/// returned guard is dropped. Scopes nest; the innermost wins. Threads
+/// spawned by `WorkerPool`, `QueryService` and the HTTP server carry the
+/// plan that was current where they were started.
+pub fn enter(plan: Arc<FaultPlan>) -> FaultScope {
+    CURRENT.with(|c| c.borrow_mut().push(plan));
+    FaultScope { _private: () }
+}
+
+/// The calling thread's innermost fault plan, if any (for carrying the
+/// scope onto spawned threads, and for post-run assertions on
 /// [`FaultPlan::fired`] counts).
 pub fn current() -> Option<Arc<FaultPlan>> {
-    if !active() {
-        return None;
-    }
-    PLAN.read().unwrap_or_else(PoisonError::into_inner).clone()
+    CURRENT.with(|c| c.borrow().last().cloned())
 }
 
-/// Consults the global plan for one call at `site`; `None` (no fault) when
-/// no plan is installed or the site is unarmed. This is the function every
-/// injection site calls.
+/// Consults the calling thread's current plan for one call at `site`;
+/// `None` (no fault) when no plan is in scope or the site is unarmed.
+/// This is the function every injection site calls.
 pub fn fire(site: FaultSite) -> Option<u64> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return None;
-    }
-    let guard = PLAN.read().unwrap_or_else(PoisonError::into_inner);
-    guard.as_ref().and_then(|p| p.fire(site))
-}
-
-/// RAII guard from [`with_plan`]: uninstalls the plan when dropped.
-#[must_use = "the plan is installed only while the guard lives"]
-pub struct PlanGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        uninstall();
-    }
-}
-
-/// Installs `plan` for the lifetime of the returned guard, holding a
-/// global mutex so concurrently running tests that inject faults cannot
-/// interleave their plans (the chaos suite runs under both
-/// `RUST_TEST_THREADS=1` and default threading).
-pub fn with_plan(plan: Arc<FaultPlan>) -> PlanGuard {
-    let lock = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
-    install(plan);
-    PlanGuard { _lock: lock }
+    CURRENT.with(|c| c.borrow().last().and_then(|p| p.fire(site)))
 }
 
 /// A per-site circuit breaker: `threshold` *consecutive* failures trip it
@@ -498,25 +478,34 @@ mod tests {
     }
 
     #[test]
-    fn global_fire_is_inert_without_a_plan() {
-        let _lock = EXCLUSIVE.lock().unwrap_or_else(PoisonError::into_inner);
-        uninstall();
-        assert!(!active());
+    fn fire_is_inert_without_a_scope() {
         assert!(fire(FaultSite::Oracle).is_none());
         assert!(current().is_none());
     }
 
     #[test]
-    fn with_plan_installs_and_uninstalls() {
+    fn enter_scopes_the_plan_to_the_thread() {
         let plan = Arc::new(FaultPlan::new(1).arm(FaultSite::Queue, 1));
         {
-            let _guard = with_plan(Arc::clone(&plan));
-            assert!(active());
+            let _scope = enter(Arc::clone(&plan));
             assert!(fire(FaultSite::Queue).is_some());
             assert!(Arc::ptr_eq(&current().unwrap(), &plan));
         }
-        assert!(!active());
+        assert!(current().is_none());
         assert!(fire(FaultSite::Queue).is_none());
+        assert_eq!(plan.fired(FaultSite::Queue), 1);
+    }
+
+    #[test]
+    fn scopes_nest_innermost_wins() {
+        let outer = Arc::new(FaultPlan::new(1).arm(FaultSite::Queue, 1));
+        let inner = Arc::new(FaultPlan::new(2));
+        let _a = enter(Arc::clone(&outer));
+        {
+            let _b = enter(Arc::clone(&inner));
+            assert!(fire(FaultSite::Queue).is_none(), "inner plan arms nothing");
+        }
+        assert!(fire(FaultSite::Queue).is_some(), "outer plan restored");
     }
 
     #[test]

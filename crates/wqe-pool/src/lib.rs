@@ -230,7 +230,7 @@ impl WorkerPool {
     /// * when `gov` is `Some`, polls `halt()` before each pull and records
     ///   the first observed termination;
     /// * propagates the caller's thread-local governor (or the explicit
-    ///   `gov`) into worker threads.
+    ///   `gov`), profiler and fault plan into worker threads.
     fn run_core<T, R, S, I, F>(
         &self,
         items: &[T],
@@ -284,11 +284,13 @@ impl WorkerPool {
         // Worker threads start with an empty thread-local governor stack;
         // hand them the explicit governor, or failing that whatever scope
         // the calling thread currently has, so nested governed layers keep
-        // working across the fan-out. The caller's profiler scope (if any)
-        // travels the same way, so spans recorded inside workers land in
-        // the owning session's profile.
+        // working across the fan-out. The caller's profiler and fault plan
+        // scopes (if any) travel the same way, so spans recorded inside
+        // workers land in the owning session's profile and injected faults
+        // reach exactly the work the plan was entered for.
         let scope_gov: Option<Arc<Governor>> = gov.cloned().or_else(governor::current);
         let scope_obs: Option<Arc<obs::Profiler>> = obs::current();
+        let scope_fault: Option<Arc<fault::FaultPlan>> = fault::current();
         let cursor = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
@@ -305,9 +307,11 @@ impl WorkerPool {
                     let f = &f;
                     let scope_gov = scope_gov.clone();
                     let scope_obs = scope_obs.clone();
+                    let scope_fault = scope_fault.clone();
                     scope.spawn(move || {
                         let _scope = scope_gov.map(governor::enter);
                         let _obs = scope_obs.map(obs::enter);
+                        let _fault = scope_fault.map(fault::enter);
                         let mut state = init();
                         let mut out: Vec<(usize, R)> = Vec::new();
                         loop {
@@ -382,9 +386,10 @@ impl WorkerPool {
 }
 
 /// The pool-worker fault-injection site: panics inside the per-item
-/// `catch_unwind` when the installed [`fault::FaultPlan`] says so, so an
+/// `catch_unwind` when the scoped [`fault::FaultPlan`] says so, so an
 /// injected worker fault surfaces exactly like a real one — as a typed
-/// [`PoolError::Panicked`]. One relaxed load when no plan is installed.
+/// [`PoolError::Panicked`]. One thread-local borrow when no plan is in
+/// scope.
 fn fault_pool_item(i: usize) {
     if fault::fire(fault::FaultSite::PoolWorker).is_some() {
         panic!("injected pool-worker fault at item {i}");
@@ -552,15 +557,21 @@ mod tests {
             let g = Arc::clone(&gov);
             let (slots, halted) = pool
                 .map_governed(&items, &gov, move |i, &x| {
+                    // Later items wait for the cancel, so however the
+                    // workers are scheduled only in-flight items finish.
                     if i == 0 {
                         g.cancel();
+                    } else {
+                        while g.halt().is_none() {
+                            std::thread::yield_now();
+                        }
                     }
                     x
                 })
                 .unwrap();
             assert_eq!(halted, Some(Termination::Cancelled));
             let done = slots.iter().filter(|s| s.is_some()).count();
-            assert!(done < items.len(), "cancel must skip some items");
+            assert!(done <= threads, "only in-flight items finish, got {done}");
             // Completed slots carry the right values.
             for (i, s) in slots.iter().enumerate() {
                 if let Some(v) = s {
@@ -584,15 +595,52 @@ mod tests {
     fn map_governed_propagates_tls_to_workers() {
         let pool = WorkerPool::new(4);
         let gov = Arc::new(Governor::new(None, 123, 0));
+        // An empty plan: carried to every worker, fires nowhere.
+        let plan = Arc::new(fault::FaultPlan::new(9));
+        let scope = fault::enter(Arc::clone(&plan));
         let items: Vec<usize> = (0..64).collect();
         let (slots, _) = pool
             .map_governed(&items, &gov, |_, _| {
                 let seen = governor::current().expect("worker sees the governor");
-                Arc::ptr_eq(&seen, &governor::current().unwrap())
+                let seen_plan = fault::current().expect("worker sees the fault plan");
+                Arc::ptr_eq(&seen, &gov) && Arc::ptr_eq(&seen_plan, &plan)
             })
             .unwrap();
+        drop(scope);
         assert!(slots.into_iter().all(|s| s == Some(true)));
         assert!(governor::current().is_none(), "scope popped after the call");
+        assert!(fault::current().is_none(), "fault scope popped");
+    }
+
+    #[test]
+    fn scoped_plan_never_fires_on_a_concurrent_thread() {
+        // Thread A runs pools under a plan that faults every pool item;
+        // thread B runs pools at the same time with no scope and must
+        // never see one of A's faults.
+        let barrier = std::sync::Barrier::new(2);
+        let items: Vec<usize> = (0..256).collect();
+        std::thread::scope(|s| {
+            let a = s.spawn(|| {
+                let plan = Arc::new(fault::FaultPlan::new(1).arm(fault::FaultSite::PoolWorker, 1));
+                let _scope = fault::enter(Arc::clone(&plan));
+                barrier.wait();
+                for threads in [1, 2] {
+                    assert!(WorkerPool::new(threads).try_map(&items, |_, &x| x).is_err());
+                }
+                plan.fired(fault::FaultSite::PoolWorker)
+            });
+            let b = s.spawn(|| {
+                barrier.wait();
+                for _ in 0..20 {
+                    for threads in [1, 2] {
+                        let out = WorkerPool::new(threads).try_map(&items, |_, &x| x);
+                        assert_eq!(out.expect("unscoped thread faulted"), items);
+                    }
+                }
+            });
+            assert!(a.join().unwrap() >= 2, "A's plan fired on A");
+            b.join().unwrap();
+        });
     }
 
     #[test]

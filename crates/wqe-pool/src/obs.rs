@@ -125,7 +125,7 @@ pub enum Counter {
     /// machine-independent work metric for the oracle hot path (wall-clock
     /// is meaningless on a shared 1-CPU host; entry scans are not).
     OracleLabelEntries = 11,
-    /// Faults fired by the installed [`fault::FaultPlan`](crate::fault)
+    /// Faults fired by the scoped [`fault::FaultPlan`](crate::fault)
     /// (all sites combined). Zero in production runs with no plan.
     FaultInjected = 12,
     /// Degradation-ladder retries: a transient oracle/worker fault was

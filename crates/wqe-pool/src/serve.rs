@@ -152,7 +152,7 @@ impl<T> JobQueue<T> {
     /// Admits a job, or rejects it when the queue is full or closed.
     /// Returns the job's admission sequence number (global, monotonic).
     ///
-    /// This is also the queue's fault-injection site: an installed
+    /// This is also the queue's fault-injection site: a scoped
     /// [`FaultPlan`](crate::fault::FaultPlan) with the `queue` site armed
     /// makes the push spuriously reject as [`PushError::Full`] (reporting
     /// the observed depth) — the same typed admission-control outcome a

@@ -13,72 +13,18 @@ cargo clippy --all-targets -- -D warnings
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
-
-# Parallelism must never change answers: run the determinism suite both
-# single-threaded (serializes any latent race into a reproducible order)
-# and with the default test threading.
-echo "==> determinism: RUST_TEST_THREADS=1 cargo test --test parallel_determinism -q"
-RUST_TEST_THREADS=1 cargo test --test parallel_determinism -q
-
-echo "==> determinism: cargo test --test parallel_determinism -q"
-cargo test --test parallel_determinism -q
-
-# The governor suite covers wall-clock deadlines, cross-thread
-# cancellation, and cap determinism; like the determinism suite it must
-# hold both serialized and under default test threading.
-echo "==> governor: RUST_TEST_THREADS=1 cargo test --test governor -q"
-RUST_TEST_THREADS=1 cargo test --test governor -q
-
-echo "==> governor: cargo test --test governor -q"
-cargo test --test governor -q
+# Every test in the workspace — crate unit and property tests, every
+# integration suite (determinism, governor, store, serving, live epochs,
+# chaos) and the doctests — with default test threading. Fault plans are
+# thread-scoped, so no suite needs to run serialized. The chaos seed is
+# pinned so a failure reproduces.
+echo "==> tier-1: WQE_CHAOS_SEED=3405691582 cargo test --workspace --no-fail-fast -q"
+WQE_CHAOS_SEED=3405691582 cargo test --workspace --no-fail-fast -q
 
 # The observability layer: stable QueryProfile JSON schema, populated
 # spans/counters on a real run, and the without_profiler opt-out.
 echo "==> observability: cargo test --test profile -q"
 cargo test --test profile -q
-
-# The durable store: snapshot-loaded contexts must answer bit-identically
-# to freshly built ones across all five algorithms and every parallelism,
-# round-trips must be lossless, and corruption/truncation must surface as
-# structured errors — serialized and under default test threading.
-echo "==> store: RUST_TEST_THREADS=1 cargo test --test snapshot_determinism -q"
-RUST_TEST_THREADS=1 cargo test --test snapshot_determinism -q
-
-echo "==> store: cargo test --test snapshot_determinism -q"
-cargo test --test snapshot_determinism -q
-
-# The serving layer: concurrent mixed-algorithm batches, the answer
-# cache, admission control, and per-request deadlines must all be
-# bit-identical to direct engine runs — serialized and under default
-# test threading, like the other determinism suites.
-echo "==> serving: RUST_TEST_THREADS=1 cargo test --test service -q"
-RUST_TEST_THREADS=1 cargo test --test service -q
-
-echo "==> serving: cargo test --test service -q"
-cargo test --test service -q
-
-# The network front-end: endpoint smoke (healthz/why/batch/stats, error
-# codes) plus the streaming-parity pin — the terminal SSE event must be
-# bit-identical to the blocking response at every parallelism for every
-# algorithm — serialized and under default test threading.
-echo "==> serving: RUST_TEST_THREADS=1 cargo test --test http_serve -q"
-RUST_TEST_THREADS=1 cargo test --test http_serve -q
-
-echo "==> serving: cargo test --test http_serve -q"
-cargo test --test http_serve -q
-
-# The live-graph suite: epoch-pinned answers must be bit-identical to a
-# fresh context on the pinned graph for all eight algorithms at every
-# parallelism — including under concurrent writers — and cache
-# invalidation must be keyed (unrelated publishes keep entries hot),
-# serialized and under default test threading.
-echo "==> live: RUST_TEST_THREADS=1 cargo test --test live_epochs -q"
-RUST_TEST_THREADS=1 cargo test --test live_epochs -q
-
-echo "==> live: cargo test --test live_epochs -q"
-cargo test --test live_epochs -q
 
 # The public API surface is pinned as checked-in text dumps; any drift
 # must be a deliberate, blessed diff (WQE_BLESS_API=1), never an
@@ -93,16 +39,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p wqe-graph -p wqe-index \
     -p wqe-store -p wqe-query -p wqe-pool -p wqe-core -p wqe-serve \
     -p wqe-datagen -p wqe-bench -p wqe
 
-# The chaos suite: deterministic fault schedules (pinned seed so failures
-# reproduce) across oracle, pool, queue, cache, and store sites must
-# uphold the never-wrong invariant — bit-correct answer, tagged partial,
-# or typed error — serialized and under default test threading.
-echo "==> chaos: RUST_TEST_THREADS=1 WQE_CHAOS_SEED=3405691582 cargo test --test chaos -q"
-RUST_TEST_THREADS=1 WQE_CHAOS_SEED=3405691582 cargo test --test chaos -q
-
-echo "==> chaos: WQE_CHAOS_SEED=3405691582 cargo test --test chaos -q"
-WQE_CHAOS_SEED=3405691582 cargo test --test chaos -q
-
 # The distance kernels dispatch at runtime (AVX2 when the CPU has it,
 # scalar otherwise); both paths must pass the index suite bit-identically.
 # The forced-scalar run covers the fallback even on AVX2 hosts.
@@ -115,7 +51,7 @@ cargo test -p wqe-index -q
 # Both passes above include the batch-shape proptest (fixed source, fixed
 # target, mixed; every oracle with its own dist_batch). The snapshot-mapped
 # oracle lives a crate up, so its shape parity gets its own scalar pass
-# (the default-kernel pass is the store suite above).
+# (the default-kernel pass is the workspace run above).
 echo "==> kernels: WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q"
 WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q
 

@@ -6,19 +6,20 @@
 //! Schedules come from [`wqe::pool::fault::FaultPlan`]: a splitmix64
 //! function of (seed, site, call number), so a failing run reproduces
 //! exactly from its seed. The suite's base seed is `WQE_CHAOS_SEED`
-//! (default below); `scripts/verify.sh` pins it and runs the suite both
-//! single-threaded and with default test threading.
+//! (default below); `scripts/verify.sh` pins it.
 //!
-//! Tests that install a plan use `with_plan`, which serializes plan users
-//! behind a process-wide mutex — baselines are always computed *outside*
-//! the guard, fault-free.
+//! A plan is active only inside the thread-local scope opened by
+//! `fault::enter`: the engine's pool workers inherit it, and a service or
+//! HTTP server built inside the scope runs under it. Tests therefore run
+//! concurrently without seeing each other's faults, and baselines are
+//! computed outside the scope, fault-free.
 
 use std::sync::Arc;
 use wqe::core::engine::{Algorithm, WqeEngine};
 use wqe::core::service::{QueryRequest, QueryService, QueryStatus, ServiceConfig};
 use wqe::core::{EngineCtx, WhyQuestion, WqeConfig, WqeError};
 use wqe::graph::Graph;
-use wqe::pool::fault::{with_plan, FaultPlan, FaultSite};
+use wqe::pool::fault::{self, FaultPlan, FaultSite};
 
 /// Base seed for every schedule in this suite; override with
 /// `WQE_CHAOS_SEED=<n>` to explore (failures print the effective seed).
@@ -102,7 +103,7 @@ fn oracle_faults_never_change_answers() {
     }
 
     let plan = Arc::new(FaultPlan::new(chaos_seed()).arm(FaultSite::Oracle, 2));
-    let _guard = with_plan(Arc::clone(&plan));
+    let _fault = fault::enter(Arc::clone(&plan));
     for (algo, t, expected) in &baselines {
         let report = run(&ctx, &q, *algo, *t)
             .unwrap_or_else(|e| panic!("{algo:?}/p{t}: oracle faults must be absorbed, got {e}"));
@@ -126,7 +127,7 @@ fn pool_worker_faults_surface_as_typed_errors() {
     let baseline = fingerprint(&run(&ctx, &q, Algorithm::AnsW, 2).unwrap());
 
     let plan = Arc::new(FaultPlan::new(chaos_seed() ^ 1).arm(FaultSite::PoolWorker, 1));
-    let _guard = with_plan(Arc::clone(&plan));
+    let _fault = fault::enter(Arc::clone(&plan));
     for &t in &THREAD_COUNTS {
         match run(&ctx, &q, Algorithm::AnsW, t) {
             Err(WqeError::WorkerPanicked { message, .. }) => {
@@ -169,7 +170,7 @@ fn service_retry_ladder_recovers_transient_faults() {
             .arm(FaultSite::PoolWorker, 1)
             .with_budget(FaultSite::PoolWorker, 1),
     );
-    let _guard = with_plan(Arc::clone(&plan));
+    let _fault = fault::enter(Arc::clone(&plan));
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
@@ -206,7 +207,7 @@ fn queue_faults_reject_like_saturation() {
     let (g, q) = setup();
     let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
     let plan = Arc::new(FaultPlan::new(chaos_seed() ^ 3).arm(FaultSite::Queue, 1));
-    let _guard = with_plan(Arc::clone(&plan));
+    let _fault = fault::enter(Arc::clone(&plan));
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
@@ -249,7 +250,7 @@ fn cache_faults_force_recompute_with_identical_answers() {
             .arm(FaultSite::AnswerCache, 1)
             .arm(FaultSite::StarCache, 1),
     );
-    let _guard = with_plan(Arc::clone(&plan));
+    let _fault = fault::enter(Arc::clone(&plan));
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
@@ -344,7 +345,7 @@ fn randomized_all_site_schedules_are_never_wrong() {
                 .arm(FaultSite::AnswerCache, 2)
                 .arm(FaultSite::StarCache, 3),
         );
-        let _guard = with_plan(Arc::clone(&plan));
+        let _fault = fault::enter(Arc::clone(&plan));
         for algo in ALGORITHMS {
             for &t in &THREAD_COUNTS {
                 match run(&ctx, &q, algo, t) {
@@ -389,7 +390,7 @@ fn store_read_faults_are_typed_or_quarantined() {
             .arm(FaultSite::StoreMmap, 2)
             .arm(FaultSite::StoreRead, 2),
     );
-    let _guard = with_plan(Arc::clone(&plan));
+    let _fault = fault::enter(Arc::clone(&plan));
     for attempt in 0..8 {
         match wqe::store::Snapshot::open(&path) {
             Ok(snap) => {
@@ -489,11 +490,9 @@ fn http_conn_faults_shed_connections_not_the_server() {
         graph: g,
         store: None,
     };
-    let server = wqe::serve::http::HttpServer::bind(serve_ctx, "127.0.0.1:0").expect("bind");
-    let addr = server.addr();
 
     // A best-effort exchange: `None` when the connection was dropped on us.
-    let post = |body: &str| -> Option<(u16, String)> {
+    let post = |addr: std::net::SocketAddr, body: &str| -> Option<(u16, String)> {
         let mut s = std::net::TcpStream::connect(addr).ok()?;
         let req = format!(
             "POST /why HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
@@ -510,11 +509,16 @@ fn http_conn_faults_shed_connections_not_the_server() {
         Some(v.get("report")?.get("fingerprint")?.as_str()?.to_string())
     };
 
-    // Baseline outside the plan guard, fault-free, through the full stack.
+    // Baseline from a server bound outside any scope, fault-free, through
+    // the full stack.
     let blocking = spec.to_string();
-    let (status, body) = post(&blocking).expect("fault-free exchange");
-    assert_eq!(status, 200);
-    let expected = fingerprint_of(&body).expect("baseline fingerprint");
+    let expected = {
+        let server = wqe::serve::http::HttpServer::bind(serve_ctx.clone(), "127.0.0.1:0")
+            .expect("bind baseline server");
+        let (status, body) = post(server.addr(), &blocking).expect("fault-free exchange");
+        assert_eq!(status, 200);
+        fingerprint_of(&body).expect("baseline fingerprint")
+    };
 
     let mut streaming = spec.clone();
     if let serde_json::Value::Object(m) = &mut streaming {
@@ -522,37 +526,51 @@ fn http_conn_faults_shed_connections_not_the_server() {
     }
     let streaming = streaming.to_string();
 
-    let plan = Arc::new(FaultPlan::new(chaos_seed()).arm(FaultSite::HttpConn, 2));
-    let _guard = with_plan(Arc::clone(&plan));
-    let mut served = 0;
-    for i in 0..12 {
-        // Alternate blocking and streaming so the fault hits both the
-        // accept-time site and the mid-SSE site.
-        let body = if i % 2 == 0 { &blocking } else { &streaming };
-        let Some((status, reply)) = post(body) else {
-            continue; // the injected drop — exactly what must stay contained
-        };
-        if i % 2 == 0 {
-            assert_eq!(status, 200, "served request failed under chaos");
-            assert_eq!(
-                fingerprint_of(&reply).expect("served reply carries a report"),
-                expected,
-                "chaos changed a served answer (seed {})",
-                plan.seed()
-            );
-            served += 1;
-        }
-    }
-    assert!(
-        plan.fired(FaultSite::HttpConn) > 0,
-        "schedule never fired (seed {})",
-        plan.seed()
+    // The server under test is bound inside the scope, so its accept and
+    // connection threads run under the plan. The budget bounds the storm.
+    const BUDGET: u64 = 4;
+    let plan = Arc::new(
+        FaultPlan::new(chaos_seed())
+            .arm(FaultSite::HttpConn, 2)
+            .with_budget(FaultSite::HttpConn, BUDGET),
     );
+    let server = {
+        let _fault = fault::enter(Arc::clone(&plan));
+        wqe::serve::http::HttpServer::bind(serve_ctx, "127.0.0.1:0").expect("bind")
+    };
+    let addr = server.addr();
+    let mut served = 0;
+    let mut i = 0;
+    // Alternate blocking and streaming so the fault hits both the
+    // accept-time site and the mid-SSE site, until the budget is spent.
+    while plan.fired(FaultSite::HttpConn) < BUDGET || i < 12 {
+        assert!(
+            i < 400,
+            "budget never spent: {} of {BUDGET} fired (seed {})",
+            plan.fired(FaultSite::HttpConn),
+            plan.seed()
+        );
+        let body = if i % 2 == 0 { &blocking } else { &streaming };
+        if let Some((status, reply)) = post(addr, body) {
+            if i % 2 == 0 {
+                assert_eq!(status, 200, "served request failed under chaos");
+                assert_eq!(
+                    fingerprint_of(&reply).expect("served reply carries a report"),
+                    expected,
+                    "chaos changed a served answer (seed {})",
+                    plan.seed()
+                );
+                served += 1;
+            }
+        } // else: the injected drop — exactly what must stay contained
+        i += 1;
+    }
     assert!(served > 0, "every request dropped (seed {})", plan.seed());
-    drop(_guard);
 
-    // The storm is over; the server still accepts and answers.
-    let (status, body) = post(&blocking).expect("post-chaos exchange");
+    // The storm is over (budget spent); the same server still accepts and
+    // answers.
+    let (status, body) = post(addr, &blocking).expect("post-chaos exchange");
     assert_eq!(status, 200);
     assert_eq!(fingerprint_of(&body).unwrap(), expected);
+    assert_eq!(plan.fired(FaultSite::HttpConn), BUDGET);
 }

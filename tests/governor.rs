@@ -10,7 +10,10 @@ use wqe::core::{try_answ, EngineCtx, Session, Termination, WhyQuestion, WqeConfi
 use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig,
 };
-use wqe::index::{DistanceOracle, FaultKind, FaultOracle, HybridOracle, PllIndex};
+use wqe::index::{DistanceOracle, HybridOracle, PllIndex};
+
+mod common;
+use common::FakeOracle;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -80,7 +83,7 @@ fn generated_questions(
 fn slow_paper_setup(delay_ms: u64) -> (EngineCtx, WhyQuestion) {
     let graph = Arc::new(wqe::graph::product::product_graph().graph);
     let inner: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&graph));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(FaultOracle::slow(inner, delay_ms));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(FakeOracle::slow(inner, delay_ms));
     let wq = wqe::core::paper::paper_question(&graph);
     (EngineCtx::new(graph, oracle), wq)
 }
@@ -293,8 +296,7 @@ fn injected_panic_fails_one_session_without_poisoning_siblings() {
     let inner: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&graph));
     // The very first oracle call panics; after that single fault the
     // wrapper is a pure pass-through.
-    let oracle: Arc<dyn DistanceOracle> =
-        Arc::new(FaultOracle::new(inner, FaultKind::Panic, 0, 1).with_fault_limit(1));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(FakeOracle::panic_once(inner));
     let ctx = EngineCtx::new(Arc::clone(&graph), oracle);
     let wq = wqe::core::paper::paper_question(&graph);
     let cfg = WqeConfig {

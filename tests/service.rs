@@ -13,7 +13,10 @@ use wqe::core::{
     ShedReason, Termination, WhyQuestion, WqeConfig, WqeEngine,
 };
 use wqe::datagen::{generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig};
-use wqe::index::{DistanceOracle, FaultOracle, HybridOracle, PllIndex};
+use wqe::index::{DistanceOracle, HybridOracle, PllIndex};
+
+mod common;
+use common::FakeOracle;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -290,7 +293,7 @@ fn per_request_deadline_terminates_with_deadline() {
     // deadline reliably trips *during* service, never during queueing.
     let graph = Arc::new(wqe::graph::product::product_graph().graph);
     let inner: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&graph));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(FaultOracle::slow(inner, 2));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(FakeOracle::slow(inner, 2));
     let q = wqe::core::paper::paper_question(&graph);
     let ctx = EngineCtx::new(graph, oracle);
     let svc = QueryService::new(
