@@ -38,7 +38,6 @@ mod tests {
     #[test]
     fn default_config_is_unlimited() {
         let gov = governor_for(&WqeConfig::default());
-        assert!(gov.is_enabled());
         assert_eq!(gov.halt(), None);
         assert_eq!(gov.charge_steps(1_000_000), None);
         assert_eq!(gov.note_frontier(1_000_000), None);

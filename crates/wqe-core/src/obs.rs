@@ -9,11 +9,11 @@
 //! the thread-local scope, exactly the way the governor propagates. When
 //! the search finishes, the profiler snapshot plus the governor counters
 //! are folded into one [`QueryProfile`] attached to the report
-//! (`AnswerReport::profile`), exported as JSON by `wqe-bench`
-//! (`results/PROFILE_*.json`) and the CLI (`--profile`).
+//! (`AnswerReport::profile`), exported as JSON by `paper_experiments
+//! --profiles-dir` and the CLI (`--profile`).
 //!
-//! See DESIGN.md "Observability" for the span taxonomy, the JSON schema,
-//! and the <3% idle-overhead bar (enforced by `bench_governor`).
+//! See DESIGN.md "Observability" for the span taxonomy and the JSON
+//! schema.
 
 use crate::governor::Termination;
 use serde::{Deserialize, Serialize};
@@ -76,7 +76,7 @@ pub struct CounterRegistry {
     pub oracle_dist_batch_calls: u64,
     /// PLL label entries scanned by the merge-join/probe kernels across
     /// all point and batched oracle calls — the work metric the batch
-    /// grouping and SIMD kernels are judged by (`bench_kernels`).
+    /// grouping and SIMD kernels are judged by.
     pub oracle_label_entries_scanned: u64,
     /// Worker-pool runs.
     pub pool_runs: u64,

@@ -434,17 +434,15 @@ impl Session {
     }
 
     /// Replaces the session's governor (e.g. with a pre-armed handle shared
-    /// with a supervisor thread, or [`wqe_pool::governor::Governor::disabled`]
-    /// when benchmarking check overhead).
+    /// with a supervisor thread).
     pub fn with_governor(mut self, governor: std::sync::Arc<wqe_pool::governor::Governor>) -> Self {
         self.governor = governor;
         self
     }
 
     /// Disables per-query profiling: spans and counters become no-ops and
-    /// reports carry no [`crate::obs::QueryProfile`]. Used by benchmark
-    /// baselines (`bench_governor`) to measure the instrumented stack
-    /// without observability overhead.
+    /// reports carry no [`crate::obs::QueryProfile`]. Useful for measuring
+    /// the engine without observability overhead.
     pub fn without_profiler(mut self) -> Self {
         self.profiler = None;
         self

@@ -370,7 +370,12 @@ mod tests {
 
     /// Raw draw of the repair properties: node count, base edges, and
     /// candidate insertions (normalized by [`repair_case`]).
-    fn arb_repair_draw() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, Vec<(u32, u32)>)> {
+    type RepairDraw = (usize, Vec<(u32, u32)>, Vec<(u32, u32)>);
+
+    /// Old graph, new graph, and the distinct fresh edges between them.
+    type RepairCase = (Graph, Graph, Vec<(NodeId, NodeId)>);
+
+    fn arb_repair_draw() -> impl Strategy<Value = RepairDraw> {
         (
             3usize..14,
             proptest::collection::vec((0u32..14, 0u32..14), 0..30),
@@ -378,13 +383,13 @@ mod tests {
         )
     }
 
-    /// Old graph, new graph, and the distinct fresh edges between them;
-    /// `None` when the draw inserts nothing new.
+    /// Normalizes a draw into a [`RepairCase`]; `None` when the draw
+    /// inserts nothing new.
     fn repair_case(
         n: usize,
         base_edges: Vec<(u32, u32)>,
         new_edges: Vec<(u32, u32)>,
-    ) -> Option<(Graph, Graph, Vec<(NodeId, NodeId)>)> {
+    ) -> Option<RepairCase> {
         let base_edges: Vec<(u32, u32)> = base_edges
             .into_iter()
             .map(|(u, v)| (u % n as u32, v % n as u32))

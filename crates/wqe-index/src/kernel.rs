@@ -101,8 +101,8 @@ pub fn merge_join(
 }
 
 /// Runs the merge-join with an explicit kernel — the hook the SIMD-vs-
-/// scalar equality tests and `bench_kernels` use. `None` when the
-/// requested kernel is unavailable on this CPU.
+/// scalar equality tests use. `None` when the requested kernel is
+/// unavailable on this CPU.
 pub fn merge_join_with(
     kernel: Kernel,
     out_ranks: &[u32],
@@ -231,7 +231,7 @@ pub const MIN_GROUP: usize = 4;
 /// source's **maximum rank** lets each target probe stop at its first
 /// in-entry above that rank — entries past the cutoff cannot match
 /// anything in the table. Both effects cut real entries scanned, which is
-/// what `bench_kernels` gates on.
+/// what the `OracleLabelEntries` profiler counter measures.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     table: Vec<u32>,

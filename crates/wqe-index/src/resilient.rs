@@ -35,8 +35,8 @@ use wqe_pool::obs;
 ///
 /// With no plan in scope and the breaker closed, a call is one relaxed
 /// load, one thread-local borrow and the primary call under a
-/// `catch_unwind` that costs nothing unless it unwinds — bit-identical
-/// answers, measured against the <3% overhead gate by `bench_faults`.
+/// `catch_unwind` that costs nothing unless it unwinds, with bit-identical
+/// answers.
 pub struct ResilientOracle {
     primary: Arc<dyn DistanceOracle>,
     fallback: Arc<dyn DistanceOracle>,

@@ -32,9 +32,8 @@
 //! ## Hot-path cost
 //!
 //! Injection sites call the free function [`fire`]. With no plan in scope
-//! that is one thread-local borrow and a branch — measured against the
-//! <3% overhead gate by `bench_faults`. With a plan in scope but the site
-//! unarmed, it is one more branch.
+//! that is one thread-local borrow and a branch. With a plan in scope but
+//! the site unarmed, it is one more branch.
 //!
 //! ## Never-wrong contract
 //!

@@ -95,8 +95,6 @@ impl std::fmt::Display for Termination {
 /// it. All limits use `0` / `None` to mean *unlimited*.
 #[derive(Debug)]
 pub struct Governor {
-    /// `false` only for [`Governor::disabled`]: every check is a no-op.
-    enabled: bool,
     deadline: Option<Instant>,
     cancelled: AtomicBool,
     step_cap: u64,
@@ -111,7 +109,6 @@ impl Governor {
     /// relative to now; `step_cap` / `frontier_cap` of `0` mean unlimited.
     pub fn new(deadline: Option<Duration>, step_cap: u64, frontier_cap: usize) -> Self {
         Governor {
-            enabled: true,
             deadline: deadline.map(|d| Instant::now() + d),
             cancelled: AtomicBool::new(false),
             step_cap,
@@ -126,21 +123,6 @@ impl Governor {
     /// but nothing trips on its own. This is the default for every session.
     pub fn unlimited() -> Self {
         Governor::new(None, 0, 0)
-    }
-
-    /// A governor whose checks are compiled-down no-ops: no deadline, no
-    /// cancellation, no counters. Exists to measure the overhead of the
-    /// checks themselves (see `bench_governor`); production code should use
-    /// [`Governor::unlimited`] so cancellation keeps working.
-    pub fn disabled() -> Self {
-        let mut g = Governor::unlimited();
-        g.enabled = false;
-        g
-    }
-
-    /// Whether checks are live (false only for [`Governor::disabled`]).
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Requests cooperative cancellation. Safe to call from any thread, any
@@ -159,9 +141,6 @@ impl Governor {
     /// both signals are inherently non-deterministic, so observing them
     /// mid-batch never perturbs a deterministic (cap-only) run.
     pub fn halt(&self) -> Option<Termination> {
-        if !self.enabled {
-            return None;
-        }
         if self.is_cancelled() {
             return Some(Termination::Cancelled);
         }
@@ -180,7 +159,7 @@ impl Governor {
         if halt.is_some() {
             return halt;
         }
-        if self.enabled && self.step_cap > 0 && self.steps.load(Ordering::Relaxed) > self.step_cap {
+        if self.step_cap > 0 && self.steps.load(Ordering::Relaxed) > self.step_cap {
             return Some(Termination::StepCap);
         }
         None
@@ -192,7 +171,7 @@ impl Governor {
     /// for cap trips to be deterministic.
     pub fn charge_steps(&self, n: u64) -> Option<Termination> {
         let total = self.steps.fetch_add(n, Ordering::Relaxed) + n;
-        if self.enabled && self.step_cap > 0 && total > self.step_cap {
+        if self.step_cap > 0 && total > self.step_cap {
             return Some(Termination::StepCap);
         }
         None
@@ -203,7 +182,7 @@ impl Governor {
     /// telemetry. Serial-merge-only, like [`Governor::charge_steps`].
     pub fn note_frontier(&self, len: usize) -> Option<Termination> {
         self.frontier_peak.fetch_max(len, Ordering::Relaxed);
-        if self.enabled && self.frontier_cap > 0 && len > self.frontier_cap {
+        if self.frontier_cap > 0 && len > self.frontier_cap {
             return Some(Termination::FrontierCap);
         }
         None
@@ -213,7 +192,7 @@ impl Governor {
     /// oracle uses this to refuse starting more traversal work; unlike
     /// [`Governor::charge_steps`] it never mutates, so it is safe anywhere.
     pub fn step_budget_exhausted(&self) -> bool {
-        self.enabled && self.step_cap > 0 && self.steps.load(Ordering::Relaxed) >= self.step_cap
+        self.step_cap > 0 && self.steps.load(Ordering::Relaxed) >= self.step_cap
     }
 
     /// Adds to the oracle-work counter (BFS node pops). Observability only:
@@ -323,17 +302,6 @@ mod tests {
         // A later smaller frontier does not trip, and the peak is sticky.
         assert_eq!(g.note_frontier(2), None);
         assert_eq!(g.frontier_peak(), 5);
-    }
-
-    #[test]
-    fn disabled_ignores_everything() {
-        let g = Governor::disabled();
-        g.cancel();
-        assert_eq!(g.halt(), None);
-        assert_eq!(g.check(), None);
-        assert_eq!(g.charge_steps(u64::MAX / 2), None);
-        assert_eq!(g.note_frontier(usize::MAX / 2), None);
-        assert!(!g.step_budget_exhausted());
     }
 
     #[test]

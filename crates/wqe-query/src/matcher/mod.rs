@@ -547,7 +547,7 @@ fn star_footprint(q: &PatternQuery, s: &StarQuery) -> cache::StarFootprint {
 
 /// A brute-force reference matcher: enumerates injective assignments over
 /// raw candidate sets with no view pruning. Exponential — use only on small
-/// graphs (tests and the `bench_match` baseline).
+/// graphs (the matcher's equivalence tests).
 pub fn naive_evaluate<O: DistanceOracle + ?Sized>(
     graph: &Graph,
     oracle: &O,

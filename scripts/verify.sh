@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier-1: cargo build --release"
 cargo build --release
@@ -37,7 +37,7 @@ cargo test --test api_surface -q
 echo "==> api: cargo doc (warnings as errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p wqe-graph -p wqe-index \
     -p wqe-store -p wqe-query -p wqe-pool -p wqe-core -p wqe-serve \
-    -p wqe-datagen -p wqe-bench -p wqe
+    -p wqe-datagen -p wqe
 
 # The distance kernels dispatch at runtime (AVX2 when the CPU has it,
 # scalar otherwise); both paths must pass the index suite bit-identically.
@@ -55,76 +55,11 @@ cargo test -p wqe-index -q
 echo "==> kernels: WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q"
 WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q
 
-# The batched oracle's headline number, in work counts (wall-clock-free):
-# dist_batch must scan >= 2x fewer label entries than pairwise merge-joins
-# with bit-identical answers, and the streamed million-node snapshot must
-# load and answer a why-question end to end (both checked inside the bin).
-echo "==> kernels: bench_kernels entries-scanned gate"
-cargo run --release -p wqe-bench --bin bench_kernels -- --out results/BENCH_kernels.json
-grep -q '"within_target": true' results/BENCH_kernels.json || {
-    echo "bench_kernels: batched path missed the 2x entries-scanned target" >&2
-    exit 1
-}
-
-# Idle governor + profiler overhead must stay under the 3% bar on the
-# intra-query workload (min-over-reps, alternating modes).
-echo "==> observability: bench_governor overhead gate"
-cargo run --release -p wqe-bench --bin bench_governor -- --out results/BENCH_governor.json
-grep -q '"within_target": true' results/BENCH_governor.json || {
-    echo "bench_governor: idle overhead exceeded the 3% target" >&2
-    exit 1
-}
-
-# The fault-injection hooks (ResilientOracle ladder, pool/queue/cache/
-# store fire() sites) must be free on the production path: an armed but
-# never-firing plan stays under the 3% bar with bit-identical answers.
-echo "==> chaos: bench_faults no-fault overhead gate"
-cargo run --release -p wqe-bench --bin bench_faults -- --out results/BENCH_faults.json
-grep -q '"within_target": true' results/BENCH_faults.json || {
-    echo "bench_faults: fault-hook overhead exceeded the 3% target" >&2
-    exit 1
-}
-
-# The serving-layer bench hard-asserts served == direct inside the bin;
-# gate on the recorded flag too so a stale JSON cannot pass.
-echo "==> serving: bench_serve answers-identical gate"
-cargo run --release -p wqe-bench --bin bench_serve -- --out results/BENCH_serve.json
-grep -q '"answers_identical": true' results/BENCH_serve.json || {
-    echo "bench_serve: served answers diverged from direct engine runs" >&2
-    exit 1
-}
-
-# The HTTP front-end over a real loopback socket: streamed answers must
-# be bit-identical to blocking ones for all eight algorithms, saturation
-# must shed typed (healthz stays alive), over-burst tenants get 429, and
-# one-shot request p99 must stay under the wedge-catching bound.
-echo "==> serving: bench_serve_http streaming-parity gate"
-cargo run --release -p wqe-bench --bin bench_serve_http -- --out results/BENCH_http.json
-grep -q '"within_target": true' results/BENCH_http.json || {
-    echo "bench_serve_http: HTTP serving target missed (parity/shed/latency)" >&2
-    exit 1
-}
-
-# The snapshot store's headline number: loading a written snapshot must
-# beat the cold parse+rebuild path by >= 10x, with a faithful context
-# (the bin hard-checks graph shape and spot-checks distances).
-echo "==> store: bench_store cold-start gate"
-cargo run --release -p wqe-bench --bin bench_store -- --out results/BENCH_store.json
-grep -q '"within_target": true' results/BENCH_store.json || {
-    echo "bench_store: snapshot load missed the 10x cold-start target" >&2
-    exit 1
-}
-
-# The live write path's headline numbers: an incremental publish must
-# beat a full PLL rebuild by >= 5x at the 4k-node scale while staying on
-# the repaired-PLL tier, and epoch-pinned reads must be within 3% of a
-# plain fixed context with bit-identical answers.
-echo "==> live: bench_live repair-speedup / read-overhead gate"
-cargo run --release -p wqe-bench --bin bench_live -- --out results/BENCH_live.json
-grep -q '"within_target": true' results/BENCH_live.json || {
-    echo "bench_live: live write-path target missed (speedup/overhead/parity)" >&2
-    exit 1
-}
+# The paper-figure harness (§7): every experiment at toy scale, so an
+# experiment that panics fails the gate. Rows go to a temp file; nothing
+# is written into the tree.
+echo "==> experiments: paper_experiments all --quick"
+cargo run --release --bin paper_experiments -- all --quick --out "$(mktemp)" > /dev/null
 
 # The layered benchmark (benchmark/, its own package): the harness's unit
 # tests, then every workload on toy inputs with all correctness checks on

@@ -443,7 +443,9 @@ macro_rules! proptest {
                         let $parm = $crate::Strategy::sample(&($strategy), &mut proptest_rng);
                     )+
                     // Bodies may `return Ok(())` (skip) like real proptest's
-                    // TestCaseResult-returning closures.
+                    // TestCaseResult-returning closures, so the body needs
+                    // a closure of its own.
+                    #[allow(clippy::redundant_closure_call)]
                     let outcome: $crate::TestCaseResult = (|| {
                         $body
                         Ok(())

@@ -94,7 +94,6 @@ pub fn exp1_efficiency(cfg: &ExpConfig) -> Reporter {
     let mut rep = Reporter::new();
     for (name, graph) in datasets(cfg) {
         let w = Workload::build(
-            name,
             graph,
             cfg.queries,
             &cfg.qcfg(3, TopologyKind::Star),
@@ -118,7 +117,6 @@ pub fn exp1_scalability(cfg: &ExpConfig) -> Reporter {
         let graph = dbpedia_like(cfg.scale * frac, cfg.seed);
         let label = format!("{}-edges", graph.edge_count());
         let w = Workload::build(
-            "DBpedia",
             graph,
             cfg.queries,
             &cfg.qcfg(3, TopologyKind::Star),
@@ -147,7 +145,6 @@ pub fn exp1_querysize(cfg: &ExpConfig) -> Reporter {
     let graph = dbpedia_like(cfg.scale, cfg.seed);
     for edges in 1..=6usize {
         let w = Workload::build(
-            "DBpedia",
             graph.clone(),
             cfg.queries,
             &cfg.qcfg(edges, TopologyKind::Tree),
@@ -167,20 +164,11 @@ pub fn exp1_querysize(cfg: &ExpConfig) -> Reporter {
 /// Fig. 10(d,e): varying budget `B` in 1..=5 on DBpedia- and IMDB-like.
 pub fn exp1_budget(cfg: &ExpConfig) -> Reporter {
     let mut rep = Reporter::new();
-    for (name, graph, fig) in [
-        (
-            "DBpedia",
-            dbpedia_like(cfg.scale, cfg.seed),
-            "fig10d-budget-dbpedia",
-        ),
-        (
-            "IMDB",
-            imdb_like(cfg.scale, cfg.seed + 1),
-            "fig10e-budget-imdb",
-        ),
+    for (graph, fig) in [
+        (dbpedia_like(cfg.scale, cfg.seed), "fig10d-budget-dbpedia"),
+        (imdb_like(cfg.scale, cfg.seed + 1), "fig10e-budget-imdb"),
     ] {
         let w = Workload::build(
-            name,
             graph,
             cfg.queries,
             &cfg.qcfg(3, TopologyKind::Star),
@@ -204,17 +192,12 @@ pub fn exp1_budget(cfg: &ExpConfig) -> Reporter {
 /// Fig. 10(f,g): varying exemplar size `|T|` in 5..=25.
 pub fn exp1_exemplars(cfg: &ExpConfig) -> Reporter {
     let mut rep = Reporter::new();
-    for (name, graph, fig) in [
+    for (graph, fig) in [
         (
-            "DBpedia",
             dbpedia_like(cfg.scale, cfg.seed),
             "fig10f-exemplars-dbpedia",
         ),
-        (
-            "IMDB",
-            imdb_like(cfg.scale, cfg.seed + 1),
-            "fig10g-exemplars-imdb",
-        ),
+        (imdb_like(cfg.scale, cfg.seed + 1), "fig10g-exemplars-imdb"),
     ] {
         for tuples in [5usize, 10, 15, 20, 25] {
             let mut wcfg = cfg.wcfg(tuples);
@@ -222,7 +205,6 @@ pub fn exp1_exemplars(cfg: &ExpConfig) -> Reporter {
             // loosen the disturbance so more answers go missing.
             wcfg.disturb_ops = 4;
             let w = Workload::build(
-                name,
                 graph.clone(),
                 cfg.queries,
                 &cfg.qcfg(2, TopologyKind::Star),
@@ -250,7 +232,6 @@ pub fn exp1_topology(cfg: &ExpConfig) -> Reporter {
         ("cyclic", TopologyKind::Cyclic),
     ] {
         let w = Workload::build(
-            "DBpedia",
             graph.clone(),
             cfg.queries,
             &cfg.qcfg(3, kind),
@@ -281,7 +262,6 @@ pub fn exp2_effectiveness(cfg: &ExpConfig) -> Reporter {
     ];
     for (name, graph) in datasets(cfg) {
         let w = Workload::build(
-            name,
             graph,
             cfg.queries,
             &cfg.qcfg(3, TopologyKind::Star),
@@ -310,7 +290,6 @@ pub fn exp2_querysize(cfg: &ExpConfig) -> Reporter {
     let graph = dbpedia_like(cfg.scale, cfg.seed);
     for edges in 1..=6usize {
         let w = Workload::build(
-            "DBpedia",
             graph.clone(),
             cfg.queries,
             &cfg.qcfg(edges, TopologyKind::Tree),
@@ -348,7 +327,6 @@ pub fn exp2_budget(cfg: &ExpConfig) -> Reporter {
     let mut rep = Reporter::new();
     let graph = dbpedia_like(cfg.scale, cfg.seed);
     let w = Workload::build(
-        "DBpedia",
         graph,
         cfg.queries,
         &cfg.qcfg(3, TopologyKind::Star),
@@ -384,7 +362,6 @@ pub fn exp3_anytime(cfg: &ExpConfig) -> Reporter {
     let mut wcfg = cfg.wcfg(8);
     wcfg.disturb_ops = 5;
     let w = Workload::build(
-        "DBpedia",
         graph,
         cfg.queries,
         &cfg.qcfg(4, TopologyKind::Tree),
@@ -444,7 +421,6 @@ pub fn exp4_whymany(cfg: &ExpConfig) -> Reporter {
         ("IMDB", imdb_like(cfg.scale, cfg.seed + 1)),
     ] {
         let w = Workload::build(
-            name,
             graph,
             cfg.queries,
             &cfg.qcfg(2, TopologyKind::Star),
@@ -495,7 +471,6 @@ pub fn exp4_whyempty(cfg: &ExpConfig) -> Reporter {
         ("Offshore", offshore_like(cfg.scale, cfg.seed + 2)),
     ] {
         let w = Workload::build(
-            name,
             graph,
             cfg.queries,
             &cfg.qcfg(2, TopologyKind::Star),
@@ -528,7 +503,6 @@ pub fn exp5_userstudy(cfg: &ExpConfig) -> Reporter {
     let mut rep = Reporter::new();
     let graph = dbpedia_like(cfg.scale, cfg.seed);
     let w = Workload::build(
-        "DBpedia",
         graph,
         cfg.queries.max(8),
         &cfg.qcfg(3, TopologyKind::Star),
@@ -706,7 +680,6 @@ pub fn exp7_sample_ablation(cfg: &ExpConfig) -> Reporter {
     let mut rep = Reporter::new();
     let graph = imdb_like(cfg.scale, cfg.seed + 1);
     let w = Workload::build(
-        "IMDB",
         graph,
         cfg.queries,
         &cfg.qcfg(3, TopologyKind::Star),
@@ -748,7 +721,6 @@ pub fn exp8_governor(cfg: &ExpConfig) -> Reporter {
     let mut rep = Reporter::new();
     let graph = dbpedia_like(cfg.scale, cfg.seed);
     let w = Workload::build(
-        "DBpedia",
         graph,
         cfg.queries,
         &cfg.qcfg(2, TopologyKind::Star),
@@ -903,22 +875,6 @@ mod tests {
         for r in rep.rows() {
             assert!(r.value >= 0.0 && r.value <= 1.0, "{r:?}");
         }
-    }
-
-    #[test]
-    fn dispatch_covers_all_ids() {
-        // Only check dispatch wiring, not execution (expensive).
-        for id in ALL_EXPERIMENTS {
-            assert!(
-                matches!(id, _s if run_dispatchable(id)),
-                "{id} not dispatchable"
-            );
-        }
-    }
-
-    fn run_dispatchable(id: &str) -> bool {
-        // run_experiment(None) only for unknown ids.
-        ALL_EXPERIMENTS.contains(&id)
     }
 
     #[test]

@@ -7,16 +7,20 @@
 //!                   [--quick|--full]
 //! ```
 //!
-//! Besides the aggregate rows, every experiment writes the per-query
+//! With `--profiles-dir DIR`, every experiment also writes the per-query
 //! observability profiles (stage spans + counter registry) behind its data
-//! points to `<profiles-dir>/PROFILE_<experiment-id>.json` (default
-//! `results/`); pass `--profiles-dir ""` to skip the export.
+//! points to `DIR/PROFILE_<experiment-id>.json`; without it nothing but
+//! `--out` is written.
 //!
 //! Experiment ids: see `--list` or DESIGN.md §5.
 
+mod experiments;
+mod report;
+mod runner;
+
+use experiments::{run_experiment, ExpConfig, ALL_EXPERIMENTS};
+use report::Reporter;
 use std::io::Write;
-use wqe_bench::experiments::{run_experiment, ExpConfig, ALL_EXPERIMENTS};
-use wqe_bench::Reporter;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,7 +77,7 @@ fn main() {
     let target = args[0].clone();
     let mut cfg = ExpConfig::default();
     let mut out_path: Option<String> = None;
-    let mut profiles_dir = "results".to_string();
+    let mut profiles_dir: Option<String> = None;
     let mut i = 1;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -95,7 +99,9 @@ fn main() {
                 take(&mut |v| cfg.time_limit_ms = v.parse().expect("--time-limit takes ms"))
             }
             "--out" => take(&mut |v| out_path = Some(v.to_string())),
-            "--profiles-dir" => take(&mut |v| profiles_dir = v.to_string()),
+            "--profiles-dir" => {
+                take(&mut |v| profiles_dir = Some(v.to_string()).filter(|d| !d.is_empty()))
+            }
             "--quick" => {
                 cfg.scale = 0.01;
                 cfg.queries = 2;
@@ -136,13 +142,15 @@ fn main() {
         match run_experiment(id, &cfg) {
             Some(rep) => {
                 print!("{}", rep.to_markdown_all());
-                if !profiles_dir.is_empty() && !rep.profiles().is_empty() {
-                    let path = format!("{profiles_dir}/PROFILE_{id}.json");
-                    match write_profiles(&rep, &profiles_dir, &path) {
-                        Ok(()) => {
-                            eprintln!("wrote {} profiles to {path}", rep.profiles().len())
+                if let Some(dir) = &profiles_dir {
+                    if !rep.profiles().is_empty() {
+                        let path = format!("{dir}/PROFILE_{id}.json");
+                        match write_profiles(&rep, dir, &path) {
+                            Ok(()) => {
+                                eprintln!("wrote {} profiles to {path}", rep.profiles().len())
+                            }
+                            Err(e) => eprintln!("cannot write {path}: {e}"),
                         }
-                        Err(e) => eprintln!("cannot write {path}: {e}"),
                     }
                 }
                 all.merge(rep);

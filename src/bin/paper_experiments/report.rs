@@ -173,7 +173,7 @@ impl Reporter {
     }
 
     /// Writes the recorded per-query profiles as one JSON array (the
-    /// `results/PROFILE_*.json` export). The field set is stable; timing
+    /// `--profiles-dir` export). The field set is stable; timing
     /// values of course vary run to run.
     pub fn write_profiles_json<W: Write>(&self, mut w: W) -> std::io::Result<()> {
         let json = serde_json::to_string_pretty(&self.profiles)

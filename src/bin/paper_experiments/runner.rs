@@ -1,8 +1,7 @@
 //! Workload construction and algorithm execution.
 //!
 //! Workloads share their graph through an `Arc`, so one dataset (and one
-//! distance index) can serve any number of sequential or concurrent runs;
-//! see [`run_algo_concurrent`] for the multi-threaded driver.
+//! distance index) serves every algorithm run over it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,8 +95,6 @@ pub enum QuestionKind {
 
 /// A dataset plus a suite of generated why-questions.
 pub struct Workload {
-    /// Dataset name.
-    pub name: String,
     /// The graph (shared; clones of the handle are cheap).
     pub graph: Arc<Graph>,
     /// The question suite with hidden ground truths.
@@ -109,7 +106,6 @@ impl Workload {
     /// disturbs each into a why-question, until `n` questions exist (or
     /// seeds are exhausted).
     pub fn build(
-        name: &str,
         graph: Graph,
         n: usize,
         qcfg: &QueryGenConfig,
@@ -145,11 +141,7 @@ impl Workload {
                 questions.push(g);
             }
         }
-        Workload {
-            name: name.to_string(),
-            graph,
-            questions,
-        }
+        Workload { graph, questions }
     }
 
     /// A shared engine context over this workload's graph, with a fresh
@@ -185,26 +177,13 @@ pub struct RunStats {
     /// A view over the matching entry of `profiles`.
     pub governor: Vec<GovernorTelemetry>,
     /// Per-question observability profiles, in question order: stage spans
-    /// and the full counter registry (exported as `results/PROFILE_*.json`
-    /// by `paper_experiments`).
+    /// and the full counter registry (exported as `PROFILE_*.json` under
+    /// `--profiles-dir`).
     pub profiles: Vec<QueryProfile>,
 }
 
-/// Runs one algorithm over every question of a workload. Builds a fresh
-/// distance oracle; when running several specs over the same workload use
-/// [`run_algo_with`] with a shared oracle to avoid rebuilding the index.
-pub fn run_algo(workload: &Workload, spec: AlgoSpec, base: &WqeConfig) -> RunStats {
-    let horizon = workload
-        .questions
-        .first()
-        .map(|q| q.question.query.max_bound())
-        .unwrap_or(4);
-    let ctx = workload.ctx(horizon);
-    run_algo_with(workload, &ctx, spec, base)
-}
-
-/// [`run_algo`] with a caller-provided (shared) engine context, so several
-/// specs reuse one distance index.
+/// Runs one algorithm over every question of a workload on a shared engine
+/// context, so several specs reuse one distance index.
 pub fn run_algo_with(
     workload: &Workload,
     ctx: &EngineCtx,
@@ -247,52 +226,6 @@ pub fn run_algo_with(
     stats
 }
 
-/// Answers every question of a workload, sequentially (`threads <= 1`) or
-/// fanned out over scoped worker threads. Each worker builds its own
-/// `Session` from a clone of the shared context, so the graph and the
-/// distance index are built once and shared; results come back in question
-/// order regardless of scheduling. Every algorithm in the stack is
-/// deterministic given (context, config), so the reports are independent of
-/// the thread count (timing fields aside).
-pub fn run_algo_concurrent(
-    workload: &Workload,
-    ctx: &EngineCtx,
-    spec: AlgoSpec,
-    base: &WqeConfig,
-    threads: usize,
-) -> Vec<AnswerReport> {
-    let config = spec.config(base.clone());
-    let questions = &workload.questions;
-    if threads <= 1 || questions.len() <= 1 {
-        return questions
-            .iter()
-            .map(|gw| {
-                let session = Session::new(ctx.clone(), &gw.question, config.clone());
-                spec.execute(&session, &gw.question)
-            })
-            .collect();
-    }
-    let mut reports: Vec<Option<AnswerReport>> = Vec::new();
-    reports.resize_with(questions.len(), || None);
-    let chunk = questions.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (qs, outs) in questions.chunks(chunk).zip(reports.chunks_mut(chunk)) {
-            let ctx = ctx.clone();
-            let config = config.clone();
-            scope.spawn(move || {
-                for (gw, out) in qs.iter().zip(outs) {
-                    let session = Session::new(ctx.clone(), &gw.question, config.clone());
-                    *out = Some(spec.execute(&session, &gw.question));
-                }
-            });
-        }
-    });
-    reports
-        .into_iter()
-        .map(|r| r.expect("every chunk slot is filled by its worker"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,7 +239,6 @@ mod tests {
             ..Default::default()
         });
         Workload::build(
-            "tiny",
             g,
             3,
             &QueryGenConfig {
@@ -341,7 +273,7 @@ mod tests {
             AlgoSpec::AnsHeuB(2),
             AlgoSpec::FMAnsW,
         ] {
-            let stats = run_algo(&w, spec, &base);
+            let stats = run_algo_with(&w, &w.ctx(4), spec, &base);
             assert_eq!(stats.runs, w.questions.len(), "{}", spec.name());
             assert!(stats.mean_ms >= 0.0);
             assert!(stats.mean_delta >= 0.0 && stats.mean_delta <= 1.0);
@@ -355,32 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_driver_matches_sequential() {
-        let w = tiny_workload(QuestionKind::Why);
-        let base = WqeConfig {
-            budget: 3.0,
-            time_limit_ms: None, // no wall-clock cutoff: results must not depend on load
-            max_expansions: 100,
-            ..Default::default()
-        };
-        let ctx = w.ctx(4);
-        let seq = run_algo_concurrent(&w, &ctx, AlgoSpec::AnsW, &base, 1);
-        let par = run_algo_concurrent(&w, &ctx, AlgoSpec::AnsW, &base, 4);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(
-                a.best.as_ref().map(|r| (&r.ops, &r.matches)),
-                b.best.as_ref().map(|r| (&r.ops, &r.matches)),
-            );
-            assert_eq!(
-                a.best.as_ref().map(|r| r.closeness),
-                b.best.as_ref().map(|r| r.closeness),
-            );
-            assert_eq!(a.expansions, b.expansions);
-        }
-    }
-
-    #[test]
     fn why_many_and_empty_workloads() {
         let base = WqeConfig {
             budget: 3.0,
@@ -390,12 +296,12 @@ mod tests {
         };
         let wm = tiny_workload(QuestionKind::WhyMany);
         if !wm.questions.is_empty() {
-            let s = run_algo(&wm, AlgoSpec::ApxWhyM, &base);
+            let s = run_algo_with(&wm, &wm.ctx(4), AlgoSpec::ApxWhyM, &base);
             assert_eq!(s.runs, wm.questions.len());
         }
         let we = tiny_workload(QuestionKind::WhyEmpty);
         if !we.questions.is_empty() {
-            let s = run_algo(&we, AlgoSpec::AnsWE, &base);
+            let s = run_algo_with(&we, &we.ctx(4), AlgoSpec::AnsWE, &base);
             assert_eq!(s.runs, we.questions.len());
         }
     }

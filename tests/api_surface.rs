@@ -36,6 +36,8 @@ fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
 }
 
+/// Every `.rs` file under `dir`, sorted. `bin/` directories are skipped:
+/// a binary's items are private to it, whatever their visibility says.
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -44,7 +46,9 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            rust_files(&path, out);
+            if !path.ends_with("bin") {
+                rust_files(&path, out);
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }

@@ -5,13 +5,18 @@
 //! The search trajectory is a function of `WqeConfig::frontier_batch` alone;
 //! `parallelism` only decides how many workers evaluate each batch. These
 //! tests pin that contract across paper and generated workloads.
+//!
+//! The PLL tests also pin the index's work counts: the build's labels, and
+//! the label entries a batched probe scans against pointwise merge-joins.
 
 use std::sync::Arc;
+use wqe::core::obs::{enter, Counter, Profiler};
 use wqe::core::{EngineCtx, Session, WhyQuestion, WqeConfig};
 use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, imdb_like, QueryGenConfig, TopologyKind,
     WhyGenConfig,
 };
+use wqe::graph::NodeId;
 use wqe::index::{BoundedBfsOracle, DistanceOracle, HybridOracle, PllIndex};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -224,4 +229,43 @@ fn pll_build_labels_pinned_to_merge_join_certified_build() {
             );
         }
     }
+}
+
+/// The batched oracle path's headline number, in work counts (identical on
+/// the scalar and AVX2 kernels): answering many targets per source through
+/// `dist_batch` scans at least 2x fewer PLL label entries than the same
+/// pairs through pointwise `distance_within`, with identical answers.
+#[test]
+fn batched_probes_scan_half_the_label_entries_of_pointwise() {
+    let graph = dbpedia_like(0.02, 33);
+    let pll = PllIndex::build(&graph);
+    let n = graph.node_count() as u32;
+    let bound = 6;
+    let pairs: Vec<(NodeId, NodeId)> = (0..(n / 13).clamp(1, 128))
+        .flat_map(|s| {
+            (0..64u32).map(move |t| (NodeId((s * 13) % n), NodeId((s * 31 + t * 17 + 1) % n)))
+        })
+        .collect();
+
+    let scanned = |run: &dyn Fn() -> Vec<Option<u32>>| {
+        let profiler = Arc::new(Profiler::new());
+        let answers = {
+            let _scope = enter(Arc::clone(&profiler));
+            run()
+        };
+        (answers, profiler.counter(Counter::OracleLabelEntries))
+    };
+    let (point, point_entries) = scanned(&|| {
+        pairs
+            .iter()
+            .map(|&(u, v)| pll.distance_within(u, v, bound))
+            .collect()
+    });
+    let (batch, batch_entries) = scanned(&|| pll.dist_batch(&pairs, bound));
+    assert_eq!(point, batch, "batched answers differ from pointwise");
+    assert!(
+        point_entries >= 2 * batch_entries,
+        "{} pairs: pointwise scanned {point_entries} entries, batched {batch_entries}",
+        pairs.len()
+    );
 }

@@ -74,8 +74,8 @@ fn answ_populates_stage_spans_and_counters() {
     assert!(c.frontier_peak > 0);
 }
 
-/// The JSON export contract consumed by `results/PROFILE_*.json` readers
-/// and `wqe-cli --profile`: every field name and every stage name is
+/// The JSON export contract consumed by readers of `paper_experiments
+/// --profiles-dir` output and `wqe-cli --profile`: every field name and every stage name is
 /// present in every profile, regardless of what a particular run recorded.
 #[test]
 fn profile_json_field_set_is_stable() {
