@@ -99,9 +99,7 @@ fn main() {
                 take(&mut |v| cfg.time_limit_ms = v.parse().expect("--time-limit takes ms"))
             }
             "--out" => take(&mut |v| out_path = Some(v.to_string())),
-            "--profiles-dir" => {
-                take(&mut |v| profiles_dir = Some(v.to_string()).filter(|d| !d.is_empty()))
-            }
+            "--profiles-dir" => take(&mut |v| profiles_dir = Some(v.to_string())),
             "--quick" => {
                 cfg.scale = 0.01;
                 cfg.queries = 2;
@@ -156,7 +154,12 @@ fn main() {
                 all.merge(rep);
                 eprintln!("== {id} done in {:.1}s ==", t0.elapsed().as_secs_f64());
             }
-            None => eprintln!("experiment {id} not found"),
+            None => {
+                // Every listed id must dispatch; `all --quick` in verify.sh
+                // relies on this exit code to catch a missing match arm.
+                eprintln!("experiment {id} is listed but not dispatched");
+                std::process::exit(2);
+            }
         }
     }
 

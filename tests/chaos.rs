@@ -117,6 +117,55 @@ fn oracle_faults_never_change_answers() {
     assert!(plan.fired(FaultSite::Oracle) > 0, "schedule never fired");
 }
 
+/// An armed plan that never fires — every site armed, period `u64::MAX`,
+/// budget zero — makes every hook pay the schedule hash and the budget
+/// check, yet changes nothing: five algorithms at every parallelism, direct
+/// and through the service's queue and caches, stay bit-identical to the
+/// plan-free runs, and the plan records zero faults.
+#[test]
+fn armed_never_firing_plan_leaves_answers_bit_identical() {
+    let (g, q) = setup();
+    let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
+    let serve = |algo: Algorithm| {
+        let svc = QueryService::new(
+            ctx.clone(),
+            ServiceConfig {
+                max_inflight: 1,
+                base_config: config(2),
+                ..Default::default()
+            },
+        );
+        let resp = svc.call(QueryRequest::new(q.clone(), algo));
+        fingerprint(resp.report().expect("served"))
+    };
+    let mut baselines = Vec::new();
+    for algo in ALGORITHMS {
+        for &t in &THREAD_COUNTS {
+            baselines.push((algo, t, fingerprint(&run(&ctx, &q, algo, t).unwrap())));
+        }
+    }
+    let served: Vec<String> = ALGORITHMS.iter().map(|&a| serve(a)).collect();
+
+    let mut plan = FaultPlan::all_sites(chaos_seed(), u64::MAX);
+    for site in FaultSite::ALL {
+        plan = plan.with_budget(site, 0);
+    }
+    let plan = Arc::new(plan);
+    let _fault = fault::enter(Arc::clone(&plan));
+    for (algo, t, expected) in &baselines {
+        let report = run(&ctx, &q, *algo, *t).unwrap();
+        assert_eq!(
+            &fingerprint(&report),
+            expected,
+            "{algo:?} at parallelism {t} changed answers under an idle plan"
+        );
+    }
+    for (algo, expected) in ALGORITHMS.iter().zip(&served) {
+        assert_eq!(&serve(*algo), expected, "{algo:?} served answer changed");
+    }
+    assert_eq!(plan.total_fired(), 0, "the never-firing plan fired");
+}
+
 /// Pool-worker faults (panics inside evaluation workers) are contained by
 /// the pool and surface as the typed `WqeError::WorkerPanicked` — never an
 /// unwind out of `try_run`, at any parallelism.

@@ -324,6 +324,9 @@ fn saturated_queue_sheds_low_priority_over_http() {
             .and_then(serde_json::Value::as_str),
         Some("overload")
     );
+    // Liveness does not queue behind the saturated service.
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status, 200, "healthz must answer under saturation");
 
     // Drain and confirm the held requests still complete normally.
     service.resume();
