@@ -91,8 +91,8 @@ pub struct AnswerReport {
     /// Peak retained-search-state count observed by the governor (the
     /// quantity `max_frontier_states` caps).
     pub frontier_peak: usize,
-    /// The per-query stage/counter breakdown (see [`crate::obs`]). `None`
-    /// only when the session was built [`Session::without_profiler`].
+    /// The per-query stage/counter breakdown (see [`crate::obs`]). Every
+    /// algorithm sets it; `None` only on a report built by hand.
     pub profile: Option<crate::obs::QueryProfile>,
 }
 
@@ -285,13 +285,13 @@ pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerRepor
         report.match_steps = gov.steps() - steps_before;
         report.frontier_peak = gov.frontier_peak();
         report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        report.profile = session.query_profile(
+        report.profile = Some(session.query_profile(
             report.termination,
             report.elapsed_ms,
             report.expansions as u64,
             report.match_steps,
             report.frontier_peak as u64,
-        );
+        ));
         return Ok(report);
     };
     if let Some(t) = gov.charge_steps(root_eval.outcome.steps as u64) {
@@ -548,13 +548,13 @@ pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerRepor
     report.match_steps = gov.steps() - steps_before;
     report.frontier_peak = gov.frontier_peak();
     report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    report.profile = session.query_profile(
+    report.profile = Some(session.query_profile(
         report.termination,
         report.elapsed_ms,
         report.expansions as u64,
         report.match_steps,
         report.frontier_peak as u64,
-    );
+    ));
     Ok(report)
 }
 

@@ -19,7 +19,6 @@ use std::sync::Arc;
 use wqe_graph::Graph;
 use wqe_index::{BoundedBfsOracle, DistanceOracle, HybridOracle, ResilientOracle, PLL_NODE_LIMIT};
 use wqe_query::StarCache;
-use wqe_store::format::VERSION_INTERLEAVED_PLL;
 use wqe_store::{Snapshot, SnapshotOracle};
 
 /// What a snapshot-sourced build observed while loading: enough for a
@@ -199,13 +198,8 @@ impl EngineCtxBuilder {
                     // lost PLL labels).
                     let horizon = if snap.meta().has_pll() { u32::MAX } else { 4 };
                     Arc::new(BoundedBfsOracle::new(Arc::clone(&graph), horizon))
-                } else if snap.format_version() > VERSION_INTERLEAVED_PLL {
-                    Arc::new(SnapshotOracle::new(Arc::new(snap))?)
                 } else {
-                    let pll = snap
-                        .load_pll()?
-                        .expect("pll_available implies label sections (validated at open)");
-                    Arc::new(pll)
+                    Arc::new(SnapshotOracle::new(Arc::new(snap))?)
                 };
                 EngineCtx::resilient(&graph, primary)
             }
@@ -277,9 +271,7 @@ impl EngineCtx {
     /// Sugar for `builder().snapshot_path(path).build()`.
     ///
     /// Snapshots written with PLL labels serve distances straight from the
-    /// mapped label arrays ([`SnapshotOracle`], zero-copy); version-1
-    /// files (interleaved label entries, no flat view to borrow) get the
-    /// same labels deinterleaved once into an owned index; snapshots
+    /// mapped label arrays ([`SnapshotOracle`], zero-copy); snapshots
     /// without labels get the same bounded-BFS oracle (`horizon = 4`) that
     /// [`HybridOracle::default_for`] would pick for a graph past the PLL
     /// crossover. Because the writer's [`wqe_store::wants_pll`] policy

@@ -140,13 +140,13 @@ pub fn try_ans_heu(
         report.match_steps = gov.steps() - steps_before;
         report.frontier_peak = gov.frontier_peak();
         report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        report.profile = session.query_profile(
+        report.profile = Some(session.query_profile(
             report.termination,
             report.elapsed_ms,
             report.expansions as u64,
             report.match_steps,
             report.frontier_peak as u64,
-        );
+        ));
         return Ok(report);
     };
     if let Some(t) = gov.charge_steps(root_eval.outcome.steps as u64) {
@@ -337,13 +337,13 @@ pub fn try_ans_heu(
     report.match_steps = gov.steps() - steps_before;
     report.frontier_peak = gov.frontier_peak();
     report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    report.profile = session.query_profile(
+    report.profile = Some(session.query_profile(
         report.termination,
         report.elapsed_ms,
         report.expansions as u64,
         report.match_steps,
         report.frontier_peak as u64,
-    );
+    ));
     Ok(report)
 }
 

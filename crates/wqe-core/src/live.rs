@@ -12,7 +12,7 @@
 //! Publishing maintains the distance index incrementally instead of
 //! rebuilding it (see [`OracleTier`]), and carries the star cache forward
 //! with *keyed* invalidation: only entries whose
-//! [`wqe_query::StarFootprint`] intersects the delta are evicted.
+//! [`wqe_query::Footprint`] intersects the delta are evicted.
 //!
 //! ```
 //! use std::sync::Arc;

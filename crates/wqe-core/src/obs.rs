@@ -93,8 +93,8 @@ pub struct CounterRegistry {
     pub answer_cache_hits: u64,
     /// `QueryService` answer-cache misses (service-level, see above).
     pub answer_cache_misses: u64,
-    /// `QueryService` answer-cache evictions — LRU displacement and TTL
-    /// expiry both count (service-level, see above).
+    /// `QueryService` answer-cache evictions — capacity displacement and
+    /// publish-time invalidation both count (service-level, see above).
     pub answer_cache_evictions: u64,
     /// Bytes of durable snapshot mapped (or read) at startup when the
     /// context came from [`crate::EngineCtx::from_snapshot`]

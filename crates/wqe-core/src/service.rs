@@ -14,10 +14,13 @@
 //!   highest [`Priority`] class first, FIFO within a class — and a full
 //!   queue yields an explicit [`QueryStatus::Rejected`] instead of
 //!   unbounded buffering;
-//! * a **sharded answer cache**: completed reports are keyed by a
-//!   canonical encoding of (question, algorithm, effective config) with
-//!   TTL expiry and LRU eviction; a hit skips the engine entirely and the
-//!   response says so (`cache_hit`).
+//! * a **per-epoch answer cache**: completed reports are keyed by a
+//!   canonical encoding of (question, algorithm, effective config) in the
+//!   head epoch's [`FootprintCache`], the same decayed least-hit cache the
+//!   matcher keeps its star tables in; a hit skips the engine entirely and
+//!   the response says so (`cache_hit`). Each publish swaps in the cache
+//!   [`FootprintCache::carry_over`] derives for the new head; requests
+//!   pinned to an older epoch run uncached.
 //!
 //! Determinism is preserved end to end: the cache key excludes
 //! `parallelism` (answers never depend on it — see DESIGN.md "Parallel
@@ -50,13 +53,14 @@ use crate::obs::{Counter, CounterRegistry, Profiler};
 use crate::session::{AnswerUpdate, ProgressSink, WhyQuestion, WqeConfig};
 use crate::spec::SpecError;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 use wqe_graph::DeltaSummary;
+use wqe_pool::fault::FaultSite;
 use wqe_pool::serve::{JobQueue, PushError};
+use wqe_query::{Cached, Footprint, FootprintCache};
 
 pub use wqe_pool::serve::Priority;
 
@@ -98,9 +102,10 @@ pub struct QueryRequest {
     /// Which epoch to answer against, for services built over a live
     /// [`GraphStore`] ([`QueryService::with_store`]). `None` pins the head
     /// at admission (the common case); a specific id answers against that
-    /// epoch if some handle still holds it live, and fails with a typed
-    /// spec error otherwise. Ignored (must be `None` or the context's own
-    /// epoch) for store-less services.
+    /// epoch if some handle still holds it live — without the answer
+    /// cache, unless it is the head — and fails with a typed spec error
+    /// otherwise. Ignored (must be `None` or the context's own epoch) for
+    /// store-less services.
     pub epoch: Option<EpochId>,
 }
 
@@ -300,22 +305,14 @@ pub enum StreamEvent {
 /// Answer-cache tunables.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Total cached reports across all shards; `0` disables the cache.
+    /// Cached reports per epoch; `0` disables the cache. The shard count
+    /// follows from it, as the star cache's does.
     pub capacity: usize,
-    /// Entry time-to-live in milliseconds; `0` means no expiry.
-    pub ttl_ms: u64,
-    /// Shard count (clamped to at least 1). More shards, less lock
-    /// contention between workers.
-    pub shards: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            capacity: 256,
-            ttl_ms: 600_000,
-            shards: 4,
-        }
+        CacheConfig { capacity: 256 }
     }
 }
 
@@ -494,271 +491,57 @@ fn canonical_key(question: &WhyQuestion, algorithm: Algorithm, config: &WqeConfi
     s
 }
 
-/// Composes the epoch-qualified cache key: answers are only shared within
-/// one epoch, and carried across epochs explicitly (with keyed
-/// invalidation) by [`AnswerCache::carry_forward`].
-fn epoch_key(epoch: EpochId, canonical: &str) -> String {
-    format!("ep{};{canonical}", epoch.0)
-}
-
-/// What a cached answer depends on — matched against a publish's
-/// [`DeltaSummary`] when entries are carried into the next epoch. Labels
-/// come from the question's pattern nodes, attrs from pattern literals and
-/// the exemplar's cells/constraints. Topology changes evict
-/// unconditionally (distances and the diameter normalizer feed every
-/// algorithm); label- and attr-only deltas are keyed, so a publish that
-/// touches unrelated attributes leaves the entry serving hits.
-#[derive(Debug, Clone, Default)]
-struct AnswerFootprint {
-    labels: Vec<u32>,
-    wildcard: bool,
-    attrs: Vec<u32>,
-}
-
-impl AnswerFootprint {
-    fn of(question: &WhyQuestion) -> AnswerFootprint {
-        let mut fp = AnswerFootprint::default();
-        let q = &question.query;
-        for u in q.node_ids() {
-            let Some(n) = q.node(u) else { continue };
-            match n.label {
-                Some(l) => fp.labels.push(l.0),
-                None => fp.wildcard = true,
-            }
-            for lit in &n.literals {
-                fp.attrs.push(lit.attr.0);
-            }
+/// What a cached answer depends on: labels from the question's pattern
+/// nodes, attrs from pattern literals and the exemplar's cells and
+/// constraints. Topology changes evict unconditionally (distances and the
+/// diameter normalizer feed every algorithm); label- and attr-only deltas
+/// are keyed, so a publish that touches unrelated attributes leaves the
+/// entry serving hits.
+fn footprint(question: &WhyQuestion) -> Footprint {
+    let mut fp = Footprint::default();
+    let q = &question.query;
+    for u in q.node_ids() {
+        let Some(n) = q.node(u) else { continue };
+        match n.label {
+            Some(l) => fp.labels.push(l.0),
+            None => fp.wildcard = true,
         }
-        for t in &question.exemplar.tuples {
-            fp.attrs.extend(t.cells.keys().map(|a| a.0));
+        for lit in &n.literals {
+            fp.attrs.push(lit.attr.0);
         }
-        for c in &question.exemplar.constraints {
-            fp.attrs.push(c.lhs.attr.0);
-            if let crate::exemplar::Rhs::Var(v) = &c.rhs {
-                fp.attrs.push(v.attr.0);
-            }
-        }
-        fp.labels.sort_unstable();
-        fp.labels.dedup();
-        fp.attrs.sort_unstable();
-        fp.attrs.dedup();
-        fp
     }
-
-    fn affected_by(&self, delta: &DeltaSummary) -> bool {
-        if delta.topology_changed() {
-            return true;
-        }
-        if !delta.membership_labels.is_empty()
-            && (self.wildcard
-                || delta
-                    .membership_labels
-                    .iter()
-                    .any(|l| self.labels.contains(&l.0)))
-        {
-            return true;
-        }
-        delta
-            .touched_attrs
-            .iter()
-            .any(|a| self.attrs.contains(&a.0))
+    for t in &question.exemplar.tuples {
+        fp.attrs.extend(t.cells.keys().map(|a| a.0));
     }
+    for c in &question.exemplar.constraints {
+        fp.attrs.push(c.lhs.attr.0);
+        if let crate::exemplar::Rhs::Var(v) = &c.rhs {
+            fp.attrs.push(v.attr.0);
+        }
+    }
+    fp.labels.sort_unstable();
+    fp.labels.dedup();
+    fp.attrs.sort_unstable();
+    fp.attrs.dedup();
+    fp
 }
 
 // ---------------------------------------------------------------------------
-// Sharded TTL + LRU answer cache
+// The per-epoch answer cache
 // ---------------------------------------------------------------------------
 
-struct CacheEntry {
-    report: AnswerReport,
-    footprint: AnswerFootprint,
-    inserted: Instant,
-    last_used: u64,
+impl Cached for AnswerReport {
+    const FAULT: FaultSite = FaultSite::AnswerCache;
+    const HIT: Counter = Counter::AnswerCacheHit;
+    const MISS: Counter = Counter::AnswerCacheMiss;
+    const EVICTION: Counter = Counter::AnswerCacheEviction;
 }
 
-#[derive(Default)]
-struct CacheShard {
-    /// Keyed by the *full* canonical string (not its hash), so a hash
-    /// collision can never serve the wrong answer.
-    entries: HashMap<String, CacheEntry>,
-    tick: u64,
-}
+/// Complete reports of one epoch, keyed by [`canonical_key`].
+type AnswerCache = FootprintCache<AnswerReport>;
 
-struct AnswerCache {
-    shards: Vec<Mutex<CacheShard>>,
-    per_shard_cap: usize,
-    ttl: Option<Duration>,
-}
-
-impl AnswerCache {
-    fn new(cfg: &CacheConfig) -> Self {
-        let shards = cfg.shards.max(1);
-        let per_shard_cap = if cfg.capacity == 0 {
-            0
-        } else {
-            cfg.capacity.div_ceil(shards)
-        };
-        AnswerCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(CacheShard::default()))
-                .collect(),
-            per_shard_cap,
-            ttl: (cfg.ttl_ms > 0).then(|| Duration::from_millis(cfg.ttl_ms)),
-        }
-    }
-
-    fn enabled(&self) -> bool {
-        self.per_shard_cap > 0
-    }
-
-    fn shard(&self, key: &str) -> std::sync::MutexGuard<'_, CacheShard> {
-        // DefaultHasher is keyed with fixed constants, so shard placement
-        // is stable; it only spreads load, never correctness.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        let idx = (h.finish() % self.shards.len() as u64) as usize;
-        self.shards[idx]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Looks a key up; expired entries are dropped (counted as one
-    /// eviction via the second tuple slot).
-    fn get(&self, key: &str) -> (Option<AnswerReport>, u64) {
-        if !self.enabled() {
-            return (None, 0);
-        }
-        // Fault site `answer_cache`: a fired fault forces a miss, sending
-        // the request through the full engine path. Safe by construction —
-        // a recomputed report is bit-identical to the cached one.
-        if wqe_pool::fault::fire(wqe_pool::fault::FaultSite::AnswerCache).is_some() {
-            return (None, 0);
-        }
-        let mut shard = self.shard(key);
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.entries.get_mut(key) {
-            Some(e) => {
-                if self.ttl.is_some_and(|ttl| e.inserted.elapsed() > ttl) {
-                    shard.entries.remove(key);
-                    (None, 1)
-                } else {
-                    e.last_used = tick;
-                    (Some(e.report.clone()), 0)
-                }
-            }
-            None => (None, 0),
-        }
-    }
-
-    /// Inserts (or refreshes) a report, returning how many entries were
-    /// evicted to make room.
-    fn insert(&self, key: String, report: AnswerReport, footprint: AnswerFootprint) -> u64 {
-        if !self.enabled() {
-            return 0;
-        }
-        let mut shard = self.shard(&key);
-        shard.tick += 1;
-        let tick = shard.tick;
-        let mut evicted = 0;
-        if !shard.entries.contains_key(&key) && shard.entries.len() >= self.per_shard_cap {
-            // Expired-but-unread entries must not pin capacity: TTL is
-            // otherwise only enforced lazily on lookup, so a shard full of
-            // dead entries would LRU-evict live ones. Drop the dead first;
-            // only a shard still full of live entries costs an LRU victim.
-            if let Some(ttl) = self.ttl {
-                let before = shard.entries.len();
-                shard.entries.retain(|_, e| e.inserted.elapsed() <= ttl);
-                evicted += (before - shard.entries.len()) as u64;
-            }
-            if shard.entries.len() >= self.per_shard_cap {
-                if let Some(lru) = shard
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone())
-                {
-                    shard.entries.remove(&lru);
-                    evicted += 1;
-                }
-            }
-        }
-        shard.entries.insert(
-            key,
-            CacheEntry {
-                report,
-                footprint,
-                inserted: Instant::now(),
-                last_used: tick,
-            },
-        );
-        evicted
-    }
-
-    /// Carries the previous head epoch's answers into the new epoch after
-    /// a publish: every `ep{prev};…` entry whose [`AnswerFootprint`] the
-    /// delta cannot have affected is *aliased* under the `ep{next};…` key
-    /// (the old entry stays, still serving sessions pinned to `prev`);
-    /// affected entries are dropped from the `prev` keyspace too — their
-    /// epoch is no longer head, and pinned readers re-derive them cheaply
-    /// while new-epoch readers must not inherit them. Returns
-    /// `(aliased, evicted)`.
-    fn carry_forward(&self, prev: EpochId, next: EpochId, delta: &DeltaSummary) -> (u64, u64) {
-        if !self.enabled() {
-            return (0, 0);
-        }
-        let prefix = format!("ep{};", prev.0);
-        let mut aliased = 0u64;
-        let mut evicted = 0u64;
-        // Collect under per-shard locks, insert through the normal path so
-        // capacity and shard placement stay uniform.
-        let mut survivors: Vec<(String, AnswerReport, AnswerFootprint)> = Vec::new();
-        for s in &self.shards {
-            let mut shard = s.lock().unwrap_or_else(PoisonError::into_inner);
-            let doomed: Vec<String> = shard
-                .entries
-                .iter()
-                .filter(|(k, e)| k.starts_with(&prefix) && e.footprint.affected_by(delta))
-                .map(|(k, _)| k.clone())
-                .collect();
-            evicted += doomed.len() as u64;
-            for k in doomed {
-                shard.entries.remove(&k);
-            }
-            for (k, e) in &shard.entries {
-                if let Some(rest) = k.strip_prefix(&prefix) {
-                    survivors.push((epoch_key(next, rest), e.report.clone(), e.footprint.clone()));
-                }
-            }
-        }
-        for (key, report, footprint) in survivors {
-            aliased += 1;
-            evicted += self.insert(key, report, footprint);
-        }
-        (aliased, evicted)
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entries
-                    .len()
-            })
-            .sum()
-    }
-
-    fn clear(&self) {
-        for s in &self.shards {
-            s.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .entries
-                .clear();
-        }
-    }
-}
+/// Hit decay of the answer cache, per shard tick (the star cache's).
+const ANSWER_CACHE_DECAY: f64 = 0.95;
 
 // ---------------------------------------------------------------------------
 // The service
@@ -884,7 +667,10 @@ struct Inner {
     /// `None` for fixed-graph services.
     store: Option<Arc<GraphStore>>,
     queue: JobQueue<Job>,
-    cache: AnswerCache,
+    /// The head epoch's answer cache, tagged with that epoch; `None` when
+    /// [`CacheConfig::capacity`] is 0.
+    cache: Option<Mutex<(EpochId, Arc<AnswerCache>)>>,
+    cache_capacity: usize,
     profiler: Arc<Profiler>,
     max_retries: usize,
     shed: ShedConfig,
@@ -1015,10 +801,21 @@ pub struct ServiceStats {
     pub counters: CounterRegistry,
 }
 
-/// Bridges [`GraphStore`] publishes to the answer cache: carries
-/// unaffected entries into the new epoch's keyspace, drops affected ones
-/// (counted as `answer_cache_evictions`). Registered weakly, so dropping
-/// the service unhooks it.
+impl Inner {
+    /// The head epoch's answer cache and the epoch it serves; `None` when
+    /// caching is off.
+    fn head_cache(&self) -> Option<(EpochId, Arc<AnswerCache>)> {
+        let head = self.cache.as_ref()?;
+        let head = head.lock().unwrap_or_else(PoisonError::into_inner);
+        Some((head.0, Arc::clone(&head.1)))
+    }
+}
+
+/// Bridges [`GraphStore`] publishes to the answer cache: swaps in the
+/// cache [`FootprintCache::carry_over`] derives for the new head, which
+/// drops the entries the delta touched (counted as
+/// `answer_cache_evictions`). Registered weakly, so dropping the service
+/// unhooks it.
 struct CacheCarrier {
     inner: Weak<Inner>,
 }
@@ -1028,10 +825,19 @@ impl EpochSubscriber for CacheCarrier {
         let Some(inner) = self.inner.upgrade() else {
             return;
         };
-        let (_aliased, evicted) = inner.cache.carry_forward(prev, next, delta);
-        if evicted > 0 {
-            inner.profiler.add(Counter::AnswerCacheEviction, evicted);
-        }
+        let Some(cache) = &inner.cache else {
+            return;
+        };
+        let _obs = wqe_pool::obs::enter(Arc::clone(&inner.profiler));
+        let mut head = cache.lock().unwrap_or_else(PoisonError::into_inner);
+        // A cache that missed a publish (one landing while the service was
+        // built) describes no epoch the delta starts from: start empty.
+        let next_cache = if head.0 == prev {
+            head.1.carry_over(delta).0
+        } else {
+            AnswerCache::new(inner.cache_capacity, ANSWER_CACHE_DECAY)
+        };
+        *head = (next, Arc::new(next_cache));
     }
 }
 
@@ -1056,9 +862,10 @@ impl QueryService {
 
     /// Builds a service over a live [`GraphStore`]: every request pins an
     /// epoch at admission (head by default, [`QueryRequest::epoch`] to
-    /// answer against an older pinned epoch), answers are cached per
-    /// epoch, and each publish carries unaffected cached answers into the
-    /// new epoch while evicting the ones the delta touched.
+    /// answer against an older pinned epoch, uncached), answers are cached
+    /// for the head epoch, and each publish carries unaffected cached
+    /// answers into the new head's cache while evicting the ones the delta
+    /// touched.
     pub fn with_store(store: Arc<GraphStore>, config: ServiceConfig) -> Self {
         let ctx = store.pin().ctx().clone();
         QueryService::build(ctx, Some(store), config)
@@ -1066,11 +873,16 @@ impl QueryService {
 
     fn build(ctx: EngineCtx, store: Option<Arc<GraphStore>>, config: ServiceConfig) -> Self {
         let workers_n = wqe_pool::resolve_threads(config.max_inflight);
+        let cache_capacity = config.cache.capacity;
         let inner = Arc::new(Inner {
+            cache: (cache_capacity > 0).then(|| {
+                let cache = AnswerCache::new(cache_capacity, ANSWER_CACHE_DECAY);
+                Mutex::new((ctx.epoch(), Arc::new(cache)))
+            }),
+            cache_capacity,
             ctx,
             store: store.clone(),
             queue: JobQueue::new(config.effective_queue_cap()),
-            cache: AnswerCache::new(&config.cache),
             profiler: Arc::new(Profiler::new()),
             max_retries: config.effective_max_retries(),
             shed: config.shed.clone(),
@@ -1212,7 +1024,7 @@ impl QueryService {
 
         // Pin the epoch the job will answer against — at admission, so a
         // publish landing while the job is queued cannot change what it
-        // sees, and the cache key can carry the epoch.
+        // sees.
         let (ctx, pin) = match (&self.inner.store, request.epoch) {
             (Some(store), Some(want)) => match store.pin_epoch(want) {
                 Some(h) => (h.ctx().clone(), Some(h)),
@@ -1246,10 +1058,7 @@ impl QueryService {
             (None, _) => (self.inner.ctx.clone(), None),
         };
 
-        let key = epoch_key(
-            ctx.epoch(),
-            &canonical_key(&request.question, request.algorithm, &effective),
-        );
+        let key = canonical_key(&request.question, request.algorithm, &effective);
         let job = Job {
             id,
             question: request.question,
@@ -1354,7 +1163,9 @@ impl QueryService {
 
     /// Drops every cached report (counters are unaffected).
     pub fn clear_cache(&self) {
-        self.inner.cache.clear();
+        if let Some((_, cache)) = self.inner.head_cache() {
+            cache.clear();
+        }
     }
 
     /// A point-in-time activity summary.
@@ -1365,7 +1176,7 @@ impl QueryService {
             failed: self.inner.failed.load(Ordering::Relaxed),
             rejected: self.inner.rejected.load(Ordering::Relaxed),
             queue_depth: self.inner.queue.len(),
-            cache_len: self.inner.cache.len(),
+            cache_len: self.inner.head_cache().map_or(0, |(_, cache)| cache.len()),
             counters: CounterRegistry::from_snapshot(&self.inner.profiler.snapshot()),
         }
     }
@@ -1420,17 +1231,17 @@ fn process(inner: &Inner, job: Job) {
         return;
     }
 
-    let (hit, expired) = inner.cache.get(&job.key);
-    if expired > 0 {
-        inner.profiler.add(Counter::AnswerCacheEviction, expired);
-    }
-    if let Some(report) = hit {
-        inner.profiler.add(Counter::AnswerCacheHit, 1);
+    // Only the head epoch's answers are cached; a job pinned to an older
+    // epoch (or admitted just before a publish) runs uncached.
+    let cache = inner
+        .head_cache()
+        .and_then(|(epoch, cache)| (epoch == job.ctx.epoch()).then_some(cache));
+    if let Some(report) = cache.as_ref().and_then(|c| c.get(&job.key)) {
         inner.completed.fetch_add(1, Ordering::Relaxed);
         job.reply.send_done(QueryResponse {
             id: job.id,
             status: QueryStatus::Done {
-                report: Box::new(report),
+                report: Box::new(AnswerReport::clone(&report)),
                 cache_hit: true,
             },
             queue_ms,
@@ -1438,7 +1249,6 @@ fn process(inner: &Inner, job: Job) {
         });
         return;
     }
-    inner.profiler.add(Counter::AnswerCacheMiss, 1);
 
     // Streaming jobs get a progress sink wired into the engine: each
     // best-so-far improvement becomes a StreamEvent::Update. A send to a
@@ -1470,14 +1280,10 @@ fn process(inner: &Inner, job: Job) {
                     inner.profiler.add(Counter::DegradedServe, 1);
                 }
                 inner.completed.fetch_add(1, Ordering::Relaxed);
-                if report.termination == Termination::Complete {
-                    let evicted = inner.cache.insert(
-                        job.key,
-                        report.clone(),
-                        AnswerFootprint::of(&job.question),
-                    );
-                    if evicted > 0 {
-                        inner.profiler.add(Counter::AnswerCacheEviction, evicted);
+                if let Some(cache) = &cache {
+                    if report.termination == Termination::Complete {
+                        let cached = Arc::new(report.clone());
+                        cache.insert(&job.key, cached, || footprint(&job.question));
                     }
                 }
                 break QueryStatus::Done {
@@ -1655,25 +1461,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expires_entries() {
-        let cache = AnswerCache::new(&CacheConfig {
-            capacity: 4,
-            ttl_ms: 1,
-            shards: 1,
-        });
-        cache.insert(
-            "k".to_string(),
-            AnswerReport::default(),
-            AnswerFootprint::default(),
-        );
-        std::thread::sleep(Duration::from_millis(5));
-        let (hit, expired) = cache.get("k");
-        assert!(hit.is_none());
-        assert_eq!(expired, 1);
-        assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
     fn nonfinite_per_request_deadline_is_refused_as_spec_error() {
         // Regression (pre-fix failure): the per-request override wrote
         // `cfg.deadline_ms = dl` directly; +inf passed `validate()`'s
@@ -1736,45 +1523,6 @@ mod tests {
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.counters.shed_requests, 1);
-    }
-
-    #[test]
-    fn expired_entries_are_evicted_before_live_ones() {
-        // Regression (pre-fix failure): the eviction victim scan was pure
-        // LRU, so an expired entry with a *recent* last_used tick pinned
-        // capacity and a live-but-colder entry got evicted in its place.
-        let cache = AnswerCache::new(&CacheConfig {
-            capacity: 2,
-            ttl_ms: 400,
-            shards: 1,
-        });
-        cache.insert(
-            "dead".into(),
-            AnswerReport::default(),
-            AnswerFootprint::default(),
-        );
-        std::thread::sleep(Duration::from_millis(150));
-        cache.insert(
-            "live".into(),
-            AnswerReport::default(),
-            AnswerFootprint::default(),
-        );
-        // Touch "dead" while it is still fresh: it now has the *newest*
-        // last_used tick, making "live" the pure-LRU victim.
-        assert!(cache.get("dead").0.is_some());
-        // Let "dead" expire ("live", inserted 150ms later, stays valid).
-        std::thread::sleep(Duration::from_millis(300));
-        assert_eq!(
-            cache.insert(
-                "new".into(),
-                AnswerReport::default(),
-                AnswerFootprint::default()
-            ),
-            1
-        );
-        assert!(cache.get("live").0.is_some(), "live entry must survive");
-        assert!(cache.get("new").0.is_some());
-        assert!(cache.get("dead").0.is_none());
     }
 
     #[test]
@@ -1922,10 +1670,7 @@ mod tests {
         let (svc, q) = service(ServiceConfig {
             max_inflight: 1,
             base_config: base_cfg(),
-            cache: CacheConfig {
-                capacity: 0,
-                ..Default::default()
-            },
+            cache: CacheConfig { capacity: 0 },
             ..Default::default()
         });
         let blocking = svc.call(QueryRequest::new(q.clone(), Algorithm::AnsW));
@@ -1981,52 +1726,11 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_the_coldest() {
-        let cache = AnswerCache::new(&CacheConfig {
-            capacity: 2,
-            ttl_ms: 0,
-            shards: 1,
-        });
-        assert_eq!(
-            cache.insert(
-                "a".into(),
-                AnswerReport::default(),
-                AnswerFootprint::default()
-            ),
-            0
-        );
-        assert_eq!(
-            cache.insert(
-                "b".into(),
-                AnswerReport::default(),
-                AnswerFootprint::default()
-            ),
-            0
-        );
-        // Touch "a" so "b" is the LRU victim.
-        assert!(cache.get("a").0.is_some());
-        assert_eq!(
-            cache.insert(
-                "c".into(),
-                AnswerReport::default(),
-                AnswerFootprint::default()
-            ),
-            1
-        );
-        assert!(cache.get("a").0.is_some());
-        assert!(cache.get("b").0.is_none());
-        assert!(cache.get("c").0.is_some());
-    }
-
-    #[test]
     fn zero_capacity_disables_the_cache() {
         let (svc, q) = service(ServiceConfig {
             max_inflight: 1,
             base_config: base_cfg(),
-            cache: CacheConfig {
-                capacity: 0,
-                ..Default::default()
-            },
+            cache: CacheConfig { capacity: 0 },
             ..Default::default()
         });
         let a = svc.call(QueryRequest::new(q.clone(), Algorithm::AnsW));

@@ -341,11 +341,8 @@ pub struct Session {
     /// Clone the `Arc` to cancel a running search from another thread.
     pub governor: std::sync::Arc<wqe_pool::governor::Governor>,
     /// The per-query profiler every answer algorithm enters while it runs
-    /// (stage spans + the counter registry; see [`crate::obs`]). `None`
-    /// disables profiling entirely ([`Session::without_profiler`]) — spans
-    /// then skip the clock reads, so benchmark baselines exclude the
-    /// observability overhead.
-    pub profiler: Option<std::sync::Arc<crate::obs::Profiler>>,
+    /// (stage spans + the counter registry; see [`crate::obs`]).
+    pub profiler: std::sync::Arc<crate::obs::Profiler>,
     /// Streaming progress sink: called (from the coordinating thread only)
     /// with each [`AnswerUpdate`] as the best-so-far answer improves.
     /// `None` (the default) makes emission a no-op branch.
@@ -428,7 +425,7 @@ impl Session {
             r_uo,
             cl_star,
             governor,
-            profiler: Some(profiler),
+            profiler,
             progress: None,
         })
     }
@@ -437,14 +434,6 @@ impl Session {
     /// with a supervisor thread).
     pub fn with_governor(mut self, governor: std::sync::Arc<wqe_pool::governor::Governor>) -> Self {
         self.governor = governor;
-        self
-    }
-
-    /// Disables per-query profiling: spans and counters become no-ops and
-    /// reports carry no [`crate::obs::QueryProfile`]. Useful for measuring
-    /// the engine without observability overhead.
-    pub fn without_profiler(mut self) -> Self {
-        self.profiler = None;
         self
     }
 
@@ -466,19 +455,15 @@ impl Session {
         }
     }
 
-    /// Enters this session's profiler scope (a no-op returning `None` after
-    /// [`Session::without_profiler`]). Every report-producing algorithm
-    /// calls this first, so instrumentation in lower layers lands in the
-    /// session's profiler.
-    pub fn obs_scope(&self) -> Option<crate::obs::ObsScope> {
-        self.profiler
-            .as_ref()
-            .map(|p| crate::obs::enter(std::sync::Arc::clone(p)))
+    /// Enters this session's profiler scope. Every report-producing
+    /// algorithm calls this first, so instrumentation in lower layers lands
+    /// in the session's profiler.
+    pub fn obs_scope(&self) -> crate::obs::ObsScope {
+        crate::obs::enter(std::sync::Arc::clone(&self.profiler))
     }
 
     /// Folds the session's profiler snapshot and governor counters into the
-    /// serializable per-query profile. `None` after
-    /// [`Session::without_profiler`].
+    /// serializable per-query profile.
     pub fn query_profile(
         &self,
         termination: wqe_pool::governor::Termination,
@@ -486,18 +471,16 @@ impl Session {
         expansions: u64,
         match_steps: u64,
         frontier_peak: u64,
-    ) -> Option<crate::obs::QueryProfile> {
-        self.profiler.as_ref().map(|p| {
-            crate::obs::QueryProfile::from_snapshot(
-                &p.snapshot(),
-                termination,
-                elapsed_ms,
-                expansions,
-                match_steps,
-                self.governor.oracle_steps(),
-                frontier_peak,
-            )
-        })
+    ) -> crate::obs::QueryProfile {
+        crate::obs::QueryProfile::from_snapshot(
+            &self.profiler.snapshot(),
+            termination,
+            elapsed_ms,
+            expansions,
+            match_steps,
+            self.governor.oracle_steps(),
+            frontier_peak,
+        )
     }
 
     /// The data graph.

@@ -172,13 +172,13 @@ pub fn apx_why_many(session: &Session, question: &WhyQuestion) -> AnswerReport {
     }
     report.best = Some(best);
     report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    report.profile = session.query_profile(
+    report.profile = Some(session.query_profile(
         report.termination,
         report.elapsed_ms,
         report.expansions as u64,
         report.match_steps,
         report.frontier_peak as u64,
-    );
+    ));
     report
 }
 

@@ -116,7 +116,7 @@ pub enum Counter {
     AnswerCacheHit = 7,
     /// Answer-cache misses.
     AnswerCacheMiss = 8,
-    /// Answer-cache evictions (LRU capacity or TTL expiry).
+    /// Answer-cache evictions (capacity, or invalidation on publish).
     AnswerCacheEviction = 9,
     /// Bytes of durable snapshot mapped (or read) into the address space
     /// when the engine context was loaded from a `wqe-store` snapshot.

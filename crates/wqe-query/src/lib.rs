@@ -23,15 +23,16 @@
 
 #![warn(missing_docs)]
 
+mod cache;
 mod literal;
 pub mod matcher;
 mod ops;
 mod pattern;
 
+pub use cache::{CacheStats, Cached, Footprint, FootprintCache, StarCache};
 pub use literal::{simplify_literals, Literal};
 pub use matcher::{
-    naive_evaluate, CacheStats, MatchOutcome, MatchPlan, Matcher, MatcherStats, StarCache,
-    StarFootprint, StarPlan, Valuation,
+    naive_evaluate, MatchOutcome, MatchPlan, Matcher, MatcherStats, StarPlan, Valuation,
 };
 pub use ops::{
     is_canonical, is_normal_form, normalize, sequence_cost, ApplyError, AtomicOp, OpClass, Touched,

@@ -1,15 +1,14 @@
 //! Procedure `Match` (§5.2): star-view based query evaluation.
 
-mod cache;
 pub mod candidates;
 mod join;
 #[cfg(test)]
 mod proptests;
 pub mod star;
 
-pub use cache::{CacheStats, StarCache, StarFootprint};
 pub use join::{assignment_order, verify_candidate, Truncated, Valuation};
 
+use crate::cache::{CacheStats, Footprint, StarCache};
 use crate::pattern::{PatternQuery, QNodeId};
 use star::{StarQuery, StarTable};
 use std::collections::{HashMap, HashSet};
@@ -205,11 +204,6 @@ impl Matcher {
     pub fn with_shared_cache(mut self, cache: Arc<StarCache>) -> Self {
         self.cache = Some(cache);
         self
-    }
-
-    /// The star cache, when caching is enabled.
-    pub fn shared_cache(&self) -> Option<&Arc<StarCache>> {
-        self.cache.as_ref()
     }
 
     /// Overrides the per-candidate verification step budget.
@@ -512,8 +506,8 @@ impl Matcher {
 /// The invalidation footprint of one star's cached table: the labels of
 /// its center, leaves, and augmented focus, the attrs of baked leaf
 /// literals, and whether any of those pattern nodes is wildcard.
-fn star_footprint(q: &PatternQuery, s: &StarQuery) -> cache::StarFootprint {
-    let mut fp = cache::StarFootprint::default();
+fn star_footprint(q: &PatternQuery, s: &StarQuery) -> Footprint {
+    let mut fp = Footprint::default();
     let mut note_label = |u: QNodeId| match q.node(u).and_then(|n| n.label) {
         Some(l) => {
             if !fp.labels.contains(&l.0) {

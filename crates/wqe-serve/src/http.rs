@@ -286,20 +286,15 @@ fn handle_connection(mut stream: TcpStream, ctx: &ServeCtx) -> io::Result<()> {
     let Some(req) = read_request(&mut stream)? else {
         return Ok(());
     };
-    // Canonical routes live under `/v1/`; the bare paths are legacy
-    // aliases for the four original endpoints. The live-graph routes
-    // postdate the unversioned API and exist only under the prefix.
-    let (versioned, route) = match req.path.strip_prefix("/v1") {
-        Some(rest) if rest.starts_with('/') => (true, rest),
-        _ => (false, req.path.as_str()),
-    };
+    // Every route lives under `/v1/`; anything else is a 404.
+    let route = req.path.strip_prefix("/v1").unwrap_or("");
     match (req.method.as_str(), route) {
         ("GET", "/healthz") => write_json(&mut stream, 200, &json!({ "ok": true })),
         ("GET", "/stats") => write_json(&mut stream, 200, &crate::stats_json(&ctx.service)),
         ("POST", "/why") => handle_why(&mut stream, ctx, &req),
         ("POST", "/why/batch") => handle_batch(&mut stream, ctx, &req),
-        ("POST", "/graph/update") if versioned => handle_update(&mut stream, ctx, &req),
-        ("GET", "/epochs") if versioned => handle_epochs(&mut stream, ctx),
+        ("POST", "/graph/update") => handle_update(&mut stream, ctx, &req),
+        ("GET", "/epochs") => handle_epochs(&mut stream, ctx),
         ("GET", _) | ("POST", _) => write_json(
             &mut stream,
             404,

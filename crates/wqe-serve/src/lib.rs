@@ -10,7 +10,9 @@
 //!
 //! ## Endpoint contract (see DESIGN.md §12)
 //!
-//! * `POST /why` — body is the human-writable question spec
+//! Every route lives under the `/v1/` prefix; any other path is a 404.
+//!
+//! * `POST /v1/why` — body is the human-writable question spec
 //!   (`{"query": .., "exemplar": ..}`, as in [`wqe_core::spec`]) plus
 //!   optional `"algo"`, `"priority"`, `"deadline_ms"`, and `"stream"`
 //!   keys. Tenant identity comes from the `x-wqe-tenant` header. Without
@@ -19,24 +21,18 @@
 //!   per best-so-far improvement, parallelism-invariant) and exactly one
 //!   terminal `done` event whose report — fingerprint included — is
 //!   bit-identical to what the blocking call would have returned.
-//! * `POST /why/batch` — `{"questions": [spec, ..]}`, answers in request
-//!   order.
-//! * `GET /stats` — the service's [`wqe_core::ServiceStats`] as JSON, plus
-//!   `"api_version"`.
-//! * `GET /healthz` — liveness probe.
-//!
-//! All four routes are canonically served under the `/v1/` prefix
-//! (`/v1/why`, `/v1/why/batch`, `/v1/stats`, `/v1/healthz`); the bare
-//! paths remain as legacy aliases. Two live-graph routes exist only under
-//! `/v1/` (they postdate the unversioned API):
-//!
+//! * `POST /v1/why/batch` — `{"questions": [spec, ..]}`, answers in
+//!   request order.
+//! * `GET /v1/stats` — the service's [`wqe_core::ServiceStats`] as JSON,
+//!   plus `"api_version"`.
+//! * `GET /v1/healthz` — liveness probe.
 //! * `POST /v1/graph/update` — `{"updates": [op, ..]}` applied as one
 //!   atomic batch through the server's [`wqe_core::GraphStore`]; the
 //!   response is the publish report. 409 when the server was started
 //!   without a store (read-only).
 //! * `GET /v1/epochs` — the store's epoch registry.
 //!
-//! A `/why` body may carry `"epoch": N` to pin the query to a still-live
+//! A `/v1/why` body may carry `"epoch": N` to pin the query to a still-live
 //! published epoch, or `"diff": {"from": N, "to": M}` to run the same
 //! question against two epochs and get both reports plus a comparison.
 //!
@@ -57,8 +53,8 @@ use wqe_core::{
 };
 use wqe_graph::{AttrValue, DeltaSummary, Graph, GraphUpdate, NodeId};
 
-/// Version tag of the HTTP API, reported in `/stats` and used as the
-/// canonical route prefix.
+/// Version tag of the HTTP API, reported in `/v1/stats` and used as the
+/// route prefix.
 pub const API_VERSION: &str = "v1";
 
 /// Everything a front-end needs to serve: the query service and the graph
@@ -645,11 +641,11 @@ mod tests {
         let server = http::HttpServer::bind(ctx, "127.0.0.1:0").expect("bind");
         let addr = server.addr();
 
-        let (status, body) = exchange(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        let (status, body) = exchange(addr, "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 200);
         assert!(body.contains("\"ok\""));
 
-        let (status, body) = post(addr, "/why", PAPER_SPEC);
+        let (status, body) = post(addr, "/v1/why", PAPER_SPEC);
         assert_eq!(status, 200);
         let v: Value = serde_json::from_str(&body).unwrap();
         assert_eq!(v.get("status").and_then(Value::as_str), Some("done"));
@@ -662,7 +658,7 @@ mod tests {
 
         // SSE: the terminal `done` event is bit-identical to blocking.
         let streaming = spec_with(&[("stream", json!(true))]).to_string();
-        let (status, body) = post(addr, "/why", &streaming);
+        let (status, body) = post(addr, "/v1/why", &streaming);
         assert_eq!(status, 200);
         let done = body
             .split("\n\n")
@@ -682,37 +678,39 @@ mod tests {
 
         // Batch preserves request order.
         let batch = json!({ "questions": [spec_value(), spec_value()] }).to_string();
-        let (status, body) = post(addr, "/why/batch", &batch);
+        let (status, body) = post(addr, "/v1/why/batch", &batch);
         assert_eq!(status, 200);
         let v: Value = serde_json::from_str(&body).unwrap();
         let responses = v.get("responses").and_then(Value::as_array).unwrap();
         assert_eq!(responses.len(), 2);
 
-        // Error paths: bad JSON, bad spec, unknown route, bad method.
-        let (status, _) = post(addr, "/why", "{nope");
+        // Error paths: bad JSON, bad spec, unknown and unversioned routes,
+        // bad method.
+        let (status, _) = post(addr, "/v1/why", "{nope");
         assert_eq!(status, 400);
-        let (status, body) = post(addr, "/why", "{\"query\": 7}");
+        let (status, body) = post(addr, "/v1/why", "{\"query\": 7}");
         assert_eq!(status, 400);
         assert!(body.contains("error"));
         let (status, _) = exchange(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 404);
-        let (status, _) = exchange(addr, "DELETE /why HTTP/1.1\r\nHost: t\r\n\r\n");
+        let (status, _) = exchange(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert_eq!(status, 404);
+        let (status, _) = post(addr, "/why", PAPER_SPEC);
+        assert_eq!(status, 404);
+        let (status, _) = exchange(addr, "DELETE /v1/why HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 405);
 
-        let (status, body) = exchange(addr, "GET /stats HTTP/1.1\r\nHost: t\r\n\r\n");
+        let (status, body) = exchange(addr, "GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 200);
         let v: Value = serde_json::from_str(&body).unwrap();
         assert!(v.get("submitted").and_then(Value::as_u64).unwrap() >= 4);
         assert_eq!(v.get("api_version").and_then(Value::as_str), Some("v1"));
 
-        // Read-only server: the live-graph routes answer 409, and they
-        // exist only under the /v1 prefix.
+        // Read-only server: the live-graph routes answer 409.
         let (status, _) = exchange(addr, "GET /v1/epochs HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 409);
         let (status, _) = post(addr, "/v1/graph/update", "{\"updates\":[]}");
         assert_eq!(status, 409);
-        let (status, _) = exchange(addr, "GET /epochs HTTP/1.1\r\nHost: t\r\n\r\n");
-        assert_eq!(status, 404);
 
         drop(server);
     }
@@ -723,7 +721,6 @@ mod tests {
         let server = http::HttpServer::bind(ctx, "127.0.0.1:0").expect("bind");
         let addr = server.addr();
 
-        // The /v1 aliases serve the legacy routes.
         let (status, body) = exchange(addr, "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 200);
         assert!(body.contains("\"ok\""));

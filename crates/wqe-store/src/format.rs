@@ -23,31 +23,28 @@
 //! ## Versioning and compatibility
 //!
 //! `FORMAT_VERSION` is bumped whenever the layout of any existing section
-//! changes incompatibly. A reader accepts files with `version <=
-//! FORMAT_VERSION` and rejects newer ones with
-//! [`LoadError::UnsupportedVersion`](wqe_graph::LoadError). *Adding* a new
-//! section id is backward compatible (old readers must ignore unknown ids),
-//! so purely additive evolution does not bump the version.
+//! changes incompatibly. A reader accepts only files of its own
+//! `FORMAT_VERSION` and rejects every other version with
+//! [`LoadError::UnsupportedVersion`](wqe_graph::LoadError); a snapshot is a
+//! cache of a graph, so an old file is rebuilt, not migrated. *Adding* a
+//! new section id is backward compatible (readers ignore unknown ids), so
+//! purely additive evolution does not bump the version.
 //!
 //! Version history:
 //!
 //! * **1** — initial layout; PLL labels persisted as two interleaved
-//!   `(rank, dist)` pair sections per direction
-//!   ([`SectionId::PllOutEntries`] / [`SectionId::PllInEntries`]).
+//!   `(rank, dist)` pair sections per direction (ids 15 and 17). No
+//!   longer readable.
 //! * **2** — PLL labels persisted struct-of-arrays: separate rank and
 //!   distance sections per direction ([`SectionId::PLL`]), matching the
 //!   in-memory layout the SIMD merge kernels consume, so a mapped snapshot
-//!   serves distance queries with zero deinterleaving. Readers still load
-//!   version-1 files (deinterleaving on load); writers emit only version 2.
+//!   serves distance queries in place.
 
 /// First eight bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"WQESNAP\0";
 
-/// Current (and highest readable) format version.
+/// The format version writers emit and readers accept.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// The last format version whose PLL sections were interleaved pairs.
-pub const VERSION_INTERLEAVED_PLL: u32 = 1;
 
 /// Endianness canary stored in the header: a reader on a platform that
 /// sees a different value cannot reinterpret the arrays in place.
@@ -81,8 +78,8 @@ pub const TAG_BOOL: u32 = 3;
 pub const FLAG_HAS_PLL: u64 = 1;
 
 /// Every section a snapshot may carry, with its stable id. Ids are never
-/// reused: 15/17 remain reserved for the version-1 interleaved PLL entry
-/// sections, which version-2 writers no longer emit.
+/// reused: 15/17 stay reserved for the version-1 interleaved PLL entry
+/// sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum SectionId {
@@ -116,21 +113,15 @@ pub enum SectionId {
     AttrStats = 13,
     /// PLL `L_out` entry offsets, `u32` per node + 1 (optional section).
     PllOutOffsets = 14,
-    /// Version-1 only: PLL `L_out` entries, interleaved `u32` pairs
-    /// (rank, dist). Version-2 files carry [`SectionId::PllOutRanks`] and
-    /// [`SectionId::PllOutDists`] instead.
-    PllOutEntries = 15,
     /// PLL `L_in` entry offsets.
     PllInOffsets = 16,
-    /// Version-1 only: PLL `L_in` entries, interleaved `u32` pairs.
-    PllInEntries = 17,
-    /// PLL `L_out` landmark ranks, one `u32` per entry (version 2+).
+    /// PLL `L_out` landmark ranks, one `u32` per entry.
     PllOutRanks = 18,
-    /// PLL `L_out` distances, parallel to the ranks (version 2+).
+    /// PLL `L_out` distances, parallel to the ranks.
     PllOutDists = 19,
-    /// PLL `L_in` landmark ranks (version 2+).
+    /// PLL `L_in` landmark ranks.
     PllInRanks = 20,
-    /// PLL `L_in` distances (version 2+).
+    /// PLL `L_in` distances.
     PllInDists = 21,
 }
 
@@ -152,8 +143,8 @@ impl SectionId {
         SectionId::AttrStats,
     ];
 
-    /// The optional PLL label sections of a version-2 file (flat
-    /// struct-of-arrays: offsets + ranks + distances per direction).
+    /// The optional PLL label sections (flat struct-of-arrays: offsets +
+    /// ranks + distances per direction).
     pub const PLL: [SectionId; 6] = [
         SectionId::PllOutOffsets,
         SectionId::PllOutRanks,
@@ -161,15 +152,6 @@ impl SectionId {
         SectionId::PllInOffsets,
         SectionId::PllInRanks,
         SectionId::PllInDists,
-    ];
-
-    /// The optional PLL label sections of a version-1 file (offsets +
-    /// interleaved pair entries per direction). Readers only.
-    pub const PLL_V1: [SectionId; 4] = [
-        SectionId::PllOutOffsets,
-        SectionId::PllOutEntries,
-        SectionId::PllInOffsets,
-        SectionId::PllInEntries,
     ];
 
     /// Decodes a raw section id (unknown ids are tolerated by readers; this
@@ -190,9 +172,7 @@ impl SectionId {
             12 => SectionId::LabelIndexNodes,
             13 => SectionId::AttrStats,
             14 => SectionId::PllOutOffsets,
-            15 => SectionId::PllOutEntries,
             16 => SectionId::PllInOffsets,
-            17 => SectionId::PllInEntries,
             18 => SectionId::PllOutRanks,
             19 => SectionId::PllOutDists,
             20 => SectionId::PllInRanks,
@@ -218,9 +198,7 @@ impl SectionId {
             SectionId::LabelIndexNodes => "label_index_nodes",
             SectionId::AttrStats => "attr_stats",
             SectionId::PllOutOffsets => "pll_out_offsets",
-            SectionId::PllOutEntries => "pll_out_entries",
             SectionId::PllInOffsets => "pll_in_offsets",
-            SectionId::PllInEntries => "pll_in_entries",
             SectionId::PllOutRanks => "pll_out_ranks",
             SectionId::PllOutDists => "pll_out_dists",
             SectionId::PllInRanks => "pll_in_ranks",
@@ -321,11 +299,7 @@ mod tests {
 
     #[test]
     fn section_ids_roundtrip() {
-        for id in SectionId::REQUIRED
-            .into_iter()
-            .chain(SectionId::PLL)
-            .chain(SectionId::PLL_V1)
-        {
+        for id in SectionId::REQUIRED.into_iter().chain(SectionId::PLL) {
             assert_eq!(SectionId::from_u32(id as u32), Some(id));
             assert!(!id.name().is_empty());
         }

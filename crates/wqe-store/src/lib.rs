@@ -160,35 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn version1_interleaved_pll_still_loads() {
-        // A genuine version-1 file (interleaved PLL pair sections) must
-        // keep opening: graph decodes, load_pll deinterleaves to the same
-        // answers, and the zero-copy view is (correctly) unavailable.
-        let g = sample_graph();
-        let pll = PllIndex::build_with(&g, 0);
-        let path = temp_snap("v1compat");
-        crate::write::write_snapshot_versioned(&path, &g, Some(&pll), 1).unwrap();
-
-        let snap = Snapshot::open(&path).unwrap();
-        assert_eq!(snap.format_version(), 1);
-        assert!(snap.meta().has_pll());
-        let names: Vec<&str> = snap.section_infos().iter().map(|i| i.name).collect();
-        assert!(names.contains(&"pll_out_entries"));
-        assert!(!names.contains(&"pll_out_ranks"));
-        graphs_equal(&g, &snap.load_graph().unwrap());
-
-        assert!(snap.pll_slices().unwrap().is_none());
-        let pll2 = snap.load_pll().unwrap().unwrap();
-        for u in g.node_ids() {
-            for v in g.node_ids() {
-                assert_eq!(pll2.distance(u, v), pll.distance(u, v));
-            }
-        }
-        assert!(SnapshotOracle::new(Arc::new(snap)).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn snapshot_bytes_are_deterministic() {
         let g = sample_graph();
         let pll = PllIndex::build_with(&g, 0);
@@ -236,19 +207,22 @@ mod tests {
 
     #[test]
     fn future_version_rejected() {
+        // Version 1 (interleaved PLL pairs) is no longer read either.
         let g = sample_graph();
         let path = temp_snap("version");
         write_snapshot(&path, &g, None).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            Snapshot::open(&path),
-            Err(LoadError::UnsupportedVersion {
-                found: 99,
-                supported: FORMAT_VERSION
-            })
-        ));
+        let written = std::fs::read(&path).unwrap();
+        for version in [99u32, 1] {
+            let mut bytes = written.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match Snapshot::open(&path) {
+                Err(LoadError::UnsupportedVersion { found, supported }) => {
+                    assert_eq!((found, supported), (version, FORMAT_VERSION));
+                }
+                other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

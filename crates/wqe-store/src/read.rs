@@ -128,7 +128,7 @@ impl Snapshot {
             return Err(LoadError::BadMagic);
         }
         let version = rd_u32(bytes, 8);
-        if version == 0 || version > FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(LoadError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -245,14 +245,7 @@ impl Snapshot {
         let meta = snap.decode_meta()?;
         let mut pll_available = meta.has_pll();
         if meta.has_pll() {
-            // Which label sections the flag promises depends on the format
-            // generation: flat arrays since v2, interleaved pairs before.
-            let promised: &[SectionId] = if version > VERSION_INTERLEAVED_PLL {
-                &SectionId::PLL
-            } else {
-                &SectionId::PLL_V1
-            };
-            for &id in promised {
+            for id in SectionId::PLL {
                 if snap.section(id).is_none() {
                     // Quarantined = present but corrupt: the PLL set is
                     // unusable, not the file. Absent entirely while the
@@ -602,12 +595,9 @@ impl Snapshot {
     }
 
     /// The PLL label arrays as a validated zero-copy view. `None` when the
-    /// snapshot carries no index, *or* when the file predates format
-    /// version 2 — version-1 files interleave their label entries, so no
-    /// borrowed flat view exists; [`Snapshot::load_pll`] deinterleaves
-    /// them into an owned index instead.
+    /// snapshot carries no usable index (none written, or quarantined).
     pub fn pll_slices(&self) -> Result<Option<PllSlices<'_>>, LoadError> {
-        if !self.pll_available || self.version <= VERSION_INTERLEAVED_PLL {
+        if !self.pll_available {
             return Ok(None);
         }
         let slices = PllSlices::new(
@@ -631,52 +621,20 @@ impl Snapshot {
         Ok(Some(slices))
     }
 
-    /// Splits a version-1 interleaved `(rank, dist)` pair section into its
-    /// flat rank and distance arrays.
-    fn deinterleave(&self, id: SectionId) -> Result<(Vec<u32>, Vec<u32>), LoadError> {
-        let words = self.section_u32(id)?;
-        if !words.len().is_multiple_of(2) {
-            return Err(corrupt(
-                id.name(),
-                format!("odd word count {} for pair array", words.len()),
-            ));
-        }
-        let mut ranks = Vec::with_capacity(words.len() / 2);
-        let mut dists = Vec::with_capacity(words.len() / 2);
-        for p in words.chunks_exact(2) {
-            ranks.push(p[0]);
-            dists.push(p[1]);
-        }
-        Ok((ranks, dists))
-    }
-
-    /// Rebuilds an owned [`PllIndex`] from the label sections (copying;
-    /// deinterleaving for version-1 files), or `None` when absent. Prefer
-    /// [`Snapshot::pll_slices`] / [`SnapshotOracle`] for serving version-2
-    /// snapshots.
+    /// Rebuilds an owned [`PllIndex`] from the label sections (copying), or
+    /// `None` when absent. Prefer [`Snapshot::pll_slices`] /
+    /// [`SnapshotOracle`] for serving.
     pub fn load_pll(&self) -> Result<Option<PllIndex>, LoadError> {
         if !self.pll_available {
             return Ok(None);
         }
-        let (out_ranks, out_dists, in_ranks, in_dists) = if self.version > VERSION_INTERLEAVED_PLL {
-            (
-                self.section_u32(SectionId::PllOutRanks)?.to_vec(),
-                self.section_u32(SectionId::PllOutDists)?.to_vec(),
-                self.section_u32(SectionId::PllInRanks)?.to_vec(),
-                self.section_u32(SectionId::PllInDists)?.to_vec(),
-            )
-        } else {
-            let (or_, od) = self.deinterleave(SectionId::PllOutEntries)?;
-            let (ir, id_) = self.deinterleave(SectionId::PllInEntries)?;
-            (or_, od, ir, id_)
-        };
         let parts = PllParts {
             out_offsets: self.section_u32(SectionId::PllOutOffsets)?.to_vec(),
-            out_ranks,
-            out_dists,
+            out_ranks: self.section_u32(SectionId::PllOutRanks)?.to_vec(),
+            out_dists: self.section_u32(SectionId::PllOutDists)?.to_vec(),
             in_offsets: self.section_u32(SectionId::PllInOffsets)?.to_vec(),
-            in_ranks,
-            in_dists,
+            in_ranks: self.section_u32(SectionId::PllInRanks)?.to_vec(),
+            in_dists: self.section_u32(SectionId::PllInDists)?.to_vec(),
         };
         PllIndex::from_parts(parts).map(Some)
     }
@@ -684,8 +642,8 @@ impl Snapshot {
 
 /// A [`DistanceOracle`] serving exact distances straight from a snapshot's
 /// mapped PLL label sections — zero-copy: queries merge-join over the file
-/// bytes with no per-query or per-node allocation. Requires a format
-/// version 2+ snapshot (the flat label layout *is* the query layout).
+/// bytes with no per-query or per-node allocation (the flat label layout
+/// *is* the query layout).
 pub struct SnapshotOracle {
     snap: Arc<Snapshot>,
     /// Byte ranges of the six label sections (in [`PllSlices::new`]
@@ -700,27 +658,17 @@ pub struct SnapshotOracle {
 
 impl SnapshotOracle {
     /// Wraps `snap`, validating the label view once. Fails with
-    /// [`LoadError::Corrupt`] when the snapshot has no zero-copy PLL view
-    /// (no index, or a pre-v2 file — load those via
-    /// [`Snapshot::load_pll`]).
+    /// [`LoadError::Corrupt`] when the snapshot has no usable PLL labels
+    /// (none written, or quarantined).
     pub fn new(snap: Arc<Snapshot>) -> Result<SnapshotOracle, LoadError> {
         snap.pll_slices()?.ok_or_else(|| {
             corrupt(
                 "section_table",
-                "snapshot has no zero-copy PLL view (absent or pre-v2); \
-                 use load_pll or a BFS oracle",
+                "snapshot has no usable PLL labels; use a BFS oracle",
             )
         })?;
-        let order = [
-            SectionId::PllOutOffsets,
-            SectionId::PllOutRanks,
-            SectionId::PllOutDists,
-            SectionId::PllInOffsets,
-            SectionId::PllInRanks,
-            SectionId::PllInDists,
-        ];
         let mut ranges = [(0usize, 0usize); 6];
-        for (slot, id) in order.into_iter().enumerate() {
+        for (slot, id) in SectionId::PLL.into_iter().enumerate() {
             let e = snap.entry(id).expect("pll_slices validated presence above");
             ranges[slot] = (e.offset as usize, e.len as usize);
         }

@@ -46,7 +46,6 @@ pub struct SnapshotWriter {
     dest: PathBuf,
     /// Set by `finish` so `Drop` leaves the renamed file alone.
     done: bool,
-    version: u32,
     section_count: usize,
     entries: Vec<SectionEntry>,
     /// Current absolute byte offset in the file.
@@ -61,16 +60,6 @@ impl SnapshotWriter {
     /// the table precedes the payloads; [`SnapshotWriter::finish`] verifies
     /// exactly that many sections were written before publishing the file.
     pub fn create(path: &Path, section_count: usize) -> std::io::Result<SnapshotWriter> {
-        Self::create_with_version(path, section_count, FORMAT_VERSION)
-    }
-
-    /// Test seam: emit an older `version` stamp (used to fabricate
-    /// version-1 files for reader compatibility tests).
-    pub(crate) fn create_with_version(
-        path: &Path,
-        section_count: usize,
-        version: u32,
-    ) -> std::io::Result<SnapshotWriter> {
         if section_count > MAX_SECTIONS {
             return Err(misuse(format!(
                 "section count {section_count} exceeds MAX_SECTIONS"
@@ -98,7 +87,6 @@ impl SnapshotWriter {
             tmp,
             dest: path.to_path_buf(),
             done: false,
-            version,
             section_count,
             entries: Vec::with_capacity(section_count),
             offset: data_start,
@@ -189,7 +177,7 @@ impl SnapshotWriter {
         self.out.seek(SeekFrom::Start(0))?;
         let mut head = Vec::with_capacity(HEADER_LEN + self.entries.len() * SECTION_ENTRY_LEN);
         head.extend_from_slice(&MAGIC);
-        head.extend_from_slice(&self.version.to_le_bytes());
+        head.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         head.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         head.extend_from_slice(&file_len.to_le_bytes());
         head.extend_from_slice(&ENDIAN_MARK.to_le_bytes());

@@ -162,69 +162,33 @@ fn graph_sections(graph: &Graph, has_pll: bool) -> std::io::Result<Vec<(SectionI
     Ok(sections)
 }
 
-/// Builds the PLL label section payloads for the given format `version`,
-/// in ascending id order: version 2 persists the flat struct-of-arrays
-/// directly; version 1 (reader-compat tests only) interleaves each
-/// direction back into `(rank, dist)` pairs.
-fn pll_sections(parts: &PllParts, version: u32) -> Vec<(SectionId, Vec<u8>)> {
+/// Builds the PLL label section payloads in ascending id order: the flat
+/// struct-of-arrays, persisted as is.
+fn pll_sections(parts: &PllParts) -> Vec<(SectionId, Vec<u8>)> {
     let flat = |arr: &[u32]| {
         let mut buf = Vec::with_capacity(4 * arr.len());
         push_u32s(&mut buf, arr.iter().copied());
         buf
     };
-    if version > VERSION_INTERLEAVED_PLL {
-        vec![
-            (SectionId::PllOutOffsets, flat(&parts.out_offsets)),
-            (SectionId::PllInOffsets, flat(&parts.in_offsets)),
-            (SectionId::PllOutRanks, flat(&parts.out_ranks)),
-            (SectionId::PllOutDists, flat(&parts.out_dists)),
-            (SectionId::PllInRanks, flat(&parts.in_ranks)),
-            (SectionId::PllInDists, flat(&parts.in_dists)),
-        ]
-    } else {
-        let interleave = |ranks: &[u32], dists: &[u32]| {
-            let mut buf = Vec::with_capacity(8 * ranks.len());
-            push_u32s(
-                &mut buf,
-                ranks.iter().zip(dists).flat_map(|(&r, &d)| [r, d]),
-            );
-            buf
-        };
-        vec![
-            (SectionId::PllOutOffsets, flat(&parts.out_offsets)),
-            (
-                SectionId::PllOutEntries,
-                interleave(&parts.out_ranks, &parts.out_dists),
-            ),
-            (SectionId::PllInOffsets, flat(&parts.in_offsets)),
-            (
-                SectionId::PllInEntries,
-                interleave(&parts.in_ranks, &parts.in_dists),
-            ),
-        ]
-    }
+    vec![
+        (SectionId::PllOutOffsets, flat(&parts.out_offsets)),
+        (SectionId::PllInOffsets, flat(&parts.in_offsets)),
+        (SectionId::PllOutRanks, flat(&parts.out_ranks)),
+        (SectionId::PllOutDists, flat(&parts.out_dists)),
+        (SectionId::PllInRanks, flat(&parts.in_ranks)),
+        (SectionId::PllInDists, flat(&parts.in_dists)),
+    ]
 }
 
 /// Serializes `graph` (and `pll`, when given) to `path` in snapshot format.
 /// Returns the total bytes written. Writes deterministically; fails with an
 /// [`std::io::Error`] rather than panicking.
 pub fn write_snapshot(path: &Path, graph: &Graph, pll: Option<&PllIndex>) -> std::io::Result<u64> {
-    write_snapshot_versioned(path, graph, pll, FORMAT_VERSION)
-}
-
-/// Version-parameterized writer — the seam reader compatibility tests use
-/// to fabricate genuine version-1 files with interleaved PLL sections.
-pub(crate) fn write_snapshot_versioned(
-    path: &Path,
-    graph: &Graph,
-    pll: Option<&PllIndex>,
-    version: u32,
-) -> std::io::Result<u64> {
     let mut sections = graph_sections(graph, pll.is_some())?;
     if let Some(pll) = pll {
-        sections.extend(pll_sections(pll.parts(), version));
+        sections.extend(pll_sections(pll.parts()));
     }
-    let mut w = SnapshotWriter::create_with_version(path, sections.len(), version)?;
+    let mut w = SnapshotWriter::create(path, sections.len())?;
     for (id, payload) in &sections {
         w.write_section(*id, payload)?;
     }

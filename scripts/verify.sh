@@ -15,22 +15,12 @@ cargo build --release
 
 # Every test in the workspace — crate unit and property tests, every
 # integration suite (determinism, governor, store, serving, live epochs,
-# chaos) and the doctests — with default test threading. Fault plans are
-# thread-scoped, so no suite needs to run serialized. The chaos seed is
-# pinned so a failure reproduces.
+# chaos, the observability profile, the pinned public-API dumps) and the
+# doctests — with default test threading. Fault plans are thread-scoped, so
+# no suite needs to run serialized. The chaos seed is pinned so a failure
+# reproduces. The API dumps bless with WQE_BLESS_API=1.
 echo "==> tier-1: WQE_CHAOS_SEED=3405691582 cargo test --workspace --no-fail-fast -q"
 WQE_CHAOS_SEED=3405691582 cargo test --workspace --no-fail-fast -q
-
-# The observability layer: stable QueryProfile JSON schema, populated
-# spans/counters on a real run, and the without_profiler opt-out.
-echo "==> observability: cargo test --test profile -q"
-cargo test --test profile -q
-
-# The public API surface is pinned as checked-in text dumps; any drift
-# must be a deliberate, blessed diff (WQE_BLESS_API=1), never an
-# accident.
-echo "==> api: cargo test --test api_surface -q"
-cargo test --test api_surface -q
 
 # Rustdoc is part of the public surface: broken intra-doc links and
 # malformed examples fail the gate, and every doctest must run.
@@ -41,17 +31,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p wqe-graph -p wqe-index \
 
 # The distance kernels dispatch at runtime (AVX2 when the CPU has it,
 # scalar otherwise); both paths must pass the index suite bit-identically.
-# The forced-scalar run covers the fallback even on AVX2 hosts.
+# The workspace run above is the default-kernel pass; the forced-scalar run
+# covers the fallback even on AVX2 hosts.
 echo "==> kernels: WQE_FORCE_SCALAR=1 cargo test -p wqe-index -q"
 WQE_FORCE_SCALAR=1 cargo test -p wqe-index -q
 
-echo "==> kernels: cargo test -p wqe-index -q"
-cargo test -p wqe-index -q
-
-# Both passes above include the batch-shape proptest (fixed source, fixed
-# target, mixed; every oracle with its own dist_batch). The snapshot-mapped
-# oracle lives a crate up, so its shape parity gets its own scalar pass
-# (the default-kernel pass is the workspace run above).
+# Both passes include the batch-shape proptest (fixed source, fixed target,
+# mixed; every oracle with its own dist_batch). The snapshot-mapped oracle
+# lives a crate up, so its shape parity gets its own scalar pass.
 echo "==> kernels: WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q"
 WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q
 

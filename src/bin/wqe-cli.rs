@@ -31,10 +31,10 @@
 //! counter registry) as JSON after the answers.
 //!
 //! `serve --http` binds a streaming HTTP front-end on localhost (`POST
-//! /why` with `"stream": true` for SSE anytime answers, `POST /why/batch`,
-//! `GET /stats`, `GET /healthz`); `serve --mcp` speaks MCP JSON-RPC over
-//! stdio, exposing the `ask_why` tool. Both accept `--workers`,
-//! `--queue-cap`, `--cache-cap`, `--ttl`, `--budget`, `--top-k`,
+//! /v1/why` with `"stream": true` for SSE anytime answers, `POST
+//! /v1/why/batch`, `GET /v1/stats`, `GET /v1/healthz`); `serve --mcp`
+//! speaks MCP JSON-RPC over stdio, exposing the `ask_why` tool. Both accept
+//! `--workers`, `--queue-cap`, `--cache-cap`, `--budget`, `--top-k`,
 //! `--deadline`, plus `--shed` (overload-adaptive deadlines + low-priority
 //! shedding) and `--rate-limit N` (per-tenant token bucket, keyed by the
 //! `x-wqe-tenant` header).
@@ -44,9 +44,9 @@
 //! `"algo"`, `"priority"` (`high|normal|low`), and `"deadline_ms"` keys —
 //! and serves the whole batch through a `QueryService` (admission-controlled
 //! scheduler + answer cache). Options: `--workers N` (0 = one per core),
-//! `--queue-cap N`, `--cache-cap N` (0 disables the cache), `--ttl MS`,
-//! `--algo A` (default for lines without one), every `why` tunable, and
-//! `--json` for one machine-readable response summary per line.
+//! `--queue-cap N`, `--cache-cap N` (0 disables the cache), `--algo A`
+//! (default for lines without one), every `why` tunable, and `--json` for
+//! one machine-readable response summary per line.
 //!
 //! The question file holds `{"query": ..., "exemplar": ...}` in the format
 //! documented in `wqe_core::spec`.
@@ -422,7 +422,6 @@ fn build_serve_ctx(gpath: &str, args: &[String]) -> Result<wqe::serve::ServeCtx,
             "--workers" => service_cfg.max_inflight = need("an int")?.parse().unwrap_or(0),
             "--queue-cap" => service_cfg.queue_cap = need("an int")?.parse().unwrap_or(64),
             "--cache-cap" => service_cfg.cache.capacity = need("an int")?.parse().unwrap_or(256),
-            "--ttl" => service_cfg.cache.ttl_ms = need("ms")?.parse().unwrap_or(600_000),
             "--shed" => {
                 service_cfg.shed.enabled = true;
                 i -= 1; // boolean flag, no value
@@ -466,8 +465,8 @@ fn cmd_serve_http(args: &[String]) -> i32 {
         let server = wqe::serve::http::HttpServer::bind(ctx, &format!("127.0.0.1:{port}"))
             .map_err(|e| format!("cannot bind port {port}: {e}"))?;
         eprintln!(
-            "serving on http://{} — POST /why (add \"stream\": true for SSE), \
-             POST /why/batch, GET /stats, GET /healthz",
+            "serving on http://{} — POST /v1/why (add \"stream\": true for SSE), \
+             POST /v1/why/batch, GET /v1/stats, GET /v1/healthz",
             server.addr()
         );
         // Serve until killed; the accept loop lives on its own thread.
@@ -539,7 +538,6 @@ fn cmd_serve(args: &[String]) -> i32 {
             "--workers" => service_cfg.max_inflight = need("an int").parse().unwrap_or(0),
             "--queue-cap" => service_cfg.queue_cap = need("an int").parse().unwrap_or(64),
             "--cache-cap" => cache_cfg.capacity = need("an int").parse().unwrap_or(256),
-            "--ttl" => cache_cfg.ttl_ms = need("ms").parse().unwrap_or(600_000),
             "--json" => {
                 json_out = true;
                 i -= 1; // boolean flag, no value
@@ -870,11 +868,8 @@ fn cmd_index_inspect(args: &[String]) -> i32 {
                     human_bytes(ls.bytes),
                 );
             }
-            None if meta.has_pll() && !snap.pll_available() => {
-                println!("pll labels: written but quarantined (corrupt) — BFS serves distances")
-            }
             None if meta.has_pll() => {
-                println!("pll labels: present, pre-v2 interleaved layout (no zero-copy view)")
+                println!("pll labels: written but quarantined (corrupt) — BFS serves distances")
             }
             None => println!("pll labels: none (bounded BFS serves distances at load)"),
         }

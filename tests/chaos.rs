@@ -544,7 +544,7 @@ fn http_conn_faults_shed_connections_not_the_server() {
     let post = |addr: std::net::SocketAddr, body: &str| -> Option<(u16, String)> {
         let mut s = std::net::TcpStream::connect(addr).ok()?;
         let req = format!(
-            "POST /why HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            "POST /v1/why HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
         s.write_all(req.as_bytes()).ok()?;

@@ -85,10 +85,7 @@ fn serve_ctx(mutate: impl FnOnce(&mut ServiceConfig)) -> ServeCtx {
             parallelism: 1,
             ..Default::default()
         },
-        cache: CacheConfig {
-            capacity: 0,
-            ..Default::default()
-        },
+        cache: CacheConfig { capacity: 0 },
         ..Default::default()
     };
     mutate(&mut config);
@@ -183,7 +180,7 @@ fn streamed_answers_match_blocking_at_every_parallelism() {
             let direct = service.call(request);
             let direct_fp = direct.report().expect("direct run completes").fingerprint();
 
-            let (status, blocking_body) = post(addr, "/why", &body.to_string());
+            let (status, blocking_body) = post(addr, "/v1/why", &body.to_string());
             assert_eq!(status, 200, "[p={par} {algo}] blocking HTTP failed");
             let blocking: serde_json::Value = serde_json::from_str(&blocking_body).unwrap();
             assert_eq!(
@@ -196,7 +193,7 @@ fn streamed_answers_match_blocking_at_every_parallelism() {
                 ("algo", serde_json::json!(algo)),
                 ("stream", serde_json::json!(true)),
             ]);
-            let (status, sse_body) = post(addr, "/why", &streaming.to_string());
+            let (status, sse_body) = post(addr, "/v1/why", &streaming.to_string());
             assert_eq!(status, 200, "[p={par} {algo}] SSE HTTP failed");
             let events = sse_events(&sse_body);
             let (last_name, last_data) = events.last().expect("at least the done event");
@@ -234,7 +231,7 @@ fn streamed_answers_match_blocking_at_every_parallelism() {
         // The anytime algorithm streams at least one real update here (the
         // paper question improves past the root rewrite).
         let streaming = spec_with(&[("stream", serde_json::json!(true))]);
-        let (_, sse_body) = post(addr, "/why", &streaming.to_string());
+        let (_, sse_body) = post(addr, "/v1/why", &streaming.to_string());
         let events = sse_events(&sse_body);
         assert!(
             events.len() > 1,
@@ -249,12 +246,12 @@ fn endpoint_smoke() {
     let server = HttpServer::bind(ctx, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
 
-    let (status, body) = get(addr, "/healthz");
+    let (status, body) = get(addr, "/v1/healthz");
     assert_eq!(status, 200);
     assert!(body.contains("\"ok\""));
 
     let batch = serde_json::json!({ "questions": [spec(), spec()] });
-    let (status, body) = post(addr, "/why/batch", &batch.to_string());
+    let (status, body) = post(addr, "/v1/why/batch", &batch.to_string());
     assert_eq!(status, 200);
     let v: serde_json::Value = serde_json::from_str(&body).unwrap();
     let responses = v
@@ -269,15 +266,15 @@ fn endpoint_smoke() {
         );
     }
 
-    let (status, _) = post(addr, "/why", "not json at all");
+    let (status, _) = post(addr, "/v1/why", "not json at all");
     assert_eq!(status, 400);
-    let (status, body) = post(addr, "/why", "{\"query\": []}");
+    let (status, body) = post(addr, "/v1/why", "{\"query\": []}");
     assert_eq!(status, 400);
     assert!(body.contains("error"));
     let (status, _) = get(addr, "/no/such/route");
     assert_eq!(status, 404);
 
-    let (status, body) = get(addr, "/stats");
+    let (status, body) = get(addr, "/v1/stats");
     assert_eq!(status, 200);
     let stats: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert!(stats.get("submitted").and_then(serde_json::Value::as_u64) >= Some(2));
@@ -311,7 +308,7 @@ fn saturated_queue_sheds_low_priority_over_http() {
     }
 
     let low = spec_with(&[("priority", serde_json::json!("low"))]);
-    let (status, body) = post(addr, "/why", &low.to_string());
+    let (status, body) = post(addr, "/v1/why", &low.to_string());
     assert_eq!(status, 503, "low priority must be shed, got {body}");
     let v: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert_eq!(
@@ -325,7 +322,7 @@ fn saturated_queue_sheds_low_priority_over_http() {
         Some("overload")
     );
     // Liveness does not queue behind the saturated service.
-    let (status, _) = get(addr, "/healthz");
+    let (status, _) = get(addr, "/v1/healthz");
     assert_eq!(status, 200, "healthz must answer under saturation");
 
     // Drain and confirm the held requests still complete normally.
@@ -349,10 +346,10 @@ fn rate_limiting_is_per_tenant_over_http() {
 
     // Tenant "a" has a burst of 2: two served, the third refused as 429.
     for i in 0..2 {
-        let (status, _) = post_with(addr, "/why", &body, "x-wqe-tenant: a\r\n");
+        let (status, _) = post_with(addr, "/v1/why", &body, "x-wqe-tenant: a\r\n");
         assert_eq!(status, 200, "tenant a request #{i} should be admitted");
     }
-    let (status, reply) = post_with(addr, "/why", &body, "x-wqe-tenant: a\r\n");
+    let (status, reply) = post_with(addr, "/v1/why", &body, "x-wqe-tenant: a\r\n");
     assert_eq!(status, 429, "tenant a over burst, got {reply}");
     let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
     assert_eq!(
@@ -363,9 +360,9 @@ fn rate_limiting_is_per_tenant_over_http() {
     );
 
     // Tenant "b" and anonymous requests are unaffected.
-    let (status, _) = post_with(addr, "/why", &body, "x-wqe-tenant: b\r\n");
+    let (status, _) = post_with(addr, "/v1/why", &body, "x-wqe-tenant: b\r\n");
     assert_eq!(status, 200);
-    let (status, _) = post(addr, "/why", &body);
+    let (status, _) = post(addr, "/v1/why", &body);
     assert_eq!(status, 200);
 }
 
@@ -381,7 +378,7 @@ fn client_disconnect_mid_stream_is_harmless() {
         let body = spec_with(&[("stream", serde_json::json!(true))]).to_string();
         let mut stream = TcpStream::connect(addr).expect("connect");
         let req = format!(
-            "POST /why HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            "POST /v1/why HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
         stream.write_all(req.as_bytes()).unwrap();
@@ -392,9 +389,9 @@ fn client_disconnect_mid_stream_is_harmless() {
     }
     // Give abandoned handlers a moment, then prove the server still works.
     std::thread::sleep(Duration::from_millis(50));
-    let (status, _) = get(addr, "/healthz");
+    let (status, _) = get(addr, "/v1/healthz");
     assert_eq!(status, 200);
-    let (status, body) = post(addr, "/why", &spec().to_string());
+    let (status, body) = post(addr, "/v1/why", &spec().to_string());
     assert_eq!(
         status, 200,
         "server wedged after client disconnects: {body}"

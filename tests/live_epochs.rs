@@ -6,7 +6,8 @@
 //! maintenance tier produced the epoch's oracle (repaired PLL, overlay,
 //! rebuild, BFS), and no matter how many writers publish while the query
 //! runs. Cache maintenance is keyed, not wholesale: a publish that cannot
-//! affect a cached answer leaves it serving hits.
+//! affect a cached answer carries it into the new head's cache, still
+//! serving hits.
 
 use std::sync::Arc;
 use wqe::core::engine::{Algorithm, WqeEngine};
@@ -340,6 +341,67 @@ fn answer_cache_invalidation_is_keyed_by_footprint() {
     assert!(evictions() >= 1, "related publish must evict the entry");
     assert!(call(&wq).report().is_some());
     assert_eq!(hits(), 2, "evicted entry cannot hit");
+}
+
+/// One answer cache per head epoch: a publish moves the carried answers
+/// into the new head's cache instead of copying them beside the old ones,
+/// so the cache holds each question once however many publishes pass. A
+/// request pinned to a superseded epoch is answered without the cache.
+#[test]
+fn carried_answers_move_into_the_head_epoch_cache() {
+    let graph = synth_graph();
+    let store = Arc::new(GraphStore::new(Arc::clone(&graph)));
+    let service = QueryService::with_store(
+        Arc::clone(&store),
+        ServiceConfig {
+            max_inflight: 1,
+            queue_cap: 16,
+            base_config: config(1),
+            ..Default::default()
+        },
+    );
+    let fresh = EngineCtx::with_default_oracle(Arc::clone(&graph));
+    let qs = generated_questions(&graph, fresh.oracle(), 3);
+    assert!(qs.len() >= 2, "need several distinct questions");
+    let call = |wq: &WhyQuestion| service.call(QueryRequest::new(wq.clone(), Algorithm::AnsW));
+    for wq in &qs {
+        assert!(!call(wq).cache_hit(), "first ask must compute");
+    }
+    assert_eq!(service.stats().cache_len, qs.len());
+
+    let pin0 = store.pin();
+    let victim = graph.node_ids().next().expect("a node");
+    for k in 0..3 {
+        let r = store
+            .apply(&[GraphUpdate::SetAttr {
+                node: victim,
+                attr: "UnrelatedTelemetry".into(),
+                value: Some(AttrValue::Int(k)),
+            }])
+            .expect("unrelated publish");
+        assert!(!r.no_op && !r.delta.topology_changed());
+        assert_eq!(
+            service.stats().cache_len,
+            qs.len(),
+            "publish {k} must carry every answer once"
+        );
+        for wq in &qs {
+            assert!(call(wq).cache_hit(), "publish {k}: carried answer missed");
+        }
+    }
+
+    // Epoch 0 is superseded but still pinned: answered uncached, exactly
+    // as a fresh context over its graph answers.
+    let wq = &qs[0];
+    let pinned = service.call(QueryRequest::new(wq.clone(), Algorithm::AnsW).with_epoch(pin0.id()));
+    assert!(!pinned.cache_hit());
+    let expected = WqeEngine::try_new(fresh, wq.clone(), Algorithm::AnsW.apply_to(config(1)))
+        .expect("fresh engine")
+        .try_run(Algorithm::AnsW)
+        .expect("fresh run");
+    let report = pinned.report().expect("pinned request answers");
+    assert_eq!(fingerprint(report), fingerprint(&expected));
+    assert_eq!(service.stats().cache_len, qs.len());
 }
 
 /// The per-epoch star cache is maintained the same way: carried across an

@@ -1,7 +1,7 @@
 //! The per-query observability layer end to end: reports carry a
 //! `QueryProfile` with a stable JSON field set, a real `AnsW` run populates
-//! the stage spans and the counter registry, `without_profiler` switches
-//! the whole layer off, and `GovernorTelemetry` is a view over the profile.
+//! the stage spans and the counter registry, and `GovernorTelemetry` is a
+//! view over the profile.
 
 use std::sync::Arc;
 use wqe::core::obs::Stage;
@@ -141,33 +141,6 @@ fn every_algorithm_attaches_a_profile() {
             "{alg} lost its profile"
         );
     }
-}
-
-#[test]
-fn without_profiler_disables_the_layer() {
-    let (ctx, wq) = paper_setup();
-    let profiled = try_answ(&Session::new(ctx.clone(), &wq, cfg()), &wq).unwrap();
-    let session = Session::new(ctx, &wq, cfg()).without_profiler();
-    let report = try_answ(&session, &wq).unwrap();
-    assert!(
-        report.profile.is_none(),
-        "profiling opt-out leaves no trace"
-    );
-    // Profiling only observes: the answer is the profiled run's, bit for bit.
-    let key = |r: &wqe::core::AnswerReport| {
-        r.best.as_ref().map(|b| {
-            (
-                b.closeness.to_bits(),
-                b.cost.to_bits(),
-                format!("{:?}/{:?}", b.ops, b.matches),
-            )
-        })
-    };
-    assert_eq!(key(&report), key(&profiled));
-    // Telemetry still works through its report-field fallback.
-    let t = GovernorTelemetry::from_report(&report);
-    assert_eq!(t.termination, "complete");
-    assert_eq!(t.match_steps, report.match_steps);
 }
 
 #[test]

@@ -130,10 +130,7 @@ fn concurrent_mixed_algorithms_match_direct_runs() {
                 queue_cap: questions.len() * ALGORITHMS.len(),
                 base_config: cfg.clone(),
                 // Cache off: every request must be *recomputed* identically.
-                cache: CacheConfig {
-                    capacity: 0,
-                    ..Default::default()
-                },
+                cache: CacheConfig { capacity: 0 },
                 ..Default::default()
             },
         );
@@ -354,10 +351,7 @@ fn priorities_never_change_answers_only_order() {
         ServiceConfig {
             max_inflight: 2,
             base_config: cfg.clone(),
-            cache: CacheConfig {
-                capacity: 0,
-                ..Default::default()
-            },
+            cache: CacheConfig { capacity: 0 },
             ..Default::default()
         },
     );
@@ -388,10 +382,7 @@ fn streaming_drop_and_shutdown_races_are_safe() {
             ServiceConfig {
                 max_inflight: 2,
                 base_config: cfg.clone(),
-                cache: CacheConfig {
-                    capacity: 0,
-                    ..Default::default()
-                },
+                cache: CacheConfig { capacity: 0 },
                 ..Default::default()
             },
         )
