@@ -23,18 +23,16 @@
 //! `frontier_batch = 1` reproduces the classic pop-one-evaluate-one order
 //! exactly.
 
-use crate::chase::Phase;
+use crate::chase::{Chase, Phase, Rewrite};
 use crate::error::WqeError;
-use crate::governor::{self, Termination};
+use crate::governor::Termination;
 use crate::opsgen::{next_ops, ScoredOp};
 use crate::session::{EvalResult, Session, WhyQuestion};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-use std::sync::Arc;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 use wqe_graph::NodeId;
-use wqe_pool::WorkerPool;
-use wqe_query::{AtomicOp, OpClass, PatternQuery};
+use wqe_query::{AtomicOp, PatternQuery};
 
 /// One suggested query rewrite with everything needed to present it.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -91,12 +89,18 @@ pub struct AnswerReport {
     /// Peak retained-search-state count observed by the governor (the
     /// quantity `max_frontier_states` caps).
     pub frontier_peak: usize,
-    /// The per-query stage/counter breakdown (see [`crate::obs`]). Every
-    /// algorithm sets it; `None` only on a report built by hand.
+    /// The per-query stage/counter breakdown (see [`crate::obs`]).
+    /// [`Session::run`] sets it; `None` only on a report built by hand.
     pub profile: Option<crate::obs::QueryProfile>,
 }
 
 impl AnswerReport {
+    /// Counts one rewrite evaluation: an expansion, and its truncation.
+    pub(crate) fn count(&mut self, eval: &EvalResult) {
+        self.expansions += 1;
+        self.truncated |= eval.outcome.truncated;
+    }
+
     /// A bit-exact fingerprint of the report's *answers*: best and top-k
     /// closeness/cost (as raw `f64` bits), operator sequences, match sets,
     /// satisfaction verdicts, and the termination reason. Two reports
@@ -146,55 +150,24 @@ impl Ord for OrdF64 {
     }
 }
 
+/// A frontier node: the rewrite, its evaluation, and its operator queue
+/// (generated lazily at the first visit, drawn in order).
 struct State {
-    query: PatternQuery,
-    ops: Vec<AtomicOp>,
-    cost: f64,
+    rewrite: Rewrite,
     eval: EvalResult,
-    phase: Phase,
     op_queue: Option<Vec<ScoredOp>>,
     next_op: usize,
 }
 
-/// One gathered-but-unevaluated frontier rewrite: the unit of work shipped
-/// to the worker pool during a batched expansion round.
-struct Candidate {
-    query: PatternQuery,
-    ops: Vec<AtomicOp>,
-    cost: f64,
-    phase: Phase,
-}
-
-/// Runs `AnsW` on a why-question, returning the report.
-///
-/// # Panics
-///
-/// Re-raises a worker panic after containment (see [`try_answ`]). Prefer
-/// `try_answ` when a failed query must not take the caller down.
-pub fn answ(session: &Session, question: &WhyQuestion) -> AnswerReport {
-    try_answ(session, question).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible `AnsW`: runs under the session's governor and maps a contained
-/// worker panic to [`WqeError::WorkerPanicked`] instead of unwinding, so
-/// one poisoned query cannot take down sibling sessions sharing the same
-/// `EngineCtx`.
-pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerReport, WqeError> {
-    let start = Instant::now();
-    let gov = Arc::clone(&session.governor);
-    let steps_before = gov.steps();
-    // The whole search runs inside a governor scope so every shared layer
-    // below (matcher fan-out, BFS oracle) can poll it via
-    // `governor::current()`, even on the gather path outside the pool.
-    let _gov_scope = governor::enter(Arc::clone(&gov));
-    // Likewise for the profiler: spans and counters recorded anywhere below
-    // (matcher, cache, oracle, pool) land in this session's profiler.
-    let _obs_scope = session.obs_scope();
-    let mut termination = Termination::Complete;
-    let budget = session.config.budget;
+/// `AnsW`'s best-first search, driven by [`Session::run`].
+pub(crate) fn search(
+    session: &Session,
+    question: &WhyQuestion,
+    start: Instant,
+) -> Result<AnswerReport, WqeError> {
     let top_k_n = session.config.top_k.max(1);
     let mut report = AnswerReport::default();
-    let mut visited: HashSet<String> = HashSet::new();
+    let mut chase = Chase::new(session, start);
     let mut arena: Vec<State> = Vec::new();
     // Max-heap on (closeness, lowest cost first, oldest first).
     let mut heap: BinaryHeap<(OrdF64, Reverse<OrdF64>, Reverse<usize>)> = BinaryHeap::new();
@@ -210,21 +183,11 @@ pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerRepor
         }
     };
 
-    let record = |state_query: &PatternQuery,
-                  ops: &[AtomicOp],
-                  cost: f64,
+    let record = |rewrite: &Rewrite,
                   eval: &EvalResult,
                   report: &mut AnswerReport,
-                  best_fallback: &mut Option<RewriteResult>,
-                  started: &Instant| {
-        let result = RewriteResult {
-            query: state_query.clone(),
-            ops: ops.to_vec(),
-            cost,
-            closeness: eval.closeness,
-            matches: eval.outcome.matches.clone(),
-            satisfies: eval.satisfies,
-        };
+                  best_fallback: &mut Option<RewriteResult>| {
+        let result = rewrite.result(eval);
         if best_fallback
             .as_ref()
             .is_none_or(|b| result.closeness > b.closeness)
@@ -246,7 +209,7 @@ pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerRepor
         }
         let new_best = report.top_k.first().map(|r| r.closeness);
         if new_best > prev_best || prev_best.is_none() {
-            let elapsed_us = started.elapsed().as_micros() as u64;
+            let elapsed_us = start.elapsed().as_micros() as u64;
             report.trace.push(TracePoint {
                 elapsed_us,
                 closeness: new_best.unwrap_or(f64::NEG_INFINITY),
@@ -269,94 +232,31 @@ pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerRepor
         }
     };
 
-    let pool = WorkerPool::new(session.config.parallelism);
-
-    // Root: the original query (line 2-3 of Fig. 5). Routed through the
-    // governed pool even though it is a single item, so a panic inside the
-    // evaluation surfaces as a typed error and a pre-tripped governor
-    // (deadline already past, cancelled before starting) is honoured
-    // before any work.
-    let (mut root_slots, root_halt) =
-        pool.map_governed(std::slice::from_ref(&question.query), &gov, |_, q| {
-            session.evaluate(q)
-        })?;
-    let Some(root_eval) = root_slots.pop().flatten() else {
-        report.termination = root_halt.unwrap_or(Termination::Cancelled);
-        report.match_steps = gov.steps() - steps_before;
-        report.frontier_peak = gov.frontier_peak();
-        report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        report.profile = Some(session.query_profile(
-            report.termination,
-            report.elapsed_ms,
-            report.expansions as u64,
-            report.match_steps,
-            report.frontier_peak as u64,
-        ));
+    let Some((root, root_eval)) = chase.root(question, &mut report)? else {
         return Ok(report);
     };
-    if let Some(t) = gov.charge_steps(root_eval.outcome.steps as u64) {
-        termination = t;
-    }
-    report.truncated |= root_eval.outcome.truncated;
-    visited.insert(question.query.signature());
-    record(
-        &question.query,
-        &[],
-        0.0,
-        &root_eval,
-        &mut report,
-        &mut best_fallback,
-        &start,
-    );
-    report.expansions += 1;
-    arena.push(State {
-        query: question.query.clone(),
-        ops: Vec::new(),
-        cost: 0.0,
-        eval: root_eval,
-        phase: Phase::Relax,
-        op_queue: None,
-        next_op: 0,
-    });
+    record(&root, &root_eval, &mut report, &mut best_fallback);
     heap.push((
-        OrdF64(arena[0].eval.closeness),
+        OrdF64(root_eval.closeness),
         Reverse(OrdF64(0.0)),
         Reverse(0),
     ));
-
-    let time_ok = |start: &Instant| -> bool {
-        session
-            .config
-            .time_limit_ms
-            .is_none_or(|ms| start.elapsed().as_millis() < ms as u128)
-    };
+    arena.push(State {
+        rewrite: root,
+        eval: root_eval,
+        op_queue: None,
+        next_op: 0,
+    });
 
     let batch_width = session.config.frontier_batch.max(1);
 
     'search: loop {
-        if termination.is_partial() {
-            break;
-        }
-        if let Some(t) = gov.check() {
-            termination = t;
-            break;
-        }
-        if !time_ok(&start) {
-            termination = Termination::Deadline;
-            break;
-        }
-        if report.expansions >= session.config.max_expansions {
-            termination = Termination::StepCap;
-            break;
-        }
-        // Early global termination: theoretically optimal reached.
         let best_cl = report
             .top_k
             .first()
             .map(|r| r.closeness)
             .unwrap_or(f64::NEG_INFINITY);
-        if best_cl >= session.cl_star - 1e-12 {
-            report.optimal_reached = true;
+        if chase.stop(&mut report, best_cl) {
             break;
         }
 
@@ -366,75 +266,33 @@ pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerRepor
         let width = batch_width.min(session.config.max_expansions - report.expansions);
         let kth = kth_best(&report.top_k);
         let chase_span = crate::obs::span(crate::obs::Stage::Chase);
-        let mut batch: Vec<Candidate> = Vec::new();
+        let mut batch: Vec<Rewrite> = Vec::new();
         while batch.len() < width {
             let Some(&(_, _, Reverse(idx))) = heap.peek() else {
                 break;
             };
-
-            // Lazily generate this state's operator queue (first visit).
-            {
+            // Simulate one Q-Chase step (line 8) with the state's next
+            // applicable operator; its queue is generated at the first
+            // visit.
+            let child = loop {
                 let st = &mut arena[idx];
-                if st.op_queue.is_none() {
-                    let ops = next_ops(session, &st.query, &st.eval, st.phase, kth);
-                    st.op_queue = Some(ops);
-                }
-            }
-
-            // Find the next applicable operator within budget.
-            let picked: Option<ScoredOp> = loop {
-                let st = &mut arena[idx];
-                let Some(queue) = st.op_queue.as_ref() else {
+                let queue = st.op_queue.get_or_insert_with(|| {
+                    next_ops(session, &st.rewrite.query, &st.eval, st.rewrite.phase, kth)
+                });
+                let Some(sop) = queue.get(st.next_op) else {
                     break None;
                 };
-                if st.next_op >= queue.len() {
-                    break None;
-                }
-                let sop = queue[st.next_op].clone();
                 st.next_op += 1;
-                if st.cost + sop.op.cost(session.graph()) > budget + 1e-9 {
-                    continue;
+                if let Some(child) = chase.child(&st.rewrite, &sop.op) {
+                    break Some(child);
                 }
-                // Canonicity (§4): never relax and refine the same literal
-                // slot or edge along one sequence — such pairs cancel out.
-                let mut extended = st.ops.clone();
-                extended.push(sop.op.clone());
-                if !wqe_query::is_canonical(&extended) {
-                    continue;
-                }
-                break Some(sop);
             };
-
-            let Some(sop) = picked else {
+            let Some(child) = child else {
                 // Backtrack: this chase node is exhausted (line 7 of Fig. 5).
                 heap.pop();
                 continue;
             };
-
-            // Simulate one Q-Chase step (line 8).
-            let st = &arena[idx];
-            let mut new_query = st.query.clone();
-            if sop.op.apply(&mut new_query).is_err() {
-                continue;
-            }
-            let mut new_ops = st.ops.clone();
-            new_ops.push(sop.op.clone());
-            let new_phase = match sop.op.class() {
-                OpClass::Relax => st.phase,
-                OpClass::Refine => Phase::Refine,
-            };
-            let new_cost = st.cost + sop.op.cost(session.graph());
-
-            let sig = new_query.signature();
-            if !visited.insert(sig) {
-                continue;
-            }
-            batch.push(Candidate {
-                query: new_query,
-                ops: new_ops,
-                cost: new_cost,
-                phase: new_phase,
-            });
+            batch.push(child);
         }
 
         drop(chase_span);
@@ -445,10 +303,7 @@ pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerRepor
         }
 
         // ---- Evaluate: fan the matcher runs out over the governed pool.
-        // Results come back in batch order regardless of worker scheduling;
-        // a halt (cancel/deadline) leaves later slots `None`, a worker
-        // panic surfaces as a typed error.
-        let (evals, halted) = pool.map_governed(&batch, &gov, |_, c| session.evaluate(&c.query))?;
+        let (evals, halted) = chase.evaluate(&batch)?;
 
         // ---- Merge: commit the *completed* evaluations serially in a
         // deterministic order — stable on (cost asc, closeness desc,
@@ -467,29 +322,16 @@ pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerRepor
                 .then_with(|| eb.closeness.total_cmp(&ea.closeness))
                 .then_with(|| op_keys[a].cmp(&op_keys[b]))
         });
-        let mut slots: Vec<Option<(Candidate, EvalResult)>> = batch
+        let mut slots: Vec<Option<(Rewrite, EvalResult)>> = batch
             .into_iter()
             .zip(evals)
             .map(|(c, e)| e.map(|e| (c, e)))
             .collect();
         for i in order {
-            let (cand, eval) = slots[i].take().expect("each slot committed once");
-            report.truncated |= eval.outcome.truncated;
-            report.expansions += 1;
-            let stepped = gov.charge_steps(eval.outcome.steps as u64);
-
-            record(
-                &cand.query,
-                &cand.ops,
-                cand.cost,
-                &eval,
-                &mut report,
-                &mut best_fallback,
-                &start,
-            );
-
-            if let Some(t) = stepped {
-                termination = t;
+            let (rewrite, eval) = slots[i].take().expect("each slot committed once");
+            let within_cap = chase.commit(&eval, &mut report);
+            record(&rewrite, &eval, &mut report, &mut best_fallback);
+            if !within_cap {
                 break 'search;
             }
 
@@ -498,31 +340,25 @@ pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerRepor
             // dead.
             let kth = kth_best(&report.top_k);
             if session.config.pruning
-                && cand.phase == Phase::Refine
+                && rewrite.phase == Phase::Refine
                 && eval.upper_bound <= kth + 1e-12
             {
                 continue;
             }
 
-            let closeness = eval.closeness;
-            let new_cost = cand.cost;
+            heap.push((
+                OrdF64(eval.closeness),
+                Reverse(OrdF64(rewrite.cost)),
+                Reverse(arena.len()),
+            ));
             arena.push(State {
-                query: cand.query,
-                ops: cand.ops,
-                cost: cand.cost,
+                rewrite,
                 eval,
-                phase: cand.phase,
                 op_queue: None,
                 next_op: 0,
             });
-            let new_idx = arena.len() - 1;
-            heap.push((
-                OrdF64(closeness),
-                Reverse(OrdF64(new_cost)),
-                Reverse(new_idx),
-            ));
-            if let Some(t) = gov.note_frontier(arena.len()) {
-                termination = t;
+            if let Some(t) = session.governor.note_frontier(arena.len()) {
+                report.termination = t;
                 break 'search;
             }
         }
@@ -530,31 +366,16 @@ pub fn try_answ(session: &Session, question: &WhyQuestion) -> Result<AnswerRepor
         drop(merge_span);
 
         if let Some(t) = halted {
-            termination = t;
+            report.termination = t;
             break 'search;
         }
     }
 
-    if report
+    report.optimal_reached = report
         .top_k
         .first()
-        .map(|r| r.closeness >= session.cl_star - 1e-12)
-        .unwrap_or(false)
-    {
-        report.optimal_reached = true;
-    }
+        .is_some_and(|r| r.closeness >= session.cl_star - 1e-12);
     report.best = report.top_k.first().cloned().or(best_fallback);
-    report.termination = termination;
-    report.match_steps = gov.steps() - steps_before;
-    report.frontier_peak = gov.frontier_peak();
-    report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    report.profile = Some(session.query_profile(
-        report.termination,
-        report.elapsed_ms,
-        report.expansions as u64,
-        report.match_steps,
-        report.frontier_peak as u64,
-    ));
     Ok(report)
 }
 
@@ -572,7 +393,7 @@ mod tests {
             let ctx = crate::ctx::EngineCtx::with_default_oracle(std::sync::Arc::new(g.clone()));
             let wq = paper_question(g);
             let session = Session::new(ctx.clone(), &wq, config);
-            answ(&session, &wq)
+            session.run(crate::Algorithm::AnsW, &wq).unwrap()
         };
         (pg, report)
     }

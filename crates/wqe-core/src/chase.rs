@@ -8,11 +8,18 @@
 //! relaxations precede all refinements (Lemma 4.1 shows every canonical
 //! sequence has an equivalent normal form; `wqe_query::normalize` is the
 //! constructive transformation). This module provides the step/sequence
-//! records used for lineage and the validity checks behind Theorem 4.3.
+//! records used for lineage, the validity checks behind Theorem 4.3, and
+//! `Chase`, the search machinery `AnsW` and `AnsHeu` share.
 
+use crate::answ::{AnswerReport, RewriteResult};
+use crate::error::WqeError;
 use crate::exemplar::compute_representation;
-use crate::session::Session;
+use crate::governor::Termination;
+use crate::session::{EvalResult, Session, WhyQuestion};
+use std::collections::HashSet;
+use std::time::Instant;
 use wqe_graph::NodeId;
+use wqe_pool::WorkerPool;
 use wqe_query::{is_canonical, is_normal_form, sequence_cost, AtomicOp, OpClass, PatternQuery};
 
 /// Which phase of a normal-form sequence a state is in.
@@ -22,6 +29,176 @@ pub enum Phase {
     Relax,
     /// At least one refinement applied; only refinements may follow.
     Refine,
+}
+
+/// A node of the Q-Chase tree: the rewrite `Q ⊕ O`, the operator sequence
+/// `O` (canonical, in normal form), its cost and its phase.
+pub(crate) struct Rewrite {
+    pub(crate) query: PatternQuery,
+    pub(crate) ops: Vec<AtomicOp>,
+    pub(crate) cost: f64,
+    pub(crate) phase: Phase,
+}
+
+impl Rewrite {
+    /// The reportable form of this rewrite under its evaluation.
+    pub(crate) fn result(&self, eval: &EvalResult) -> RewriteResult {
+        RewriteResult {
+            query: self.query.clone(),
+            ops: self.ops.clone(),
+            cost: self.cost,
+            closeness: eval.closeness,
+            matches: eval.outcome.matches.clone(),
+            satisfies: eval.satisfies,
+        }
+    }
+}
+
+/// The Q-Chase search state `AnsW` and `AnsHeu` share: the run's clock and
+/// worker pool, the visited set, the loop-head stop ladder and the one-step
+/// child constructor. The two algorithms differ only in which frontier
+/// nodes they expand and which children they keep.
+pub(crate) struct Chase<'s> {
+    session: &'s Session,
+    start: Instant,
+    pool: WorkerPool,
+    visited: HashSet<String>,
+}
+
+impl<'s> Chase<'s> {
+    /// A search over `session` whose clock started at `start`.
+    pub(crate) fn new(session: &'s Session, start: Instant) -> Self {
+        Chase {
+            session,
+            start,
+            pool: WorkerPool::new(session.config.parallelism),
+            visited: HashSet::new(),
+        }
+    }
+
+    /// Rewrites generated so far — the retained-state count of a search
+    /// that keeps no arena.
+    pub(crate) fn visited(&self) -> usize {
+        self.visited.len()
+    }
+
+    /// Evaluates `batch` on the governed pool. Results come back in batch
+    /// order whatever the worker scheduling; a halt (cancel/deadline)
+    /// leaves later slots `None`, a worker panic is a typed error.
+    pub(crate) fn evaluate(
+        &self,
+        batch: &[Rewrite],
+    ) -> Result<(Vec<Option<EvalResult>>, Option<Termination>), WqeError> {
+        let session = self.session;
+        Ok(self
+            .pool
+            .map_governed(batch, &session.governor, |_, r| session.evaluate(&r.query))?)
+    }
+
+    /// The root of the tree, the original query (Fig. 5 lines 2-3). It goes
+    /// through the governed pool like any batch, so a panic in it is a
+    /// typed error and a halt that lands first leaves no root (`None`).
+    pub(crate) fn root(
+        &mut self,
+        question: &WhyQuestion,
+        report: &mut AnswerReport,
+    ) -> Result<Option<(Rewrite, EvalResult)>, WqeError> {
+        let root = Rewrite {
+            query: question.query.clone(),
+            ops: Vec::new(),
+            cost: 0.0,
+            phase: Phase::Relax,
+        };
+        let (mut slots, _) = self.evaluate(std::slice::from_ref(&root))?;
+        let Some(eval) = slots.pop().flatten() else {
+            return Ok(None);
+        };
+        self.visited.insert(root.query.signature());
+        self.commit(&eval, report);
+        Ok(Some((root, eval)))
+    }
+
+    /// Commits one evaluation: counts it and charges its match steps. Call
+    /// from serial merge code only, so step-cap trips are a function of the
+    /// trajectory. `false` (with the report tagged) once the cap tripped.
+    pub(crate) fn commit(&self, eval: &EvalResult, report: &mut AnswerReport) -> bool {
+        report.count(eval);
+        match self
+            .session
+            .governor
+            .charge_steps(eval.outcome.steps as u64)
+        {
+            Some(t) => {
+                report.termination = t;
+                false
+            }
+            None => true,
+        }
+    }
+
+    /// Whether the `time_limit_ms` clock still allows work.
+    pub(crate) fn time_ok(&self) -> bool {
+        self.session
+            .config
+            .time_limit_ms
+            .is_none_or(|ms| self.start.elapsed().as_millis() < ms as u128)
+    }
+
+    /// The loop-head stop ladder: an already-tagged stop, a governor trip,
+    /// the clock, `max_expansions`, then the theoretical optimum — the one
+    /// stop that stays [`Termination::Complete`]. Returns whether to stop,
+    /// with the report tagged.
+    pub(crate) fn stop(&self, report: &mut AnswerReport, best_closeness: f64) -> bool {
+        if report.termination.is_partial() {
+            return true;
+        }
+        let session = self.session;
+        let halt = session
+            .governor
+            .check()
+            .or_else(|| (!self.time_ok()).then_some(Termination::Deadline))
+            .or_else(|| {
+                (report.expansions >= session.config.max_expansions).then_some(Termination::StepCap)
+            });
+        match halt {
+            Some(t) => {
+                report.termination = t;
+                true
+            }
+            None => best_closeness >= session.cl_star - 1e-12,
+        }
+    }
+
+    /// One Q-Chase step (Fig. 5 line 8): `parent ⊕ op`, or `None` when the
+    /// op overruns the budget, would relax and refine the same literal slot
+    /// or edge (canonicity, §4), does not apply, or reaches a rewrite
+    /// already visited. A refinement moves the child into the refine phase.
+    pub(crate) fn child(&mut self, parent: &Rewrite, op: &AtomicOp) -> Option<Rewrite> {
+        let cost = parent.cost + op.cost(self.session.graph());
+        if cost > self.session.config.budget + 1e-9 {
+            return None;
+        }
+        let mut ops = parent.ops.clone();
+        ops.push(op.clone());
+        if !is_canonical(&ops) {
+            return None;
+        }
+        let mut query = parent.query.clone();
+        op.apply(&mut query).ok()?;
+        if !self.visited.insert(query.signature()) {
+            return None;
+        }
+        let phase = match op.class() {
+            OpClass::Relax => parent.phase,
+            OpClass::Refine => Phase::Refine,
+        };
+        Some(Rewrite {
+            query,
+            ops,
+            cost,
+            phase,
+        })
+    }
 }
 
 /// One recorded Q-Chase step `(Q_i, E_i) --v,t,l--> (Q_{i+1}, E_{i+1})`.

@@ -1,19 +1,15 @@
 //! The `WqeEngine` facade: one object bundling a why-question session with
 //! every algorithm of the paper.
 
-use crate::answ::{answ, try_answ, AnswerReport, RewriteResult};
+use crate::answ::{AnswerReport, RewriteResult};
 use crate::ctx::EngineCtx;
 use crate::error::WqeError;
 use crate::explain::DifferentialTable;
-use crate::fmansw::fm_answ;
-use crate::heuristic::{ans_heu, try_ans_heu, Selection};
 use crate::session::{EvalResult, Session, WhyQuestion, WqeConfig};
-use crate::whyempty::ans_we;
-use crate::whymany::apx_why_many;
 
-/// Which algorithm variant to run — the complete §5–§6 catalogue, so
-/// [`WqeEngine::run`] / [`WqeEngine::try_run`] are the one entry point for
-/// every question kind.
+/// Which algorithm variant to run — the complete §5–§6 catalogue. Every
+/// variant runs through the one driver, [`Session::run`], which governs,
+/// profiles and contains it.
 ///
 /// Tunables live in [`crate::session::WqeConfig`], not here: the beam
 /// width of `AnsHeu`/`AnsHeuB` comes from
@@ -148,15 +144,7 @@ impl WqeEngine {
         question: WhyQuestion,
         config: WqeConfig,
     ) -> Result<Self, crate::error::WqeError> {
-        let session = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Session::try_new(ctx, &question, config)
-        }))
-        .unwrap_or_else(|p| {
-            Err(WqeError::WorkerPanicked {
-                item: 0,
-                message: panic_message(&p),
-            })
-        })?;
+        let session = crate::error::contain(|| Session::try_new(ctx, &question, config))?;
         Ok(WqeEngine { session, question })
     }
 
@@ -174,9 +162,9 @@ impl WqeEngine {
     /// Installs a streaming progress sink on the underlying session: it
     /// receives an [`crate::session::AnswerUpdate`] each time the anytime
     /// search improves its best-so-far answer (see
-    /// [`Session::with_progress`]). Algorithms without an incremental
-    /// emission point (the heuristics, `WhyMany`, `WhyEmpty`) simply never
-    /// call it; callers stream the final report regardless.
+    /// [`Session::with_progress`]). Only `AnsW` and its ablations emit
+    /// updates; every other algorithm emits none, and callers stream the
+    /// final report regardless.
     pub fn with_progress(mut self, sink: crate::session::ProgressSink) -> Self {
         self.session = self.session.with_progress(sink);
         self
@@ -192,71 +180,34 @@ impl WqeEngine {
         self.session.evaluate(&self.question.query)
     }
 
-    /// The canonical entry point: dispatches any [`Algorithm`] variant.
+    /// Runs `algorithm` on the engine's question and unwraps the result.
     ///
     /// Tunables come from the session's [`WqeConfig`] (beam width
     /// included). Note: `AnsWnc`/`AnsWb` take effect via the session's
     /// `caching`/`pruning` flags, so construct the engine with
     /// [`Algorithm::apply_to`]'s output (the `QueryService` does this for
-    /// every request); this method only dispatches the search strategy.
+    /// every request).
     ///
     /// # Panics
     ///
-    /// Propagates worker panics; use [`WqeEngine::try_run`] for the
-    /// panic-contained variant.
+    /// Re-raises a contained panic; use [`WqeEngine::try_run`] when a
+    /// failed query must not take the caller down.
     pub fn run(&self, algorithm: Algorithm) -> AnswerReport {
-        match algorithm {
-            Algorithm::AnsW | Algorithm::AnsWnc | Algorithm::AnsWb => {
-                answ(&self.session, &self.question)
-            }
-            Algorithm::AnsHeu => ans_heu(&self.session, &self.question, None, Selection::Picky),
-            Algorithm::AnsHeuB(seed) => {
-                ans_heu(&self.session, &self.question, None, Selection::Random(seed))
-            }
-            Algorithm::FMAnsW => fm_answ(&self.session, &self.question),
-            Algorithm::WhyMany => apx_why_many(&self.session, &self.question),
-            Algorithm::WhyEmpty => ans_we(&self.session, &self.question),
-        }
+        self.try_run(algorithm).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`run`](WqeEngine::run): a worker panic during the search
-    /// is contained and surfaced as [`WqeError::WorkerPanicked`] — this
-    /// query fails, the process (and every sibling engine sharing the same
-    /// [`EngineCtx`]) keeps running. The whole dispatch is wrapped, not
-    /// just the pool fan-out, so a panic *outside* a worker (scoring,
-    /// representation maintenance, an injected fault between batches) is
-    /// contained identically — `try_run` never unwinds.
+    /// Runs `algorithm` through [`Session::run`]: a panic anywhere in the
+    /// search is contained and surfaced as [`WqeError::WorkerPanicked`] —
+    /// this query fails, the process (and every sibling engine sharing the
+    /// same [`EngineCtx`]) keeps running.
     pub fn try_run(&self, algorithm: Algorithm) -> Result<AnswerReport, WqeError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match algorithm {
-            Algorithm::AnsW | Algorithm::AnsWnc | Algorithm::AnsWb => {
-                try_answ(&self.session, &self.question)
-            }
-            Algorithm::AnsHeu => try_ans_heu(&self.session, &self.question, None, Selection::Picky),
-            Algorithm::AnsHeuB(seed) => {
-                try_ans_heu(&self.session, &self.question, None, Selection::Random(seed))
-            }
-            Algorithm::FMAnsW | Algorithm::WhyMany | Algorithm::WhyEmpty => Ok(self.run(algorithm)),
-        }))
-        .unwrap_or_else(|p| {
-            Err(WqeError::WorkerPanicked {
-                item: 0,
-                message: panic_message(&p),
-            })
-        })
+        self.session.run(algorithm, &self.question)
     }
 
     /// Builds the differential-table explanation for a result (§5.4).
     pub fn explain(&self, result: &RewriteResult) -> Option<DifferentialTable> {
         DifferentialTable::build(&self.session, &self.question.query, &result.ops)
     }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
-    p.downcast_ref::<&'static str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]

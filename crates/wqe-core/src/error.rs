@@ -179,6 +179,20 @@ impl From<wqe_pool::PoolError> for WqeError {
     }
 }
 
+/// Runs `f`, containing a panic anywhere inside it as
+/// [`WqeError::WorkerPanicked`] so a failed build or search never unwinds
+/// into the caller.
+pub(crate) fn contain<T>(f: impl FnOnce() -> Result<T, WqeError>) -> Result<T, WqeError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|p| {
+        let message = p
+            .downcast_ref::<&'static str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| p.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        Err(WqeError::WorkerPanicked { item: 0, message })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,23 +7,13 @@
 //! records the step. The per-session time cost is the paper's *system
 //! response time* (§4 "Interpretation of Q-Chase").
 
-use crate::answ::answ;
 use crate::ctx::EngineCtx;
+use crate::engine::Algorithm;
 use crate::exemplar::Exemplar;
 use crate::explain::DifferentialTable;
-use crate::heuristic::{ans_heu, Selection};
 use crate::session::{Session, WhyQuestion, WqeConfig};
 use wqe_graph::NodeId;
 use wqe_query::{AtomicOp, PatternQuery};
-
-/// How a session searches for the rewrite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionStrategy {
-    /// Fast interactive response (`AnsHeu` with the given beam width).
-    Beam(usize),
-    /// Exact anytime search (`AnsW`).
-    Exact,
-}
 
 /// One completed search session.
 #[derive(Debug, Clone)]
@@ -90,19 +80,26 @@ impl Explorer {
         session.evaluate(&self.current).outcome.matches
     }
 
-    /// Runs one search session against `exemplar`, adopting the suggested
-    /// rewrite when it improves closeness. Returns the session record.
-    pub fn session(&mut self, exemplar: &Exemplar, strategy: SessionStrategy) -> &SessionRecord {
+    /// Runs one search session against `exemplar` with `algorithm` —
+    /// typically `AnsHeu` for a fast interactive response, `AnsW` for the
+    /// exact anytime search — adopting the suggested rewrite when it
+    /// improves closeness. Returns the session record.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic contained during the search (see
+    /// [`Session::run`]).
+    pub fn session(&mut self, exemplar: &Exemplar, algorithm: Algorithm) -> &SessionRecord {
         let question = WhyQuestion {
             query: self.current.clone(),
             exemplar: exemplar.clone(),
         };
-        let session = Session::new(self.ctx.clone(), &question, self.config.clone());
+        let config = algorithm.apply_to(self.config.clone());
+        let session = Session::new(self.ctx.clone(), &question, config);
         let before = session.evaluate(&self.current);
-        let report = match strategy {
-            SessionStrategy::Beam(k) => ans_heu(&session, &question, Some(k), Selection::Picky),
-            SessionStrategy::Exact => answ(&session, &question),
-        };
+        let report = session
+            .run(algorithm, &question)
+            .unwrap_or_else(|e| panic!("{e}"));
         let record = match report.best {
             Some(best) if best.closeness > before.closeness + 1e-12 => {
                 let lineage = DifferentialTable::build(&session, &self.current, &best.ops);
@@ -167,7 +164,7 @@ mod tests {
         );
         assert_eq!(explorer.answers().len(), 3);
         let ex = paper_exemplar(g);
-        let rec = explorer.session(&ex, SessionStrategy::Exact);
+        let rec = explorer.session(&ex, Algorithm::AnsW);
         assert!(!rec.ops.is_empty());
         assert!((rec.closeness - 0.5).abs() < 1e-9);
         assert!(rec.lineage.is_some());
@@ -187,14 +184,15 @@ mod tests {
             paper_query(g),
             WqeConfig {
                 budget: 4.0, // enough to reach cl* in the first session
+                beam_width: 2,
                 ..Default::default()
             },
         );
         let ex = paper_exemplar(g);
         // First session reaches the optimum; a second cannot improve.
-        explorer.session(&ex, SessionStrategy::Exact);
+        explorer.session(&ex, Algorithm::AnsW);
         let sig_before = explorer.current_query().signature();
-        let rec = explorer.session(&ex, SessionStrategy::Beam(2));
+        let rec = explorer.session(&ex, Algorithm::AnsHeu);
         assert!(rec.ops.is_empty());
         assert_eq!(explorer.current_query().signature(), sig_before);
     }
@@ -213,7 +211,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        explorer.session(&paper_exemplar(g), SessionStrategy::Exact);
+        explorer.session(&paper_exemplar(g), Algorithm::AnsW);
         assert_ne!(explorer.current_query().signature(), sig0);
         assert!(explorer.undo());
         assert_eq!(explorer.current_query().signature(), sig0);

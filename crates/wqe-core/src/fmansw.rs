@@ -10,7 +10,6 @@
 use crate::answ::{AnswerReport, RewriteResult};
 use crate::session::{Session, WhyQuestion};
 use std::collections::HashMap;
-use std::time::Instant;
 use wqe_graph::{AttrValue, CmpOp, LabelId, NodeId};
 use wqe_query::{AtomicOp, Literal};
 
@@ -190,15 +189,14 @@ fn mine_ops(session: &Session, question: &WhyQuestion) -> Vec<(f64, AtomicOp)> {
     ops
 }
 
-/// Runs the FM baseline: greedy application of frequency-ranked operators.
-pub fn fm_answ(session: &Session, question: &WhyQuestion) -> AnswerReport {
-    let start = Instant::now();
-    let _obs_scope = session.obs_scope();
+/// The FM baseline, driven by [`Session::run`]: greedy application of
+/// frequency-ranked operators.
+pub(crate) fn search(session: &Session, question: &WhyQuestion) -> AnswerReport {
     let mut report = AnswerReport::default();
     let budget = session.config.budget;
 
     let base = session.evaluate(&question.query);
-    report.expansions += 1;
+    report.count(&base);
     let mut best = RewriteResult {
         query: question.query.clone(),
         ops: Vec::new(),
@@ -219,7 +217,7 @@ pub fn fm_answ(session: &Session, question: &WhyQuestion) -> AnswerReport {
             continue;
         }
         let eval = session.evaluate(&q);
-        report.expansions += 1;
+        report.count(&eval);
         if eval.closeness > current.closeness + 1e-12 {
             current = RewriteResult {
                 query: q,
@@ -242,20 +240,13 @@ pub fn fm_answ(session: &Session, question: &WhyQuestion) -> AnswerReport {
     }
 
     report.best = Some(best);
-    report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    report.profile = Some(session.query_profile(
-        report.termination,
-        report.elapsed_ms,
-        report.expansions as u64,
-        report.match_steps,
-        report.frontier_peak as u64,
-    ));
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Algorithm;
     use crate::paper::paper_question;
     use crate::session::{Session, WqeConfig};
     use wqe_graph::product::product_graph;
@@ -275,7 +266,7 @@ mod tests {
             },
         );
         let base = session.evaluate(&wq.query);
-        let report = fm_answ(&session, &wq);
+        let report = session.run(Algorithm::FMAnsW, &wq).unwrap();
         let best = report.best.unwrap();
         assert!(best.closeness >= base.closeness);
         assert!(best.cost <= 4.0 + 1e-9);
@@ -295,8 +286,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let fm = fm_answ(&session, &wq);
-        let exact = crate::answ::answ(&session, &wq);
+        let fm = session.run(Algorithm::FMAnsW, &wq).unwrap();
+        let exact = session.run(Algorithm::AnsW, &wq).unwrap();
         let cl = |r: &AnswerReport| r.best.as_ref().map(|b| b.closeness).unwrap_or(-1.0);
         assert!(cl(&fm) <= cl(&exact) + 1e-9);
     }
@@ -309,7 +300,7 @@ mod tests {
         let mut wq = paper_question(g);
         wq.exemplar = crate::exemplar::Exemplar::new();
         let session = Session::new(ctx.clone(), &wq, WqeConfig::default());
-        let report = fm_answ(&session, &wq);
+        let report = session.run(Algorithm::FMAnsW, &wq).unwrap();
         assert!(report.best.is_some());
     }
 }

@@ -8,25 +8,12 @@
 //! ablation isolating the value of picky generation).
 
 use crate::answ::{AnswerReport, RewriteResult, TracePoint};
-use crate::chase::Phase;
+use crate::chase::{Chase, Rewrite};
 use crate::error::WqeError;
-use crate::governor::{self, Termination};
 use crate::opsgen::{next_ops, ScoredOp};
 use crate::session::{EvalResult, Session, WhyQuestion};
-use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::Instant;
-use wqe_pool::WorkerPool;
-use wqe_query::{AtomicOp, OpClass, PatternQuery};
-
-/// Operator-selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Selection {
-    /// Rank by pickiness (the real `AnsHeu`).
-    Picky,
-    /// Pseudo-random ranking with the given seed (`AnsHeuB`).
-    Random(u64),
-}
+use wqe_query::AtomicOp;
 
 /// A tiny deterministic xorshift generator — enough to randomize operator
 /// order without pulling a dependency into the core crate.
@@ -44,22 +31,6 @@ impl XorShift {
         self.0 = x;
         (x >> 11) as f64 / (1u64 << 53) as f64
     }
-}
-
-struct BeamState {
-    query: PatternQuery,
-    ops: Vec<AtomicOp>,
-    cost: f64,
-    eval: EvalResult,
-    phase: Phase,
-}
-
-/// A gathered-but-unevaluated beam child, shipped to the worker pool.
-struct BeamCandidate {
-    query: PatternQuery,
-    ops: Vec<AtomicOp>,
-    cost: f64,
-    phase: Phase,
 }
 
 /// The class bucket an operator falls into (Table 1's eight classes).
@@ -88,117 +59,38 @@ fn cap_per_class(ops: Vec<ScoredOp>, k: usize) -> Vec<ScoredOp> {
         .collect()
 }
 
-/// Runs beam-search Q-Chase. `beam` overrides the session's configured
-/// width when `Some`.
-///
-/// # Panics
-///
-/// Re-raises a worker panic after containment (see [`try_ans_heu`]).
-pub fn ans_heu(
+/// Beam-search Q-Chase, driven by [`Session::run`]: picky operator
+/// selection, or pseudo-random selection seeded by `seed` (`AnsHeuB`). The
+/// beam width is [`WqeConfig::beam_width`](crate::session::WqeConfig::beam_width).
+pub(crate) fn search(
     session: &Session,
     question: &WhyQuestion,
-    beam: Option<usize>,
-    selection: Selection,
-) -> AnswerReport {
-    try_ans_heu(session, question, beam, selection).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible beam-search Q-Chase: runs under the session's governor and maps
-/// a contained worker panic to [`WqeError::WorkerPanicked`].
-pub fn try_ans_heu(
-    session: &Session,
-    question: &WhyQuestion,
-    beam: Option<usize>,
-    selection: Selection,
+    start: Instant,
+    seed: Option<u64>,
 ) -> Result<AnswerReport, WqeError> {
-    let start = Instant::now();
-    let gov = Arc::clone(&session.governor);
-    let steps_before = gov.steps();
-    let _gov_scope = governor::enter(Arc::clone(&gov));
-    let _obs_scope = session.obs_scope();
-    let mut termination = Termination::Complete;
-    let k = beam.unwrap_or(session.config.beam_width).max(1);
-    let budget = session.config.budget;
+    let k = session.config.beam_width.max(1);
     let mut report = AnswerReport::default();
-    let mut visited: HashSet<String> = HashSet::new();
-    let mut rng = match selection {
-        Selection::Random(seed) => Some(XorShift::new(seed)),
-        Selection::Picky => None,
-    };
+    let mut chase = Chase::new(session, start);
+    let mut rng = seed.map(XorShift::new);
 
     let mut best: Option<RewriteResult> = None;
     let mut best_satisfying_cl = f64::NEG_INFINITY;
 
-    let pool = WorkerPool::new(session.config.parallelism);
-
-    let (mut root_slots, root_halt) =
-        pool.map_governed(std::slice::from_ref(&question.query), &gov, |_, q| {
-            session.evaluate(q)
-        })?;
-    let Some(root_eval) = root_slots.pop().flatten() else {
-        report.termination = root_halt.unwrap_or(Termination::Cancelled);
-        report.match_steps = gov.steps() - steps_before;
-        report.frontier_peak = gov.frontier_peak();
-        report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-        report.profile = Some(session.query_profile(
-            report.termination,
-            report.elapsed_ms,
-            report.expansions as u64,
-            report.match_steps,
-            report.frontier_peak as u64,
-        ));
+    let Some((root, root_eval)) = chase.root(question, &mut report)? else {
         return Ok(report);
     };
-    if let Some(t) = gov.charge_steps(root_eval.outcome.steps as u64) {
-        termination = t;
-    }
-    report.truncated |= root_eval.outcome.truncated;
-    visited.insert(question.query.signature());
-    report.expansions += 1;
     consider(
-        session,
-        &question.query,
-        &[],
-        0.0,
+        &root,
         &root_eval,
-        &start,
+        start,
         &mut best,
         &mut best_satisfying_cl,
         &mut report,
     );
-
-    let mut frontier = vec![BeamState {
-        query: question.query.clone(),
-        ops: Vec::new(),
-        cost: 0.0,
-        eval: root_eval,
-        phase: Phase::Relax,
-    }];
-
-    let time_ok = |start: &Instant| -> bool {
-        session
-            .config
-            .time_limit_ms
-            .is_none_or(|ms| start.elapsed().as_millis() < ms as u128)
-    };
+    let mut frontier = vec![(root, root_eval)];
 
     while !frontier.is_empty() {
-        if termination.is_partial() {
-            break;
-        }
-        if let Some(t) = gov.check() {
-            termination = t;
-            break;
-        }
-        if !time_ok(&start) {
-            termination = Termination::Deadline;
-            break;
-        }
-        if report.expansions >= session.config.max_expansions {
-            termination = Termination::StepCap;
-            break;
-        }
-        if best_satisfying_cl >= session.cl_star - 1e-12 {
+        if chase.stop(&mut report, best_satisfying_cl) {
             break;
         }
         // ---- Gather: propose this level's children serially. Operator
@@ -207,9 +99,9 @@ pub fn try_ans_heu(
         // never depends on evaluation interleaving (thread count).
         let level_cl = best_satisfying_cl;
         let chase_span = crate::obs::span(crate::obs::Stage::Chase);
-        let mut cands: Vec<BeamCandidate> = Vec::new();
-        'gather: for state in &frontier {
-            let mut ops = next_ops(session, &state.query, &state.eval, state.phase, level_cl);
+        let mut cands: Vec<Rewrite> = Vec::new();
+        'gather: for (state, eval) in &frontier {
+            let mut ops = next_ops(session, &state.query, eval, state.phase, level_cl);
             if let Some(rng) = rng.as_mut() {
                 // AnsHeuB: shuffle by random scores.
                 let mut scored: Vec<(f64, ScoredOp)> =
@@ -217,40 +109,13 @@ pub fn try_ans_heu(
                 scored.sort_by(|a, b| b.0.total_cmp(&a.0));
                 ops = scored.into_iter().map(|(_, o)| o).collect();
             }
-            let ops = cap_per_class(ops, k);
-            for sop in ops {
-                if state.cost + sop.op.cost(session.graph()) > budget + 1e-9 {
+            for sop in cap_per_class(ops, k) {
+                let Some(child) = chase.child(state, &sop.op) else {
                     continue;
-                }
-                // Canonicity (§4): skip ops that would relax and refine the
-                // same component along one sequence.
-                let mut extended = state.ops.clone();
-                extended.push(sop.op.clone());
-                if !wqe_query::is_canonical(&extended) {
-                    continue;
-                }
-                let mut nq = state.query.clone();
-                if sop.op.apply(&mut nq).is_err() {
-                    continue;
-                }
-                if !visited.insert(nq.signature()) {
-                    continue;
-                }
-                let mut nops = state.ops.clone();
-                nops.push(sop.op.clone());
-                let cost = state.cost + sop.op.cost(session.graph());
-                let phase = match sop.op.class() {
-                    OpClass::Relax => state.phase,
-                    OpClass::Refine => Phase::Refine,
                 };
-                cands.push(BeamCandidate {
-                    query: nq,
-                    ops: nops,
-                    cost,
-                    phase,
-                });
+                cands.push(child);
                 if report.expansions + cands.len() >= session.config.max_expansions
-                    || !time_ok(&start)
+                    || !chase.time_ok()
                 {
                     break 'gather;
                 }
@@ -259,52 +124,39 @@ pub fn try_ans_heu(
 
         drop(chase_span);
 
-        // Retained-state accounting: every gathered signature stays in
-        // `visited` for the rest of the search, so its size is the beam
+        // Retained-state accounting: every gathered signature stays in the
+        // visited set for the rest of the search, so its size is the beam
         // search's memory footprint. Gather is serial, so this trip is
         // deterministic at any thread count.
-        if let Some(t) = gov.note_frontier(visited.len()) {
-            termination = t;
+        if let Some(t) = session.governor.note_frontier(chase.visited()) {
+            report.termination = t;
             break;
         }
 
         // ---- Evaluate the whole level on the governed pool, then merge
         // the completed slots serially in gather order so `best`/trace
-        // updates are deterministic. A halt leaves later slots `None`; a
-        // worker panic surfaces as a typed error.
-        let (evals, halted) = pool.map_governed(&cands, &gov, |_, c| session.evaluate(&c.query))?;
+        // updates are deterministic.
+        let (evals, halted) = chase.evaluate(&cands)?;
         let merge_span = crate::obs::span(crate::obs::Stage::Merge);
-        let mut children: Vec<BeamState> = Vec::with_capacity(cands.len());
+        let mut children: Vec<(Rewrite, EvalResult)> = Vec::with_capacity(cands.len());
         for (cand, eval) in cands.into_iter().zip(evals) {
             let Some(eval) = eval else { continue };
-            report.truncated |= eval.outcome.truncated;
-            report.expansions += 1;
-            let stepped = gov.charge_steps(eval.outcome.steps as u64);
+            let within_cap = chase.commit(&eval, &mut report);
             consider(
-                session,
-                &cand.query,
-                &cand.ops,
-                cand.cost,
+                &cand,
                 &eval,
-                &start,
+                start,
                 &mut best,
                 &mut best_satisfying_cl,
                 &mut report,
             );
-            children.push(BeamState {
-                query: cand.query,
-                ops: cand.ops,
-                cost: cand.cost,
-                eval,
-                phase: cand.phase,
-            });
-            if let Some(t) = stepped {
-                termination = t;
+            children.push((cand, eval));
+            if !within_cap {
                 break;
             }
         }
         if let Some(t) = halted {
-            termination = t;
+            report.termination = t;
         }
         // Beam: keep the global top-k children ranked by the optimistic
         // bound cl⁺ first, closeness second, cost third. Ranking by raw
@@ -314,11 +166,10 @@ pub fn try_ans_heu(
         // can never relax again. cl⁺ is exactly the closeness such a state
         // can still reach by refining (Lemma 5.5(2)), so it is the sound
         // beam objective; the anytime best is still tracked by closeness.
-        children.sort_by(|a, b| {
-            b.eval
-                .upper_bound
-                .total_cmp(&a.eval.upper_bound)
-                .then(b.eval.closeness.total_cmp(&a.eval.closeness))
+        children.sort_by(|(a, ea), (b, eb)| {
+            eb.upper_bound
+                .total_cmp(&ea.upper_bound)
+                .then(eb.closeness.total_cmp(&ea.closeness))
                 .then(a.cost.total_cmp(&b.cost))
         });
         children.truncate(k);
@@ -333,40 +184,18 @@ pub fn try_ans_heu(
         }
     }
     report.best = best;
-    report.termination = termination;
-    report.match_steps = gov.steps() - steps_before;
-    report.frontier_peak = gov.frontier_peak();
-    report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    report.profile = Some(session.query_profile(
-        report.termination,
-        report.elapsed_ms,
-        report.expansions as u64,
-        report.match_steps,
-        report.frontier_peak as u64,
-    ));
     Ok(report)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn consider(
-    _session: &Session,
-    q: &PatternQuery,
-    ops: &[AtomicOp],
-    cost: f64,
+    rewrite: &Rewrite,
     eval: &EvalResult,
-    start: &Instant,
+    start: Instant,
     best: &mut Option<RewriteResult>,
     best_satisfying_cl: &mut f64,
     report: &mut AnswerReport,
 ) {
-    let candidate = RewriteResult {
-        query: q.clone(),
-        ops: ops.to_vec(),
-        cost,
-        closeness: eval.closeness,
-        matches: eval.outcome.matches.clone(),
-        satisfies: eval.satisfies,
-    };
+    let candidate = rewrite.result(eval);
     let better = match best.as_ref() {
         None => true,
         Some(b) => {
@@ -390,11 +219,12 @@ fn consider(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Algorithm;
     use crate::paper::paper_question;
     use crate::session::{Session, WqeConfig};
     use wqe_graph::product::product_graph;
 
-    fn run(beam: usize, selection: Selection) -> AnswerReport {
+    fn run(beam: usize, algorithm: Algorithm) -> AnswerReport {
         let pg = product_graph();
         let g = &pg.graph;
         let ctx = crate::ctx::EngineCtx::with_default_oracle(std::sync::Arc::new(g.clone()));
@@ -408,12 +238,12 @@ mod tests {
                 ..WqeConfig::default()
             },
         );
-        ans_heu(&session, &wq, None, selection)
+        session.run(algorithm, &wq).unwrap()
     }
 
     #[test]
     fn beam_finds_good_rewrite() {
-        let report = run(3, Selection::Picky);
+        let report = run(3, Algorithm::AnsHeu);
         let best = report.best.expect("found");
         assert!(best.satisfies, "beam should find a satisfying rewrite");
         assert!(best.closeness >= 0.5 - 1e-9, "cl = {}", best.closeness);
@@ -421,24 +251,24 @@ mod tests {
 
     #[test]
     fn wider_beam_no_worse() {
-        let narrow = run(1, Selection::Picky);
-        let wide = run(5, Selection::Picky);
+        let narrow = run(1, Algorithm::AnsHeu);
+        let wide = run(5, Algorithm::AnsHeu);
         let cl = |r: &AnswerReport| r.best.as_ref().map(|b| b.closeness).unwrap_or(-1.0);
         assert!(cl(&wide) >= cl(&narrow) - 1e-9);
     }
 
     #[test]
     fn random_selection_is_deterministic_per_seed() {
-        let a = run(2, Selection::Random(42));
-        let b = run(2, Selection::Random(42));
+        let a = run(2, Algorithm::AnsHeuB(42));
+        let b = run(2, Algorithm::AnsHeuB(42));
         let cl = |r: &AnswerReport| r.best.as_ref().map(|x| x.closeness);
         assert_eq!(cl(&a), cl(&b));
     }
 
     #[test]
     fn narrower_beam_explores_less() {
-        let narrow = run(1, Selection::Picky);
-        let wide = run(5, Selection::Picky);
+        let narrow = run(1, Algorithm::AnsHeu);
+        let wide = run(5, Algorithm::AnsHeu);
         assert!(narrow.expansions <= wide.expansions);
         // A beam of width k simulates at most 8k chase steps per level and
         // at most B levels (every operator costs >= 1), plus the root.
@@ -449,7 +279,7 @@ mod tests {
 
     #[test]
     fn respects_budget() {
-        let report = run(3, Selection::Picky);
+        let report = run(3, Algorithm::AnsHeu);
         if let Some(b) = report.best {
             assert!(b.cost <= 4.0 + 1e-9);
         }

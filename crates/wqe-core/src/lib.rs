@@ -8,6 +8,10 @@
 //! `AnsWE` (Why-Empty), the `FMAnsW` baseline, top-k suggestion, and
 //! differential-table explanations.
 //!
+//! Each algorithm is an [`Algorithm`] variant with one entry point:
+//! [`Session::run`] (or [`WqeEngine::run`] / [`WqeEngine::try_run`], which
+//! call it) governs, profiles and panic-contains every search.
+//!
 //! The engine owns its inputs through a shared [`ctx::EngineCtx`]
 //! (`Arc<Graph>` + `Arc<dyn DistanceOracle>`), built through
 //! [`ctx::EngineCtx::builder`], so engines are `'static`, `Send + Sync`,
@@ -83,7 +87,7 @@ pub mod whymany;
 /// dependency to size or share pools).
 pub use wqe_pool as pool;
 
-pub use answ::{answ, try_answ, AnswerReport, RewriteResult, TracePoint};
+pub use answ::{AnswerReport, RewriteResult, TracePoint};
 pub use closeness::{relative_closeness, ClosenessConfig};
 pub use ctx::{EngineCtx, EngineCtxBuilder, SnapshotStartup};
 pub use engine::{Algorithm, WqeEngine};
@@ -92,10 +96,8 @@ pub use exemplar::{
     compute_representation, Cell, Constraint, Exemplar, Representation, Rhs, TuplePattern, VarRef,
 };
 pub use explain::DifferentialTable;
-pub use explorer::{Explorer, SessionRecord, SessionStrategy};
-pub use fmansw::fm_answ;
+pub use explorer::{Explorer, SessionRecord};
 pub use governor::{governor_for, Governor, Termination};
-pub use heuristic::{ans_heu, try_ans_heu, Selection};
 pub use live::{
     EpochHandle, EpochId, EpochInfo, EpochSubscriber, GraphStore, OracleTier, PublishReport,
 };
@@ -111,5 +113,3 @@ pub use service::{
 pub use session::{
     AnswerUpdate, EvalResult, ProgressSink, Session, WhyQuestion, WqeConfig, WqeConfigBuilder,
 };
-pub use whyempty::ans_we;
-pub use whymany::apx_why_many;

@@ -8,8 +8,9 @@
 //! jointly, with the combined closeness reported as the sum of per-focus
 //! closenesses (each normalized by its own `|V_{u_i}|`).
 
-use crate::answ::{answ, AnswerReport};
+use crate::answ::AnswerReport;
 use crate::ctx::EngineCtx;
+use crate::engine::Algorithm;
 use crate::error::WqeError;
 use crate::exemplar::Exemplar;
 use crate::session::{Session, WhyQuestion, WqeConfig};
@@ -74,7 +75,7 @@ pub fn answer_multi_focus(
         };
         let session = Session::try_new(ctx.clone(), &wq, config.clone())?;
         let cl_star = session.cl_star;
-        let report = answ(&session, &wq);
+        let report = session.run(Algorithm::AnsW, &wq)?;
         per_focus.push(FocusAnswer {
             focus: *focus,
             report,
@@ -127,6 +128,27 @@ mod tests {
         assert!(best.closeness > 0.0);
         assert!(result.combined_closeness() > 0.5);
         assert!(result.combined_cl_star() >= result.combined_closeness() - 1e-9);
+    }
+
+    #[test]
+    fn worker_panic_is_an_error_not_an_unwind() {
+        use wqe_pool::fault::{self, FaultPlan, FaultSite};
+        let pg = product_graph();
+        let g = &pg.graph;
+        let ctx = crate::ctx::EngineCtx::with_default_oracle(std::sync::Arc::new(g.clone()));
+        let question = MultiFocusQuestion {
+            query: paper_query(g),
+            foci: vec![(FOCUS, paper_exemplar(g))],
+        };
+        // The first pool item — the root evaluation — panics, once.
+        let plan = FaultPlan::new(1)
+            .arm(FaultSite::PoolWorker, 1)
+            .with_budget(FaultSite::PoolWorker, 1);
+        let _scope = fault::enter(std::sync::Arc::new(plan));
+        match answer_multi_focus(&ctx, &question, WqeConfig::default()) {
+            Err(WqeError::WorkerPanicked { .. }) => {}
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
     }
 
     #[test]

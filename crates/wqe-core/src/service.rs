@@ -1446,18 +1446,31 @@ mod tests {
 
     #[test]
     fn cancel_before_run_terminates_with_cancelled() {
-        let (svc, q) = service(ServiceConfig {
-            max_inflight: 1,
-            base_config: base_cfg(),
-            ..Default::default()
-        });
-        svc.pause();
-        let p = svc.submit(QueryRequest::new(q, Algorithm::AnsW));
-        p.cancel();
-        svc.resume();
-        let resp = p.wait();
-        let report = resp.report().expect("cancel yields best-so-far");
-        assert_eq!(report.termination, Termination::Cancelled);
+        // Every algorithm runs under the governor, so a cancel that lands
+        // before the run is honoured by all of them alike.
+        for algorithm in [
+            Algorithm::AnsW,
+            Algorithm::AnsWnc,
+            Algorithm::AnsWb,
+            Algorithm::AnsHeu,
+            Algorithm::AnsHeuB(7),
+            Algorithm::FMAnsW,
+            Algorithm::WhyMany,
+            Algorithm::WhyEmpty,
+        ] {
+            let (svc, q) = service(ServiceConfig {
+                max_inflight: 1,
+                base_config: base_cfg(),
+                ..Default::default()
+            });
+            svc.pause();
+            let p = svc.submit(QueryRequest::new(q, algorithm));
+            p.cancel();
+            svc.resume();
+            let resp = p.wait();
+            let report = resp.report().expect("cancel yields best-so-far");
+            assert_eq!(report.termination, Termination::Cancelled, "{algorithm:?}");
+        }
     }
 
     #[test]

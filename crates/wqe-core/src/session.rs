@@ -5,14 +5,17 @@
 //! representation `rep(E, V)`, the session-fixed focus candidate pool
 //! `V_uo`, the budget `B`, and the theoretical optimum `cl*`.
 
+use crate::answ::AnswerReport;
 use crate::closeness::{
     answer_closeness, closeness_upper_bound, theoretical_optimum, ClosenessConfig,
 };
 use crate::ctx::EngineCtx;
+use crate::engine::Algorithm;
 use crate::error::WqeError;
 use crate::exemplar::{compute_representation, satisfies, Exemplar, Representation};
 use crate::relevance::RelevanceSets;
 use std::sync::Arc;
+use std::time::Instant;
 use wqe_graph::{Graph, NodeId};
 use wqe_query::{MatchOutcome, Matcher, PatternQuery};
 
@@ -340,7 +343,7 @@ pub struct Session {
     /// caps, built from the config by [`crate::governor::governor_for`].
     /// Clone the `Arc` to cancel a running search from another thread.
     pub governor: std::sync::Arc<wqe_pool::governor::Governor>,
-    /// The per-query profiler every answer algorithm enters while it runs
+    /// The per-query profiler [`Session::run`] enters while a search runs
     /// (stage spans + the counter registry; see [`crate::obs`]).
     pub profiler: std::sync::Arc<crate::obs::Profiler>,
     /// Streaming progress sink: called (from the coordinating thread only)
@@ -455,32 +458,72 @@ impl Session {
         }
     }
 
-    /// Enters this session's profiler scope. Every report-producing
-    /// algorithm calls this first, so instrumentation in lower layers lands
-    /// in the session's profiler.
+    /// Enters this session's profiler scope, so instrumentation in lower
+    /// layers (matcher, cache, oracle, pool) lands in this session's
+    /// profiler. [`Session::run`] holds it for the whole search.
     pub fn obs_scope(&self) -> crate::obs::ObsScope {
         crate::obs::enter(std::sync::Arc::clone(&self.profiler))
     }
 
-    /// Folds the session's profiler snapshot and governor counters into the
-    /// serializable per-query profile.
-    pub fn query_profile(
+    /// Runs `algorithm` on `question` — the one search driver. It starts
+    /// the clock, enters the session's governor and profiler scopes, and
+    /// contains a panic anywhere in the search as
+    /// [`WqeError::WorkerPanicked`]. A governor that tripped before the
+    /// run yields an empty report tagged with the halt; a halt that cut the
+    /// run tags its report `Cancelled`/`Deadline` (never `Complete`). It
+    /// fills the report's `match_steps`, `frontier_peak`, `elapsed_ms` and
+    /// `profile`; the algorithm bodies only search.
+    ///
+    /// `AnsWnc`/`AnsWb` act through this session's `caching`/`pruning`
+    /// flags: build the session from [`Algorithm::apply_to`]'s config.
+    pub fn run(
         &self,
-        termination: wqe_pool::governor::Termination,
-        elapsed_ms: f64,
-        expansions: u64,
-        match_steps: u64,
-        frontier_peak: u64,
-    ) -> crate::obs::QueryProfile {
-        crate::obs::QueryProfile::from_snapshot(
+        algorithm: Algorithm,
+        question: &WhyQuestion,
+    ) -> Result<AnswerReport, WqeError> {
+        let start = Instant::now();
+        let gov = &self.governor;
+        let steps_before = gov.steps();
+        // Every shared layer below (matcher fan-out, BFS oracle, pool
+        // workers) polls the governor via `governor::current()`.
+        let _gov_scope = crate::governor::enter(Arc::clone(gov));
+        let _obs_scope = self.obs_scope();
+        let mut report = match gov.halt() {
+            Some(halt) => AnswerReport {
+                termination: halt,
+                ..AnswerReport::default()
+            },
+            None => crate::error::contain(|| match algorithm {
+                Algorithm::AnsW | Algorithm::AnsWnc | Algorithm::AnsWb => {
+                    crate::answ::search(self, question, start)
+                }
+                Algorithm::AnsHeu => crate::heuristic::search(self, question, start, None),
+                Algorithm::AnsHeuB(seed) => {
+                    crate::heuristic::search(self, question, start, Some(seed))
+                }
+                Algorithm::FMAnsW => Ok(crate::fmansw::search(self, question)),
+                Algorithm::WhyMany => Ok(crate::whymany::search(self, question)),
+                Algorithm::WhyEmpty => Ok(crate::whyempty::search(self, question)),
+            })?,
+        };
+        if !report.termination.is_partial() {
+            if let Some(halt) = gov.halt() {
+                report.termination = halt;
+            }
+        }
+        report.match_steps = gov.steps() - steps_before;
+        report.frontier_peak = gov.frontier_peak();
+        report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
+        report.profile = Some(crate::obs::QueryProfile::from_snapshot(
             &self.profiler.snapshot(),
-            termination,
-            elapsed_ms,
-            expansions,
-            match_steps,
-            self.governor.oracle_steps(),
-            frontier_peak,
-        )
+            report.termination,
+            report.elapsed_ms,
+            report.expansions as u64,
+            report.match_steps,
+            gov.oracle_steps(),
+            report.frontier_peak as u64,
+        ));
+        Ok(report)
     }
 
     /// The data graph.

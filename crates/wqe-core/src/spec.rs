@@ -328,7 +328,7 @@ mod tests {
             },
         );
         assert_eq!(session.r_uo.len(), 3);
-        let report = crate::answ(&session, &wq);
+        let report = session.run(crate::Algorithm::AnsW, &wq).unwrap();
         assert!((report.best.unwrap().closeness - 0.5).abs() < 1e-9);
     }
 

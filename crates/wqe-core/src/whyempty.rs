@@ -11,7 +11,6 @@
 use crate::answ::{AnswerReport, RewriteResult};
 use crate::session::{Session, WhyQuestion};
 use std::collections::HashSet;
-use std::time::Instant;
 use wqe_graph::NodeId;
 use wqe_query::{AtomicOp, PatternQuery, QNodeId};
 
@@ -162,11 +161,9 @@ fn diagnose(session: &Session, q: &PatternQuery, v: NodeId) -> Option<CandidateR
     })
 }
 
-/// Runs `AnsWE`: finds the cheapest removal-only rewrite that introduces at
-/// least one relevant candidate as a match.
-pub fn ans_we(session: &Session, question: &WhyQuestion) -> AnswerReport {
-    let start = Instant::now();
-    let _obs_scope = session.obs_scope();
+/// `AnsWE`, driven by [`Session::run`]: finds the cheapest removal-only
+/// rewrite that introduces at least one relevant candidate as a match.
+pub(crate) fn search(session: &Session, question: &WhyQuestion) -> AnswerReport {
     let mut report = AnswerReport::default();
     let budget = session.config.budget;
 
@@ -200,7 +197,7 @@ pub fn ans_we(session: &Session, question: &WhyQuestion) -> AnswerReport {
             continue;
         }
         let eval = session.evaluate(&q);
-        report.expansions += 1;
+        report.count(&eval);
         if eval.outcome.is_match(repair.candidate) {
             report.best = Some(RewriteResult {
                 cost: repair.cost,
@@ -213,21 +210,13 @@ pub fn ans_we(session: &Session, question: &WhyQuestion) -> AnswerReport {
             break;
         }
     }
-
-    report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    report.profile = Some(session.query_profile(
-        report.termination,
-        report.elapsed_ms,
-        report.expansions as u64,
-        report.match_steps,
-        report.frontier_peak as u64,
-    ));
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Algorithm;
     use crate::paper::{paper_exemplar, paper_query, FOCUS};
     use crate::session::{Session, WqeConfig};
     use wqe_graph::product::product_graph;
@@ -269,7 +258,7 @@ mod tests {
         // Sanity: no relevant match initially.
         let base = session.evaluate(&wq.query);
         assert!(base.relevance.rm.is_empty());
-        let report = ans_we(&session, &wq);
+        let report = session.run(Algorithm::WhyEmpty, &wq).unwrap();
         let best = report.best.expect("repair found");
         assert!(best
             .ops
@@ -297,7 +286,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let report = ans_we(&session, &wq);
+        let report = session.run(Algorithm::WhyEmpty, &wq).unwrap();
         let best = report.best.unwrap();
         assert_eq!(best.ops.len(), 1);
         assert!(matches!(&best.ops[0], AtomicOp::RmL { node, .. } if *node == FOCUS));
@@ -318,7 +307,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let report = ans_we(&session, &wq);
+        let report = session.run(Algorithm::WhyEmpty, &wq).unwrap();
         assert!(report.best.is_none());
     }
 

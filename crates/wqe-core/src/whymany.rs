@@ -16,7 +16,6 @@ use crate::answ::{AnswerReport, RewriteResult};
 use crate::opsgen::generate_refinements;
 use crate::session::{Session, WhyQuestion};
 use std::collections::HashSet;
-use std::time::Instant;
 use wqe_graph::NodeId;
 use wqe_query::AtomicOp;
 
@@ -43,16 +42,15 @@ fn element_weight(session: &Session, v: NodeId) -> f64 {
     }
 }
 
-/// Runs `ApxWhyM`. The rewrite contains **refinement operators only**.
-pub fn apx_why_many(session: &Session, question: &WhyQuestion) -> AnswerReport {
-    let start = Instant::now();
-    let _obs_scope = session.obs_scope();
+/// `ApxWhyM`, driven by [`Session::run`]. The rewrite contains
+/// **refinement operators only**.
+pub(crate) fn search(session: &Session, question: &WhyQuestion) -> AnswerReport {
     let mut report = AnswerReport::default();
     let budget = session.config.budget;
 
     // Line 1: Q(G) and the irrelevant set.
     let base = session.evaluate(&question.query);
-    report.expansions += 1;
+    report.count(&base);
     let base_matches: HashSet<NodeId> = base.outcome.matches.iter().copied().collect();
 
     // Line 2 (SeedRf): picky refinement seeds, each materialized once.
@@ -77,7 +75,7 @@ pub fn apx_why_many(session: &Session, question: &WhyQuestion) -> AnswerReport {
             continue;
         }
         let eval = session.evaluate(&q);
-        report.expansions += 1;
+        report.count(&eval);
         let after: HashSet<NodeId> = eval.outcome.matches.iter().copied().collect();
         let mut covers: Vec<NodeId> = base_matches.difference(&after).copied().collect();
         covers.sort_unstable();
@@ -145,7 +143,7 @@ pub fn apx_why_many(session: &Session, question: &WhyQuestion) -> AnswerReport {
             op.apply(&mut q).ok()?;
         }
         let eval = session.evaluate(&q);
-        report.expansions += 1;
+        report.count(&eval);
         Some(RewriteResult {
             cost: wqe_query::sequence_cost(ops, session.graph()),
             query: q,
@@ -171,14 +169,6 @@ pub fn apx_why_many(session: &Session, question: &WhyQuestion) -> AnswerReport {
         }
     }
     report.best = Some(best);
-    report.elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    report.profile = Some(session.query_profile(
-        report.termination,
-        report.elapsed_ms,
-        report.expansions as u64,
-        report.match_steps,
-        report.frontier_peak as u64,
-    ));
     report
 }
 
@@ -202,6 +192,7 @@ pub fn eliminated_irrelevant(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Algorithm;
     use crate::paper::{paper_exemplar, paper_query};
     use crate::session::{Session, WqeConfig};
     use wqe_graph::product::product_graph;
@@ -242,7 +233,7 @@ mod tests {
             !base.relevance.im.is_empty(),
             "setup has irrelevant matches"
         );
-        let report = apx_why_many(&session, &wq);
+        let report = session.run(Algorithm::WhyMany, &wq).unwrap();
         let best = report.best.expect("result");
         // Refinement-only rewrite.
         assert!(best.ops.iter().all(|o| o.class() == OpClass::Refine));
@@ -273,7 +264,7 @@ mod tests {
             exemplar: paper_exemplar(g),
         };
         let session = Session::new(ctx.clone(), &wq, WqeConfig::default());
-        let report = apx_why_many(&session, &wq);
+        let report = session.run(Algorithm::WhyMany, &wq).unwrap();
         let best = report.best.unwrap();
         assert!(best.ops.is_empty(), "no refinement needed");
     }
@@ -294,7 +285,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let report = apx_why_many(&session, &wq);
+        let report = session.run(Algorithm::WhyMany, &wq).unwrap();
         assert!(
             report.expansions <= 1 + MAX_SEEDS + 2,
             "expansions {} exceed linear bound",

@@ -9,9 +9,9 @@
 //! ```
 
 use std::sync::Arc;
-use wqe::core::explorer::{Explorer, SessionStrategy};
+use wqe::core::explorer::Explorer;
 use wqe::core::session::WqeConfig;
-use wqe::core::EngineCtx;
+use wqe::core::{Algorithm, EngineCtx};
 use wqe::datagen::{exemplar_from, generate_query, offshore_like, QueryGenConfig};
 use wqe::index::HybridOracle;
 
@@ -67,7 +67,7 @@ fn main() {
             break;
         }
         let exemplar = exemplar_from(&g, &examples, 3);
-        let rec = explorer.session(&exemplar, SessionStrategy::Beam(3));
+        let rec = explorer.session(&exemplar, Algorithm::AnsHeu);
         let hit = rec.matches.iter().filter(|v| wanted.contains(v)).count();
         println!(
             "round {round}: |answers| {} -> {} ({} of {} wanted), {} ops, {:.1} ms",

@@ -48,6 +48,17 @@ WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q
 echo "==> experiments: paper_experiments all --quick"
 cargo run --release --bin paper_experiments -- all --quick --out "$(mktemp)" > /dev/null
 
+# `cargo test` compiles the examples but runs none of them. Each one runs
+# here in release (all six finish in well under a second), so an example
+# that panics fails the gate. `provenance` writes its DOT file to a temp
+# path instead of the working directory.
+echo "==> examples: cargo run --release --example <each>"
+for example in exploratory_session movie_exploration product_search quickstart \
+    why_empty_debugging; do
+    cargo run --release --quiet --example "$example" > /dev/null
+done
+cargo run --release --quiet --example provenance -- "$(mktemp)" > /dev/null
+
 # The layered benchmark (benchmark/, its own package): the harness's unit
 # tests, then every workload on toy inputs with all correctness checks on
 # (answers digests, TracingOracle counts == program counters). No timing

@@ -2,8 +2,8 @@
 //! user study in simulated form). See DESIGN.md §5 for the index.
 
 use crate::report::Reporter;
-use crate::runner::{run_algo_with, AlgoSpec, QuestionKind, Workload};
-use wqe_core::{relative_closeness, Session, WqeConfig};
+use crate::runner::{run_algo_with, series_name, QuestionKind, Workload, ANS_HEU_B};
+use wqe_core::{relative_closeness, Algorithm, Session, WqeConfig};
 use wqe_datagen::{
     dbpedia_like, imdb_like, offshore_like, watdiv_like, QueryGenConfig, TopologyKind, WhyGenConfig,
 };
@@ -72,12 +72,12 @@ impl ExpConfig {
     }
 }
 
-const MAIN_ALGOS: [AlgoSpec; 5] = [
-    AlgoSpec::AnsHeu(3),
-    AlgoSpec::AnsW,
-    AlgoSpec::AnsWnc,
-    AlgoSpec::AnsWb,
-    AlgoSpec::FMAnsW,
+const MAIN_ALGOS: [Algorithm; 5] = [
+    Algorithm::AnsHeu,
+    Algorithm::AnsW,
+    Algorithm::AnsWnc,
+    Algorithm::AnsWb,
+    Algorithm::FMAnsW,
 ];
 
 fn datasets(cfg: &ExpConfig) -> Vec<(&'static str, wqe_graph::Graph)> {
@@ -101,10 +101,10 @@ pub fn exp1_efficiency(cfg: &ExpConfig) -> Reporter {
             QuestionKind::Why,
         );
         let ctx = w.ctx(4);
-        for spec in MAIN_ALGOS {
-            let stats = run_algo_with(&w, &ctx, spec, &cfg.wqe());
-            rep.record("fig10a-efficiency", &spec.name(), name, stats.mean_ms, "ms");
-            rep.record_profiles("fig10a-efficiency", &spec.name(), name, &stats.profiles);
+        for algorithm in MAIN_ALGOS {
+            let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
+            rep.record("fig10a-efficiency", &stats.name, name, stats.mean_ms, "ms");
+            rep.record_profiles("fig10a-efficiency", &stats.name, name, &stats.profiles);
         }
     }
     rep
@@ -124,16 +124,16 @@ pub fn exp1_scalability(cfg: &ExpConfig) -> Reporter {
             QuestionKind::Why,
         );
         let ctx = w.ctx(4);
-        for spec in [AlgoSpec::AnsW, AlgoSpec::AnsHeu(3), AlgoSpec::AnsWb] {
-            let stats = run_algo_with(&w, &ctx, spec, &cfg.wqe());
+        for algorithm in [Algorithm::AnsW, Algorithm::AnsHeu, Algorithm::AnsWb] {
+            let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
             rep.record(
                 "fig10b-scalability",
-                &spec.name(),
+                &stats.name,
                 &label,
                 stats.mean_ms,
                 "ms",
             );
-            rep.record_profiles("fig10b-scalability", &spec.name(), &label, &stats.profiles);
+            rep.record_profiles("fig10b-scalability", &stats.name, &label, &stats.profiles);
         }
     }
     rep
@@ -152,10 +152,10 @@ pub fn exp1_querysize(cfg: &ExpConfig) -> Reporter {
             QuestionKind::Why,
         );
         let ctx = w.ctx(4);
-        for spec in MAIN_ALGOS {
-            let stats = run_algo_with(&w, &ctx, spec, &cfg.wqe());
-            rep.record("fig10c-querysize", &spec.name(), edges, stats.mean_ms, "ms");
-            rep.record_profiles("fig10c-querysize", &spec.name(), edges, &stats.profiles);
+        for algorithm in MAIN_ALGOS {
+            let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
+            rep.record("fig10c-querysize", &stats.name, edges, stats.mean_ms, "ms");
+            rep.record_profiles("fig10c-querysize", &stats.name, edges, &stats.profiles);
         }
     }
     rep
@@ -179,10 +179,10 @@ pub fn exp1_budget(cfg: &ExpConfig) -> Reporter {
         for b in 1..=5u32 {
             let mut base = cfg.wqe();
             base.budget = b as f64;
-            for spec in MAIN_ALGOS {
-                let stats = run_algo_with(&w, &ctx, spec, &base);
-                rep.record(fig, &spec.name(), b, stats.mean_ms, "ms");
-                rep.record_profiles(fig, &spec.name(), b, &stats.profiles);
+            for algorithm in MAIN_ALGOS {
+                let stats = run_algo_with(&w, &ctx, algorithm, &base);
+                rep.record(fig, &stats.name, b, stats.mean_ms, "ms");
+                rep.record_profiles(fig, &stats.name, b, &stats.profiles);
             }
         }
     }
@@ -212,10 +212,10 @@ pub fn exp1_exemplars(cfg: &ExpConfig) -> Reporter {
                 QuestionKind::Why,
             );
             let ctx = w.ctx(4);
-            for spec in [AlgoSpec::AnsW, AlgoSpec::AnsHeu(3), AlgoSpec::AnsWb] {
-                let stats = run_algo_with(&w, &ctx, spec, &cfg.wqe());
-                rep.record(fig, &spec.name(), tuples, stats.mean_ms, "ms");
-                rep.record_profiles(fig, &spec.name(), tuples, &stats.profiles);
+            for algorithm in [Algorithm::AnsW, Algorithm::AnsHeu, Algorithm::AnsWb] {
+                let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
+                rep.record(fig, &stats.name, tuples, stats.mean_ms, "ms");
+                rep.record_profiles(fig, &stats.name, tuples, &stats.profiles);
             }
         }
     }
@@ -239,10 +239,10 @@ pub fn exp1_topology(cfg: &ExpConfig) -> Reporter {
             QuestionKind::Why,
         );
         let ctx = w.ctx(4);
-        for spec in [AlgoSpec::AnsW, AlgoSpec::AnsHeu(3), AlgoSpec::AnsWb] {
-            let stats = run_algo_with(&w, &ctx, spec, &cfg.wqe());
-            rep.record("fig10h-topology", &spec.name(), label, stats.mean_ms, "ms");
-            rep.record_profiles("fig10h-topology", &spec.name(), label, &stats.profiles);
+        for algorithm in [Algorithm::AnsW, Algorithm::AnsHeu, Algorithm::AnsWb] {
+            let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
+            rep.record("fig10h-topology", &stats.name, label, stats.mean_ms, "ms");
+            rep.record_profiles("fig10h-topology", &stats.name, label, &stats.profiles);
         }
     }
     rep
@@ -252,13 +252,14 @@ pub fn exp1_topology(cfg: &ExpConfig) -> Reporter {
 /// including the beam-size sweep for `AnsHeu`.
 pub fn exp2_effectiveness(cfg: &ExpConfig) -> Reporter {
     let mut rep = Reporter::new();
+    // (algorithm, beam width): the sweep over `AnsHeu`'s beam.
     let algos = [
-        AlgoSpec::AnsW,
-        AlgoSpec::AnsHeu(1),
-        AlgoSpec::AnsHeu(3),
-        AlgoSpec::AnsHeu(5),
-        AlgoSpec::AnsHeuB(3),
-        AlgoSpec::FMAnsW,
+        (Algorithm::AnsW, 3),
+        (Algorithm::AnsHeu, 1),
+        (Algorithm::AnsHeu, 3),
+        (Algorithm::AnsHeu, 5),
+        (ANS_HEU_B, 3),
+        (Algorithm::FMAnsW, 3),
     ];
     for (name, graph) in datasets(cfg) {
         let w = Workload::build(
@@ -269,16 +270,20 @@ pub fn exp2_effectiveness(cfg: &ExpConfig) -> Reporter {
             QuestionKind::Why,
         );
         let ctx = w.ctx(4);
-        for spec in algos {
-            let stats = run_algo_with(&w, &ctx, spec, &cfg.wqe());
+        for (algorithm, beam_width) in algos {
+            let base = WqeConfig {
+                beam_width,
+                ..cfg.wqe()
+            };
+            let stats = run_algo_with(&w, &ctx, algorithm, &base);
             rep.record(
                 "fig10i-effectiveness",
-                &spec.name(),
+                &stats.name,
                 name,
                 stats.mean_delta,
                 "delta",
             );
-            rep.record_profiles("fig10i-effectiveness", &spec.name(), name, &stats.profiles);
+            rep.record_profiles("fig10i-effectiveness", &stats.name, name, &stats.profiles);
         }
     }
     rep
@@ -297,23 +302,27 @@ pub fn exp2_querysize(cfg: &ExpConfig) -> Reporter {
             QuestionKind::Why,
         );
         let ctx = w.ctx(4);
-        for spec in [
-            AlgoSpec::AnsW,
-            AlgoSpec::AnsHeu(1),
-            AlgoSpec::AnsHeu(5),
-            AlgoSpec::FMAnsW,
+        for (algorithm, beam_width) in [
+            (Algorithm::AnsW, 3),
+            (Algorithm::AnsHeu, 1),
+            (Algorithm::AnsHeu, 5),
+            (Algorithm::FMAnsW, 3),
         ] {
-            let stats = run_algo_with(&w, &ctx, spec, &cfg.wqe());
+            let base = WqeConfig {
+                beam_width,
+                ..cfg.wqe()
+            };
+            let stats = run_algo_with(&w, &ctx, algorithm, &base);
             rep.record(
                 "fig10j-delta-querysize",
-                &spec.name(),
+                &stats.name,
                 edges,
                 stats.mean_delta,
                 "delta",
             );
             rep.record_profiles(
                 "fig10j-delta-querysize",
-                &spec.name(),
+                &stats.name,
                 edges,
                 &stats.profiles,
             );
@@ -337,16 +346,16 @@ pub fn exp2_budget(cfg: &ExpConfig) -> Reporter {
     for b in 1..=5u32 {
         let mut base = cfg.wqe();
         base.budget = b as f64;
-        for spec in [AlgoSpec::AnsW, AlgoSpec::AnsHeu(3), AlgoSpec::FMAnsW] {
-            let stats = run_algo_with(&w, &ctx, spec, &base);
+        for algorithm in [Algorithm::AnsW, Algorithm::AnsHeu, Algorithm::FMAnsW] {
+            let stats = run_algo_with(&w, &ctx, algorithm, &base);
             rep.record(
                 "fig10k-delta-budget",
-                &spec.name(),
+                &stats.name,
                 b,
                 stats.mean_delta,
                 "delta",
             );
-            rep.record_profiles("fig10k-delta-budget", &spec.name(), b, &stats.profiles);
+            rep.record_profiles("fig10k-delta-budget", &stats.name, b, &stats.profiles);
         }
     }
     rep
@@ -381,9 +390,9 @@ pub fn exp3_anytime(cfg: &ExpConfig) -> Reporter {
     base.budget = 5.0;
     base.time_limit_ms = Some(4000);
     base.max_expansions = usize::MAX >> 1;
-    for spec in [AlgoSpec::AnsW, AlgoSpec::AnsHeu(3), AlgoSpec::AnsHeuB(3)] {
-        let stats = run_algo_with(&w, &ctx, spec, &base);
-        rep.record_profiles("fig10l-anytime", &spec.name(), "all", &stats.profiles);
+    for algorithm in [Algorithm::AnsW, Algorithm::AnsHeu, ANS_HEU_B] {
+        let stats = run_algo_with(&w, &ctx, algorithm, &base);
+        rep.record_profiles("fig10l-anytime", &stats.name, "all", &stats.profiles);
         for &cp in &checkpoints_ms {
             let mut total = 0.0;
             let mut n = 0usize;
@@ -402,7 +411,7 @@ pub fn exp3_anytime(cfg: &ExpConfig) -> Reporter {
             if n > 0 {
                 rep.record(
                     "fig10l-anytime",
-                    &spec.name(),
+                    &stats.name,
                     format!("{cp}ms"),
                     total / n as f64,
                     "cl_t/cl*",
@@ -428,31 +437,31 @@ pub fn exp4_whymany(cfg: &ExpConfig) -> Reporter {
             QuestionKind::WhyMany,
         );
         let ctx = w.ctx(4);
-        for spec in [
-            AlgoSpec::ApxWhyM,
-            AlgoSpec::AnsW,
-            AlgoSpec::AnsWb,
-            AlgoSpec::FMAnsW,
+        for algorithm in [
+            Algorithm::WhyMany,
+            Algorithm::AnsW,
+            Algorithm::AnsWb,
+            Algorithm::FMAnsW,
         ] {
-            let stats = run_algo_with(&w, &ctx, spec, &cfg.wqe());
+            let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
             rep.record(
                 "fig12a-whymany-time",
-                &spec.name(),
+                &stats.name,
                 name,
                 stats.mean_ms,
                 "ms",
             );
-            rep.record_profiles("fig12a-whymany-time", &spec.name(), name, &stats.profiles);
+            rep.record_profiles("fig12a-whymany-time", &stats.name, name, &stats.profiles);
             rep.record(
                 "fig12b-whymany-closeness",
-                &spec.name(),
+                &stats.name,
                 name,
                 stats.mean_closeness,
                 "closeness",
             );
             rep.record(
                 "fig12b-whymany-im-left",
-                &spec.name(),
+                &stats.name,
                 name,
                 stats.mean_im_after,
                 "im",
@@ -478,16 +487,16 @@ pub fn exp4_whyempty(cfg: &ExpConfig) -> Reporter {
             QuestionKind::WhyEmpty,
         );
         let ctx = w.ctx(4);
-        for spec in [AlgoSpec::AnsWE, AlgoSpec::AnsW, AlgoSpec::AnsWb] {
-            let stats = run_algo_with(&w, &ctx, spec, &cfg.wqe());
+        for algorithm in [Algorithm::WhyEmpty, Algorithm::AnsW, Algorithm::AnsWb] {
+            let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
             rep.record(
                 "fig12c-whyempty-time",
-                &spec.name(),
+                &stats.name,
                 name,
                 stats.mean_ms,
                 "ms",
             );
-            rep.record_profiles("fig12c-whyempty-time", &spec.name(), name, &stats.profiles);
+            rep.record_profiles("fig12c-whyempty-time", &stats.name, name, &stats.profiles);
         }
     }
     rep
@@ -528,7 +537,9 @@ pub fn exp5_userstudy(cfg: &ExpConfig) -> Reporter {
     };
     for gw in &w.questions {
         let session = Session::new(ctx.clone(), &gw.question, base.clone());
-        let report = wqe_core::answ(&session, &gw.question);
+        let report = session
+            .run(Algorithm::AnsW, &gw.question)
+            .unwrap_or_else(|e| panic!("{e}"));
         if let Some(profile) = &report.profile {
             rep.record_profiles(
                 "exp5-userstudy",
@@ -637,14 +648,17 @@ pub fn exp6_planted(cfg: &ExpConfig) -> Reporter {
         let Some(gw) = wqe_datagen::generate_why(&graph, &oracle, &truth, &wcfg) else {
             continue;
         };
-        for spec in [AlgoSpec::AnsW, AlgoSpec::AnsHeu(3), AlgoSpec::FMAnsW] {
-            let config = spec.config(cfg.wqe());
+        for algorithm in [Algorithm::AnsW, Algorithm::AnsHeu, Algorithm::FMAnsW] {
+            let config = algorithm.apply_to(cfg.wqe());
+            let name = series_name(algorithm, &config);
             let session = Session::new(ctx.clone(), &gw.question, config);
-            let report = spec.execute(&session, &gw.question);
+            let report = session
+                .run(algorithm, &gw.question)
+                .unwrap_or_else(|e| panic!("{e}"));
             if let Some(profile) = &report.profile {
                 rep.record_profiles(
                     "exp6-planted-recall",
-                    &spec.name(),
+                    &name,
                     copies,
                     std::slice::from_ref(profile),
                 );
@@ -661,13 +675,7 @@ pub fn exp6_planted(cfg: &ExpConfig) -> Reporter {
                     hit as f64 / planted.planted.len() as f64
                 })
                 .unwrap_or(0.0);
-            rep.record(
-                "exp6-planted-recall",
-                &spec.name(),
-                copies,
-                recall,
-                "recall",
-            );
+            rep.record("exp6-planted-recall", &name, copies, recall, "recall");
         }
     }
     rep
@@ -690,19 +698,13 @@ pub fn exp7_sample_ablation(cfg: &ExpConfig) -> Reporter {
     for sample in [8usize, 32, 128] {
         let mut base = cfg.wqe();
         base.relevance_sample = sample;
-        for spec in [AlgoSpec::AnsW, AlgoSpec::AnsHeu(3)] {
-            let stats = run_algo_with(&w, &ctx, spec, &base);
-            rep.record(
-                "exp7-sample-time",
-                &spec.name(),
-                sample,
-                stats.mean_ms,
-                "ms",
-            );
-            rep.record_profiles("exp7-sample-time", &spec.name(), sample, &stats.profiles);
+        for algorithm in [Algorithm::AnsW, Algorithm::AnsHeu] {
+            let stats = run_algo_with(&w, &ctx, algorithm, &base);
+            rep.record("exp7-sample-time", &stats.name, sample, stats.mean_ms, "ms");
+            rep.record_profiles("exp7-sample-time", &stats.name, sample, &stats.profiles);
             rep.record(
                 "exp7-sample-delta",
-                &spec.name(),
+                &stats.name,
                 sample,
                 stats.mean_delta,
                 "delta",
@@ -734,7 +736,7 @@ pub fn exp8_governor(cfg: &ExpConfig) -> Reporter {
     governed.deadline_ms = (cfg.time_limit_ms as f64 / 4.0).max(1.0);
     governed.max_match_steps = (cfg.max_expansions as u64).max(1);
     for (mode, base) in [("ungoverned", cfg.wqe()), ("governed", governed)] {
-        let stats = run_algo_with(&w, &ctx, AlgoSpec::AnsW, &base);
+        let stats = run_algo_with(&w, &ctx, Algorithm::AnsW, &base);
         rep.record_profiles("exp8-governor", "AnsW", mode, &stats.profiles);
         for (i, t) in stats.governor.iter().enumerate() {
             let q = format!("{mode}/q{i}");

@@ -6,8 +6,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 use wqe_core::{
-    ans_heu, ans_we, answ, apx_why_many, fm_answ, relative_closeness, AnswerReport, EngineCtx,
-    GovernorTelemetry, QueryProfile, Selection, Session, TracePoint, WqeConfig,
+    relative_closeness, Algorithm, EngineCtx, GovernorTelemetry, QueryProfile, Session, TracePoint,
+    WqeConfig,
 };
 use wqe_datagen::{
     generate_query, generate_why, generate_why_empty, generate_why_many, GeneratedWhy,
@@ -16,69 +16,18 @@ use wqe_datagen::{
 use wqe_graph::Graph;
 use wqe_index::{DistanceOracle, HybridOracle};
 
-/// The algorithm variants evaluated in §7.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AlgoSpec {
-    /// Exact anytime search, caching + pruning.
-    AnsW,
-    /// `AnsW` without caching.
-    AnsWnc,
-    /// `AnsW` without caching or pruning.
-    AnsWb,
-    /// Beam search with width `k`.
-    AnsHeu(usize),
-    /// Beam search, random operator selection.
-    AnsHeuB(usize),
-    /// Frequent-pattern baseline.
-    FMAnsW,
-    /// Why-Many approximation.
-    ApxWhyM,
-    /// Why-Empty PTIME algorithm.
-    AnsWE,
-}
+/// `AnsHeuB`, the random-selection ablation of Exp-3, with its fixed seed.
+pub const ANS_HEU_B: Algorithm = Algorithm::AnsHeuB(0xC0FFEE);
 
-impl AlgoSpec {
-    /// Display name.
-    pub fn name(&self) -> String {
-        match self {
-            AlgoSpec::AnsW => "AnsW".into(),
-            AlgoSpec::AnsWnc => "AnsWnc".into(),
-            AlgoSpec::AnsWb => "AnsWb".into(),
-            AlgoSpec::AnsHeu(k) => format!("AnsHeu(k={k})"),
-            AlgoSpec::AnsHeuB(k) => format!("AnsHeuB(k={k})"),
-            AlgoSpec::FMAnsW => "FMAnsW".into(),
-            AlgoSpec::ApxWhyM => "ApxWhyM".into(),
-            AlgoSpec::AnsWE => "AnsWE".into(),
-        }
-    }
-
-    /// Adjusts a base config for this variant (the caching/pruning
-    /// ablations).
-    pub fn config(&self, mut base: WqeConfig) -> WqeConfig {
-        match self {
-            AlgoSpec::AnsW => {}
-            AlgoSpec::AnsWnc => base.caching = false,
-            AlgoSpec::AnsWb => {
-                base.caching = false;
-                base.pruning = false;
-            }
-            _ => {}
-        }
-        base
-    }
-
-    /// Runs the variant on one session/question.
-    pub fn execute(&self, session: &Session, question: &wqe_core::WhyQuestion) -> AnswerReport {
-        match self {
-            AlgoSpec::AnsW | AlgoSpec::AnsWnc | AlgoSpec::AnsWb => answ(session, question),
-            AlgoSpec::AnsHeu(k) => ans_heu(session, question, Some(*k), Selection::Picky),
-            AlgoSpec::AnsHeuB(k) => {
-                ans_heu(session, question, Some(*k), Selection::Random(0xC0FFEE))
-            }
-            AlgoSpec::FMAnsW => fm_answ(session, question),
-            AlgoSpec::ApxWhyM => apx_why_many(session, question),
-            AlgoSpec::AnsWE => ans_we(session, question),
-        }
+/// The §7 series name of `algorithm` run under `config`; the beam
+/// heuristics carry their width.
+pub fn series_name(algorithm: Algorithm, config: &WqeConfig) -> String {
+    match algorithm {
+        Algorithm::AnsHeu => format!("AnsHeu(k={})", config.beam_width),
+        Algorithm::AnsHeuB(_) => format!("AnsHeuB(k={})", config.beam_width),
+        Algorithm::WhyMany => "ApxWhyM".into(),
+        Algorithm::WhyEmpty => "AnsWE".into(),
+        other => format!("{other:?}"),
     }
 }
 
@@ -157,6 +106,8 @@ impl Workload {
 /// Aggregated measurements of one algorithm over a workload.
 #[derive(Debug, Clone, Default)]
 pub struct RunStats {
+    /// The series name ([`series_name`]).
+    pub name: String,
     /// Mean wall-clock per question, milliseconds.
     pub mean_ms: f64,
     /// Mean absolute closeness of the best rewrite.
@@ -183,19 +134,26 @@ pub struct RunStats {
 }
 
 /// Runs one algorithm over every question of a workload on a shared engine
-/// context, so several specs reuse one distance index.
+/// context, so several algorithms reuse one distance index. `base` is
+/// passed through [`Algorithm::apply_to`]; its `beam_width` sizes the beam
+/// heuristics.
 pub fn run_algo_with(
     workload: &Workload,
     ctx: &EngineCtx,
-    spec: AlgoSpec,
+    algorithm: Algorithm,
     base: &WqeConfig,
 ) -> RunStats {
-    let config = spec.config(base.clone());
-    let mut stats = RunStats::default();
+    let config = algorithm.apply_to(base.clone());
+    let mut stats = RunStats {
+        name: series_name(algorithm, &config),
+        ..RunStats::default()
+    };
     for gw in &workload.questions {
         let session = Session::new(ctx.clone(), &gw.question, config.clone());
         let t0 = Instant::now();
-        let report = spec.execute(&session, &gw.question);
+        let report = session
+            .run(algorithm, &gw.question)
+            .unwrap_or_else(|e| panic!("{e}"));
         let elapsed = t0.elapsed().as_secs_f64() * 1e3;
         stats.runs += 1;
         stats.mean_ms += elapsed;
@@ -265,23 +223,27 @@ mod tests {
             max_expansions: 100,
             ..Default::default()
         };
-        for spec in [
-            AlgoSpec::AnsW,
-            AlgoSpec::AnsWnc,
-            AlgoSpec::AnsWb,
-            AlgoSpec::AnsHeu(2),
-            AlgoSpec::AnsHeuB(2),
-            AlgoSpec::FMAnsW,
+        let base = WqeConfig {
+            beam_width: 2,
+            ..base
+        };
+        for algorithm in [
+            Algorithm::AnsW,
+            Algorithm::AnsWnc,
+            Algorithm::AnsWb,
+            Algorithm::AnsHeu,
+            ANS_HEU_B,
+            Algorithm::FMAnsW,
         ] {
-            let stats = run_algo_with(&w, &w.ctx(4), spec, &base);
-            assert_eq!(stats.runs, w.questions.len(), "{}", spec.name());
+            let stats = run_algo_with(&w, &w.ctx(4), algorithm, &base);
+            assert_eq!(stats.runs, w.questions.len(), "{}", stats.name);
             assert!(stats.mean_ms >= 0.0);
             assert!(stats.mean_delta >= 0.0 && stats.mean_delta <= 1.0);
             assert_eq!(
                 stats.profiles.len(),
                 stats.runs,
                 "{}: one profile per question",
-                spec.name()
+                stats.name
             );
         }
     }
@@ -296,12 +258,12 @@ mod tests {
         };
         let wm = tiny_workload(QuestionKind::WhyMany);
         if !wm.questions.is_empty() {
-            let s = run_algo_with(&wm, &wm.ctx(4), AlgoSpec::ApxWhyM, &base);
+            let s = run_algo_with(&wm, &wm.ctx(4), Algorithm::WhyMany, &base);
             assert_eq!(s.runs, wm.questions.len());
         }
         let we = tiny_workload(QuestionKind::WhyEmpty);
         if !we.questions.is_empty() {
-            let s = run_algo_with(&we, &we.ctx(4), AlgoSpec::AnsWE, &base);
+            let s = run_algo_with(&we, &we.ctx(4), Algorithm::WhyEmpty, &base);
             assert_eq!(s.runs, we.questions.len());
         }
     }

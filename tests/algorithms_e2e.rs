@@ -2,7 +2,7 @@
 //! relations the paper's effectiveness experiments rely on.
 
 use std::sync::Arc;
-use wqe::core::{relative_closeness, EngineCtx, Session, WqeConfig};
+use wqe::core::{relative_closeness, Algorithm, EngineCtx, Session, WqeConfig};
 use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, generate_why_empty, QueryGenConfig, TopologyKind,
     WhyGenConfig,
@@ -70,9 +70,9 @@ fn exact_dominates_heuristics_in_closeness() {
     let mut fm_total = 0.0;
     for gw in &s.questions {
         let session = Session::new(ctx.clone(), &gw.question, config());
-        let exact = wqe::core::answ(&session, &gw.question);
-        let heu = wqe::core::ans_heu(&session, &gw.question, Some(3), wqe::core::Selection::Picky);
-        let fm = wqe::core::fm_answ(&session, &gw.question);
+        let exact = session.run(Algorithm::AnsW, &gw.question).unwrap();
+        let heu = session.run(Algorithm::AnsHeu, &gw.question).unwrap();
+        let fm = session.run(Algorithm::FMAnsW, &gw.question).unwrap();
         let cl = |r: &wqe::core::AnswerReport| r.best.as_ref().map(|b| b.closeness).unwrap_or(-1.0);
         // Per-question dominance of the exact algorithm.
         assert!(
@@ -96,7 +96,7 @@ fn answers_recover_truth_reasonably() {
     let mut delta = 0.0;
     for gw in &s.questions {
         let session = Session::new(ctx.clone(), &gw.question, config());
-        let report = wqe::core::answ(&session, &gw.question);
+        let report = session.run(Algorithm::AnsW, &gw.question).unwrap();
         if let Some(best) = report.best {
             delta += relative_closeness(&best.matches, &gw.truth_answers);
         }
@@ -118,7 +118,7 @@ fn larger_budget_never_hurts() {
             let mut cfg = config();
             cfg.budget = b;
             let session = Session::new(ctx.clone(), &gw.question, cfg);
-            let report = wqe::core::answ(&session, &gw.question);
+            let report = session.run(Algorithm::AnsW, &gw.question).unwrap();
             let cl = report.best.as_ref().map(|r| r.closeness).unwrap_or(-1.0);
             assert!(
                 cl >= prev - 1e-9,
@@ -154,7 +154,7 @@ fn why_empty_end_to_end() {
         let session = Session::new(ctx.clone(), &gw.question, config());
         let base = session.evaluate(&gw.question.query);
         assert!(base.relevance.rm.is_empty(), "why-empty setup");
-        let report = wqe::core::ans_we(&session, &gw.question);
+        let report = session.run(Algorithm::WhyEmpty, &gw.question).unwrap();
         if let Some(best) = report.best {
             // The repair introduces at least one relevant match.
             assert!(best.matches.iter().any(|v| session.rep.contains(*v)));
@@ -188,7 +188,7 @@ fn ablations_consistent() {
                 ..Default::default()
             };
             let session = Session::new(ctx.clone(), &gw.question, cfg);
-            let report = wqe::core::answ(&session, &gw.question);
+            let report = session.run(Algorithm::AnsW, &gw.question).unwrap();
             capped |= report.expansions >= 3000;
             cls.push(report.best.map(|b| b.closeness).unwrap_or(-1.0));
         }

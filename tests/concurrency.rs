@@ -3,7 +3,7 @@
 //! cache must stay consistent under contention.
 
 use std::sync::Arc;
-use wqe::core::{EngineCtx, Session, WqeConfig};
+use wqe::core::{Algorithm, EngineCtx, Session, WqeConfig};
 use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig,
 };
@@ -74,7 +74,7 @@ fn threaded_sessions_match_sequential_baseline() {
         .iter()
         .map(|gw| {
             let session = Session::new(ctx.clone(), &gw.question, config());
-            fingerprint(&wqe::core::answ(&session, &gw.question))
+            fingerprint(&session.run(Algorithm::AnsW, &gw.question).unwrap())
         })
         .collect();
 
@@ -87,7 +87,7 @@ fn threaded_sessions_match_sequential_baseline() {
                 let ctx = ctx.clone();
                 scope.spawn(move || {
                     let session = Session::new(ctx, &gw.question, config());
-                    fingerprint(&wqe::core::answ(&session, &gw.question))
+                    fingerprint(&session.run(Algorithm::AnsW, &gw.question).unwrap())
                 })
             })
             .collect();
@@ -119,7 +119,7 @@ fn repeated_threaded_runs_are_deterministic() {
                     let ctx = ctx.clone();
                     scope.spawn(move || {
                         let session = Session::new(ctx, &gw.question, config());
-                        fingerprint(&wqe::core::answ(&session, &gw.question))
+                        fingerprint(&session.run(Algorithm::AnsW, &gw.question).unwrap())
                     })
                 })
                 .collect();

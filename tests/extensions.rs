@@ -3,11 +3,11 @@
 //! the ranking metrics, all exercised through the public facade.
 
 use std::sync::Arc;
-use wqe::core::explorer::{Explorer, SessionStrategy};
+use wqe::core::explorer::Explorer;
 use wqe::core::metrics::{ndcg_at, PrecisionRecall};
 use wqe::core::multifocus::{answer_multi_focus, MultiFocusQuestion};
 use wqe::core::paper::{paper_exemplar, paper_query, CARRIER, FOCUS};
-use wqe::core::{EngineCtx, Exemplar, Session, TuplePattern, WqeConfig};
+use wqe::core::{Algorithm, EngineCtx, Exemplar, Session, TuplePattern, WqeConfig};
 use wqe::graph::product::{attrs, product_graph};
 use wqe::index::PllIndex;
 
@@ -54,7 +54,7 @@ fn explorer_session_history_and_metrics() {
         },
     );
     let rec = explorer
-        .session(&paper_exemplar(&g), SessionStrategy::Beam(3))
+        .session(&paper_exemplar(&g), Algorithm::AnsHeu)
         .clone();
     assert_eq!(explorer.history().len(), 1);
     // Judge the adopted answers against the known desired set {P3, P4, P5}.
@@ -85,7 +85,7 @@ fn top_k_ranking_is_ndcg_optimal_for_oracle_gains() {
             ..Default::default()
         },
     );
-    let report = wqe::core::answ(&session, &wq);
+    let report = session.run(Algorithm::AnsW, &wq).unwrap();
     assert!(report.top_k.len() >= 2);
     let truth = vec![pg.phones[2], pg.phones[3], pg.phones[4]];
     let gains: Vec<f64> = report

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wqe::core::{try_answ, EngineCtx, Session, Termination, WhyQuestion, WqeConfig, WqeError};
+use wqe::core::{Algorithm, EngineCtx, Session, Termination, WhyQuestion, WqeConfig, WqeError};
 use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig,
 };
@@ -101,7 +101,9 @@ fn deadline_returns_partial_answers() {
         },
     );
     let t0 = Instant::now();
-    let report = try_answ(&session, &wq).expect("deadline is a partial answer, not an error");
+    let report = session
+        .run(Algorithm::AnsW, &wq)
+        .expect("deadline is a partial answer, not an error");
     // The search stops soon after the deadline (generous margin for CI):
     // cooperative checks sit between pool items, every 16 matcher
     // candidates, and inside the BFS oracle, so a 2ms-per-call oracle
@@ -120,6 +122,36 @@ fn deadline_returns_partial_answers() {
 }
 
 #[test]
+fn deadline_tags_fmansw_whymany_and_whyempty_partial() {
+    // These three evaluate outside the worker pool, so only the governor
+    // scope `Session::run` enters lets a deadline reach their matcher and
+    // oracle calls. Each run makes at least ten 2ms distance calls, so it
+    // outlasts a 20ms deadline, and must not come back `Complete`.
+    for algorithm in [Algorithm::FMAnsW, Algorithm::WhyMany, Algorithm::WhyEmpty] {
+        let (ctx, wq) = slow_paper_setup(2);
+        let session = Session::new(
+            ctx,
+            &wq,
+            WqeConfig {
+                budget: 4.0,
+                deadline_ms: 20.0,
+                ..Default::default()
+            },
+        );
+        let t0 = Instant::now();
+        let report = session
+            .run(algorithm, &wq)
+            .expect("deadline is a partial answer, not an error");
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "{algorithm:?} outlived its deadline by far: {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(report.termination, Termination::Deadline, "{algorithm:?}");
+    }
+}
+
+#[test]
 fn cancellation_stops_a_running_session_from_another_thread() {
     let (ctx, wq) = slow_paper_setup(2);
     let session = Session::new(
@@ -134,7 +166,9 @@ fn cancellation_stops_a_running_session_from_another_thread() {
     let gov = Arc::clone(&session.governor);
     let handle = std::thread::spawn(move || {
         let t0 = Instant::now();
-        let report = try_answ(&session, &wq).expect("cancellation is not an error");
+        let report = session
+            .run(Algorithm::AnsW, &wq)
+            .expect("cancellation is not an error");
         (report, t0.elapsed())
     });
     std::thread::sleep(Duration::from_millis(50));
@@ -166,7 +200,7 @@ fn step_cap_is_deterministic_across_parallelism() {
             ..Default::default()
         };
         let session = Session::new(ctx.clone(), wq, base_cfg.clone());
-        let full = try_answ(&session, wq).unwrap();
+        let full = session.run(Algorithm::AnsW, wq).unwrap();
         if full.match_steps < 2 {
             continue; // degenerate question, nothing to cap
         }
@@ -185,7 +219,7 @@ fn step_cap_is_deterministic_across_parallelism() {
                         ..base_cfg.clone()
                     },
                 );
-                try_answ(&session, wq).unwrap()
+                session.run(Algorithm::AnsW, wq).unwrap()
             })
             .collect();
         for r in &runs {
@@ -223,7 +257,7 @@ fn match_step_accounting_is_exact_and_parallelism_invariant() {
                     ..Default::default()
                 },
             );
-            let report = try_answ(&session, &wq).unwrap();
+            let report = session.run(Algorithm::AnsW, &wq).unwrap();
             assert_eq!(report.termination, Termination::Complete);
             report.match_steps
         })
@@ -256,7 +290,7 @@ fn frontier_cap_is_deterministic_across_parallelism() {
             ..Default::default()
         };
         let session = Session::new(ctx.clone(), wq, base_cfg.clone());
-        let full = try_answ(&session, wq).unwrap();
+        let full = session.run(Algorithm::AnsW, wq).unwrap();
         if full.frontier_peak < 4 {
             continue; // too small a search tree to cap meaningfully
         }
@@ -273,7 +307,7 @@ fn frontier_cap_is_deterministic_across_parallelism() {
                         ..base_cfg.clone()
                     },
                 );
-                try_answ(&session, wq).unwrap()
+                session.run(Algorithm::AnsW, wq).unwrap()
             })
             .collect();
         for r in &runs {
@@ -306,7 +340,7 @@ fn injected_panic_fails_one_session_without_poisoning_siblings() {
 
     // Session A absorbs the fault: a typed error, not an unwind.
     let a = Session::new(ctx.clone(), &wq, cfg.clone());
-    match try_answ(&a, &wq) {
+    match a.run(Algorithm::AnsW, &wq) {
         Err(WqeError::WorkerPanicked { message, .. }) => {
             assert!(message.contains("injected oracle fault"), "{message}");
         }
@@ -317,7 +351,9 @@ fn injected_panic_fails_one_session_without_poisoning_siblings() {
     // same oracle, same graph) and must be completely unaffected — all the
     // way to the paper's optimal rewrite.
     let b = Session::new(ctx.clone(), &wq, cfg);
-    let report = try_answ(&b, &wq).expect("sibling session keeps working");
+    let report = b
+        .run(Algorithm::AnsW, &wq)
+        .expect("sibling session keeps working");
     assert_eq!(report.termination, Termination::Complete);
     assert!(report.optimal_reached, "B still reaches cl* = 0.5");
     let best = report.best.expect("B finds the rewrite");

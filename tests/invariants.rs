@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use wqe::core::chase::ChaseSequence;
-use wqe::core::{EngineCtx, Session, WqeConfig};
+use wqe::core::{Algorithm, EngineCtx, Session, WqeConfig};
 use wqe::datagen::{
     generate_query, generate_why, QueryGenConfig, SynthConfig, TopologyKind, WhyGenConfig,
 };
@@ -123,7 +123,7 @@ proptest! {
             &gw.question,
             config,
         );
-        let report = wqe::core::answ(&session, &gw.question);
+        let report = session.run(Algorithm::AnsW, &gw.question).unwrap();
         if let Some(best) = report.best {
             prop_assert!(best.cost <= 3.0 + 1e-9);
             prop_assert!(wqe::query::is_canonical(&best.ops));
@@ -186,7 +186,7 @@ proptest! {
                 ..Default::default()
             },
         );
-        let report = wqe::core::apx_why_many(&session, &gw.question);
+        let report = session.run(Algorithm::WhyMany, &gw.question).unwrap();
         if let Some(best) = report.best {
             prop_assert!(best.ops.iter().all(|o| o.class() == OpClass::Refine));
             let before: std::collections::HashSet<_> =

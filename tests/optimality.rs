@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use wqe::core::paper::{paper_question, CARRIER, FOCUS, SENSOR};
-use wqe::core::{answ, EngineCtx, Session, WqeConfig};
+use wqe::core::{Algorithm, EngineCtx, Session, WqeConfig};
 use wqe::graph::product::product_graph;
 use wqe::graph::{AttrValue, CmpOp};
 use wqe::index::PllIndex;
@@ -123,7 +123,7 @@ fn answ_matches_brute_force_over_example_universe() {
             },
         );
         let brute = brute_force_best(&session, &wq.query, &example_ops(&g), budget);
-        let report = answ(&session, &wq);
+        let report = session.run(Algorithm::AnsW, &wq).unwrap();
         let ours = report
             .top_k
             .first()
@@ -154,7 +154,7 @@ fn budget_two_recovers_partial_optimum() {
             ..Default::default()
         },
     );
-    let report = answ(&session, &wq);
+    let report = session.run(Algorithm::AnsW, &wq).unwrap();
     let best = report.top_k.first().expect("satisfying rewrite at B=2");
     assert!(
         (best.closeness - 1.0 / 3.0).abs() < 1e-9,
@@ -181,10 +181,10 @@ fn top_k_pruning_preserves_the_true_top_k() {
             ..Default::default()
         };
         let session = Session::new(ctx.clone(), &wq, pruned_cfg.clone());
-        let pruned = answ(&session, &wq);
+        let pruned = session.run(Algorithm::AnsW, &wq).unwrap();
         pruned_cfg.pruning = false;
         let session_np = Session::new(ctx.clone(), &wq, pruned_cfg);
-        let unpruned = answ(&session_np, &wq);
+        let unpruned = session_np.run(Algorithm::AnsW, &wq).unwrap();
         let cl = |r: &wqe::core::AnswerReport| -> Vec<f64> {
             r.top_k.iter().map(|x| x.closeness).collect()
         };
@@ -218,7 +218,7 @@ fn lambda_zero_turns_refinement_off() {
             ..Default::default()
         },
     );
-    let report = answ(&session, &wq);
+    let report = session.run(Algorithm::AnsW, &wq).unwrap();
     let best = report.best.expect("found");
     // cl* is attainable by relaxations only (IM penalty is 0).
     assert!(report.optimal_reached, "cl = {}", best.closeness);

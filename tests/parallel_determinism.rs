@@ -1,4 +1,4 @@
-//! Intra-query parallelism must never change answers: `answ` and `ans_heu`
+//! Intra-query parallelism must never change answers: `AnsW` and `AnsHeu`
 //! at any thread count produce byte-identical reports, and the rank-windowed
 //! parallel PLL build answers exactly like sequential construction.
 //!
@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 use wqe::core::obs::{enter, Counter, Profiler};
-use wqe::core::{EngineCtx, Session, WhyQuestion, WqeConfig};
+use wqe::core::{Algorithm, EngineCtx, Session, WhyQuestion, WqeConfig};
 use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, imdb_like, QueryGenConfig, TopologyKind,
     WhyGenConfig,
@@ -104,7 +104,7 @@ fn answ_identical_across_thread_counts_paper_scenario() {
                     ..Default::default()
                 },
             );
-            fingerprint(&wqe::core::answ(&session, &wq))
+            fingerprint(&session.run(Algorithm::AnsW, &wq).unwrap())
         })
         .collect();
     assert_eq!(runs[0], runs[1], "parallelism 1 vs 2 diverged");
@@ -124,7 +124,7 @@ fn answ_identical_across_thread_counts_generated_workload() {
             .iter()
             .map(|&t| {
                 let session = Session::new(ctx.clone(), wq, config(t));
-                fingerprint(&wqe::core::answ(&session, wq))
+                fingerprint(&session.run(Algorithm::AnsW, wq).unwrap())
             })
             .collect();
         assert_eq!(runs[0], runs[1], "parallelism 1 vs 2 diverged");
@@ -141,16 +141,16 @@ fn ans_heu_identical_across_thread_counts() {
     let ctx = EngineCtx::new(Arc::clone(&graph), Arc::clone(&oracle));
 
     for wq in &qs {
-        for selection in [wqe::core::Selection::Picky, wqe::core::Selection::Random(7)] {
+        for algorithm in [Algorithm::AnsHeu, Algorithm::AnsHeuB(7)] {
             let runs: Vec<String> = THREAD_COUNTS
                 .iter()
                 .map(|&t| {
                     let session = Session::new(ctx.clone(), wq, config(t));
-                    fingerprint(&wqe::core::ans_heu(&session, wq, Some(3), selection))
+                    fingerprint(&session.run(algorithm, wq).unwrap())
                 })
                 .collect();
-            assert_eq!(runs[0], runs[1], "{selection:?}: parallelism 1 vs 2");
-            assert_eq!(runs[0], runs[2], "{selection:?}: parallelism 1 vs 8");
+            assert_eq!(runs[0], runs[1], "{algorithm:?}: parallelism 1 vs 2");
+            assert_eq!(runs[0], runs[2], "{algorithm:?}: parallelism 1 vs 8");
         }
     }
 }

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use wqe::core::obs::Stage;
 use wqe::core::{
-    try_answ, Algorithm, EngineCtx, GovernorTelemetry, Session, WhyQuestion, WqeConfig, WqeEngine,
+    Algorithm, EngineCtx, GovernorTelemetry, Session, WhyQuestion, WqeConfig, WqeEngine,
 };
 use wqe::index::{DistanceOracle, PllIndex};
 
@@ -28,7 +28,7 @@ fn cfg() -> WqeConfig {
 fn answ_populates_stage_spans_and_counters() {
     let (ctx, wq) = paper_setup();
     let session = Session::new(ctx, &wq, cfg());
-    let report = try_answ(&session, &wq).unwrap();
+    let report = session.run(Algorithm::AnsW, &wq).unwrap();
     let profile = report
         .profile
         .as_ref()
@@ -81,7 +81,7 @@ fn answ_populates_stage_spans_and_counters() {
 fn profile_json_field_set_is_stable() {
     let (ctx, wq) = paper_setup();
     let session = Session::new(ctx, &wq, cfg());
-    let report = try_answ(&session, &wq).unwrap();
+    let report = session.run(Algorithm::AnsW, &wq).unwrap();
     let json = serde_json::to_string(report.profile.as_ref().unwrap()).unwrap();
     for key in [
         "\"termination\"",
@@ -147,7 +147,7 @@ fn every_algorithm_attaches_a_profile() {
 fn telemetry_is_a_view_over_the_profile() {
     let (ctx, wq) = paper_setup();
     let session = Session::new(ctx, &wq, cfg());
-    let report = try_answ(&session, &wq).unwrap();
+    let report = session.run(Algorithm::AnsW, &wq).unwrap();
     let t = GovernorTelemetry::from_report(&report);
     let p = report.profile.as_ref().unwrap();
     assert_eq!(t.termination, p.termination);
