@@ -17,9 +17,9 @@ use crate::live::EpochId;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use wqe_graph::Graph;
-use wqe_index::{BoundedBfsOracle, DistanceOracle, HybridOracle, ResilientOracle, PLL_NODE_LIMIT};
+use wqe_index::{DistanceOracle, Oracle};
 use wqe_query::StarCache;
-use wqe_store::{Snapshot, SnapshotOracle};
+use wqe_store::Snapshot;
 
 /// What a snapshot-sourced build observed while loading: enough for a
 /// session to seed its profiler with a `snapshot_load` span even though the
@@ -97,12 +97,10 @@ impl EngineCtxBuilder {
         self
     }
 
-    /// Uses a caller-chosen oracle verbatim (no resilience wrapping —
-    /// callers that pick their own oracle own its failure behavior).
-    /// Without this, [`build`](Self::build) derives the default oracle for
-    /// the graph source: [`HybridOracle::default_for`] (in-memory graphs)
-    /// or the snapshot's own labels, wrapped in the [`ResilientOracle`]
-    /// degradation ladder either way.
+    /// Uses a caller-chosen oracle verbatim (callers that pick their own
+    /// oracle own its failure behavior). Without this,
+    /// [`build`](Self::build) serves an [`Oracle`]: [`Oracle::build`] for
+    /// an in-memory graph, [`Snapshot::into_oracle`] for a snapshot.
     pub fn oracle(mut self, oracle: Arc<dyn DistanceOracle>) -> Self {
         self.oracle = Some(oracle);
         self
@@ -161,14 +159,9 @@ impl EngineCtxBuilder {
             .unwrap_or_else(|| Arc::new(StarCache::default_sized()));
 
         if let Some(graph) = self.graph {
-            let oracle = match self.oracle {
-                Some(o) => o,
-                None => {
-                    let primary: Arc<dyn DistanceOracle> =
-                        Arc::new(HybridOracle::default_for(&graph, 4));
-                    EngineCtx::resilient(&graph, primary)
-                }
-            };
+            let oracle = self
+                .oracle
+                .unwrap_or_else(|| Arc::new(Oracle::build(&graph)));
             return Ok(EngineCtx {
                 graph,
                 oracle,
@@ -186,23 +179,9 @@ impl EngineCtxBuilder {
         let bytes_mapped = snap.bytes_len();
         let quarantined_sections = snap.quarantined();
         let graph = Arc::new(snap.load_graph()?);
-        let pll_usable = snap.meta().has_pll() && snap.pll_available();
         let oracle = match self.oracle {
             Some(o) => o,
-            None => {
-                let primary: Arc<dyn DistanceOracle> = if !pll_usable {
-                    // Either the writer skipped labels (big graph: horizon-4
-                    // BFS is exactly what a fresh HybridOracle would use) or
-                    // the label sections were quarantined (degrade to an
-                    // unbounded BFS, which answers bit-identically to the
-                    // lost PLL labels).
-                    let horizon = if snap.meta().has_pll() { u32::MAX } else { 4 };
-                    Arc::new(BoundedBfsOracle::new(Arc::clone(&graph), horizon))
-                } else {
-                    Arc::new(SnapshotOracle::new(Arc::new(snap))?)
-                };
-                EngineCtx::resilient(&graph, primary)
-            }
+            None => Arc::new(snap.into_oracle(&graph)?),
         };
         let load_ns = started.elapsed().as_nanos() as u64;
         Ok(EngineCtx {
@@ -235,12 +214,11 @@ impl EngineCtx {
             .expect("graph+oracle builds are infallible")
     }
 
-    /// Bundles a graph with [`HybridOracle::default_for`] at the paper's
-    /// default distance horizon (`b_m = 4`), wrapped in the
-    /// [`ResilientOracle`] degradation ladder (retry → circuit breaker →
-    /// answer-parity BFS fallback). With no fault plan in scope the wrap
-    /// is a pass-through; answers are always bit-identical either way.
-    /// Sugar for `builder().graph(graph).build()`.
+    /// Bundles a graph with [`Oracle::build`]: labels up to the PLL
+    /// crossover, BFS past it, behind the oracle's degradation ladder
+    /// (retry → circuit breaker → exact BFS fallback). With no fault plan
+    /// in scope the ladder is a pass-through; answers are bit-identical
+    /// either way. Sugar for `builder().graph(graph).build()`.
     pub fn with_default_oracle(graph: Arc<Graph>) -> Self {
         EngineCtx::builder()
             .graph(graph)
@@ -248,40 +226,21 @@ impl EngineCtx {
             .expect("graph-only builds are infallible")
     }
 
-    /// Wraps `primary` in a [`ResilientOracle`] whose fallback answers
-    /// identically: graphs at or under the PLL crossover get an unbounded
-    /// BFS (exact, like the PLL labels), larger graphs the same horizon-4
-    /// BFS that [`HybridOracle::default_for`] would pick — so degradation
-    /// never changes an answer, only its latency.
-    pub(crate) fn resilient(
-        graph: &Arc<Graph>,
-        primary: Arc<dyn DistanceOracle>,
-    ) -> Arc<dyn DistanceOracle> {
-        let horizon = if graph.node_count() <= PLL_NODE_LIMIT {
-            u32::MAX
-        } else {
-            4
-        };
-        let fallback = Arc::new(BoundedBfsOracle::new(Arc::clone(graph), horizon));
-        Arc::new(ResilientOracle::new(primary, fallback))
-    }
-
     /// Opens a durable snapshot (see [`wqe_store`]) and builds a context
     /// from it without re-parsing text or re-building any index.
     /// Sugar for `builder().snapshot_path(path).build()`.
     ///
     /// Snapshots written with PLL labels serve distances straight from the
-    /// mapped label arrays ([`SnapshotOracle`], zero-copy); snapshots
-    /// without labels get the same bounded-BFS oracle (`horizon = 4`) that
-    /// [`HybridOracle::default_for`] would pick for a graph past the PLL
-    /// crossover. Because the writer's [`wqe_store::wants_pll`] policy
-    /// mirrors that crossover, answers from a snapshot-loaded context are
-    /// bit-identical to a freshly built one.
+    /// mapped label arrays (zero-copy); snapshots without labels get the
+    /// BFS tier [`Oracle::build`] picks for a graph past the PLL crossover
+    /// ([`Snapshot::into_oracle`]). Because the writer asks that same tier
+    /// decision ([`Oracle::wants_labels`]), answers from a snapshot-loaded
+    /// context are bit-identical to a freshly built one.
     ///
     /// A snapshot whose *optional* sections (the PLL label arrays) failed
     /// their checksum is not refused: `Snapshot::open` quarantines them,
-    /// and the context degrades to an exact unbounded BFS oracle — same
-    /// answers, slower — recording the quarantined section names in
+    /// and the context degrades to the exact BFS tier — same answers,
+    /// slower — recording the quarantined section names in
     /// [`SnapshotStartup::quarantined_sections`] so the degradation is
     /// visible in startup telemetry and `--profile` output.
     pub fn from_snapshot(path: &Path) -> Result<EngineCtx, WqeError> {

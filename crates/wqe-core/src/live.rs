@@ -10,9 +10,9 @@
 //! land. Old epochs retire automatically when the last pin drops.
 //!
 //! Publishing maintains the distance index incrementally instead of
-//! rebuilding it (see [`OracleTier`]), and carries the star cache forward
-//! with *keyed* invalidation: only entries whose
-//! [`wqe_query::Footprint`] intersects the delta are evicted.
+//! rebuilding it ([`Oracle::publish`] picks the [`OracleTier`]), and
+//! carries the star cache forward with *keyed* invalidation: only entries
+//! whose [`wqe_query::Footprint`] intersects the delta are evicted.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -35,9 +35,8 @@ use crate::ctx::EngineCtx;
 use crate::error::WqeError;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use wqe_graph::{DeltaSummary, Graph, GraphUpdate};
-use wqe_index::{
-    repair_insertions, BoundedBfsOracle, DeltaOracle, DistanceOracle, PllIndex, PLL_NODE_LIMIT,
-};
+use wqe_index::Oracle;
+pub use wqe_index::OracleTier;
 
 /// Identifies one published state of a live graph. Epoch 0 is the state
 /// the store was created with; each successful publish increments it.
@@ -53,42 +52,6 @@ impl EpochId {
 impl std::fmt::Display for EpochId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "epoch {}", self.0)
-    }
-}
-
-/// How a publish maintained the distance oracle — a latency decision only;
-/// every tier answers exactly, so answers never depend on the tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum OracleTier {
-    /// Pure edge insertions with a live PLL index: the labels were patched
-    /// in place by resumed pruned BFS ([`repair_insertions`]).
-    RepairedPll,
-    /// The delta was routed around: a [`DeltaOracle`] overlay answers
-    /// affected pairs by exact BFS and everything else from the previous
-    /// epoch's oracle. Cheap to publish, slightly slower to query; chained
-    /// overlays accumulate *repair debt* until a rebuild clears it.
-    Overlay,
-    /// Repair debt hit its ceiling (or repair blew its budget on a large
-    /// delta): the PLL index was rebuilt from scratch.
-    RebuiltPll,
-    /// Graph past the PLL crossover: a fresh horizon-4 BFS oracle, exactly
-    /// what a cold build would pick.
-    Bfs,
-    /// No-op batch: the previous epoch was left as head.
-    Unchanged,
-}
-
-impl OracleTier {
-    /// Stable lowercase name (serving layer, epoch listings).
-    pub fn name(self) -> &'static str {
-        match self {
-            OracleTier::RepairedPll => "repaired-pll",
-            OracleTier::Overlay => "overlay",
-            OracleTier::RebuiltPll => "rebuilt-pll",
-            OracleTier::Bfs => "bfs",
-            OracleTier::Unchanged => "unchanged",
-        }
     }
 }
 
@@ -180,14 +143,10 @@ struct Record {
 
 struct Inner {
     head: Arc<EpochState>,
+    /// The head's oracle — what the next publish repairs, overlays or
+    /// replaces.
+    oracle: Arc<Oracle>,
     records: Vec<Record>,
-    /// The head's PLL index when one exists — the handle incremental
-    /// repair patches. `None` after an overlay publish (the labels no
-    /// longer describe the head graph) and for graphs past the crossover.
-    pll: Option<Arc<PllIndex>>,
-    /// Chained-overlay depth since the last full index (each overlay
-    /// consults its predecessor, so query latency grows with the chain).
-    repair_debt: u32,
     subscribers: Vec<Weak<dyn EpochSubscriber>>,
     /// Superseded heads the store itself keeps pinned, newest last — a
     /// bounded retention window for clients that cannot hold an
@@ -197,12 +156,6 @@ struct Inner {
     /// as soon as its last external pin drops.
     retention: usize,
 }
-
-/// Overlay chains longer than this are cut by a full PLL rebuild.
-const OVERLAY_DEBT_LIMIT: u32 = 4;
-
-/// Threads used for full PLL (re)builds inside the store.
-const BUILD_THREADS: usize = 4;
 
 fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
@@ -218,50 +171,16 @@ pub struct GraphStore {
 }
 
 impl GraphStore {
-    /// Opens a store at epoch 0 over `graph`, building the same oracle a
-    /// cold [`EngineCtx::with_default_oracle`] would pick — except the
-    /// store keeps its own handle on the PLL index (when the graph is
-    /// under the crossover) so later publishes can repair it.
+    /// Opens a store at epoch 0 over `graph`, serving the oracle a cold
+    /// [`EngineCtx::with_default_oracle`] would ([`Oracle::build`]).
     pub fn new(graph: Arc<Graph>) -> GraphStore {
-        let (pll, primary): (Option<Arc<PllIndex>>, Arc<dyn DistanceOracle>) =
-            if graph.node_count() <= PLL_NODE_LIMIT {
-                let pll = Arc::new(PllIndex::build_with(&graph, BUILD_THREADS));
-                (Some(Arc::clone(&pll)), pll)
-            } else {
-                (None, Arc::new(BoundedBfsOracle::new(Arc::clone(&graph), 4)))
-            };
-        let oracle = EngineCtx::resilient(&graph, primary);
+        let oracle = Arc::new(Oracle::build(&graph));
         let ctx = EngineCtx::builder()
             .graph(graph)
-            .oracle(oracle)
+            .oracle(Arc::clone(&oracle) as _)
             .epoch(EpochId::INITIAL)
             .build()
             .expect("graph+oracle builds are infallible");
-        GraphStore::with_initial(ctx, pll)
-    }
-
-    /// Opens a store at epoch 0 around an existing context (typically
-    /// snapshot-loaded). The store has no repairable index handle, so the
-    /// first publishes run on the [`OracleTier::Overlay`] tier until a
-    /// rebuild earns one back.
-    pub fn from_ctx(ctx: EngineCtx) -> GraphStore {
-        GraphStore::with_initial(ctx, None)
-    }
-
-    fn with_initial(ctx: EngineCtx, pll: Option<Arc<PllIndex>>) -> GraphStore {
-        let ctx = if ctx.epoch() == EpochId::INITIAL {
-            ctx
-        } else {
-            // A foreign epoch tag would collide with this store's own
-            // numbering; restart it at 0 (graph/oracle/cache are kept).
-            EngineCtx::builder()
-                .graph(Arc::clone(ctx.graph()))
-                .oracle(Arc::clone(ctx.oracle()))
-                .star_cache(Arc::clone(ctx.star_cache()))
-                .epoch(EpochId::INITIAL)
-                .build()
-                .expect("graph+oracle builds are infallible")
-        };
         let head = Arc::new(EpochState {
             id: EpochId::INITIAL,
             ctx,
@@ -270,7 +189,7 @@ impl GraphStore {
             id: EpochId::INITIAL,
             nodes: head.ctx.graph().node_count(),
             edges: head.ctx.graph().edge_count(),
-            tier: if pll.is_some() {
+            tier: if oracle.owned_labels().is_some() {
                 "initial-pll"
             } else {
                 "initial"
@@ -281,9 +200,8 @@ impl GraphStore {
             write_gate: Mutex::new(()),
             inner: Mutex::new(Inner {
                 head,
+                oracle,
                 records,
-                pll,
-                repair_debt: 0,
                 subscribers: Vec::new(),
                 retained: Vec::new(),
                 retention: 0,
@@ -364,8 +282,8 @@ impl GraphStore {
     /// edge that exists, setting an attribute to its current value) does
     /// not publish and reports [`OracleTier::Unchanged`].
     ///
-    /// Index maintenance picks the cheapest exact tier (see
-    /// [`OracleTier`]); the star cache is carried over with keyed
+    /// Index maintenance picks the cheapest exact tier
+    /// ([`Oracle::publish`]); the star cache is carried over with keyed
     /// invalidation. Readers pinned to older epochs are unaffected; the
     /// brief head swap is the only moment new [`GraphStore::pin`] calls
     /// block.
@@ -374,13 +292,9 @@ impl GraphStore {
         // snapshots and the O(1) head swap, so readers can pin throughout
         // the (potentially long) index maintenance below.
         let _gate = relock(self.write_gate.lock());
-        let (old_state, old_pll, old_debt) = {
+        let (old_state, old_oracle) = {
             let inner = relock(self.inner.lock());
-            (
-                Arc::clone(&inner.head),
-                inner.pll.clone(),
-                inner.repair_debt,
-            )
+            (Arc::clone(&inner.head), Arc::clone(&inner.oracle))
         };
         let old_ctx = &old_state.ctx;
         let (new_graph, delta) = old_ctx.graph().apply_updates(updates)?;
@@ -394,57 +308,16 @@ impl GraphStore {
             });
         }
         let new_graph = Arc::new(new_graph);
-        let small = new_graph.node_count() <= PLL_NODE_LIMIT;
-
-        // Cheapest exact tier first. Every branch produces an oracle that
-        // answers exactly on `new_graph`, so the choice is invisible to
-        // answers — only to publish latency and query latency.
-        let mut tier = OracleTier::Bfs;
-        let mut new_pll: Option<Arc<PllIndex>> = None;
-        let mut new_debt = 0u32;
-        let primary: Arc<dyn DistanceOracle> = if small {
-            let repaired = if delta.pure_edge_insert() {
-                old_pll.as_deref().and_then(|pll| {
-                    let budget = 48 * new_graph.node_count() as u64 + 4_096;
-                    repair_insertions(pll, &new_graph, &delta.inserted_edges, budget)
-                })
-            } else {
-                None
-            };
-            if let Some(repaired) = repaired {
-                let repaired = Arc::new(repaired);
-                tier = OracleTier::RepairedPll;
-                new_pll = Some(Arc::clone(&repaired));
-                repaired
-            } else if old_debt < OVERLAY_DEBT_LIMIT {
-                // Sound because small-graph epochs always carry an
-                // unbounded-exact oracle (PLL labels, a previous overlay,
-                // or the resilient BFS fallback — never a horizon-4 BFS).
-                tier = OracleTier::Overlay;
-                new_debt = old_debt + 1;
-                Arc::new(DeltaOracle::new(
-                    Arc::clone(old_ctx.oracle()),
-                    Arc::clone(&new_graph),
-                    old_ctx.graph().node_count() as u32,
-                    delta.inserted_edges.clone(),
-                    delta.deleted_edges.clone(),
-                ))
-            } else {
-                tier = OracleTier::RebuiltPll;
-                let pll = Arc::new(PllIndex::build_with(&new_graph, BUILD_THREADS));
-                new_pll = Some(Arc::clone(&pll));
-                pll
-            }
-        } else {
-            Arc::new(BoundedBfsOracle::new(Arc::clone(&new_graph), 4))
-        };
-        let oracle = EngineCtx::resilient(&new_graph, primary);
+        // Every tier answers exactly on `new_graph`, so the choice is
+        // invisible to answers — only to publish and query latency.
+        let (oracle, tier) = Oracle::publish(&old_oracle, &new_graph, &delta);
+        let oracle = Arc::new(oracle);
         let (next_cache, star_evicted) = old_ctx.star_cache().carry_over(&delta);
 
         let next_id = EpochId(old_state.id.0 + 1);
         let ctx = EngineCtx::builder()
             .graph(Arc::clone(&new_graph))
-            .oracle(oracle)
+            .oracle(Arc::clone(&oracle) as _)
             .epoch(next_id)
             .star_cache(Arc::new(next_cache))
             .build()
@@ -461,8 +334,7 @@ impl GraphStore {
                 state: Arc::downgrade(&head),
             });
             inner.head = head;
-            inner.pll = new_pll;
-            inner.repair_debt = new_debt;
+            inner.oracle = oracle;
             if inner.retention > 0 {
                 inner.retained.push(EpochHandle {
                     state: Arc::clone(&old_state),
@@ -494,7 +366,7 @@ impl std::fmt::Debug for GraphStore {
         f.debug_struct("GraphStore")
             .field("head", &inner.head.id)
             .field("epochs", &inner.records.len())
-            .field("repair_debt", &inner.repair_debt)
+            .field("overlay_depth", &inner.oracle.overlay_depth())
             .finish_non_exhaustive()
     }
 }
@@ -590,12 +462,13 @@ mod tests {
             s.apply(&[GraphUpdate::DeleteEdge { from: u, to: v }])
                 .unwrap()
         };
-        for i in 0..OVERLAY_DEBT_LIMIT {
+        for i in 0..4 {
             let report = delete_one();
             assert_eq!(report.tier, OracleTier::Overlay, "publish {i}");
             assert_oracle_exact(&s);
         }
-        // Debt ceiling reached: the next non-repairable publish rebuilds.
+        // Overlay chain at its depth limit: the next non-repairable publish
+        // rebuilds.
         let report = delete_one();
         assert_eq!(report.tier, OracleTier::RebuiltPll);
         assert_oracle_exact(&s);
@@ -708,17 +581,99 @@ mod tests {
     }
 
     #[test]
+    fn overlay_epochs_consult_the_oracle_fault_site_once_per_call() {
+        use wqe_pool::fault::{self, FaultPlan, FaultSite};
+        let s = store();
+        for depth in 1..=3 {
+            let g = Arc::clone(s.pin().ctx().graph());
+            let (u, v) = g
+                .node_ids()
+                .find_map(|u| g.out_neighbors(u).first().map(|&(v, _)| (u, v)))
+                .expect("head graph still has edges");
+            let report = s
+                .apply(&[GraphUpdate::DeleteEdge { from: u, to: v }])
+                .unwrap();
+            assert_eq!(report.tier, OracleTier::Overlay, "publish {depth}");
+            let plan = Arc::new(
+                FaultPlan::new(1)
+                    .arm(FaultSite::Oracle, u64::MAX)
+                    .with_budget(FaultSite::Oracle, 0),
+            );
+            let _fault = fault::enter(Arc::clone(&plan));
+            s.pin()
+                .ctx()
+                .oracle()
+                .distance_within(NodeId(0), NodeId(4), 4);
+            assert_eq!(plan.calls(FaultSite::Oracle), 1, "overlay depth {depth}");
+        }
+    }
+
+    /// A chain `0 -> 1 -> … -> n-1`, past the PLL crossover at n = 50,010.
+    fn chain(n: u32) -> Arc<Graph> {
+        let mut b = wqe_graph::GraphBuilder::new();
+        let ids: Vec<_> = (0..n).map(|_| b.add_node("N", [])).collect();
+        for w in ids.windows(2) {
+            b.add_edge(w[0], w[1], "e");
+        }
+        Arc::new(b.finalize())
+    }
+
+    #[test]
     fn big_graph_publishes_on_bfs_tier() {
-        // Fake "big" by going through from_ctx (no PLL handle) with a
-        // deletion so neither repair nor a small-graph invariant is
-        // assumed. The overlay tier covers small from_ctx stores; the BFS
-        // branch needs node_count > PLL_NODE_LIMIT, which is too big to
-        // build here — so assert the from_ctx/overlay path instead.
-        let ctx = EngineCtx::with_default_oracle(Arc::new(product_graph().graph));
-        let s = GraphStore::from_ctx(ctx);
-        let report = s.apply(&[edge(0, 9)]).unwrap();
-        // No PLL handle: pure inserts fall to the overlay tier.
-        assert_eq!(report.tier, OracleTier::Overlay);
-        assert_oracle_exact(&s);
+        let s = GraphStore::new(chain(50_010));
+        assert_eq!(s.epochs()[0].tier, "initial");
+        let inserted = s.apply(&[edge(10, 3)]).unwrap();
+        assert_eq!(inserted.tier, OracleTier::Bfs);
+        let deleted = s
+            .apply(&[GraphUpdate::DeleteEdge {
+                from: NodeId(20),
+                to: NodeId(21),
+            }])
+            .unwrap();
+        assert_eq!(deleted.tier, OracleTier::Bfs);
+        let h = s.pin();
+        let g = h.ctx().graph();
+        for u in [0u32, 5, 19, 21, 49_000] {
+            let reach: std::collections::HashMap<NodeId, u32> =
+                g.bounded_bfs(NodeId(u), u32::MAX).into_iter().collect();
+            let targets: Vec<(NodeId, NodeId)> = [0u32, 3, 4, 11, 20, 21, 40, 25_000, 50_009]
+                .iter()
+                .map(|&v| (NodeId(u), NodeId(v)))
+                .collect();
+            let got = h.ctx().oracle().dist_batch(&targets, u32::MAX);
+            for (&(_, v), d) in targets.iter().zip(got) {
+                assert_eq!(d, reach.get(&v).copied(), "distance({u}, {v:?})");
+            }
+        }
+    }
+
+    #[test]
+    fn past_the_crossover_bounds_beyond_four_are_exact() {
+        let graph = chain(50_010);
+        let path =
+            std::env::temp_dir().join(format!("wqe-core-live-chain-{}.wqs", std::process::id()));
+        wqe_store::build_and_write_snapshot(&path, &graph).unwrap();
+        let fresh = EngineCtx::with_default_oracle(Arc::clone(&graph));
+        let loaded = EngineCtx::from_snapshot(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let store = GraphStore::new(Arc::clone(&graph));
+        let head = store.pin();
+        for (name, ctx) in [
+            ("fresh", &fresh),
+            ("snapshot", &loaded),
+            ("store", head.ctx()),
+        ] {
+            let oracle = ctx.oracle();
+            assert_eq!(
+                oracle.distance_within(NodeId(0), NodeId(5), 5),
+                Some(5),
+                "{name}"
+            );
+            assert_eq!(
+                oracle.dist_batch(&[(NodeId(0), NodeId(5)), (NodeId(0), NodeId(6))], 6),
+                vec![Some(5), Some(6)],
+                "{name}"
+            );
+        }
     }
 }

@@ -67,7 +67,7 @@ pub struct CounterRegistry {
     /// Point distance-oracle calls (`distance_within`). The matcher's
     /// join asks only in batches, so these now come from operator
     /// generation's `RfE` check alone — plus, on the live overlay tier,
-    /// from `DeltaOracle` answering a batch pair by pair. A query that
+    /// from the overlay answering a batch pair by pair. A query that
     /// reaches neither reports 0 here; that is not "no distance work".
     pub oracle_dist_calls: u64,
     /// Batched distance-oracle calls (`dist_batch`): one per constraint
@@ -108,8 +108,8 @@ pub struct CounterRegistry {
     /// Serves completed on a degraded path (pinned fallback oracle,
     /// quarantined snapshot via BFS, or success only after retry).
     pub degraded_serves: u64,
-    /// `SnapshotOracle` batch calls that lost the shared-scratch lock race
-    /// and allocated a local scratch instead.
+    /// Label batch calls of the oracle that lost the shared-scratch lock
+    /// race and allocated a local scratch instead.
     pub scratch_fallbacks: u64,
     /// Incremental anytime-answer events emitted to streaming clients.
     pub stream_updates: u64,

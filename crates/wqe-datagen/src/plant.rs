@@ -186,7 +186,7 @@ pub fn generate_planted(
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use wqe_index::HybridOracle;
+    use wqe_index::Oracle;
     use wqe_query::Matcher;
 
     fn small_background() -> SynthConfig {
@@ -203,10 +203,7 @@ mod tests {
     fn planted_copies_all_match() {
         let w = generate_planted(&small_background(), &PlantTemplate::default(), 12);
         let graph = Arc::new(w.graph.clone());
-        let matcher = Matcher::new(
-            Arc::clone(&graph),
-            Arc::new(HybridOracle::default_for(&graph, 4)),
-        );
+        let matcher = Matcher::new(Arc::clone(&graph), Arc::new(Oracle::build(&graph)));
         let out = matcher.evaluate(&w.query);
         for &p in &w.planted {
             assert!(out.matches.contains(&p), "planted focus {p:?} must match");
@@ -222,10 +219,7 @@ mod tests {
         };
         let w = generate_planted(&small_background(), &template, 8);
         let graph = Arc::new(w.graph.clone());
-        let matcher = Matcher::new(
-            Arc::clone(&graph),
-            Arc::new(HybridOracle::default_for(&graph, 4)),
-        );
+        let matcher = Matcher::new(Arc::clone(&graph), Arc::new(Oracle::build(&graph)));
         let out = matcher.evaluate(&w.query);
         let focus_label = w
             .graph
@@ -257,10 +251,7 @@ mod tests {
         };
         let w = generate_planted(&small_background(), &template, 4);
         let graph = Arc::new(w.graph.clone());
-        let matcher = Matcher::new(
-            Arc::clone(&graph),
-            Arc::new(HybridOracle::default_for(&graph, 4)),
-        );
+        let matcher = Matcher::new(Arc::clone(&graph), Arc::new(Oracle::build(&graph)));
         let out = matcher.evaluate(&w.query);
         for &p in &w.planted {
             assert!(out.matches.contains(&p));

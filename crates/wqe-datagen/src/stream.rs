@@ -15,10 +15,9 @@
 //! handing it to [`wqe_store::write_snapshot`] — including the diameter
 //! estimate, whose double-sweep (and its tie-breaking) is replicated
 //! exactly — which is what the cross-validation test pins. Scale snapshots
-//! carry no PLL sections (`flags = 0`): graphs this size are past the
-//! [`wqe_index::PLL_NODE_LIMIT`] crossover, so a loaded context serves
-//! distances through the bounded-BFS oracle exactly like a fresh build
-//! would.
+//! carry no PLL sections (`flags = 0`): graphs this size are past the PLL
+//! crossover ([`wqe_index::Oracle::wants_labels`]), so a loaded context
+//! serves distances from the BFS tier exactly like a fresh build would.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -1,10 +1,11 @@
 //! Bounded breadth-first-search distance oracle with memoization.
 //!
-//! Pattern matching only ever asks for distances up to the maximum edge
-//! bound `b_m` (§2.1), so a BFS truncated at a small horizon answers every
-//! query the matcher poses. Results are memoized per source node because
-//! Q-Chase re-evaluates highly similar queries over the same candidates
-//! (§5.2 "Caching the Stars" makes the same observation for star views).
+//! Pattern matching mostly asks for distances up to the maximum edge bound
+//! `b_m` (§2.1), so reach sets truncated at a small horizon are memoized
+//! per source node: Q-Chase re-evaluates highly similar queries over the
+//! same candidates (§5.2 "Caching the Stars" makes the same observation
+//! for star views). A deeper bound is still answered exactly, by a
+//! traversal that is not memoized.
 
 use crate::oracle::DistanceOracle;
 use std::collections::HashMap;
@@ -21,9 +22,11 @@ const GOVERNOR_POLL_INTERVAL: usize = 256;
 
 /// Memoizing bounded-BFS oracle.
 ///
-/// `horizon` is the largest distance the oracle will ever report; queries
-/// with a larger bound are truncated to the horizon. Memo entries are evicted
-/// FIFO once `capacity` sources are cached.
+/// `horizon` is the memo depth: a query with `bound <= horizon` is answered
+/// from the source's reach set truncated at the horizon, memoized; a larger
+/// bound costs one uncached traversal to that bound. Answers are exact at
+/// every bound. Memo entries are evicted FIFO once `capacity` sources are
+/// cached.
 ///
 /// Shares ownership of the graph, so the oracle is `'static`: it can be put
 /// behind an `Arc<dyn DistanceOracle>` and handed to any thread. The memo
@@ -73,7 +76,7 @@ impl BfsScratch {
         &mut self,
         graph: &Graph,
         u: NodeId,
-        horizon: u32,
+        depth: u32,
         gov: Option<&Governor>,
     ) -> (HashMap<NodeId, u32>, bool) {
         if self.dist.len() < graph.node_count() {
@@ -96,7 +99,7 @@ impl BfsScratch {
             let x = self.queue[head];
             head += 1;
             let d = self.dist[x.index()];
-            if d == horizon {
+            if d == depth {
                 continue;
             }
             for &(y, _) in graph.out_neighbors(x) {
@@ -122,7 +125,8 @@ impl BfsScratch {
 }
 
 impl BoundedBfsOracle {
-    /// Creates an oracle over `graph` answering distances up to `horizon`.
+    /// Creates an oracle over `graph` that memoizes reach sets `horizon`
+    /// hops deep.
     pub fn new(graph: Arc<Graph>, horizon: u32) -> Self {
         BoundedBfsOracle {
             graph,
@@ -139,9 +143,9 @@ impl BoundedBfsOracle {
         self
     }
 
-    /// The distance horizon.
-    pub fn horizon(&self) -> u32 {
-        self.horizon
+    /// The graph the oracle answers for.
+    pub(crate) fn graph(&self) -> &Arc<Graph> {
+        &self.graph
     }
 
     /// Number of memoized sources (for tests and instrumentation).
@@ -159,12 +163,16 @@ impl BoundedBfsOracle {
     /// down for its siblings. The map itself is
     /// never left mid-update by the code below — entries are inserted with
     /// a single `insert` after being fully computed.
-    fn reach_from(&self, u: NodeId) -> Arc<HashMap<NodeId, u32>> {
-        self.memoized(u).unwrap_or_else(|| self.traverse(u))
+    fn reach_from(&self, u: NodeId, depth: u32) -> Arc<HashMap<NodeId, u32>> {
+        self.memoized(u, depth)
+            .unwrap_or_else(|| self.traverse(u, depth))
     }
 
-    /// The memoized reach set of `u`, if any.
-    fn memoized(&self, u: NodeId) -> Option<Arc<HashMap<NodeId, u32>>> {
+    /// The memoized reach set of `u`, if any and `depth` is the horizon.
+    fn memoized(&self, u: NodeId, depth: u32) -> Option<Arc<HashMap<NodeId, u32>>> {
+        if depth != self.horizon {
+            return None;
+        }
         self.memo
             .read()
             .unwrap_or_else(PoisonError::into_inner)
@@ -173,8 +181,9 @@ impl BoundedBfsOracle {
             .cloned()
     }
 
-    /// Runs the cold traversal from `u` and memoizes it when complete.
-    fn traverse(&self, u: NodeId) -> Arc<HashMap<NodeId, u32>> {
+    /// Runs the cold traversal from `u` to `depth` hops, memoizing it when
+    /// it is complete and exactly `horizon` deep.
+    fn traverse(&self, u: NodeId, depth: u32) -> Arc<HashMap<NodeId, u32>> {
         // The active session's governor (if any) bounds the traversal. All
         // three scratch paths — the shared buffer, the poison-recovered
         // buffer, and the `WouldBlock` one-shot fallback — honor it.
@@ -184,14 +193,13 @@ impl BoundedBfsOracle {
         // `distance_within` / `dist_batch`) but not timed.
         let span = obs::span(obs::Stage::Oracle);
         let (computed, complete) = match self.scratch.try_lock() {
-            Ok(mut scratch) => scratch.bounded_bfs(&self.graph, u, self.horizon, gov),
+            Ok(mut scratch) => scratch.bounded_bfs(&self.graph, u, depth, gov),
             Err(TryLockError::Poisoned(p)) => {
-                p.into_inner()
-                    .bounded_bfs(&self.graph, u, self.horizon, gov)
+                p.into_inner().bounded_bfs(&self.graph, u, depth, gov)
             }
             // Another thread holds the scratch: do not serialize on it.
             Err(TryLockError::WouldBlock) => {
-                BfsScratch::default().bounded_bfs(&self.graph, u, self.horizon, gov)
+                BfsScratch::default().bounded_bfs(&self.graph, u, depth, gov)
             }
         };
         drop(span);
@@ -199,7 +207,7 @@ impl BoundedBfsOracle {
         // A governed abort leaves the reach map incomplete; memoizing it
         // would silently corrupt *other* sessions sharing this oracle, so
         // partial results are returned to the aborting query only.
-        if !complete {
+        if !complete || depth != self.horizon {
             return arc;
         }
         let mut state = self.memo.write().unwrap_or_else(PoisonError::into_inner);
@@ -219,8 +227,7 @@ impl BoundedBfsOracle {
 impl DistanceOracle for BoundedBfsOracle {
     fn distance_within(&self, u: NodeId, v: NodeId, bound: u32) -> Option<u32> {
         obs::with_current(|p| p.add(obs::Counter::OracleDist, 1));
-        let bound = bound.min(self.horizon);
-        let reach = self.reach_from(u);
+        let reach = self.reach_from(u, bound.max(self.horizon));
         reach.get(&v).copied().filter(|&d| d <= bound)
     }
 
@@ -231,7 +238,8 @@ impl DistanceOracle for BoundedBfsOracle {
     /// memo *miss* goes through a per-batch map of the traversals this
     /// batch ran, so interleaved cold sources (`a, b, a, b, …`) cost two
     /// traversals, not one per run, even when the shared memo is too small
-    /// to hold them.
+    /// to hold them. A bound past the horizon skips the memo: each distinct
+    /// source costs one uncached traversal to the bound.
     ///
     /// The batch polls the active governor for cancellation/deadline at
     /// its first pair and every 64 pairs after — not per fresh source: a
@@ -242,7 +250,7 @@ impl DistanceOracle for BoundedBfsOracle {
     /// already tagged partial.
     fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
         obs::with_current(|p| p.add(obs::Counter::OracleDistBatch, 1));
-        let bound = bound.min(self.horizon);
+        let depth = bound.max(self.horizon);
         let gov = governor::current();
         let mut out = Vec::with_capacity(pairs.len());
         let mut traversed: HashMap<NodeId, Arc<HashMap<NodeId, u32>>> = HashMap::new();
@@ -257,8 +265,12 @@ impl DistanceOracle for BoundedBfsOracle {
             let reach = match &last {
                 Some((lu, reach)) if *lu == u => reach,
                 _ => {
-                    let reach = self.memoized(u).unwrap_or_else(|| {
-                        Arc::clone(traversed.entry(u).or_insert_with(|| self.traverse(u)))
+                    let reach = self.memoized(u, depth).unwrap_or_else(|| {
+                        Arc::clone(
+                            traversed
+                                .entry(u)
+                                .or_insert_with(|| self.traverse(u, depth)),
+                        )
                     });
                     &last.insert((u, reach)).1
                 }
@@ -294,11 +306,20 @@ mod tests {
     }
 
     #[test]
-    fn horizon_truncates() {
+    fn bounds_past_the_horizon_stay_exact_and_skip_the_memo() {
         let g = cycle(10);
-        let o = BoundedBfsOracle::new(g, 2);
-        assert_eq!(o.distance_within(NodeId(0), NodeId(3), 9), None);
+        let o = BoundedBfsOracle::new(Arc::clone(&g), 2);
+        assert_eq!(o.distance_within(NodeId(0), NodeId(3), 9), Some(3));
+        assert_eq!(o.distance_within(NodeId(0), NodeId(9), 8), None);
+        assert_eq!(o.cached_sources(), 0, "deep traversals are not memoized");
         assert_eq!(o.distance_within(NodeId(0), NodeId(2), 9), Some(2));
+        assert_eq!(
+            o.dist_batch(&[(NodeId(0), NodeId(5)), (NodeId(0), NodeId(6))], 6),
+            vec![Some(5), Some(6)]
+        );
+        assert_eq!(o.cached_sources(), 0);
+        assert_eq!(o.distance_within(NodeId(0), NodeId(2), 2), Some(2));
+        assert_eq!(o.cached_sources(), 1, "bounds within the horizon memoize");
     }
 
     #[test]

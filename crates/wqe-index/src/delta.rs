@@ -3,7 +3,7 @@
 //! When an epoch publishes a graph delta, rebuilding the PLL index from
 //! scratch costs the full `O(Σ label sizes · avg degree)` construction —
 //! wasteful when a handful of edges changed. This module provides the two
-//! cheaper tiers the epoch store picks from:
+//! cheaper tiers [`crate::Oracle::publish`] picks from:
 //!
 //! * [`repair_insertions`] — incremental label repair for pure edge
 //!   insertions (the resumed pruned-BFS scheme of Akiba et al., WWW 2014):
@@ -11,22 +11,22 @@
 //!   pruned BFS is *resumed* through the new edge, patching only the labels
 //!   the insertion can actually shorten. A visit budget bounds the work;
 //!   repair past the budget returns `None` and the caller falls back.
-//! * [`DeltaOracle`] — an exact overlay for arbitrary deltas (deletions,
-//!   new nodes): answers from the old oracle when the delta provably cannot
-//!   have changed the pair, and routes *affected* source/target pairs to an
-//!   exact BFS on the new graph (the bounded-staleness fallback — answers
-//!   are never stale, only slower for touched regions).
+//! * the overlay tier — exact for arbitrary deltas (deletions, new
+//!   nodes): answers from the previous epoch's tier when the delta provably
+//!   cannot have changed the pair, and routes *affected* source/target
+//!   pairs to an exact BFS on the new graph (the bounded-staleness
+//!   fallback — answers are never stale, only slower for touched regions).
 //!
 //! Both tiers answer bit-identically to a fresh index on the new graph;
 //! they only trade construction time against per-query time.
 
 use crate::bfs::BoundedBfsOracle;
 use crate::kernel::BatchScratch;
-use crate::oracle::DistanceOracle;
+use crate::oracle::{DistanceOracle, Oracle};
 use crate::pll::{BuildLabels, PllIndex};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use wqe_graph::{Graph, NodeId};
+use wqe_graph::{DeltaSummary, Graph, NodeId};
 
 /// Incrementally repairs a PLL index after pure edge insertions.
 ///
@@ -138,11 +138,12 @@ pub fn repair_insertions(
     PllIndex::from_parts(labels.flatten()).ok()
 }
 
-/// An exact distance overlay for arbitrary graph deltas.
+/// The overlay tier: exact distances after an arbitrary graph delta.
 ///
-/// Holds the *old* graph's oracle plus the delta (`inserted`/`deleted`
-/// edge pairs, old node count) and the *new* graph. Queries decompose
-/// along the first inserted edge on a candidate path:
+/// Holds the previous epoch's oracle (`base`, asked through its tier,
+/// never its ladder) plus the delta (`inserted`/`deleted` edge pairs, old
+/// node count). Queries decompose along the first inserted edge on a
+/// candidate path:
 ///
 /// `d_new(s, t) = min( d_mid(s, t), min over inserted (p, q) of
 /// d_mid(s, p) + 1 + d_new(q, t) )`
@@ -151,35 +152,28 @@ pub fn repair_insertions(
 /// equals the old answer unless some deleted edge `(a, b)` sat on an old
 /// shortest path (`d_old(s, a) + 1 + d_old(b, x) == d_old(s, x)`); such
 /// *suspect* pairs — and any pair touching a node added after the old
-/// build — are routed to an exact memoized BFS on the new graph. The
-/// `d_new(q, t)` tails come from one BFS per inserted edge head, run at
-/// construction. Every branch is exact; "bounded staleness" bounds only
-/// the latency of affected pairs, never the answer.
-pub struct DeltaOracle {
-    base: Arc<dyn DistanceOracle>,
-    graph: Arc<Graph>,
+/// build — are routed to the exact BFS on the new graph that the owning
+/// [`Oracle`] also falls back to. The `d_new(q, t)` tails come from one
+/// BFS per inserted edge head, run at construction. Every branch is exact;
+/// "bounded staleness" bounds only the latency of affected pairs, never
+/// the answer.
+pub(crate) struct Overlay {
+    pub(crate) base: Arc<Oracle>,
     old_n: u32,
     inserted: Vec<(NodeId, NodeId)>,
     deleted: Vec<(NodeId, NodeId)>,
     /// `tails[i][t] = d_new(q_i, t)` for inserted edge `(p_i, q_i)`.
     tails: Vec<Vec<u32>>,
-    fallback: BoundedBfsOracle,
 }
 
-impl DeltaOracle {
-    /// Builds the overlay. `base` answers *unbounded* exact distances on
-    /// the old graph (`old_n` nodes); `graph` is the new graph; `inserted`
-    /// and `deleted` are the delta's distinct edge pairs (endpoint pairs —
-    /// parallel labels collapse, which is sound because distances ignore
-    /// edge labels).
-    pub fn new(
-        base: Arc<dyn DistanceOracle>,
-        graph: Arc<Graph>,
-        old_n: u32,
-        inserted: Vec<(NodeId, NodeId)>,
-        deleted: Vec<(NodeId, NodeId)>,
-    ) -> Self {
-        let tails = inserted
+impl Overlay {
+    /// The overlay for `graph`, which is `base`'s graph with `delta`
+    /// applied. `base` answers *unbounded* exact distances on the old
+    /// graph; the delta's edge pairs are endpoint pairs (parallel labels
+    /// collapse, which is sound because distances ignore edge labels).
+    pub(crate) fn new(base: Arc<Oracle>, graph: &Graph, delta: &DeltaSummary) -> Self {
+        let tails = delta
+            .inserted_edges
             .iter()
             .map(|&(_, q)| {
                 let mut dist = vec![u32::MAX; graph.node_count()];
@@ -189,21 +183,17 @@ impl DeltaOracle {
                 dist
             })
             .collect();
-        let fallback = BoundedBfsOracle::new(Arc::clone(&graph), u32::MAX);
-        DeltaOracle {
+        Overlay {
+            old_n: base.graph().node_count() as u32,
             base,
-            graph,
-            old_n,
-            inserted,
-            deleted,
+            inserted: delta.inserted_edges.clone(),
+            deleted: delta.deleted_edges.clone(),
             tails,
-            fallback,
         }
     }
 
-    /// The new graph the overlay answers for.
-    pub fn graph(&self) -> &Arc<Graph> {
-        &self.graph
+    fn old(&self, s: NodeId, t: NodeId) -> Option<u32> {
+        self.base.tier_distance(s, t, u32::MAX)
     }
 
     /// True when some deleted edge lay on an old shortest `s -> t` path,
@@ -214,28 +204,34 @@ impl DeltaOracle {
             return false;
         };
         self.deleted.iter().any(|&(a, b)| {
-            let front = self.base.distance_within(s, a, u32::MAX);
-            let back = self.base.distance_within(b, t, u32::MAX);
+            let front = self.old(s, a);
+            let back = self.old(b, t);
             matches!((front, back), (Some(f), Some(k)) if f.saturating_add(1).saturating_add(k) == d)
         })
     }
-}
 
-impl DistanceOracle for DeltaOracle {
-    fn distance_within(&self, s: NodeId, t: NodeId, bound: u32) -> Option<u32> {
+    /// `dist(s, t)` on the new graph within `bound`; `exact` is the new
+    /// graph's BFS, which answers the affected pairs.
+    pub(crate) fn distance_within(
+        &self,
+        exact: &BoundedBfsOracle,
+        s: NodeId,
+        t: NodeId,
+        bound: u32,
+    ) -> Option<u32> {
         if s == t {
             return Some(0);
         }
-        // Nodes added after the old build have no base labels at all.
+        // Nodes added after the old build have no base answers at all.
         if s.0 >= self.old_n || t.0 >= self.old_n {
-            return self.fallback.distance_within(s, t, bound);
+            return exact.distance_within(s, t, bound);
         }
-        let d_old = self.base.distance_within(s, t, u32::MAX);
+        let d_old = self.old(s, t);
         if !self.deleted.is_empty() && self.suspect(s, t, d_old) {
-            return self.fallback.distance_within(s, t, bound);
+            return exact.distance_within(s, t, bound);
         }
         let mut best = d_old;
-        for (i, &(p, q)) in self.inserted.iter().enumerate() {
+        for (&(p, _), tail) in self.inserted.iter().zip(&self.tails) {
             let leg = if s == p {
                 Some(0)
             } else if p.0 >= self.old_n {
@@ -243,20 +239,19 @@ impl DistanceOracle for DeltaOracle {
                 // covered by the decomposition through earlier insertions.
                 None
             } else {
-                let d_sp = self.base.distance_within(s, p, u32::MAX);
+                let d_sp = self.old(s, p);
                 if !self.deleted.is_empty() && self.suspect(s, p, d_sp) {
-                    return self.fallback.distance_within(s, t, bound);
+                    return exact.distance_within(s, t, bound);
                 }
                 d_sp
             };
-            let (Some(leg), tail) = (leg, self.tails[i][t.index()]) else {
+            let (Some(leg), tail) = (leg, tail[t.index()]) else {
                 continue;
             };
             if tail != u32::MAX {
                 let cand = leg.saturating_add(1).saturating_add(tail);
                 best = Some(best.map_or(cand, |b| b.min(cand)));
             }
-            let _ = q;
         }
         best.filter(|&d| d <= bound)
     }
@@ -275,6 +270,22 @@ mod tests {
             b.add_edge(ids[u as usize], ids[v as usize], "e");
         }
         b.finalize()
+    }
+
+    /// An overlay for `new` over labels built on `old`.
+    fn overlay(
+        old: &Graph,
+        new: &Graph,
+        inserted: Vec<(NodeId, NodeId)>,
+        deleted: Vec<(NodeId, NodeId)>,
+    ) -> Oracle {
+        let base = Arc::new(Oracle::build(&Arc::new(old.clone())));
+        let delta = DeltaSummary {
+            inserted_edges: inserted,
+            deleted_edges: deleted,
+            ..Default::default()
+        };
+        Oracle::overlay(&base, &Arc::new(new.clone()), &delta)
     }
 
     fn assert_exact(oracle: &dyn DistanceOracle, g: &Graph) {
@@ -319,18 +330,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_oracle_handles_deletion() {
+    fn overlay_handles_deletion() {
         // Delete the only 1 -> 2 link: pairs through it must re-route.
         let old = build_graph(4, &[(0, 1), (1, 2), (2, 3), (0, 3)]);
         let new = build_graph(4, &[(0, 1), (2, 3), (0, 3)]);
-        let base: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&old));
-        let overlay = DeltaOracle::new(
-            base,
-            Arc::new(new.clone()),
-            4,
-            vec![],
-            vec![(NodeId(1), NodeId(2))],
-        );
+        let overlay = overlay(&old, &new, vec![], vec![(NodeId(1), NodeId(2))]);
         assert_exact(&overlay, &new);
         assert_eq!(
             overlay.distance_within(NodeId(1), NodeId(3), u32::MAX),
@@ -339,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_oracle_handles_new_node() {
+    fn overlay_handles_new_node() {
         let old = build_graph(3, &[(0, 1), (1, 2)]);
         let mut b = GraphBuilder::with_schema(old.schema().clone());
         for v in old.node_ids() {
@@ -355,11 +359,9 @@ mod tests {
         b.add_edge(NodeId(2), fresh, "e");
         b.add_edge(fresh, NodeId(0), "e");
         let new = b.finalize();
-        let base: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&old));
-        let overlay = DeltaOracle::new(
-            base,
-            Arc::new(new.clone()),
-            3,
+        let overlay = overlay(
+            &old,
+            &new,
             vec![(NodeId(2), fresh), (fresh, NodeId(0))],
             vec![],
         );
@@ -462,7 +464,7 @@ mod tests {
 
         /// The delta overlay is exact under mixed insert + delete batches.
         #[test]
-        fn delta_oracle_matches_bfs(
+        fn overlay_matches_bfs(
             n in 3usize..12,
             base_edges in proptest::collection::vec((0u32..12, 0u32..12), 2..26),
             ins in proptest::collection::vec((0u32..12, 0u32..12), 0..4),
@@ -492,10 +494,7 @@ mod tests {
             }
             let old = build_graph(n, &base_edges);
             let new = build_graph(n, &survivors);
-            let base: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&old));
-            let overlay = DeltaOracle::new(
-                base, Arc::new(new.clone()), n as u32, inserted, deleted,
-            );
+            let overlay = overlay(&old, &new, inserted, deleted);
             let truth = BoundedBfsOracle::new(Arc::new(new.clone()), u32::MAX);
             for u in new.node_ids() {
                 for v in new.node_ids() {

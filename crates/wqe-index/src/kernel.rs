@@ -211,9 +211,9 @@ unsafe fn merge_join_avx2(
     (best, (i + j) as u64)
 }
 
-/// Targets per source below which [`crate::PllSlices::dist_batch_with`]
-/// (`wqe_index::PllSlices`) answers pairwise instead of building the
-/// source table. Answers are identical either way; the table only pays off
+/// Targets per source below which a label batch (`PllSlices`'s
+/// `dist_batch_with`, behind [`crate::Oracle`]) answers pairwise instead of
+/// building the source table. Answers are identical either way; the table only pays off
 /// once its fill cost amortizes over several probes.
 pub const MIN_GROUP: usize = 4;
 

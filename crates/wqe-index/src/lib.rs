@@ -8,15 +8,22 @@
 //! access a fast distance index \[2\]" (Akiba et al., pruned landmark
 //! labeling). This crate provides:
 //!
+//! * [`Oracle`] — the one production oracle: per graph it serves one tier
+//!   (labels, owned or mapped from a snapshot; bounded BFS past the PLL
+//!   crossover; or, on a live-graph publish, an overlay over the previous
+//!   epoch's tier — [`Oracle::publish`]), behind one degradation ladder
+//!   (retry → circuit breaker → exact BFS fallback);
+//! * [`DistanceOracle`] — the seam the matcher calls, for [`Oracle`], test
+//!   fakes and wrappers;
 //! * [`PllIndex`] — a from-scratch pruned-landmark-labeling (2-hop cover)
-//!   index for directed graphs, exact at any distance;
-//! * [`BoundedBfsOracle`] — a memoizing truncated-BFS oracle, exact up to a
-//!   configurable horizon (the matcher never asks beyond `b_m`);
-//! * [`HybridOracle`] — picks between the two by graph size;
+//!   index for directed graphs, exact at any distance, and
+//!   [`repair_insertions`], its incremental repair;
+//! * [`BoundedBfsOracle`] — a memoizing BFS oracle, exact at every bound,
+//!   that memoizes reach sets up to a horizon;
 //! * [`PllParts`] / [`PllSlices`] — flat struct-of-arrays label export for
-//!   the durable snapshot store and a zero-copy borrowed-slice serving view
-//!   over it ([`PllSlices`] is *the* query path — owned and mapped indexes
-//!   both answer through it);
+//!   the durable snapshot store and a zero-copy borrowed-slice view over it
+//!   ([`PllSlices`] is *the* query path — owned and mapped labels both
+//!   answer through it);
 //! * [`kernel`] — the scalar/AVX2 merge-join kernels behind every label
 //!   query, runtime-dispatched and pinned bit-identical to each other.
 
@@ -27,20 +34,20 @@ mod delta;
 pub mod kernel;
 mod oracle;
 mod pll;
-mod resilient;
 
 pub use bfs::BoundedBfsOracle;
-pub use delta::{repair_insertions, DeltaOracle};
+pub use delta::repair_insertions;
 pub use kernel::{active_kernel, BatchScratch, Kernel};
-pub use oracle::{DistanceOracle, HybridOracle, PLL_NODE_LIMIT};
+pub use oracle::{DistanceOracle, Oracle, OracleTier};
 pub use pll::{LabelStats, PllIndex, PllParts, PllSlices};
-pub use resilient::ResilientOracle;
 
 #[cfg(test)]
 mod proptests {
-    use crate::{BoundedBfsOracle, DistanceOracle, HybridOracle, PllIndex};
+    use crate::oracle::tests::mapped_copy;
+    use crate::{BoundedBfsOracle, DistanceOracle, Oracle, PllIndex};
     use proptest::prelude::*;
-    use wqe_graph::{Graph, GraphBuilder, NodeId};
+    use std::sync::Arc;
+    use wqe_graph::{Graph, GraphBuilder, GraphUpdate, NodeId};
 
     fn arb_graph() -> impl Strategy<Value = Graph> {
         // Up to 24 nodes, random directed edges.
@@ -78,8 +85,8 @@ mod proptests {
         #[test]
         fn parallel_pll_matches_bfs_oracle(g in arb_graph()) {
             let par = PllIndex::build_with(&g, 4);
-            let g = std::sync::Arc::new(g);
-            let bfs = BoundedBfsOracle::new(std::sync::Arc::clone(&g), u32::MAX);
+            let g = Arc::new(g);
+            let bfs = BoundedBfsOracle::new(Arc::clone(&g), u32::MAX);
             for u in g.node_ids() {
                 for v in g.node_ids() {
                     prop_assert_eq!(par.distance(u, v), bfs.distance_within(u, v, u32::MAX));
@@ -87,30 +94,34 @@ mod proptests {
             }
         }
 
-        /// The bounded oracle agrees with PLL inside its horizon.
+        /// The bounded oracle agrees with PLL inside its horizon and past
+        /// it.
         #[test]
-        fn bounded_matches_pll_within_horizon(g in arb_graph(), horizon in 1u32..5) {
+        fn bounded_matches_pll_at_every_bound(g in arb_graph(), horizon in 1u32..5, over in 0u32..4) {
             let pll = PllIndex::build(&g);
-            let g = std::sync::Arc::new(g);
-            let bfs = BoundedBfsOracle::new(std::sync::Arc::clone(&g), horizon);
+            let g = Arc::new(g);
+            let bfs = BoundedBfsOracle::new(Arc::clone(&g), horizon);
             for u in g.node_ids() {
                 for v in g.node_ids() {
-                    prop_assert_eq!(
-                        bfs.distance_within(u, v, horizon),
-                        pll.distance_within(u, v, horizon)
-                    );
+                    for bound in [horizon, horizon + over] {
+                        prop_assert_eq!(
+                            bfs.distance_within(u, v, bound),
+                            pll.distance_within(u, v, bound)
+                        );
+                    }
                 }
             }
         }
 
         /// Batched answers match pointwise `distance_within` — and nothing
-        /// panics — for every oracle with a `dist_batch` of its own, on
-        /// the three batch shapes callers produce: one source against many
-        /// targets, many sources against one target (the matcher's join on
-        /// an edge leaving the node being placed), and unrelated pairs.
-        /// Lengths straddle `MIN_GROUP`, so tabled and pairwise paths both
-        /// run; the forced-scalar CI pass reruns this under the other
-        /// kernel.
+        /// panics — for every oracle with a `dist_batch` of its own, and
+        /// for [`Oracle`] on every tier (owned labels, mapped labels, BFS,
+        /// an overlay after deleting an edge), on the three batch shapes
+        /// callers produce: one source against many targets, many sources
+        /// against one target (the matcher's join on an edge leaving the
+        /// node being placed), and unrelated pairs. Lengths straddle
+        /// `MIN_GROUP`, so tabled and pairwise paths both run; the
+        /// forced-scalar CI pass reruns this under the other kernel.
         #[test]
         fn dist_batch_matches_pointwise_on_every_shape(
             g in arb_graph(),
@@ -118,6 +129,7 @@ mod proptests {
             anchor in 0usize..24,
             picks in proptest::collection::vec((0usize..24, 0usize..24), 0..40),
             bound in 0u32..6,
+            cut in 0usize..24,
         ) {
             let n = g.node_count();
             let node = |i: usize| NodeId((i % n) as u32);
@@ -130,22 +142,36 @@ mod proptests {
                 })
                 .collect();
             let pll = PllIndex::build_with(&g, 2);
-            let g = std::sync::Arc::new(g);
-            let oracles: [(&str, Box<dyn DistanceOracle + '_>); 5] = [
-                ("PllSlices", Box::new(pll.as_slices())),
-                ("PllIndex", Box::new(&pll)),
-                ("HybridOracle::Pll", Box::new(HybridOracle::auto(&g, 5, usize::MAX))),
-                ("HybridOracle::Bfs", Box::new(HybridOracle::auto(&g, 5, 0))),
+            let g = Arc::new(g);
+            // The overlay's graph loses one out-edge of node `cut`, if any.
+            let base = Arc::new(Oracle::build(&g));
+            let cut = node(cut);
+            let updates: Vec<GraphUpdate> = g
+                .out_neighbors(cut)
+                .first()
+                .map(|&(to, _)| GraphUpdate::DeleteEdge { from: cut, to })
+                .into_iter()
+                .collect();
+            let (cut_graph, delta) = g.apply_updates(&updates).unwrap();
+            let cut_graph = Arc::new(cut_graph);
+            let cut_pll = PllIndex::build(&cut_graph);
+            let oracles: [(&str, Box<dyn DistanceOracle>, &PllIndex); 5] = [
+                ("Oracle::labels", Box::new(Oracle::build(&g)), &pll),
+                ("Oracle::mapped", Box::new(mapped_copy(&g, &pll).0), &pll),
+                ("Oracle::bfs", Box::new(Oracle::bfs(&g)), &pll),
+                ("Oracle::overlay", Box::new(Oracle::overlay(&base, &cut_graph, &delta)), &cut_pll),
                 (
                     "BoundedBfsOracle",
-                    Box::new(BoundedBfsOracle::new(std::sync::Arc::clone(&g), 5).with_capacity(2)),
+                    Box::new(BoundedBfsOracle::new(Arc::clone(&g), 5).with_capacity(2)),
+                    &pll,
                 ),
             ];
-            for (name, oracle) in &oracles {
+            for (name, oracle, truth) in &oracles {
                 let batched = oracle.dist_batch(&pairs, bound);
                 prop_assert_eq!(batched.len(), pairs.len(), "{}", name);
                 for (&(u, v), got) in pairs.iter().zip(&batched) {
-                    prop_assert_eq!(*got, pll.distance_within(u, v, bound), "{} {:?}->{:?}", name, u, v);
+                    prop_assert_eq!(*got, truth.distance_within(u, v, bound), "{} {:?}->{:?}", name, u, v);
+                    prop_assert_eq!(*got, oracle.distance_within(u, v, bound), "{} {:?}->{:?}", name, u, v);
                 }
             }
         }

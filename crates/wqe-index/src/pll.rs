@@ -23,9 +23,9 @@
 //! one contiguous distance array, and per-node offsets, per direction —
 //! exactly the shape `wqe-store` persists and maps. [`PllSlices`] is a
 //! borrowed view over those six arrays and carries the *only* query
-//! implementation; the owned [`PllIndex`] and the snapshot-backed oracle
-//! both answer by constructing a `PllSlices` over their arrays, so the
-//! fresh and mapped paths cannot diverge. The merge-join itself lives in
+//! implementation; owned and snapshot-mapped labels both answer by
+//! constructing a `PllSlices` over their arrays, so the fresh and mapped
+//! paths cannot diverge. The merge-join itself lives in
 //! [`crate::kernel`], which dispatches between a scalar and an AVX2
 //! variant pinned bit-identical to each other.
 //!
@@ -67,7 +67,6 @@ use crate::kernel::{self, BatchScratch, MIN_GROUP};
 use crate::oracle::DistanceOracle;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Mutex, TryLockError};
 use wqe_graph::{Graph, LoadError, NodeId};
 use wqe_pool::obs;
 use wqe_pool::WorkerPool;
@@ -190,26 +189,35 @@ impl<'a> PllSlices<'a> {
         in_ranks: &'a [u32],
         in_dists: &'a [u32],
     ) -> Result<Self, LoadError> {
-        validate_label_csr("pll_out", out_offsets, out_ranks, out_dists)?;
-        validate_label_csr("pll_in", in_offsets, in_ranks, in_dists)?;
-        if out_offsets.len() != in_offsets.len() {
-            return Err(LoadError::Corrupt {
-                section: "pll_in",
-                detail: format!(
-                    "in-label offset count {} != out-label offset count {}",
-                    in_offsets.len(),
-                    out_offsets.len()
-                ),
-            });
-        }
-        Ok(PllSlices {
+        let slices = PllSlices::new_unchecked(
             out_offsets,
             out_ranks,
             out_dists,
             in_offsets,
             in_ranks,
             in_dists,
-        })
+        );
+        slices.validate()?;
+        Ok(slices)
+    }
+
+    /// The checks [`PllSlices::new`] runs: CSR offsets, parallel lengths,
+    /// strictly ascending in-range ranks, one offset run per node in both
+    /// directions.
+    pub(crate) fn validate(&self) -> Result<(), LoadError> {
+        validate_label_csr("pll_out", self.out_offsets, self.out_ranks, self.out_dists)?;
+        validate_label_csr("pll_in", self.in_offsets, self.in_ranks, self.in_dists)?;
+        if self.out_offsets.len() != self.in_offsets.len() {
+            return Err(LoadError::Corrupt {
+                section: "pll_in",
+                detail: format!(
+                    "in-label offset count {} != out-label offset count {}",
+                    self.in_offsets.len(),
+                    self.out_offsets.len()
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Wraps flat label arrays *without* re-validating — for holders that
@@ -217,7 +225,7 @@ impl<'a> PllSlices<'a> {
     /// snapshot validated once at open) and now reconstruct the view on
     /// every query. Queries over arrays that would not pass validation may
     /// panic on out-of-bounds indexing.
-    pub fn new_unchecked(
+    pub(crate) fn new_unchecked(
         out_offsets: &'a [u32],
         out_ranks: &'a [u32],
         out_dists: &'a [u32],
@@ -268,6 +276,13 @@ impl<'a> PllSlices<'a> {
         (d != u32::MAX).then_some(d)
     }
 
+    /// [`PllSlices::distance`] within `bound`, counted as one point oracle
+    /// call.
+    pub(crate) fn distance_within(&self, u: NodeId, v: NodeId, bound: u32) -> Option<u32> {
+        obs::with_current(|p| p.add(obs::Counter::OracleDist, 1));
+        self.distance(u, v).filter(|&d| d <= bound)
+    }
+
     /// Batched distances with caller-provided scratch. Whenever one
     /// endpoint is shared by [`MIN_GROUP`] or more pairs, its label is
     /// loaded into the scratch table once and every pair is answered by a
@@ -283,9 +298,9 @@ impl<'a> PllSlices<'a> {
     /// else is grouped by source (first-occurrence order), with groups of
     /// `MIN_GROUP` or more tabled and smaller ones merge-joined pairwise.
     /// Answers are bit-identical to pointwise
-    /// [`PllSlices::distance_within`] on every path — the shape only
+    /// [`PllSlices::distance`] on every path — the shape only
     /// changes how many label entries get scanned.
-    pub fn dist_batch_with(
+    pub(crate) fn dist_batch_with(
         &self,
         scratch: &mut BatchScratch,
         pairs: &[(NodeId, NodeId)],
@@ -397,22 +412,6 @@ impl<'a> PllSlices<'a> {
                     + self.out_offsets.len() as u64
                     + self.in_offsets.len() as u64),
         }
-    }
-}
-
-impl DistanceOracle for PllSlices<'_> {
-    fn distance_within(&self, u: NodeId, v: NodeId, bound: u32) -> Option<u32> {
-        obs::with_current(|p| p.add(obs::Counter::OracleDist, 1));
-        self.distance(u, v).filter(|&d| d <= bound)
-    }
-
-    /// Allocates a one-shot [`BatchScratch`] per call — a borrowed `Copy`
-    /// view has nowhere to keep one. Fine for tests and one-off batches;
-    /// holders that serve traffic ([`PllIndex`], the snapshot oracle) keep
-    /// a scratch and call [`PllSlices::dist_batch_with`] instead.
-    fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
-        obs::with_current(|p| p.add(obs::Counter::OracleDistBatch, 1));
-        self.dist_batch_with(&mut BatchScratch::new(), pairs, bound)
     }
 }
 
@@ -582,10 +581,6 @@ impl BuildLabels {
 #[derive(Serialize, Deserialize)]
 pub struct PllIndex {
     parts: PllParts,
-    /// Batch-query scratch, shared across calls; contended callers fall
-    /// back to a one-shot local scratch, so reuse never serializes.
-    #[serde(skip)]
-    scratch: Mutex<BatchScratch>,
 }
 
 impl PllIndex {
@@ -648,7 +643,6 @@ impl PllIndex {
 
         PllIndex {
             parts: labels.flatten(),
-            scratch: Mutex::new(BatchScratch::new()),
         }
     }
 
@@ -764,13 +758,13 @@ impl PllIndex {
             &parts.in_ranks,
             &parts.in_dists,
         )?;
-        Ok(PllIndex {
-            parts,
-            scratch: Mutex::new(BatchScratch::new()),
-        })
+        Ok(PllIndex { parts })
     }
 }
 
+/// Serves tests and one-off callers: each batch allocates a one-shot
+/// [`BatchScratch`]. Production contexts serve labels through
+/// [`crate::Oracle`], which keeps one.
 impl DistanceOracle for PllIndex {
     fn distance_within(&self, u: NodeId, v: NodeId, bound: u32) -> Option<u32> {
         self.as_slices().distance_within(u, v, bound)
@@ -778,19 +772,8 @@ impl DistanceOracle for PllIndex {
 
     fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
         obs::with_current(|p| p.add(obs::Counter::OracleDistBatch, 1));
-        // Reuse the shared scratch when free; a contending thread gets a
-        // one-shot local buffer instead of waiting (identical answers).
-        match self.scratch.try_lock() {
-            Ok(mut scratch) => self.as_slices().dist_batch_with(&mut scratch, pairs, bound),
-            Err(TryLockError::Poisoned(p)) => {
-                self.as_slices()
-                    .dist_batch_with(&mut p.into_inner(), pairs, bound)
-            }
-            Err(TryLockError::WouldBlock) => {
-                self.as_slices()
-                    .dist_batch_with(&mut BatchScratch::new(), pairs, bound)
-            }
-        }
+        self.as_slices()
+            .dist_batch_with(&mut BatchScratch::new(), pairs, bound)
     }
 }
 
@@ -1046,7 +1029,10 @@ mod persistence_tests {
             }
         }
         let pairs: Vec<(NodeId, NodeId)> = g.node_ids().map(|v| (NodeId(2), v)).collect();
-        assert_eq!(slices.dist_batch(&pairs, 4), idx.dist_batch(&pairs, 4));
+        assert_eq!(
+            slices.dist_batch_with(&mut BatchScratch::new(), &pairs, 4),
+            idx.dist_batch(&pairs, 4)
+        );
     }
 
     #[test]

@@ -61,9 +61,9 @@ pub enum FaultSite {
     /// must then catch (typed error or section quarantine — never a
     /// silently wrong payload).
     StoreRead = 1,
-    /// Distance-oracle calls wrapped by `ResilientOracle` (`wqe-index`): a
-    /// fired fault makes the primary oracle call fail, exercising the
-    /// retry → circuit-breaker → exact-fallback ladder.
+    /// Distance-oracle calls of `Oracle` (`wqe-index`): a fired fault makes
+    /// the call to the oracle's tier fail, exercising the retry →
+    /// circuit-breaker → exact-fallback ladder.
     Oracle = 2,
     /// `WorkerPool` items: a fired fault panics inside the pool's per-item
     /// `catch_unwind`, surfacing as `PoolError::Panicked` → a typed

@@ -135,9 +135,9 @@ pub enum Counter {
     /// fallback oracle, a quarantined snapshot served via BFS, or a job
     /// succeeded only after retry.
     DegradedServe = 14,
-    /// `SnapshotOracle` batch calls that could not take the shared scratch
-    /// lock and allocated a local scratch instead — the silent-allocation
-    /// path under contention, now observable.
+    /// Label batch calls of `Oracle` (`wqe-index`) that could not take the
+    /// shared scratch lock and allocated a local scratch instead — the
+    /// silent-allocation path under contention, now observable.
     ScratchFallback = 15,
     /// Incremental anytime-answer events emitted to a streaming client
     /// (one per best-so-far improvement pushed over SSE or a stream

@@ -16,8 +16,8 @@
 //! * zero-copy load: on unix the file is `mmap`ed (hand-written
 //!   `extern "C"` binding — the workspace is offline), elsewhere read into
 //!   a 16-aligned buffer; either way the big arrays are *viewed* in place;
-//! * [`SnapshotOracle`] serves exact distances by merge-joining PLL labels
-//!   directly over the mapped bytes;
+//! * [`Snapshot::into_oracle`] hands the mapped PLL label sections to a
+//!   [`wqe_index::Oracle`], which merge-joins directly over the file bytes;
 //! * corruption surfaces as [`wqe_graph::LoadError`] (bad magic, wrong
 //!   version, checksum mismatch, truncation) — never a panic.
 //!
@@ -41,9 +41,9 @@ mod write;
 
 pub use format::{SectionId, FORMAT_VERSION, MAGIC};
 pub use mmap::MappedFile;
-pub use read::{SectionInfo, Snapshot, SnapshotMeta, SnapshotOracle};
+pub use read::{SectionInfo, Snapshot, SnapshotMeta};
 pub use stream::SnapshotWriter;
-pub use write::{build_and_write_snapshot, wants_pll, write_snapshot};
+pub use write::{build_and_write_snapshot, write_snapshot};
 
 #[cfg(test)]
 mod tests {
@@ -140,19 +140,17 @@ mod tests {
             serde_json::to_string(&pll2).unwrap()
         );
 
-        // The zero-copy view and the oracle answer identically.
-        let slices = snap.pll_slices().unwrap().unwrap();
+        // The zero-copy mapped labels answer like the owned index.
+        let oracle = snap.into_oracle(&Arc::new(g.clone())).unwrap();
+        assert!(oracle.owned_labels().is_none(), "served from the mapping");
         for u in g.node_ids() {
             for v in g.node_ids() {
-                assert_eq!(slices.distance(u, v), pll.distance(u, v));
+                assert_eq!(
+                    oracle.distance_within(u, v, u32::MAX),
+                    pll.distance_within(u, v, u32::MAX)
+                );
             }
         }
-        let snap = Arc::new(snap);
-        let oracle = SnapshotOracle::new(Arc::clone(&snap)).unwrap();
-        assert_eq!(
-            oracle.distance_within(NodeId(0), NodeId(5), 10),
-            pll.distance_within(NodeId(0), NodeId(5), 10)
-        );
         // The mapped batch path answers exactly like the owned index's.
         let pairs: Vec<(NodeId, NodeId)> = g.node_ids().map(|v| (NodeId(3), v)).collect();
         assert_eq!(oracle.dist_batch(&pairs, 8), pll.dist_batch(&pairs, 8));
@@ -178,10 +176,13 @@ mod tests {
         write_snapshot(&path, &g, None).unwrap();
         let snap = Snapshot::open(&path).unwrap();
         assert!(!snap.meta().has_pll());
-        assert!(snap.pll_slices().unwrap().is_none());
         assert!(snap.load_pll().unwrap().is_none());
         graphs_equal(&g, &snap.load_graph().unwrap());
-        assert!(SnapshotOracle::new(Arc::new(snap)).is_err());
+        // No labels: the oracle is BFS, exact at every bound.
+        let oracle = snap.into_oracle(&Arc::new(g.clone())).unwrap();
+        let pairs: Vec<(NodeId, NodeId)> = g.node_ids().map(|v| (NodeId(0), v)).collect();
+        let pll = PllIndex::build(&g);
+        assert_eq!(oracle.dist_batch(&pairs, 99), pll.dist_batch(&pairs, 99));
         std::fs::remove_file(&path).ok();
     }
 
@@ -303,7 +304,6 @@ mod tests {
                     .unwrap_or_else(|e| panic!("optional {} must quarantine: {e}", info.name));
                 assert_eq!(snap.quarantined(), vec![info.name]);
                 assert!(!snap.pll_available(), "PLL set is broken");
-                assert!(snap.pll_slices().unwrap().is_none());
                 assert!(snap.load_pll().unwrap().is_none());
                 assert!(snap.meta().has_pll(), "the file still *claims* PLL");
                 // The graph itself still loads bit-for-bit.
@@ -318,50 +318,6 @@ mod tests {
                 assert_eq!(flagged, vec![info.name]);
             }
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn scratch_fallback_under_contention_is_counted_and_exact() {
-        use wqe_pool::obs;
-        // Satellite: the SnapshotOracle try_lock fallback allocates per
-        // call; contend the shared scratch deterministically (by holding
-        // its lock) and assert the fallback path is counted *and* answers
-        // identically.
-        let g = sample_graph();
-        let pll = PllIndex::build_with(&g, 0);
-        let path = temp_snap("scratchfb");
-        write_snapshot(&path, &g, Some(&pll)).unwrap();
-        let snap = Arc::new(Snapshot::open(&path).unwrap());
-        let oracle = SnapshotOracle::new(Arc::clone(&snap)).unwrap();
-        let pairs: Vec<(NodeId, NodeId)> = g.node_ids().map(|v| (NodeId(3), v)).collect();
-        let expected = oracle.dist_batch(&pairs, 8);
-
-        let guard = oracle.scratch.lock().unwrap();
-        let profiler = Arc::new(obs::Profiler::new());
-        let (contended, fallbacks) = std::thread::scope(|scope| {
-            let oracle = &oracle;
-            let pairs = &pairs;
-            let profiler = Arc::clone(&profiler);
-            scope
-                .spawn(move || {
-                    let _scope = obs::enter(Arc::clone(&profiler));
-                    let got = oracle.dist_batch(pairs, 8);
-                    (got, profiler.counter(obs::Counter::ScratchFallback))
-                })
-                .join()
-                .unwrap()
-        });
-        drop(guard);
-        assert_eq!(contended, expected, "fallback path must answer identically");
-        assert_eq!(fallbacks, 1, "contended call must count one fallback");
-        // Uncontended calls never touch the counter.
-        let p2 = Arc::new(obs::Profiler::new());
-        {
-            let _scope = obs::enter(Arc::clone(&p2));
-            let _ = oracle.dist_batch(&pairs, 8);
-        }
-        assert_eq!(p2.counter(obs::Counter::ScratchFallback), 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -389,7 +345,7 @@ mod tests {
             assert!(names.contains(&id.name()), "missing {}", id.name());
         }
         // sample_graph is under the PLL limit, so the policy writes labels.
-        assert!(wants_pll(&g));
+        assert!(wqe_index::Oracle::wants_labels(&g));
         for id in SectionId::PLL {
             assert!(names.contains(&id.name()), "missing {}", id.name());
         }

@@ -10,12 +10,13 @@
 use crate::format::*;
 use crate::mmap::MappedFile;
 use crate::write::SchemaNames;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use wqe_graph::{
     AttrStats, AttrValue, EdgeLabelId, Graph, GraphParts, LoadError, NodeData, NodeId, Schema,
 };
-use wqe_index::{BatchScratch, DistanceOracle, PllIndex, PllParts, PllSlices};
+use wqe_index::{Oracle, PllIndex, PllParts};
 
 /// Decoded `meta` section.
 #[derive(Debug, Clone, Copy)]
@@ -594,36 +595,8 @@ impl Snapshot {
         })
     }
 
-    /// The PLL label arrays as a validated zero-copy view. `None` when the
-    /// snapshot carries no usable index (none written, or quarantined).
-    pub fn pll_slices(&self) -> Result<Option<PllSlices<'_>>, LoadError> {
-        if !self.pll_available {
-            return Ok(None);
-        }
-        let slices = PllSlices::new(
-            self.section_u32(SectionId::PllOutOffsets)?,
-            self.section_u32(SectionId::PllOutRanks)?,
-            self.section_u32(SectionId::PllOutDists)?,
-            self.section_u32(SectionId::PllInOffsets)?,
-            self.section_u32(SectionId::PllInRanks)?,
-            self.section_u32(SectionId::PllInDists)?,
-        )?;
-        if slices.node_count() as u64 != self.meta.node_count {
-            return Err(corrupt(
-                "pll_out_offsets",
-                format!(
-                    "labels cover {} nodes, graph has {}",
-                    slices.node_count(),
-                    self.meta.node_count
-                ),
-            ));
-        }
-        Ok(Some(slices))
-    }
-
     /// Rebuilds an owned [`PllIndex`] from the label sections (copying), or
-    /// `None` when absent. Prefer [`Snapshot::pll_slices`] /
-    /// [`SnapshotOracle`] for serving.
+    /// `None` when absent. Prefer [`Snapshot::into_oracle`] for serving.
     pub fn load_pll(&self) -> Result<Option<PllIndex>, LoadError> {
         if !self.pll_available {
             return Ok(None);
@@ -638,91 +611,35 @@ impl Snapshot {
         };
         PllIndex::from_parts(parts).map(Some)
     }
-}
 
-/// A [`DistanceOracle`] serving exact distances straight from a snapshot's
-/// mapped PLL label sections — zero-copy: queries merge-join over the file
-/// bytes with no per-query or per-node allocation (the flat label layout
-/// *is* the query layout).
-pub struct SnapshotOracle {
-    snap: Arc<Snapshot>,
-    /// Byte ranges of the six label sections (in [`PllSlices::new`]
-    /// argument order), validated at construction so per-query
-    /// reconstruction can skip checks.
-    ranges: [(usize, usize); 6],
-    /// Shared batch scratch, reused across `dist_batch` calls exactly like
-    /// the owned index does. Crate-visible so the contention regression
-    /// test can hold the lock deterministically.
-    pub(crate) scratch: std::sync::Mutex<BatchScratch>,
-}
-
-impl SnapshotOracle {
-    /// Wraps `snap`, validating the label view once. Fails with
-    /// [`LoadError::Corrupt`] when the snapshot has no usable PLL labels
-    /// (none written, or quarantined).
-    pub fn new(snap: Arc<Snapshot>) -> Result<SnapshotOracle, LoadError> {
-        snap.pll_slices()?.ok_or_else(|| {
-            corrupt(
-                "section_table",
-                "snapshot has no usable PLL labels; use a BFS oracle",
-            )
-        })?;
-        let mut ranges = [(0usize, 0usize); 6];
+    /// The oracle a context built from this snapshot serves over `graph`
+    /// (this snapshot's graph): the mapped label sections, zero-copy —
+    /// queries merge-join over the file bytes — when the snapshot carries
+    /// usable labels; otherwise a BFS oracle, which answers identically.
+    /// That is the case for a graph past the PLL crossover (the writer
+    /// skipped the labels, as [`Oracle::build`] would) and for labels
+    /// lost to quarantine. Fails with [`LoadError::Corrupt`] when the
+    /// label arrays break their invariants or cover another node count.
+    pub fn into_oracle(self, graph: &Arc<Graph>) -> Result<Oracle, LoadError> {
+        if !self.pll_available {
+            return Ok(Oracle::bfs(graph));
+        }
+        let mut sections: [Range<usize>; 6] = Default::default();
         for (slot, id) in SectionId::PLL.into_iter().enumerate() {
-            let e = snap.entry(id).expect("pll_slices validated presence above");
-            ranges[slot] = (e.offset as usize, e.len as usize);
+            let e = self
+                .entry(id)
+                .ok_or_else(|| corrupt("section_table", format!("missing {}", id.name())))?;
+            sections[slot] = e.offset as usize..(e.offset + e.len) as usize;
         }
-        Ok(SnapshotOracle {
-            snap,
-            ranges,
-            scratch: std::sync::Mutex::new(BatchScratch::new()),
-        })
-    }
-
-    #[inline]
-    fn u32s(&self, slot: usize) -> &[u32] {
-        let (off, len) = self.ranges[slot];
-        // SAFETY: validated at construction: section 16-aligned, whole u32s.
-        let (_, mid, _) = unsafe { self.snap.map.bytes()[off..off + len].align_to::<u32>() };
-        mid
-    }
-
-    #[inline]
-    fn slices(&self) -> PllSlices<'_> {
-        PllSlices::new_unchecked(
-            self.u32s(0),
-            self.u32s(1),
-            self.u32s(2),
-            self.u32s(3),
-            self.u32s(4),
-            self.u32s(5),
-        )
+        Oracle::mapped(graph, Arc::new(FileBytes(self)), sections)
     }
 }
 
-impl DistanceOracle for SnapshotOracle {
-    fn distance_within(&self, u: NodeId, v: NodeId, bound: u32) -> Option<u32> {
-        self.slices().distance_within(u, v, bound)
-    }
+/// A snapshot's file bytes, owned by the oracle that serves its labels.
+struct FileBytes(Snapshot);
 
-    fn dist_batch(&self, pairs: &[(NodeId, NodeId)], bound: u32) -> Vec<Option<u32>> {
-        wqe_pool::obs::with_current(|p| p.add(wqe_pool::obs::Counter::OracleDistBatch, 1));
-        // Reuse the shared scratch when free; a contending thread gets a
-        // one-shot local buffer instead of waiting (identical answers).
-        match self.scratch.try_lock() {
-            Ok(mut scratch) => self.slices().dist_batch_with(&mut scratch, pairs, bound),
-            Err(std::sync::TryLockError::Poisoned(p)) => {
-                self.slices()
-                    .dist_batch_with(&mut p.into_inner(), pairs, bound)
-            }
-            Err(std::sync::TryLockError::WouldBlock) => {
-                // Degraded path: a fresh allocation per contended call.
-                // Counted so saturation shows up in profiles instead of
-                // silently inflating allocator pressure.
-                wqe_pool::obs::with_current(|p| p.add(wqe_pool::obs::Counter::ScratchFallback, 1));
-                self.slices()
-                    .dist_batch_with(&mut BatchScratch::new(), pairs, bound)
-            }
-        }
+impl AsRef<[u8]> for FileBytes {
+    fn as_ref(&self) -> &[u8] {
+        self.0.map.bytes()
     }
 }

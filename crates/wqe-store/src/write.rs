@@ -12,7 +12,7 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::path::Path;
 use wqe_graph::{AttrValue, Graph};
-use wqe_index::{PllIndex, PllParts, PLL_NODE_LIMIT};
+use wqe_index::{Oracle, PllIndex, PllParts};
 
 /// Schema name lists in id order — the JSON payload of
 /// [`SectionId::Schema`].
@@ -195,16 +195,12 @@ pub fn write_snapshot(path: &Path, graph: &Graph, pll: Option<&PllIndex>) -> std
     w.finish()
 }
 
-/// Policy helper: should a snapshot of `graph` carry a PLL index? Mirrors
-/// [`wqe_index::HybridOracle::default_for`] so a snapshot-loaded context
-/// serves distances exactly the way a freshly built one would.
-pub fn wants_pll(graph: &Graph) -> bool {
-    graph.node_count() <= PLL_NODE_LIMIT
-}
-
 /// Builds whatever index the policy calls for and writes the snapshot in
-/// one step: the `index build` fast path. Returns bytes written.
+/// one step: the `index build` fast path. Returns bytes written. The labels
+/// are written exactly when [`Oracle::wants_labels`] — the tier decision
+/// [`Oracle::build`] makes — so a snapshot-loaded context serves the tier
+/// a freshly built one would.
 pub fn build_and_write_snapshot(path: &Path, graph: &Graph) -> std::io::Result<u64> {
-    let pll = wants_pll(graph).then(|| PllIndex::build_with(graph, 0));
+    let pll = Oracle::wants_labels(graph).then(|| PllIndex::build_with(graph, 0));
     write_snapshot(path, graph, pll.as_ref())
 }

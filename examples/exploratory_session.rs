@@ -13,13 +13,12 @@ use wqe::core::explorer::Explorer;
 use wqe::core::session::WqeConfig;
 use wqe::core::{Algorithm, EngineCtx};
 use wqe::datagen::{exemplar_from, generate_query, offshore_like, QueryGenConfig};
-use wqe::index::HybridOracle;
 
 fn main() {
     let g = Arc::new(offshore_like(0.1, 99));
     println!("graph: {:?}", g.stats());
-    let oracle: Arc<dyn wqe::index::DistanceOracle> = Arc::new(HybridOracle::default_for(&g, 4));
-    let ctx = EngineCtx::new(Arc::clone(&g), Arc::clone(&oracle));
+    let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
+    let oracle = Arc::clone(ctx.oracle());
 
     // A hidden "intention": the answers of a target query the user cannot
     // articulate. Her starting query is a single-node sketch of it. Scan a

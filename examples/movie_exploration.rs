@@ -12,14 +12,13 @@ use wqe::core::relative_closeness;
 use wqe::core::session::WqeConfig;
 use wqe::core::EngineCtx;
 use wqe::datagen::{generate_query, generate_why, imdb_like, QueryGenConfig, WhyGenConfig};
-use wqe::index::HybridOracle;
 
 fn main() {
     // A mid-sized IMDB-like graph (movies, people, ratings...).
     let g = Arc::new(imdb_like(0.08, 42));
     println!("graph: {:?}\n", g.stats());
-    let oracle: Arc<dyn wqe::index::DistanceOracle> = Arc::new(HybridOracle::default_for(&g, 4));
-    let ctx = EngineCtx::new(Arc::clone(&g), Arc::clone(&oracle));
+    let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
+    let oracle = Arc::clone(ctx.oracle());
 
     let mut sessions = 0;
     let mut recovered = 0.0;

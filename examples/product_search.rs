@@ -12,7 +12,6 @@ use wqe::core::session::{WhyQuestion, WqeConfig};
 use wqe::core::EngineCtx;
 use wqe::graph::product::{attrs, product_graph};
 use wqe::graph::NodeId;
-use wqe::index::PllIndex;
 
 fn main() {
     let g = Arc::new(product_graph().graph);
@@ -29,7 +28,7 @@ fn main() {
         query: paper_query(&g),
         exemplar: paper_exemplar(&g),
     };
-    let ctx = EngineCtx::new(Arc::clone(&g), Arc::new(PllIndex::build(&g)));
+    let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
     let engine = WqeEngine::new(
         ctx.clone(),
         question,

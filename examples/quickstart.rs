@@ -11,7 +11,6 @@ use wqe::core::paper::paper_question;
 use wqe::core::session::WqeConfig;
 use wqe::core::EngineCtx;
 use wqe::graph::product::product_graph;
-use wqe::index::PllIndex;
 
 fn main() {
     // 1. A graph: cellphones, carriers, sensors (Fig. 2).
@@ -25,7 +24,7 @@ fn main() {
 
     // 3. A shared context: the graph plus a distance index (edge-to-path
     //    matching needs one), both behind `Arc`s.
-    let ctx = EngineCtx::new(Arc::clone(&g), Arc::new(PllIndex::build(&g)));
+    let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
 
     // 4. Answer it with AnsW.
     let engine = WqeEngine::new(

@@ -32,15 +32,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p wqe-graph -p wqe-index \
 # The distance kernels dispatch at runtime (AVX2 when the CPU has it,
 # scalar otherwise); both paths must pass the index suite bit-identically.
 # The workspace run above is the default-kernel pass; the forced-scalar run
-# covers the fallback even on AVX2 hosts.
+# covers the fallback even on AVX2 hosts. Both include the batch-shape
+# proptest (fixed source, fixed target, mixed) over every oracle tier,
+# mapped snapshot labels included.
 echo "==> kernels: WQE_FORCE_SCALAR=1 cargo test -p wqe-index -q"
 WQE_FORCE_SCALAR=1 cargo test -p wqe-index -q
-
-# Both passes include the batch-shape proptest (fixed source, fixed target,
-# mixed; every oracle with its own dist_batch). The snapshot-mapped oracle
-# lives a crate up, so its shape parity gets its own scalar pass.
-echo "==> kernels: WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q"
-WQE_FORCE_SCALAR=1 cargo test --test snapshot_determinism dist_batch -q
 
 # The paper-figure harness (§7): every experiment at toy scale, so an
 # experiment that panics fails the gate. Rows go to a temp file; nothing

@@ -100,7 +100,7 @@ pub fn exp1_efficiency(cfg: &ExpConfig) -> Reporter {
             &cfg.wcfg(5),
             QuestionKind::Why,
         );
-        let ctx = w.ctx(4);
+        let ctx = w.ctx();
         for algorithm in MAIN_ALGOS {
             let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
             rep.record("fig10a-efficiency", &stats.name, name, stats.mean_ms, "ms");
@@ -123,7 +123,7 @@ pub fn exp1_scalability(cfg: &ExpConfig) -> Reporter {
             &cfg.wcfg(5),
             QuestionKind::Why,
         );
-        let ctx = w.ctx(4);
+        let ctx = w.ctx();
         for algorithm in [Algorithm::AnsW, Algorithm::AnsHeu, Algorithm::AnsWb] {
             let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
             rep.record(
@@ -151,7 +151,7 @@ pub fn exp1_querysize(cfg: &ExpConfig) -> Reporter {
             &cfg.wcfg(5),
             QuestionKind::Why,
         );
-        let ctx = w.ctx(4);
+        let ctx = w.ctx();
         for algorithm in MAIN_ALGOS {
             let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
             rep.record("fig10c-querysize", &stats.name, edges, stats.mean_ms, "ms");
@@ -175,7 +175,7 @@ pub fn exp1_budget(cfg: &ExpConfig) -> Reporter {
             &cfg.wcfg(5),
             QuestionKind::Why,
         );
-        let ctx = w.ctx(4);
+        let ctx = w.ctx();
         for b in 1..=5u32 {
             let mut base = cfg.wqe();
             base.budget = b as f64;
@@ -211,7 +211,7 @@ pub fn exp1_exemplars(cfg: &ExpConfig) -> Reporter {
                 &wcfg,
                 QuestionKind::Why,
             );
-            let ctx = w.ctx(4);
+            let ctx = w.ctx();
             for algorithm in [Algorithm::AnsW, Algorithm::AnsHeu, Algorithm::AnsWb] {
                 let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
                 rep.record(fig, &stats.name, tuples, stats.mean_ms, "ms");
@@ -238,7 +238,7 @@ pub fn exp1_topology(cfg: &ExpConfig) -> Reporter {
             &cfg.wcfg(5),
             QuestionKind::Why,
         );
-        let ctx = w.ctx(4);
+        let ctx = w.ctx();
         for algorithm in [Algorithm::AnsW, Algorithm::AnsHeu, Algorithm::AnsWb] {
             let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
             rep.record("fig10h-topology", &stats.name, label, stats.mean_ms, "ms");
@@ -269,7 +269,7 @@ pub fn exp2_effectiveness(cfg: &ExpConfig) -> Reporter {
             &cfg.wcfg(5),
             QuestionKind::Why,
         );
-        let ctx = w.ctx(4);
+        let ctx = w.ctx();
         for (algorithm, beam_width) in algos {
             let base = WqeConfig {
                 beam_width,
@@ -301,7 +301,7 @@ pub fn exp2_querysize(cfg: &ExpConfig) -> Reporter {
             &cfg.wcfg(5),
             QuestionKind::Why,
         );
-        let ctx = w.ctx(4);
+        let ctx = w.ctx();
         for (algorithm, beam_width) in [
             (Algorithm::AnsW, 3),
             (Algorithm::AnsHeu, 1),
@@ -342,7 +342,7 @@ pub fn exp2_budget(cfg: &ExpConfig) -> Reporter {
         &cfg.wcfg(5),
         QuestionKind::Why,
     );
-    let ctx = w.ctx(4);
+    let ctx = w.ctx();
     for b in 1..=5u32 {
         let mut base = cfg.wqe();
         base.budget = b as f64;
@@ -378,7 +378,7 @@ pub fn exp3_anytime(cfg: &ExpConfig) -> Reporter {
         QuestionKind::Why,
     );
     // Compute cl* per question once.
-    let ctx = w.ctx(4);
+    let ctx = w.ctx();
     let cl_stars: Vec<f64> = w
         .questions
         .iter()
@@ -436,7 +436,7 @@ pub fn exp4_whymany(cfg: &ExpConfig) -> Reporter {
             &cfg.wcfg(5),
             QuestionKind::WhyMany,
         );
-        let ctx = w.ctx(4);
+        let ctx = w.ctx();
         for algorithm in [
             Algorithm::WhyMany,
             Algorithm::AnsW,
@@ -486,7 +486,7 @@ pub fn exp4_whyempty(cfg: &ExpConfig) -> Reporter {
             &cfg.wcfg(5),
             QuestionKind::WhyEmpty,
         );
-        let ctx = w.ctx(4);
+        let ctx = w.ctx();
         for algorithm in [Algorithm::WhyEmpty, Algorithm::AnsW, Algorithm::AnsWb] {
             let stats = run_algo_with(&w, &ctx, algorithm, &cfg.wqe());
             rep.record(
@@ -518,7 +518,7 @@ pub fn exp5_userstudy(cfg: &ExpConfig) -> Reporter {
         &cfg.wcfg(5),
         QuestionKind::Why,
     );
-    let ctx = w.ctx(4);
+    let ctx = w.ctx();
     let mut base = cfg.wqe();
     base.top_k = 3;
     let mut ndcg_sum = 0.0;
@@ -627,12 +627,8 @@ pub fn exp6_planted(cfg: &ExpConfig) -> Reporter {
         };
         let planted = generate_planted(&background, &template, copies);
         let graph = std::sync::Arc::new(planted.graph.clone());
-        let oracle: std::sync::Arc<dyn wqe_index::DistanceOracle> =
-            std::sync::Arc::new(wqe_index::HybridOracle::default_for(&graph, 4));
-        let ctx = wqe_core::EngineCtx::new(
-            std::sync::Arc::clone(&graph),
-            std::sync::Arc::clone(&oracle),
-        );
+        let ctx = wqe_core::EngineCtx::with_default_oracle(std::sync::Arc::clone(&graph));
+        let oracle = std::sync::Arc::clone(ctx.oracle());
         // Disturb the planted query and build the why-question.
         let truth = wqe_datagen::GeneratedQuery {
             query: planted.query.clone(),
@@ -694,7 +690,7 @@ pub fn exp7_sample_ablation(cfg: &ExpConfig) -> Reporter {
         &cfg.wcfg(5),
         QuestionKind::Why,
     );
-    let ctx = w.ctx(4);
+    let ctx = w.ctx();
     for sample in [8usize, 32, 128] {
         let mut base = cfg.wqe();
         base.relevance_sample = sample;
@@ -729,7 +725,7 @@ pub fn exp8_governor(cfg: &ExpConfig) -> Reporter {
         &cfg.wcfg(5),
         QuestionKind::Why,
     );
-    let ctx = w.ctx(4);
+    let ctx = w.ctx();
     let mut governed = cfg.wqe();
     // A tight deadline plus a matcher-step cap, so partial terminations
     // actually occur at laptop scale.

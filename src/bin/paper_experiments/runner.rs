@@ -14,7 +14,7 @@ use wqe_datagen::{
     QueryGenConfig, WhyGenConfig,
 };
 use wqe_graph::Graph;
-use wqe_index::{DistanceOracle, HybridOracle};
+use wqe_index::{DistanceOracle, Oracle};
 
 /// `AnsHeuB`, the random-selection ablation of Exp-3, with its fixed seed.
 pub const ANS_HEU_B: Algorithm = Algorithm::AnsHeuB(0xC0FFEE);
@@ -62,8 +62,7 @@ impl Workload {
         kind: QuestionKind,
     ) -> Self {
         let graph = Arc::new(graph);
-        let oracle: Arc<dyn DistanceOracle> =
-            Arc::new(HybridOracle::default_for(&graph, qcfg.max_bound));
+        let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
         let mut questions = Vec::new();
         let mut seed = qcfg.seed;
         let mut attempts = 0usize;
@@ -94,12 +93,9 @@ impl Workload {
     }
 
     /// A shared engine context over this workload's graph, with a fresh
-    /// distance oracle for the given horizon.
-    pub fn ctx(&self, horizon: u32) -> EngineCtx {
-        EngineCtx::new(
-            Arc::clone(&self.graph),
-            Arc::new(HybridOracle::default_for(&self.graph, horizon)),
-        )
+    /// distance oracle.
+    pub fn ctx(&self) -> EngineCtx {
+        EngineCtx::with_default_oracle(Arc::clone(&self.graph))
     }
 }
 
@@ -235,7 +231,7 @@ mod tests {
             ANS_HEU_B,
             Algorithm::FMAnsW,
         ] {
-            let stats = run_algo_with(&w, &w.ctx(4), algorithm, &base);
+            let stats = run_algo_with(&w, &w.ctx(), algorithm, &base);
             assert_eq!(stats.runs, w.questions.len(), "{}", stats.name);
             assert!(stats.mean_ms >= 0.0);
             assert!(stats.mean_delta >= 0.0 && stats.mean_delta <= 1.0);
@@ -258,12 +254,12 @@ mod tests {
         };
         let wm = tiny_workload(QuestionKind::WhyMany);
         if !wm.questions.is_empty() {
-            let s = run_algo_with(&wm, &wm.ctx(4), Algorithm::WhyMany, &base);
+            let s = run_algo_with(&wm, &wm.ctx(), Algorithm::WhyMany, &base);
             assert_eq!(s.runs, wm.questions.len());
         }
         let we = tiny_workload(QuestionKind::WhyEmpty);
         if !we.questions.is_empty() {
-            let s = run_algo_with(&we, &we.ctx(4), Algorithm::WhyEmpty, &base);
+            let s = run_algo_with(&we, &we.ctx(), Algorithm::WhyEmpty, &base);
             assert_eq!(s.runs, we.questions.len());
         }
     }

@@ -59,7 +59,7 @@ use wqe::core::session::WqeConfig;
 use wqe::core::spec::parse_question;
 use wqe::core::{Algorithm, EngineCtx};
 use wqe::graph::{read_jsonl, write_jsonl, Graph, NodeId};
-use wqe::index::HybridOracle;
+use wqe::index::Oracle;
 
 fn main() {
     // Chaos quick-start: `WQE_FAULT_SEED=42 wqe-cli why ...` arms the
@@ -194,7 +194,7 @@ fn cmd_match(args: &[String]) -> i32 {
     let run = || -> Result<(), String> {
         let g = Arc::new(load_graph(gpath)?);
         let wq = load_question(&g, qpath)?;
-        let oracle = Arc::new(HybridOracle::default_for(&g, wq.query.max_bound()));
+        let oracle = Arc::new(Oracle::build(&g));
         let matcher = wqe::query::Matcher::new(Arc::clone(&g), oracle);
         let out = matcher.evaluate(&wq.query);
         println!("query:\n{}", wq.query.display(g.schema()));
@@ -290,10 +290,7 @@ fn cmd_why(args: &[String]) -> i32 {
         } else {
             let g = Arc::new(load_graph(gpath)?);
             let wq = load_question(&g, qpath)?;
-            let ctx = EngineCtx::new(
-                Arc::clone(&g),
-                Arc::new(HybridOracle::default_for(&g, wq.query.max_bound())),
-            );
+            let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
             (ctx, g, wq)
         };
         let algorithm = Algorithm::parse(&algo).ok_or(format!("unknown algorithm {algo:?}"))?;
@@ -553,7 +550,6 @@ fn cmd_serve(args: &[String]) -> i32 {
         let g = Arc::new(load_graph(gpath)?);
         let f = File::open(qpath).map_err(|e| format!("cannot open {qpath}: {e}"))?;
         let mut requests = Vec::new();
-        let mut max_bound = 1u32;
         for (lineno, line) in BufReader::new(f).lines().enumerate() {
             let line = line.map_err(|e| format!("cannot read {qpath}: {e}"))?;
             if line.trim().is_empty() {
@@ -563,7 +559,6 @@ fn cmd_serve(args: &[String]) -> i32 {
                 .map_err(|e| format!("{qpath}:{}: invalid json: {e}", lineno + 1))?;
             let wq =
                 parse_question(&g, &json).map_err(|e| format!("{qpath}:{}: {e}", lineno + 1))?;
-            max_bound = max_bound.max(wq.query.max_bound());
             let algo_name = json
                 .get("algo")
                 .and_then(serde_json::Value::as_str)
@@ -591,10 +586,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         }
         service_cfg.base_config = config;
         service_cfg.cache = cache_cfg;
-        let ctx = EngineCtx::new(
-            Arc::clone(&g),
-            Arc::new(HybridOracle::default_for(&g, max_bound)),
-        );
+        let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
         let service = QueryService::new(ctx, service_cfg);
         let started = std::time::Instant::now();
         let responses = service.serve_batch(requests);
@@ -793,7 +785,7 @@ fn cmd_index_build(args: &[String]) -> i32 {
             g.node_count(),
             g.edge_count(),
             human_bytes(bytes),
-            if wqe::store::wants_pll(&g) {
+            if Oracle::wants_labels(&g) {
                 "with PLL index"
             } else {
                 "no PLL (past crossover); bounded BFS at load"
@@ -853,9 +845,9 @@ fn cmd_index_inspect(args: &[String]) -> i32 {
                 snap.quarantined()
             );
         }
-        match snap.pll_slices().map_err(|e| e.to_string())? {
-            Some(slices) => {
-                let ls = slices.stats();
+        match snap.load_pll().map_err(|e| e.to_string())? {
+            Some(pll) => {
+                let ls = pll.stats();
                 println!(
                     "pll labels: {} nodes, {} entries ({} out + {} in), \
                      avg label len {:.2}, max {}, {}",

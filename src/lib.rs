@@ -34,10 +34,9 @@
 //!     EngineCtx,
 //! };
 //! use wqe::graph::product::product_graph;
-//! use wqe::index::PllIndex;
 //!
 //! let graph = Arc::new(product_graph().graph);
-//! let ctx = EngineCtx::new(Arc::clone(&graph), Arc::new(PllIndex::build(&graph)));
+//! let ctx = EngineCtx::with_default_oracle(Arc::clone(&graph));
 //! let engine = WqeEngine::new(
 //!     ctx,
 //!     paper_question(&graph),

@@ -7,7 +7,7 @@ use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, generate_why_empty, QueryGenConfig, TopologyKind,
     WhyGenConfig,
 };
-use wqe::index::{DistanceOracle, HybridOracle};
+use wqe::index::{DistanceOracle, Oracle};
 
 struct Suite {
     graph: Arc<wqe::graph::Graph>,
@@ -23,7 +23,7 @@ impl Suite {
 
 fn suite(n: usize) -> Suite {
     let graph = Arc::new(dbpedia_like(0.02, 5));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&graph, 4));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
     let mut questions = Vec::new();
     let mut seed = 0u64;
     while questions.len() < n && seed < 200 {
@@ -132,7 +132,7 @@ fn larger_budget_never_hurts() {
 #[test]
 fn why_empty_end_to_end() {
     let graph = Arc::new(dbpedia_like(0.02, 6));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&graph, 4));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
     let ctx = EngineCtx::new(Arc::clone(&graph), Arc::clone(&oracle));
     let mut tested = 0;
     for seed in 0..60u64 {

@@ -17,8 +17,8 @@
 use std::sync::Arc;
 use wqe::core::engine::{Algorithm, WqeEngine};
 use wqe::core::service::{QueryRequest, QueryService, QueryStatus, ServiceConfig};
-use wqe::core::{EngineCtx, WhyQuestion, WqeConfig, WqeError};
-use wqe::graph::Graph;
+use wqe::core::{EngineCtx, GraphStore, OracleTier, WhyQuestion, WqeConfig, WqeError};
+use wqe::graph::{Graph, GraphUpdate};
 use wqe::pool::fault::{self, FaultPlan, FaultSite};
 
 /// Base seed for every schedule in this suite; override with
@@ -88,29 +88,48 @@ fn run(
         .and_then(|e| e.try_run(algo))
 }
 
-/// Oracle faults ride the ResilientOracle ladder (retry → breaker →
+/// Oracle faults ride the oracle's degradation ladder (retry → breaker →
 /// exact-parity fallback): answers stay bit-identical to a fault-free run
-/// at every parallelism, and the plan provably fired.
+/// at every parallelism, and the plan provably fired — on a fresh context
+/// and on a live store's overlay epoch, whose tier sits on the previous
+/// epoch's.
 #[test]
 fn oracle_faults_never_change_answers() {
     let (g, q) = setup();
-    let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
+    let store = GraphStore::new(Arc::clone(&g));
+    let (u, v) = g
+        .node_ids()
+        .find_map(|u| g.out_neighbors(u).first().map(|&(v, _)| (u, v)))
+        .expect("the product graph has edges");
+    let report = store
+        .apply(&[GraphUpdate::DeleteEdge { from: u, to: v }])
+        .unwrap();
+    assert_eq!(report.tier, OracleTier::Overlay);
+    let overlay = store.pin();
+    let contexts = [
+        ("fresh", EngineCtx::with_default_oracle(Arc::clone(&g))),
+        ("overlay", overlay.ctx().clone()),
+    ];
     let mut baselines = Vec::new();
-    for algo in [Algorithm::AnsW, Algorithm::AnsHeu] {
-        for &t in &THREAD_COUNTS {
-            baselines.push((algo, t, fingerprint(&run(&ctx, &q, algo, t).unwrap())));
+    for (name, ctx) in &contexts {
+        for algo in [Algorithm::AnsW, Algorithm::AnsHeu] {
+            for &t in &THREAD_COUNTS {
+                let expected = fingerprint(&run(ctx, &q, algo, t).unwrap());
+                baselines.push((*name, ctx, algo, t, expected));
+            }
         }
     }
 
     let plan = Arc::new(FaultPlan::new(chaos_seed()).arm(FaultSite::Oracle, 2));
     let _fault = fault::enter(Arc::clone(&plan));
-    for (algo, t, expected) in &baselines {
-        let report = run(&ctx, &q, *algo, *t)
-            .unwrap_or_else(|e| panic!("{algo:?}/p{t}: oracle faults must be absorbed, got {e}"));
+    for (name, ctx, algo, t, expected) in &baselines {
+        let report = run(ctx, &q, *algo, *t).unwrap_or_else(|e| {
+            panic!("{name} {algo:?}/p{t}: oracle faults must be absorbed, got {e}")
+        });
         assert_eq!(
             &fingerprint(&report),
             expected,
-            "{algo:?} at parallelism {t} changed answers under oracle faults (seed {})",
+            "{name}: {algo:?} at parallelism {t} changed answers under oracle faults (seed {})",
             plan.seed()
         );
     }

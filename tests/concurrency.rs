@@ -7,7 +7,7 @@ use wqe::core::{Algorithm, EngineCtx, Session, WqeConfig};
 use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig,
 };
-use wqe::index::{DistanceOracle, HybridOracle};
+use wqe::index::{DistanceOracle, Oracle};
 use wqe::query::Matcher;
 
 fn questions(
@@ -64,7 +64,7 @@ fn fingerprint(report: &wqe::core::AnswerReport) -> String {
 #[test]
 fn threaded_sessions_match_sequential_baseline() {
     let graph = Arc::new(dbpedia_like(0.02, 5));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&graph, 4));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
     let qs = questions(&graph, &oracle, 6);
     assert!(qs.len() >= 3, "suite too small");
     let ctx = EngineCtx::new(Arc::clone(&graph), Arc::clone(&oracle));
@@ -106,7 +106,7 @@ fn threaded_sessions_match_sequential_baseline() {
 #[test]
 fn repeated_threaded_runs_are_deterministic() {
     let graph = Arc::new(dbpedia_like(0.02, 3));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&graph, 4));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
     let qs = questions(&graph, &oracle, 3);
     assert!(!qs.is_empty());
     let ctx = EngineCtx::new(Arc::clone(&graph), Arc::clone(&oracle));
@@ -141,7 +141,7 @@ fn repeated_threaded_runs_are_deterministic() {
 #[test]
 fn shared_matcher_star_cache_under_contention() {
     let graph = Arc::new(dbpedia_like(0.02, 5));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&graph, 4));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
     let q = (1..200)
         .find_map(|seed| {
             generate_query(

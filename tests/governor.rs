@@ -10,7 +10,7 @@ use wqe::core::{Algorithm, EngineCtx, Session, Termination, WhyQuestion, WqeConf
 use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig,
 };
-use wqe::index::{DistanceOracle, HybridOracle, PllIndex};
+use wqe::index::{DistanceOracle, Oracle, PllIndex};
 
 mod common;
 use common::FakeOracle;
@@ -185,7 +185,7 @@ fn cancellation_stops_a_running_session_from_another_thread() {
 #[test]
 fn step_cap_is_deterministic_across_parallelism() {
     let graph = Arc::new(dbpedia_like(0.02, 5));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&graph, 4));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
     let qs = generated_questions(&graph, &oracle, 3);
     assert!(qs.len() >= 2, "suite too small");
     let ctx = EngineCtx::new(Arc::clone(&graph), Arc::clone(&oracle));
@@ -276,7 +276,7 @@ fn match_step_accounting_is_exact_and_parallelism_invariant() {
 #[test]
 fn frontier_cap_is_deterministic_across_parallelism() {
     let graph = Arc::new(dbpedia_like(0.02, 5));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&graph, 4));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
     let qs = generated_questions(&graph, &oracle, 3);
     assert!(qs.len() >= 2, "suite too small");
     let ctx = EngineCtx::new(Arc::clone(&graph), Arc::clone(&oracle));

@@ -8,7 +8,7 @@ use wqe::core::{Algorithm, EngineCtx, Session, WqeConfig};
 use wqe::datagen::{
     generate_query, generate_why, QueryGenConfig, SynthConfig, TopologyKind, WhyGenConfig,
 };
-use wqe::index::{DistanceOracle, HybridOracle};
+use wqe::index::{DistanceOracle, Oracle};
 use wqe::query::{is_normal_form, normalize, sequence_cost, OpClass};
 
 fn graph(seed: u64) -> Arc<wqe::graph::Graph> {
@@ -30,7 +30,7 @@ proptest! {
     #[test]
     fn operator_monotonicity(seed in 0u64..500) {
         let g = graph(seed % 5);
-        let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&g, 4));
+        let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&g));
         let qcfg = QueryGenConfig { edges: 2, seed, topology: TopologyKind::Star, ..Default::default() };
         let Some(truth) = generate_query(&g, &qcfg) else { return Ok(()) };
         let wcfg = WhyGenConfig { seed, ..Default::default() };
@@ -53,7 +53,7 @@ proptest! {
     #[test]
     fn normal_form_equivalence(seed in 0u64..500) {
         let g = graph(seed % 5);
-        let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&g, 4));
+        let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&g));
         let qcfg = QueryGenConfig { edges: 2, seed, ..Default::default() };
         let Some(truth) = generate_query(&g, &qcfg) else { return Ok(()) };
         let wcfg = WhyGenConfig { seed: seed + 1, ..Default::default() };
@@ -87,7 +87,7 @@ proptest! {
     #[test]
     fn closeness_bounds(seed in 0u64..500) {
         let g = graph(seed % 5);
-        let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&g, 4));
+        let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&g));
         let qcfg = QueryGenConfig { edges: 2, seed, ..Default::default() };
         let Some(truth) = generate_query(&g, &qcfg) else { return Ok(()) };
         let wcfg = WhyGenConfig { seed: seed + 2, ..Default::default() };
@@ -107,7 +107,7 @@ proptest! {
     #[test]
     fn answ_output_well_formed(seed in 0u64..200) {
         let g = graph(seed % 3);
-        let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&g, 4));
+        let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&g));
         let qcfg = QueryGenConfig { edges: 2, seed, ..Default::default() };
         let Some(truth) = generate_query(&g, &qcfg) else { return Ok(()) };
         let wcfg = WhyGenConfig { seed: seed + 3, ..Default::default() };
@@ -146,7 +146,7 @@ proptest! {
     #[test]
     fn refinement_ops_imply_containment(seed in 0u64..300) {
         let g = graph(seed % 5);
-        let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&g, 4));
+        let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&g));
         let qcfg = QueryGenConfig { edges: 2, seed, ..Default::default() };
         let Some(truth) = generate_query(&g, &qcfg) else { return Ok(()) };
         let wcfg = WhyGenConfig {
@@ -170,7 +170,7 @@ proptest! {
     #[test]
     fn whymany_only_removes(seed in 0u64..200) {
         let g = graph(seed % 3);
-        let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&g, 4));
+        let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&g));
         let qcfg = QueryGenConfig { edges: 2, seed, ..Default::default() };
         let Some(truth) = generate_query(&g, &qcfg) else { return Ok(()) };
         let wcfg = WhyGenConfig { seed: seed + 4, ..Default::default() };

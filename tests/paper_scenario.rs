@@ -7,7 +7,7 @@ use wqe::core::paper::{paper_exemplar, paper_optimal_ops, paper_query, CARRIER, 
 use wqe::core::session::{WhyQuestion, WqeConfig};
 use wqe::core::{compute_representation, relative_closeness, EngineCtx};
 use wqe::graph::product::product_graph;
-use wqe::index::{HybridOracle, PllIndex};
+use wqe::index::PllIndex;
 use wqe::query::{sequence_cost, Matcher};
 
 #[test]
@@ -52,7 +52,7 @@ fn example_3_1_costs_and_closeness() {
 fn answ_reaches_theoretical_optimum() {
     let pg = product_graph();
     let g = Arc::new(pg.graph.clone());
-    let ctx = EngineCtx::new(Arc::clone(&g), Arc::new(HybridOracle::default_for(&g, 4)));
+    let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
     let engine = WqeEngine::new(
         ctx,
         WhyQuestion {
@@ -77,7 +77,7 @@ fn answ_reaches_theoretical_optimum() {
 #[test]
 fn all_algorithms_agree_on_the_paper_scenario() {
     let g = Arc::new(product_graph().graph);
-    let ctx = EngineCtx::new(Arc::clone(&g), Arc::new(HybridOracle::default_for(&g, 4)));
+    let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
     let engine = WqeEngine::new(
         ctx,
         WhyQuestion {

@@ -17,7 +17,7 @@ use wqe::datagen::{
     WhyGenConfig,
 };
 use wqe::graph::NodeId;
-use wqe::index::{BoundedBfsOracle, DistanceOracle, HybridOracle, PllIndex};
+use wqe::index::{BoundedBfsOracle, DistanceOracle, Oracle, PllIndex};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -114,7 +114,7 @@ fn answ_identical_across_thread_counts_paper_scenario() {
 #[test]
 fn answ_identical_across_thread_counts_generated_workload() {
     let graph = Arc::new(dbpedia_like(0.02, 5));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&graph, 4));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
     let qs = generated_questions(&graph, &oracle, 4);
     assert!(qs.len() >= 2, "suite too small");
     let ctx = EngineCtx::new(Arc::clone(&graph), Arc::clone(&oracle));
@@ -135,7 +135,7 @@ fn answ_identical_across_thread_counts_generated_workload() {
 #[test]
 fn ans_heu_identical_across_thread_counts() {
     let graph = Arc::new(dbpedia_like(0.02, 5));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&graph, 4));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
     let qs = generated_questions(&graph, &oracle, 3);
     assert!(!qs.is_empty());
     let ctx = EngineCtx::new(Arc::clone(&graph), Arc::clone(&oracle));

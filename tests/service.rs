@@ -13,7 +13,7 @@ use wqe::core::{
     ShedReason, Termination, WhyQuestion, WqeConfig, WqeEngine,
 };
 use wqe::datagen::{generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig};
-use wqe::index::{DistanceOracle, HybridOracle, PllIndex};
+use wqe::index::{DistanceOracle, Oracle, PllIndex};
 
 mod common;
 use common::FakeOracle;
@@ -66,7 +66,7 @@ fn paper_setup() -> (EngineCtx, WhyQuestion) {
 
 fn generated_questions(n: usize) -> (EngineCtx, Vec<WhyQuestion>) {
     let graph = Arc::new(wqe::datagen::dbpedia_like(0.02, 5));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(HybridOracle::default_for(&graph, 4));
+    let oracle: Arc<dyn DistanceOracle> = Arc::new(Oracle::build(&graph));
     let mut out = Vec::new();
     let mut seed = 0u64;
     while out.len() < n && seed < 200 {

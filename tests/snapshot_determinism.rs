@@ -175,8 +175,8 @@ fn snapshot_loaded_answers_bit_identical_to_fresh() {
 }
 
 /// The batched oracle path must be provenance-invariant too: `dist_batch`
-/// through the snapshot's zero-copy labels (`SnapshotOracle`, shared
-/// scratch behind a `try_lock`) answers exactly like the freshly built
+/// through the snapshot's zero-copy labels (the `Oracle`'s mapped tier,
+/// shared scratch behind a `try_lock`) answers exactly like the freshly built
 /// `PllIndex`, at every bound, on every batch shape, and under concurrent
 /// callers (which exercise the per-call scratch fallback).
 #[test]
