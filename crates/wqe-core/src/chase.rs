@@ -92,7 +92,7 @@ impl<'s> Chase<'s> {
         let session = self.session;
         Ok(self
             .pool
-            .map_governed(batch, &session.governor, |_, r| session.evaluate(&r.query))?)
+            .map_governed(batch, |_, r| session.evaluate(&r.query))?)
     }
 
     /// The root of the tree, the original query (Fig. 5 lines 2-3). It goes

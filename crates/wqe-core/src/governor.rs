@@ -14,7 +14,7 @@ use crate::session::WqeConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
-pub use wqe_pool::governor::{current, enter, Governor, GovernorScope, Termination};
+pub use wqe_pool::governor::{current, Governor, Termination};
 
 /// Builds the governor a session should run under: the config's
 /// `deadline_ms` arms the wall-clock deadline (0 = none), `max_match_steps`

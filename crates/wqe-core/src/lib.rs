@@ -101,7 +101,6 @@ pub use governor::{governor_for, Governor, Termination};
 pub use live::{
     EpochHandle, EpochId, EpochInfo, EpochSubscriber, GraphStore, OracleTier, PublishReport,
 };
-pub use metrics::GovernorTelemetry;
 pub use multifocus::{answer_multi_focus, FocusAnswer, MultiFocusAnswer, MultiFocusQuestion};
 pub use obs::{CounterRegistry, QueryProfile, StageProfile};
 pub use relevance::RelevanceSets;

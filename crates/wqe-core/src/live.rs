@@ -582,7 +582,8 @@ mod tests {
 
     #[test]
     fn overlay_epochs_consult_the_oracle_fault_site_once_per_call() {
-        use wqe_pool::fault::{self, FaultPlan, FaultSite};
+        use wqe_pool::fault::{FaultPlan, FaultSite};
+        use wqe_pool::scope::Scope;
         let s = store();
         for depth in 1..=3 {
             let g = Arc::clone(s.pin().ctx().graph());
@@ -599,7 +600,11 @@ mod tests {
                     .arm(FaultSite::Oracle, u64::MAX)
                     .with_budget(FaultSite::Oracle, 0),
             );
-            let _fault = fault::enter(Arc::clone(&plan));
+            let _fault = Scope {
+                faults: Some(Arc::clone(&plan)),
+                ..Scope::default()
+            }
+            .enter();
             s.pin()
                 .ctx()
                 .oracle()

@@ -1,59 +1,9 @@
 //! Ranking and retrieval metrics used by the evaluation (Exp-2, Exp-5):
 //! relative closeness lives in [`crate::closeness`]; here are nDCG,
-//! precision/recall/F1, average precision over ranked rewrite lists, and
-//! the per-query governor telemetry reported by `paper_experiments`.
+//! precision/recall/F1 and average precision over ranked rewrite lists.
 
-use crate::answ::AnswerReport;
 use std::collections::HashSet;
 use wqe_graph::NodeId;
-
-/// Per-query governor telemetry, extracted from an [`AnswerReport`] for the
-/// experiment JSON (how each query ended and what it cost).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct GovernorTelemetry {
-    /// Stable termination-reason name (`complete`, `deadline`, `cancelled`,
-    /// `frontier_cap`, `step_cap`).
-    pub termination: String,
-    /// True for every reason except `complete`: the answers are
-    /// best-so-far, not exhaustive.
-    pub partial: bool,
-    /// Wall-clock milliseconds of the run.
-    pub elapsed_ms: f64,
-    /// Matcher join steps charged against the governor by the run.
-    pub match_steps: u64,
-    /// Peak retained-search-state count the governor observed.
-    pub frontier_peak: usize,
-}
-
-impl GovernorTelemetry {
-    /// Reads the governor counters off a finished report. When the report
-    /// carries a [`crate::obs::QueryProfile`] this is exactly
-    /// [`GovernorTelemetry::from_profile`] of it — the telemetry is a view
-    /// over the profile's counter registry.
-    pub fn from_report(report: &AnswerReport) -> Self {
-        if let Some(profile) = &report.profile {
-            return GovernorTelemetry::from_profile(profile);
-        }
-        GovernorTelemetry {
-            termination: report.termination.as_str().to_string(),
-            partial: report.termination.is_partial(),
-            elapsed_ms: report.elapsed_ms,
-            match_steps: report.match_steps,
-            frontier_peak: report.frontier_peak,
-        }
-    }
-
-    /// The governor-telemetry view over a full per-query profile.
-    pub fn from_profile(profile: &crate::obs::QueryProfile) -> Self {
-        GovernorTelemetry {
-            termination: profile.termination.clone(),
-            partial: profile.partial,
-            elapsed_ms: profile.elapsed_ms,
-            match_steps: profile.counters.match_steps,
-            frontier_peak: profile.counters.frontier_peak as usize,
-        }
-    }
-}
 
 /// Discounted cumulative gain of `gains` in presented order.
 pub fn dcg(gains: &[f64]) -> f64 {
@@ -140,29 +90,6 @@ pub fn average_precision(relevant_flags: &[bool]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn governor_telemetry_reads_report() {
-        use crate::governor::Termination;
-        let mut report = AnswerReport {
-            elapsed_ms: 12.5,
-            match_steps: 42,
-            frontier_peak: 7,
-            ..Default::default()
-        };
-        let t = GovernorTelemetry::from_report(&report);
-        assert_eq!(t.termination, "complete");
-        assert!(!t.partial);
-        assert_eq!(t.match_steps, 42);
-        assert_eq!(t.frontier_peak, 7);
-        report.termination = Termination::Deadline;
-        let t = GovernorTelemetry::from_report(&report);
-        assert_eq!(t.termination, "deadline");
-        assert!(t.partial);
-        // Telemetry serializes for the experiment JSON.
-        let json = serde_json::to_string(&t).unwrap();
-        assert!(json.contains("\"deadline\""), "{json}");
-    }
 
     #[test]
     fn dcg_discounts_by_position() {

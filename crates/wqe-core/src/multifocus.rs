@@ -132,7 +132,8 @@ mod tests {
 
     #[test]
     fn worker_panic_is_an_error_not_an_unwind() {
-        use wqe_pool::fault::{self, FaultPlan, FaultSite};
+        use wqe_pool::fault::{FaultPlan, FaultSite};
+        use wqe_pool::scope::Scope;
         let pg = product_graph();
         let g = &pg.graph;
         let ctx = crate::ctx::EngineCtx::with_default_oracle(std::sync::Arc::new(g.clone()));
@@ -144,7 +145,11 @@ mod tests {
         let plan = FaultPlan::new(1)
             .arm(FaultSite::PoolWorker, 1)
             .with_budget(FaultSite::PoolWorker, 1);
-        let _scope = fault::enter(std::sync::Arc::new(plan));
+        let _scope = Scope {
+            faults: Some(std::sync::Arc::new(plan)),
+            ..Scope::default()
+        }
+        .enter();
         match answer_multi_focus(&ctx, &question, WqeConfig::default()) {
             Err(WqeError::WorkerPanicked { .. }) => {}
             other => panic!("expected WorkerPanicked, got {other:?}"),

@@ -2,11 +2,13 @@
 //! the lock-free primitives in [`wqe_pool::obs`].
 //!
 //! Every report-producing algorithm (`AnsW`, `AnsHeu`, `FMAnsW`,
-//! `ApxWhyM`, `AnsWE`) enters the session's [`Profiler`] for the duration
-//! of the search, so the instrumented layers below — the matcher and its
-//! star cache (`wqe-query`), the distance oracles (`wqe-index`), the
-//! worker pool (`wqe-pool`) — record stage spans and counters into it via
-//! the thread-local scope, exactly the way the governor propagates. When
+//! `ApxWhyM`, `AnsWE`) runs inside `Session::run`, which enters the
+//! session's [`Profiler`] and governor as one request scope
+//! ([`wqe_pool::scope::Scope`]) for the duration of the search, so the
+//! instrumented layers below — the matcher and its star cache
+//! (`wqe-query`), the distance oracles (`wqe-index`), the worker pool
+//! (`wqe-pool`) — record stage spans and counters into it. The profiler
+//! is the one ledger of that work: nothing else counts it. When
 //! the search finishes, the profiler snapshot plus the governor counters
 //! are folded into one [`QueryProfile`] attached to the report
 //! (`AnswerReport::profile`), exported as JSON by `paper_experiments
@@ -19,8 +21,8 @@ use crate::governor::Termination;
 use serde::{Deserialize, Serialize};
 
 pub use wqe_pool::obs::{
-    current, enter, span, with_current, Counter, ObsScope, ProfileSnapshot, Profiler, SpanGuard,
-    Stage, StageSnapshot, HIST_BUCKETS,
+    span, with_current, Counter, ProfileSnapshot, Profiler, SpanGuard, Stage, StageSnapshot,
+    HIST_BUCKETS,
 };
 
 /// The latency summary of one instrumented stage, in microseconds (the
@@ -54,8 +56,8 @@ impl StageProfile {
 }
 
 /// Every counter a query accumulates, from all layers, in one flat
-/// registry: the star-view cache (`CacheStats`), the distance oracles,
-/// the worker pool, and the governor.
+/// registry: the star-view cache, the distance oracles, the worker pool,
+/// and the governor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterRegistry {
     /// Star-view cache hits.

@@ -59,6 +59,7 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 use wqe_graph::DeltaSummary;
 use wqe_pool::fault::FaultSite;
+use wqe_pool::scope::Scope;
 use wqe_pool::serve::{JobQueue, PushError};
 use wqe_query::{Cached, Footprint, FootprintCache};
 
@@ -634,23 +635,50 @@ struct TokenBucket {
     last: Instant,
 }
 
+/// Tenant buckets the limiter holds before its first sweep.
+const BUCKET_SWEEP_MIN: usize = 64;
+
 struct RateLimiter {
     cfg: RateLimitConfig,
-    buckets: Mutex<HashMap<String, TokenBucket>>,
+    buckets: Mutex<Buckets>,
+}
+
+#[derive(Default)]
+struct Buckets {
+    by_tenant: HashMap<String, TokenBucket>,
+    /// The map size that triggers the next sweep.
+    sweep_at: usize,
 }
 
 impl RateLimiter {
     /// Refills `tenant`'s bucket by elapsed time and tries to spend one
     /// token; `false` means the submission must be shed.
+    ///
+    /// The tenant comes from an untrusted header, so the map must not grow
+    /// with every name a client invents. A bucket that has refilled to
+    /// `burst` behaves exactly like a missing one; once the map reaches
+    /// `sweep_at`, every such bucket is dropped and the next sweep is set
+    /// at twice what is left, which keeps the sweeps amortized O(1).
     fn admit(&self, tenant: &str) -> bool {
         let mut buckets = self.buckets.lock().unwrap_or_else(PoisonError::into_inner);
+        let Buckets {
+            by_tenant,
+            sweep_at,
+        } = &mut *buckets;
         let now = Instant::now();
-        let b = buckets.entry(tenant.to_string()).or_insert(TokenBucket {
+        let refilled = |b: &TokenBucket| {
+            let elapsed = now.duration_since(b.last).as_secs_f64();
+            (b.tokens + elapsed * self.cfg.per_sec).min(self.cfg.burst)
+        };
+        if by_tenant.len() >= *sweep_at {
+            by_tenant.retain(|_, b| refilled(b) < self.cfg.burst);
+            *sweep_at = (2 * by_tenant.len()).max(BUCKET_SWEEP_MIN);
+        }
+        let b = by_tenant.entry(tenant.to_string()).or_insert(TokenBucket {
             tokens: self.cfg.burst,
             last: now,
         });
-        let elapsed = now.duration_since(b.last).as_secs_f64();
-        b.tokens = (b.tokens + elapsed * self.cfg.per_sec).min(self.cfg.burst);
+        b.tokens = refilled(b);
         b.last = now;
         if b.tokens >= 1.0 {
             b.tokens -= 1.0;
@@ -802,6 +830,14 @@ pub struct ServiceStats {
 }
 
 impl Inner {
+    /// The scope service-layer work runs under: the service profiler.
+    fn scope(&self) -> Scope {
+        Scope {
+            profiler: Some(Arc::clone(&self.profiler)),
+            ..Scope::default()
+        }
+    }
+
     /// The head epoch's answer cache and the epoch it serves; `None` when
     /// caching is off.
     fn head_cache(&self) -> Option<(EpochId, Arc<AnswerCache>)> {
@@ -828,7 +864,7 @@ impl EpochSubscriber for CacheCarrier {
         let Some(cache) = &inner.cache else {
             return;
         };
-        let _obs = wqe_pool::obs::enter(Arc::clone(&inner.profiler));
+        let _scope = inner.scope().enter();
         let mut head = cache.lock().unwrap_or_else(PoisonError::into_inner);
         // A cache that missed a publish (one landing while the service was
         // built) describes no epoch the delta starts from: start empty.
@@ -854,8 +890,8 @@ pub struct QueryService {
 
 impl QueryService {
     /// Builds a service and spawns its `max_inflight` worker threads. The
-    /// workers run under the calling thread's fault plan, if any (see
-    /// [`wqe_pool::fault::enter`]).
+    /// workers run under the calling thread's request [`Scope`] — its
+    /// fault plan, if any.
     pub fn new(ctx: EngineCtx, config: ServiceConfig) -> Self {
         QueryService::build(ctx, None, config)
     }
@@ -888,24 +924,24 @@ impl QueryService {
             shed: config.shed.clone(),
             rate: config.rate_limit.clone().map(|cfg| RateLimiter {
                 cfg,
-                buckets: Mutex::new(HashMap::new()),
+                buckets: Mutex::default(),
             }),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         });
-        // A service built inside a fault scope runs every job under that
-        // plan, for its whole life; one built outside never faults.
-        let plan = wqe_pool::fault::current();
+        // A service built inside a fault plan's scope runs every job under
+        // that plan, for its whole life; one built outside never faults.
+        let scope = Scope::current();
         let workers = (0..workers_n)
             .map(|i| {
                 let inner = Arc::clone(&inner);
-                let plan = plan.clone();
+                let scope = scope.clone();
                 std::thread::Builder::new()
                     .name(format!("wqe-serve-{i}"))
                     .spawn(move || {
-                        let _fault = plan.map(wqe_pool::fault::enter);
+                        let _scope = scope.enter();
                         while let Some(job) = inner.queue.pop() {
                             process(&inner, job);
                         }
@@ -1207,7 +1243,7 @@ fn process(inner: &Inner, job: Job) {
 
     // Service-layer events (cache-probe faults, retries) land in the
     // service profiler; per-query scopes nest inside and shadow it.
-    let _obs = wqe_pool::obs::enter(Arc::clone(&inner.profiler));
+    let _scope = inner.scope().enter();
 
     // A job whose deadline budget fully elapsed while it was queued is
     // already dead to its caller: the governor's clock starts *now*, so
@@ -1608,7 +1644,7 @@ mod tests {
 
     #[test]
     fn plan_entered_before_new_reaches_the_service_workers() {
-        use wqe_pool::fault::{self, FaultPlan, FaultSite};
+        use wqe_pool::fault::{FaultPlan, FaultSite};
         let plan = Arc::new(FaultPlan::new(3).arm(FaultSite::AnswerCache, 1));
         let cfg = || ServiceConfig {
             max_inflight: 1,
@@ -1617,7 +1653,11 @@ mod tests {
         };
         let (bare, q) = service(cfg());
         let (armed, _) = {
-            let _fault = fault::enter(Arc::clone(&plan));
+            let _scope = Scope {
+                faults: Some(Arc::clone(&plan)),
+                ..Scope::default()
+            }
+            .enter();
             service(cfg())
         };
         // Requests come from this thread, outside any scope: only where
@@ -1676,6 +1716,24 @@ mod tests {
             .report()
             .is_some());
         assert_eq!(svc.stats().counters.rate_limited, 2);
+    }
+
+    #[test]
+    fn rate_limiter_forgets_refilled_tenants() {
+        // Every tenant refills within a nanosecond, so no bucket outlives
+        // the next sweep however many names a client cycles through.
+        let limiter = RateLimiter {
+            cfg: RateLimitConfig {
+                per_sec: 1e12,
+                burst: 1.0,
+            },
+            buckets: Mutex::default(),
+        };
+        for i in 0..10_000 {
+            assert!(limiter.admit(&format!("tenant-{i}")));
+        }
+        let kept = limiter.buckets.lock().unwrap().by_tenant.len();
+        assert!(kept <= BUCKET_SWEEP_MIN, "{kept} tenant buckets kept");
     }
 
     #[test]

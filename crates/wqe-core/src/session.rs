@@ -17,6 +17,7 @@ use crate::relevance::RelevanceSets;
 use std::sync::Arc;
 use std::time::Instant;
 use wqe_graph::{Graph, NodeId};
+use wqe_pool::scope::Scope;
 use wqe_query::{MatchOutcome, Matcher, PatternQuery};
 
 /// A why-question `W(Q(u_o), E)` (§2.2).
@@ -458,16 +459,9 @@ impl Session {
         }
     }
 
-    /// Enters this session's profiler scope, so instrumentation in lower
-    /// layers (matcher, cache, oracle, pool) lands in this session's
-    /// profiler. [`Session::run`] holds it for the whole search.
-    pub fn obs_scope(&self) -> crate::obs::ObsScope {
-        crate::obs::enter(std::sync::Arc::clone(&self.profiler))
-    }
-
     /// Runs `algorithm` on `question` — the one search driver. It starts
-    /// the clock, enters the session's governor and profiler scopes, and
-    /// contains a panic anywhere in the search as
+    /// the clock, enters the session's governor and profiler as one
+    /// request [`Scope`], and contains a panic anywhere in the search as
     /// [`WqeError::WorkerPanicked`]. A governor that tripped before the
     /// run yields an empty report tagged with the halt; a halt that cut the
     /// run tags its report `Cancelled`/`Deadline` (never `Complete`). It
@@ -485,9 +479,13 @@ impl Session {
         let gov = &self.governor;
         let steps_before = gov.steps();
         // Every shared layer below (matcher fan-out, BFS oracle, pool
-        // workers) polls the governor via `governor::current()`.
-        let _gov_scope = crate::governor::enter(Arc::clone(gov));
-        let _obs_scope = self.obs_scope();
+        // workers) polls this governor and records into this profiler.
+        let _scope = Scope {
+            governor: Some(Arc::clone(gov)),
+            profiler: Some(Arc::clone(&self.profiler)),
+            faults: None,
+        }
+        .enter();
         let mut report = match gov.halt() {
             Some(halt) => AnswerReport {
                 termination: halt,

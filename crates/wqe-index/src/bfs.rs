@@ -285,6 +285,7 @@ impl DistanceOracle for BoundedBfsOracle {
 mod tests {
     use super::*;
     use wqe_graph::GraphBuilder;
+    use wqe_pool::scope::Scope;
 
     fn cycle(n: usize) -> Arc<Graph> {
         let mut b = GraphBuilder::new();
@@ -361,7 +362,11 @@ mod tests {
         }
         let p = Arc::new(obs::Profiler::new());
         let batched = {
-            let _scope = obs::enter(Arc::clone(&p));
+            let _scope = Scope {
+                profiler: Some(Arc::clone(&p)),
+                ..Scope::default()
+            }
+            .enter();
             o.dist_batch(&pairs, 4)
         };
         assert_eq!(
@@ -411,7 +416,11 @@ mod tests {
         let gov = Arc::new(Governor::unlimited());
         gov.cancel();
         {
-            let _scope = governor::enter(Arc::clone(&gov));
+            let _scope = Scope {
+                governor: Some(Arc::clone(&gov)),
+                ..Scope::default()
+            }
+            .enter();
             // The truncated traversal answers what it reached, reports the
             // rest unreachable, and must NOT be memoized.
             let far = o.distance_within(ids[0], ids[1_999], u32::MAX);
@@ -439,7 +448,11 @@ mod tests {
         let gov = Arc::new(Governor::new(None, 1, 0));
         gov.charge_steps(1); // budget now exactly exhausted
         assert!(gov.step_budget_exhausted());
-        let _scope = governor::enter(Arc::clone(&gov));
+        let _scope = Scope {
+            governor: Some(Arc::clone(&gov)),
+            ..Scope::default()
+        }
+        .enter();
         assert_eq!(o.distance_within(ids[0], ids[1_999], u32::MAX), None);
         assert_eq!(o.cached_sources(), 0);
     }
@@ -456,7 +469,11 @@ mod tests {
         }
         let gov = Arc::new(Governor::unlimited());
         gov.cancel();
-        let _scope = governor::enter(Arc::clone(&gov));
+        let _scope = Scope {
+            governor: Some(Arc::clone(&gov)),
+            ..Scope::default()
+        }
+        .enter();
         let batched = o.dist_batch(&pairs, 4);
         assert_eq!(batched.len(), pairs.len());
         assert!(

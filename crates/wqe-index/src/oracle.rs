@@ -419,6 +419,7 @@ pub(crate) mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use wqe_graph::GraphBuilder;
     use wqe_pool::fault::FaultPlan;
+    use wqe_pool::scope::Scope;
 
     fn line(n: usize) -> Arc<Graph> {
         let mut b = GraphBuilder::new();
@@ -524,7 +525,11 @@ pub(crate) mod tests {
                 .with_budget(FaultSite::Oracle, 1),
         );
         let o = Oracle::build(&line(6));
-        let _fault = fault::enter(Arc::clone(&plan));
+        let _fault = Scope {
+            faults: Some(Arc::clone(&plan)),
+            ..Scope::default()
+        }
+        .enter();
         assert_eq!(o.distance_within(NodeId(0), NodeId(4), 9), Some(4));
         assert_eq!(plan.fired(FaultSite::Oracle), 1);
         assert!(!o.breaker.is_open());
@@ -539,8 +544,12 @@ pub(crate) mod tests {
         let o = Oracle::build(&line(6));
         let profiler = Arc::new(obs::Profiler::new());
         {
-            let _fault = fault::enter(Arc::clone(&plan));
-            let _scope = obs::enter(Arc::clone(&profiler));
+            let _scope = Scope {
+                governor: None,
+                profiler: Some(Arc::clone(&profiler)),
+                faults: Some(Arc::clone(&plan)),
+            }
+            .enter();
             for _ in 0..BREAKER_THRESHOLD {
                 assert_eq!(o.distance_within(NodeId(0), NodeId(5), 9), Some(5));
             }
@@ -570,7 +579,7 @@ pub(crate) mod tests {
         let pll = PllIndex::build(&g);
         let (o, owner) = mapped_copy(&g, &pll);
         owner.crash.store(true, Ordering::Relaxed);
-        assert!(fault::current().is_none());
+        assert!(Scope::current().faults.is_none());
         assert_eq!(o.distance_within(NodeId(0), NodeId(3), 9), Some(3));
         let pairs: Vec<(NodeId, NodeId)> = (0..5).map(|i| (NodeId(0), NodeId(i))).collect();
         assert_eq!(o.dist_batch(&pairs, 9), pll.dist_batch(&pairs, 9));
@@ -592,7 +601,11 @@ pub(crate) mod tests {
                 let (o, pairs, profiler) = (&o, &pairs, Arc::clone(&profiler));
                 scope
                     .spawn(move || {
-                        let _scope = obs::enter(Arc::clone(&profiler));
+                        let _scope = Scope {
+                            profiler: Some(Arc::clone(&profiler)),
+                            ..Scope::default()
+                        }
+                        .enter();
                         let got = o.dist_batch(pairs, 8);
                         (got, profiler.counter(obs::Counter::ScratchFallback))
                     })
@@ -604,7 +617,11 @@ pub(crate) mod tests {
             assert_eq!(fallbacks, 1, "contended call must count one fallback");
             let p2 = Arc::new(obs::Profiler::new());
             {
-                let _scope = obs::enter(Arc::clone(&p2));
+                let _scope = Scope {
+                    profiler: Some(Arc::clone(&p2)),
+                    ..Scope::default()
+                }
+                .enter();
                 let _ = o.dist_batch(&pairs, 8);
             }
             assert_eq!(p2.counter(obs::Counter::ScratchFallback), 0);

@@ -935,7 +935,11 @@ mod tests {
         let pairs: Vec<(NodeId, NodeId)> = g.node_ids().map(|v| (NodeId(0), v)).collect();
         let p = std::sync::Arc::new(obs::Profiler::new());
         {
-            let _scope = obs::enter(std::sync::Arc::clone(&p));
+            let _scope = wqe_pool::scope::Scope {
+                profiler: Some(std::sync::Arc::clone(&p)),
+                ..wqe_pool::scope::Scope::default()
+            }
+            .enter();
             idx.dist_batch(&pairs, 4);
         }
         assert!(p.counter(obs::Counter::OracleLabelEntries) > 0);

@@ -11,13 +11,12 @@
 //!
 //! ## Scope
 //!
-//! A plan is active only inside a thread-local scope opened with
-//! [`enter`], exactly like `governor::enter` and `obs::enter`. The scope
-//! travels with the work: `WorkerPool` re-enters the caller's plan on its
-//! workers, and `QueryService` and the HTTP server capture the plan that
-//! was current when they were built for every thread they spawn. Code
-//! running outside any scope — a concurrent test that armed nothing, say
-//! — never sees a fault.
+//! A plan is active only inside a request [`Scope`](crate::scope::Scope)
+//! that names it, and travels with that scope across every thread hop:
+//! `WorkerPool` workers, `QueryService` workers and the HTTP server's
+//! threads all run under the scope that was current where they were
+//! started. Code running outside any scope — a concurrent test that armed
+//! nothing, say — never sees a fault.
 //!
 //! ## Determinism under parallelism
 //!
@@ -45,9 +44,7 @@
 //! *values* in flight.
 
 use crate::obs;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Where a fault can be injected. Each site has its own call counter,
 /// period, and budget inside a [`FaultPlan`].
@@ -154,7 +151,8 @@ struct SiteState {
 ///
 /// Build one with [`FaultPlan::new`] + [`arm`](FaultPlan::arm) (or
 /// [`all_sites`](FaultPlan::all_sites) / [`from_env`](FaultPlan::from_env))
-/// and activate it on a thread with [`enter`].
+/// and activate it on a thread by entering it in a
+/// [`Scope`](crate::scope::Scope).
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
@@ -283,46 +281,11 @@ impl FaultPlan {
     }
 }
 
-thread_local! {
-    static CURRENT: RefCell<Vec<Arc<FaultPlan>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A scope guard returned by [`enter`]; dropping it pops the plan off the
-/// thread-local stack (panic-safe: unwinding drops it too).
-#[must_use = "the fault plan is active only while the scope guard lives"]
-pub struct FaultScope {
-    _private: (),
-}
-
-impl Drop for FaultScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| {
-            c.borrow_mut().pop();
-        });
-    }
-}
-
-/// Pushes `plan` as the calling thread's current fault plan until the
-/// returned guard is dropped. Scopes nest; the innermost wins. Threads
-/// spawned by `WorkerPool`, `QueryService` and the HTTP server carry the
-/// plan that was current where they were started.
-pub fn enter(plan: Arc<FaultPlan>) -> FaultScope {
-    CURRENT.with(|c| c.borrow_mut().push(plan));
-    FaultScope { _private: () }
-}
-
-/// The calling thread's innermost fault plan, if any (for carrying the
-/// scope onto spawned threads, and for post-run assertions on
-/// [`FaultPlan::fired`] counts).
-pub fn current() -> Option<Arc<FaultPlan>> {
-    CURRENT.with(|c| c.borrow().last().cloned())
-}
-
 /// Consults the calling thread's current plan for one call at `site`;
 /// `None` (no fault) when no plan is in scope or the site is unarmed.
 /// This is the function every injection site calls.
 pub fn fire(site: FaultSite) -> Option<u64> {
-    CURRENT.with(|c| c.borrow().last().and_then(|p| p.fire(site)))
+    crate::scope::with_current(|s| s.and_then(|s| s.faults.as_ref()).and_then(|p| p.fire(site)))
 }
 
 /// A per-site circuit breaker: `threshold` *consecutive* failures trip it
@@ -378,6 +341,7 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn unarmed_site_never_fires() {
@@ -477,40 +441,36 @@ mod tests {
     }
 
     #[test]
-    fn fire_is_inert_without_a_scope() {
-        assert!(fire(FaultSite::Oracle).is_none());
-        assert!(current().is_none());
-    }
-
-    #[test]
-    fn enter_scopes_the_plan_to_the_thread() {
-        let plan = Arc::new(FaultPlan::new(1).arm(FaultSite::Queue, 1));
-        {
-            let _scope = enter(Arc::clone(&plan));
-            assert!(fire(FaultSite::Queue).is_some());
-            assert!(Arc::ptr_eq(&current().unwrap(), &plan));
-        }
-        assert!(current().is_none());
-        assert!(fire(FaultSite::Queue).is_none());
-        assert_eq!(plan.fired(FaultSite::Queue), 1);
-    }
-
-    #[test]
     fn scopes_nest_innermost_wins() {
+        let enter = |plan: &Arc<FaultPlan>| {
+            crate::scope::Scope {
+                faults: Some(Arc::clone(plan)),
+                ..Default::default()
+            }
+            .enter()
+        };
         let outer = Arc::new(FaultPlan::new(1).arm(FaultSite::Queue, 1));
         let inner = Arc::new(FaultPlan::new(2));
-        let _a = enter(Arc::clone(&outer));
         {
-            let _b = enter(Arc::clone(&inner));
-            assert!(fire(FaultSite::Queue).is_none(), "inner plan arms nothing");
+            let _a = enter(&outer);
+            {
+                let _b = enter(&inner);
+                assert!(fire(FaultSite::Queue).is_none(), "inner plan arms nothing");
+            }
+            assert!(fire(FaultSite::Queue).is_some(), "outer plan restored");
         }
-        assert!(fire(FaultSite::Queue).is_some(), "outer plan restored");
+        assert!(fire(FaultSite::Queue).is_none(), "no scope, no fault");
+        assert_eq!(outer.fired(FaultSite::Queue), 1);
     }
 
     #[test]
     fn fired_faults_count_into_scoped_profiler() {
         let p = Arc::new(obs::Profiler::new());
-        let _scope = obs::enter(Arc::clone(&p));
+        let _scope = crate::scope::Scope {
+            profiler: Some(Arc::clone(&p)),
+            ..Default::default()
+        }
+        .enter();
         let plan = FaultPlan::new(2).arm(FaultSite::AnswerCache, 1);
         for _ in 0..5 {
             plan.fire(FaultSite::AnswerCache);

@@ -26,16 +26,14 @@
 //! mid-flight; by then the run is ending and its report is already tagged
 //! partial.
 //!
-//! ## Thread-local propagation
+//! ## Propagation
 //!
 //! Layers below `wqe-core` (matcher, BFS oracle) are shared between
 //! sessions through an `EngineCtx`, so they cannot hold a per-session
-//! governor field. Instead the running search [`enter`]s its governor into
-//! a thread-local stack; [`current`] retrieves it. `WorkerPool` propagates
-//! the caller's current governor into its worker threads, so the scope
-//! survives the fan-out.
+//! governor field. The running search enters its governor as part of the
+//! request [`Scope`](crate::scope::Scope); [`current`] reads it back, and
+//! every thread hop carries the scope, so it survives the fan-out.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -217,37 +215,11 @@ impl Governor {
     }
 }
 
-thread_local! {
-    static CURRENT: RefCell<Vec<Arc<Governor>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A scope guard returned by [`enter`]; dropping it pops the governor off
-/// the thread-local stack (panic-safe: unwinding drops it too).
-#[must_use = "the governor is active only while the scope guard lives"]
-pub struct GovernorScope {
-    _private: (),
-}
-
-impl Drop for GovernorScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| {
-            c.borrow_mut().pop();
-        });
-    }
-}
-
-/// Pushes `gov` as the calling thread's current governor until the returned
-/// guard is dropped. Scopes nest; the innermost wins.
-pub fn enter(gov: Arc<Governor>) -> GovernorScope {
-    CURRENT.with(|c| c.borrow_mut().push(gov));
-    GovernorScope { _private: () }
-}
-
 /// The calling thread's innermost active governor, if any. Shared layers
 /// (the matcher, the BFS oracle) use this to find the governor of whichever
 /// session is driving them on this thread.
 pub fn current() -> Option<Arc<Governor>> {
-    CURRENT.with(|c| c.borrow().last().cloned())
+    crate::scope::with_current(|s| s.and_then(|s| s.governor.clone()))
 }
 
 #[cfg(test)]
@@ -302,33 +274,6 @@ mod tests {
         // A later smaller frontier does not trip, and the peak is sticky.
         assert_eq!(g.note_frontier(2), None);
         assert_eq!(g.frontier_peak(), 5);
-    }
-
-    #[test]
-    fn tls_scopes_nest_and_pop() {
-        assert!(current().is_none());
-        let outer = Arc::new(Governor::unlimited());
-        let inner = Arc::new(Governor::new(None, 7, 0));
-        let s1 = enter(Arc::clone(&outer));
-        assert!(Arc::ptr_eq(&current().unwrap(), &outer));
-        {
-            let _s2 = enter(Arc::clone(&inner));
-            assert!(Arc::ptr_eq(&current().unwrap(), &inner));
-        }
-        assert!(Arc::ptr_eq(&current().unwrap(), &outer));
-        drop(s1);
-        assert!(current().is_none());
-    }
-
-    #[test]
-    fn tls_scope_pops_on_panic() {
-        let gov = Arc::new(Governor::unlimited());
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _s = enter(Arc::clone(&gov));
-            panic!("boom");
-        }));
-        assert!(res.is_err());
-        assert!(current().is_none(), "unwinding must pop the scope");
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!
 //! The pool sits below `wqe-index` and `wqe-query` in the crate graph (it
 //! depends on nothing), and is re-exported as `wqe_core::pool` for
-//! algorithm-level callers. The [`governor`] module lives here for the same
-//! reason: every layer above needs to see the query governor.
+//! algorithm-level callers. The request [`scope`] — the query
+//! [`governor`], the [`obs`] profiler and the [`fault`] plan — lives here
+//! for the same reason: every layer above needs to see it.
 //!
 //! Threads are scoped (`std::thread::scope`), so borrowing the enclosing
 //! stack — a `&Session`, a `&Graph`, a partially built index — is free: no
@@ -23,24 +24,26 @@
 //! ## Panic containment
 //!
 //! Every `map` variant catches per-item panics instead of letting them
-//! unwind through the pool: [`WorkerPool::try_map`] surfaces the first
-//! (lowest-item-index) panic as a typed [`PoolError::Panicked`], while
-//! [`WorkerPool::map`] re-raises it as its own panic *after* all workers
-//! have drained — so a panicking item can never leave the pool (or the
-//! thread-local governor stack) in a broken state, and the same pool value
-//! is reusable for the next call.
+//! unwind through the pool: [`WorkerPool::map_governed`] surfaces the
+//! first (lowest-item-index) panic as a typed [`PoolError::Panicked`],
+//! while [`WorkerPool::map`] re-raises it as its own panic *after* all
+//! workers have drained — so a panicking item can never leave the pool (or
+//! the thread-local scope stack) in a broken state, and the same pool
+//! value is reusable for the next call.
 
 #![warn(missing_docs)]
 
 pub mod fault;
 pub mod governor;
 pub mod obs;
+pub mod scope;
 pub mod serve;
 
-use governor::{Governor, Termination};
+use governor::Termination;
+use scope::Scope;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Resolves a user-facing thread-count knob: `0` means *auto* (one worker
 /// per available core, as reported by
@@ -131,8 +134,8 @@ impl WorkerPool {
     /// remaining workers stop pulling items and drain), then re-raised here
     /// as a `worker panicked on item {i}: {message}` panic once all workers
     /// have stopped — so `map` keeps its historical propagate-panic
-    /// behavior, but the pool and the thread-local governor stack are left
-    /// clean and reusable. Use [`WorkerPool::try_map`] to receive the
+    /// behavior, but the pool and the thread-local scope stack are left
+    /// clean and reusable. Use [`WorkerPool::map_governed`] to receive the
     /// panic as a typed [`PoolError`] instead.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
@@ -156,62 +159,28 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
-        match self.try_map_init(items, init, f) {
-            Ok(out) => out,
+        match self.run_core(items, init, f, false) {
+            Ok((slots, _)) => slots
+                .into_iter()
+                .map(|r| r.expect("ungoverned runs complete every item"))
+                .collect(),
             Err(PoolError::Panicked { item, message }) => {
                 panic!("worker panicked on item {item}: {message}")
             }
         }
     }
 
-    /// Fallible [`map`](WorkerPool::map): a panic in `f` is captured and
-    /// returned as [`PoolError::Panicked`] (lowest item index wins) after
-    /// all in-flight work has drained, instead of unwinding.
-    pub fn try_map<T, R, F>(&self, items: &[T], f: F) -> Result<Vec<R>, PoolError>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.try_map_init(items, || (), |_, i, item| f(i, item))
-    }
-
-    /// Fallible [`map_init`](WorkerPool::map_init); see
-    /// [`try_map`](WorkerPool::try_map).
-    pub fn try_map_init<T, R, S, I, F>(
-        &self,
-        items: &[T],
-        init: I,
-        f: F,
-    ) -> Result<Vec<R>, PoolError>
-    where
-        T: Sync,
-        R: Send,
-        S: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
-    {
-        let (slots, _halted) = self.run_core(items, init, f, None)?;
-        Ok(slots
-            .into_iter()
-            .map(|r| r.expect("ungoverned runs complete every item"))
-            .collect())
-    }
-
-    /// Governed map: like [`try_map`](WorkerPool::try_map), but polls
-    /// `gov.halt()` between items (cancellation / deadline — never the
-    /// deterministic caps) and stops pulling new work once it trips,
-    /// draining items already in flight. Returns one `Option<R>` per item
-    /// (`None` = skipped) plus the observed termination, if any.
-    ///
-    /// `gov` is also entered as the thread-local current governor on every
-    /// worker thread (and on the calling thread for the serial path), so
-    /// governor-aware layers below `f` — the matcher's candidate fan-out,
-    /// the BFS oracle — see it without any parameter threading.
+    /// Governed, fallible map: polls the current scope's governor
+    /// (`halt()`: cancellation / deadline — never the deterministic caps)
+    /// between items and stops pulling new work once it trips, draining
+    /// items already in flight. Returns one `Option<R>` per item
+    /// (`None` = skipped) plus the observed termination, if any. A panic in
+    /// `f` is captured and returned as [`PoolError::Panicked`] (lowest item
+    /// index wins) after all in-flight work has drained, instead of
+    /// unwinding. With no governor in scope nothing halts.
     pub fn map_governed<T, R, F>(
         &self,
         items: &[T],
-        gov: &Arc<Governor>,
         f: F,
     ) -> Result<(Vec<Option<R>>, Option<Termination>), PoolError>
     where
@@ -219,7 +188,7 @@ impl WorkerPool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.run_core(items, || (), |_, i, item| f(i, item), Some(gov))
+        self.run_core(items, || (), |_, i, item| f(i, item), true)
     }
 
     /// The shared engine behind every map variant.
@@ -227,16 +196,15 @@ impl WorkerPool {
     /// * catches per-item panics (`AssertUnwindSafe`: items are independent
     ///   and shared state below is poison-recovering), recording the lowest
     ///   panicking item index and aborting further pulls;
-    /// * when `gov` is `Some`, polls `halt()` before each pull and records
-    ///   the first observed termination;
-    /// * propagates the caller's thread-local governor (or the explicit
-    ///   `gov`), profiler and fault plan into worker threads.
+    /// * when `governed`, polls the scope governor's `halt()` before each
+    ///   pull and records the first observed termination;
+    /// * carries the caller's [`Scope`] into every worker thread.
     fn run_core<T, R, S, I, F>(
         &self,
         items: &[T],
         init: I,
         f: F,
-        gov: Option<&Arc<Governor>>,
+        governed: bool,
     ) -> Result<(Vec<Option<R>>, Option<Termination>), PoolError>
     where
         T: Sync,
@@ -245,16 +213,19 @@ impl WorkerPool {
         I: Fn() -> S + Sync,
         F: Fn(&mut S, usize, &T) -> R + Sync,
     {
+        // Worker threads start with no scope; each enters the caller's, so
+        // governed layers keep working across the fan-out, spans recorded
+        // inside workers land in the owning session's profile, and injected
+        // faults reach exactly the work the plan was entered for.
+        let scope = Scope::current();
+        let gov = scope.governor.as_deref().filter(|_| governed);
         let n = items.len();
         let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         let workers = self.threads.min(n);
 
         if workers <= 1 {
-            // Serial path on the caller's thread. The caller's thread-local
-            // governor scope (if any) is naturally still active; enter the
-            // explicit one on top so layers below `f` see it.
-            let _scope = gov.map(|g| governor::enter(Arc::clone(g)));
+            // Serial path on the caller's thread, already in its scope.
             let mut state = init();
             let mut halted = None;
             for (i, item) in items.iter().enumerate() {
@@ -281,22 +252,12 @@ impl WorkerPool {
             return Ok((slots, halted));
         }
 
-        // Worker threads start with an empty thread-local governor stack;
-        // hand them the explicit governor, or failing that whatever scope
-        // the calling thread currently has, so nested governed layers keep
-        // working across the fan-out. The caller's profiler and fault plan
-        // scopes (if any) travel the same way, so spans recorded inside
-        // workers land in the owning session's profile and injected faults
-        // reach exactly the work the plan was entered for.
-        let scope_gov: Option<Arc<Governor>> = gov.cloned().or_else(governor::current);
-        let scope_obs: Option<Arc<obs::Profiler>> = obs::current();
-        let scope_fault: Option<Arc<fault::FaultPlan>> = fault::current();
         let cursor = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
         let halted_slot: Mutex<Option<Termination>> = Mutex::new(None);
 
-        let tagged: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let tagged: Vec<(usize, R)> = std::thread::scope(|threads| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let cursor = &cursor;
@@ -305,13 +266,9 @@ impl WorkerPool {
                     let halted_slot = &halted_slot;
                     let init = &init;
                     let f = &f;
-                    let scope_gov = scope_gov.clone();
-                    let scope_obs = scope_obs.clone();
-                    let scope_fault = scope_fault.clone();
-                    scope.spawn(move || {
-                        let _scope = scope_gov.map(governor::enter);
-                        let _obs = scope_obs.map(obs::enter);
-                        let _fault = scope_fault.map(fault::enter);
+                    let scope = scope.clone();
+                    threads.spawn(move || {
+                        let _scope = scope.enter();
                         let mut state = init();
                         let mut out: Vec<(usize, R)> = Vec::new();
                         loop {
@@ -411,6 +368,8 @@ fn note_pool_run<R>(slots: &[Option<R>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use governor::Governor;
+    use std::sync::Arc;
 
     #[test]
     fn resolve_zero_is_auto() {
@@ -492,12 +451,12 @@ mod tests {
     }
 
     #[test]
-    fn try_map_surfaces_typed_error() {
+    fn panic_becomes_a_typed_error() {
         for threads in [1, 2, 8] {
             let pool = WorkerPool::new(threads);
             let items: Vec<usize> = (0..32).collect();
             let err = pool
-                .try_map(&items, |_, &x| {
+                .map_governed(&items, |_, &x| {
                     if x >= 9 {
                         panic!("injected failure at {x}");
                     }
@@ -516,17 +475,9 @@ mod tests {
     }
 
     #[test]
-    fn try_map_ok_path_matches_map() {
-        let pool = WorkerPool::new(4);
-        let items: Vec<u32> = (0..41).collect();
-        let ok = pool.try_map(&items, |_, &x| x * 3).unwrap();
-        assert_eq!(ok, pool.map(&items, |_, &x| x * 3));
-    }
-
-    #[test]
     fn pool_is_reusable_after_panic() {
-        // Satellite 1: a panic must leave the pool fully usable for the
-        // next call (and the panic message must carry the item).
+        // A panic must leave the pool fully usable for the next call (and
+        // the panic message must carry the item).
         let pool = WorkerPool::new(4);
         let items: Vec<usize> = (0..64).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -544,8 +495,16 @@ mod tests {
         // Same pool value, next call: full, ordered results.
         let out = pool.map(&items, |_, &x| x + 1);
         assert_eq!(out, (1..=64).collect::<Vec<_>>());
-        // And the governor TLS stack is clean.
+        // And the scope stack is clean.
         assert!(governor::current().is_none());
+    }
+
+    fn governed(gov: &Arc<Governor>) -> scope::ScopeGuard {
+        Scope {
+            governor: Some(Arc::clone(gov)),
+            ..Scope::default()
+        }
+        .enter()
     }
 
     #[test]
@@ -553,10 +512,11 @@ mod tests {
         for threads in [1, 4] {
             let pool = WorkerPool::new(threads);
             let gov = Arc::new(Governor::unlimited());
+            let _scope = governed(&gov);
             let items: Vec<usize> = (0..1000).collect();
             let g = Arc::clone(&gov);
             let (slots, halted) = pool
-                .map_governed(&items, &gov, move |i, &x| {
+                .map_governed(&items, move |i, &x| {
                     // Later items wait for the cancel, so however the
                     // workers are scheduled only in-flight items finish.
                     if i == 0 {
@@ -584,32 +544,43 @@ mod tests {
     #[test]
     fn map_governed_untripped_is_complete() {
         let pool = WorkerPool::new(4);
-        let gov = Arc::new(Governor::unlimited());
+        let _scope = governed(&Arc::new(Governor::unlimited()));
         let items: Vec<usize> = (0..100).collect();
-        let (slots, halted) = pool.map_governed(&items, &gov, |_, &x| x * 2).unwrap();
+        let (slots, halted) = pool.map_governed(&items, |_, &x| x * 2).unwrap();
         assert_eq!(halted, None);
         assert!(slots.iter().all(|s| s.is_some()));
     }
 
     #[test]
-    fn map_governed_propagates_tls_to_workers() {
-        let pool = WorkerPool::new(4);
+    fn pool_carries_the_whole_scope_to_workers() {
         let gov = Arc::new(Governor::new(None, 123, 0));
         // An empty plan: carried to every worker, fires nowhere.
         let plan = Arc::new(fault::FaultPlan::new(9));
-        let scope = fault::enter(Arc::clone(&plan));
+        let p = Arc::new(obs::Profiler::new());
+        let scope = Scope {
+            governor: Some(Arc::clone(&gov)),
+            profiler: Some(Arc::clone(&p)),
+            faults: Some(Arc::clone(&plan)),
+        }
+        .enter();
         let items: Vec<usize> = (0..64).collect();
-        let (slots, _) = pool
-            .map_governed(&items, &gov, |_, _| {
-                let seen = governor::current().expect("worker sees the governor");
-                let seen_plan = fault::current().expect("worker sees the fault plan");
-                Arc::ptr_eq(&seen, &gov) && Arc::ptr_eq(&seen_plan, &plan)
-            })
-            .unwrap();
+        for threads in [1, 4] {
+            let out = WorkerPool::new(threads).map(&items, |_, _| {
+                let seen = Scope::current();
+                Arc::ptr_eq(seen.governor.as_ref().unwrap(), &gov)
+                    && Arc::ptr_eq(seen.profiler.as_ref().unwrap(), &p)
+                    && Arc::ptr_eq(seen.faults.as_ref().unwrap(), &plan)
+            });
+            assert!(out.into_iter().all(|seen| seen), "threads={threads}");
+        }
         drop(scope);
-        assert!(slots.into_iter().all(|s| s == Some(true)));
-        assert!(governor::current().is_none(), "scope popped after the call");
-        assert!(fault::current().is_none(), "fault scope popped");
+        assert!(
+            governor::current().is_none(),
+            "scope popped after the calls"
+        );
+        let s = p.snapshot();
+        assert_eq!(s.counter(obs::Counter::PoolRun), 2);
+        assert_eq!(s.counter(obs::Counter::PoolTask), 128);
     }
 
     #[test]
@@ -622,10 +593,15 @@ mod tests {
         std::thread::scope(|s| {
             let a = s.spawn(|| {
                 let plan = Arc::new(fault::FaultPlan::new(1).arm(fault::FaultSite::PoolWorker, 1));
-                let _scope = fault::enter(Arc::clone(&plan));
+                let _scope = Scope {
+                    faults: Some(Arc::clone(&plan)),
+                    ..Scope::default()
+                }
+                .enter();
                 barrier.wait();
                 for threads in [1, 2] {
-                    assert!(WorkerPool::new(threads).try_map(&items, |_, &x| x).is_err());
+                    let pool = WorkerPool::new(threads);
+                    assert!(pool.map_governed(&items, |_, &x| x).is_err());
                 }
                 plan.fired(fault::FaultSite::PoolWorker)
             });
@@ -633,41 +609,15 @@ mod tests {
                 barrier.wait();
                 for _ in 0..20 {
                     for threads in [1, 2] {
-                        let out = WorkerPool::new(threads).try_map(&items, |_, &x| x);
-                        assert_eq!(out.expect("unscoped thread faulted"), items);
+                        let out = WorkerPool::new(threads).map_governed(&items, |_, &x| x);
+                        let (slots, _) = out.expect("unscoped thread faulted");
+                        assert!(slots.into_iter().flatten().eq(items.iter().copied()));
                     }
                 }
             });
             assert!(a.join().unwrap() >= 2, "A's plan fired on A");
             b.join().unwrap();
         });
-    }
-
-    #[test]
-    fn plain_map_propagates_callers_scope() {
-        let gov = Arc::new(Governor::unlimited());
-        let _scope = governor::enter(Arc::clone(&gov));
-        let pool = WorkerPool::new(4);
-        let items: Vec<usize> = (0..64).collect();
-        let out = pool.map(&items, |_, _| governor::current().is_some());
-        assert!(out.into_iter().all(|seen| seen));
-    }
-
-    #[test]
-    fn pool_propagates_profiler_scope_and_counts_runs() {
-        let p = Arc::new(obs::Profiler::new());
-        let scope = obs::enter(Arc::clone(&p));
-        for threads in [1, 4] {
-            let pool = WorkerPool::new(threads);
-            let items: Vec<usize> = (0..64).collect();
-            let out = pool.map(&items, |_, _| obs::current().is_some());
-            assert!(out.into_iter().all(|seen| seen), "threads={threads}");
-        }
-        drop(scope);
-        assert!(obs::current().is_none(), "scope popped after the calls");
-        let s = p.snapshot();
-        assert_eq!(s.counter(obs::Counter::PoolRun), 2);
-        assert_eq!(s.counter(obs::Counter::PoolTask), 128);
     }
 
     #[test]

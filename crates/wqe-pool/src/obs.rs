@@ -15,17 +15,16 @@
 //!   same histograms concurrently without contention on a lock.
 //! * **Monotonic clock.** Spans measure [`Instant`] deltas, never wall
 //!   time, so a clock step cannot produce negative or absurd latencies.
-//! * **Propagated like the governor.** The running search [`enter`]s its
-//!   profiler into a thread-local stack; instrumented layers find it with
-//!   [`with_current`] (no `Arc` clone on the hot path) and `WorkerPool`
-//!   hands the caller's scope to its workers, so spans recorded inside a
-//!   fan-out still land in the owning session's profile.
+//! * **Carried by the request scope.** The running search enters its
+//!   profiler as part of the request [`Scope`](crate::scope::Scope);
+//!   instrumented layers find it with [`with_current`] (no `Arc` clone on
+//!   the hot path), and every thread hop carries the scope, so spans
+//!   recorded inside a fan-out still land in the owning session's profile.
 //! * **Free when off.** With no profiler in scope, [`span`] returns `None`
 //!   without reading the clock and [`with_current`] is a thread-local load
 //!   plus a branch — the instrumented code paths stay on the governor's
 //!   <3% idle-overhead budget.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -319,45 +318,12 @@ impl Profiler {
     }
 }
 
-thread_local! {
-    static CURRENT: RefCell<Vec<Arc<Profiler>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A scope guard returned by [`enter`]; dropping it pops the profiler off
-/// the thread-local stack (panic-safe: unwinding drops it too).
-#[must_use = "the profiler is active only while the scope guard lives"]
-pub struct ObsScope {
-    _private: (),
-}
-
-impl Drop for ObsScope {
-    fn drop(&mut self) {
-        CURRENT.with(|c| {
-            c.borrow_mut().pop();
-        });
-    }
-}
-
-/// Pushes `profiler` as the calling thread's current profiler until the
-/// returned guard is dropped. Scopes nest; the innermost wins.
-pub fn enter(profiler: Arc<Profiler>) -> ObsScope {
-    CURRENT.with(|c| c.borrow_mut().push(profiler));
-    ObsScope { _private: () }
-}
-
-/// The calling thread's innermost active profiler, if any. `WorkerPool`
-/// uses this to carry the scope across its fan-out; hot paths should use
-/// [`with_current`] instead, which avoids the `Arc` clone.
-pub fn current() -> Option<Arc<Profiler>> {
-    CURRENT.with(|c| c.borrow().last().cloned())
-}
-
 /// Runs `f` against the current profiler without cloning the `Arc`; a
 /// no-op (one thread-local load plus a branch) when none is in scope.
 /// This is the hot-path entry point for pure counter bumps.
 pub fn with_current<F: FnOnce(&Profiler)>(f: F) {
-    CURRENT.with(|c| {
-        if let Some(p) = c.borrow().last() {
+    crate::scope::with_current(|s| {
+        if let Some(p) = s.and_then(|s| s.profiler.as_deref()) {
             f(p);
         }
     });
@@ -382,7 +348,8 @@ impl Drop for SpanGuard {
 /// without touching the clock when no profiler is in scope, so
 /// uninstrumented runs pay one thread-local load per call site.
 pub fn span(stage: Stage) -> Option<SpanGuard> {
-    current().map(|profiler| SpanGuard {
+    let profiler = crate::scope::with_current(|s| s.and_then(|s| s.profiler.clone()));
+    profiler.map(|profiler| SpanGuard {
         profiler,
         stage,
         start: Instant::now(),
@@ -392,6 +359,14 @@ pub fn span(stage: Stage) -> Option<SpanGuard> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn enter(profiler: Arc<Profiler>) -> crate::scope::ScopeGuard {
+        crate::scope::Scope {
+            profiler: Some(profiler),
+            ..Default::default()
+        }
+        .enter()
+    }
 
     #[test]
     fn span_records_into_scoped_profiler() {
@@ -414,7 +389,6 @@ mod tests {
     #[test]
     fn span_without_scope_is_none() {
         assert!(span(Stage::Oracle).is_none());
-        assert!(current().is_none());
     }
 
     #[test]
@@ -447,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn scopes_nest_and_pop_on_panic() {
+    fn scopes_nest() {
         let outer = Arc::new(Profiler::new());
         let inner = Arc::new(Profiler::new());
         let s1 = enter(Arc::clone(&outer));
@@ -460,12 +434,7 @@ mod tests {
         assert_eq!(outer.counter(Counter::CacheHit), 0);
         assert_eq!(outer.counter(Counter::CacheMiss), 1);
         drop(s1);
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _s = enter(Arc::clone(&outer));
-            panic!("boom");
-        }));
-        assert!(res.is_err());
-        assert!(current().is_none(), "unwinding must pop the scope");
+        assert!(span(Stage::Match).is_none(), "scope popped");
     }
 
     #[test]

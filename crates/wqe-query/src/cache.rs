@@ -105,27 +105,6 @@ struct Entry<V> {
     last_tick: u64,
 }
 
-/// Counters exposed for the AnsW/AnsWnc ablation experiments.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to materialize.
-    pub misses: u64,
-    /// Entries evicted by the least-hit policy.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    fn merge(self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-        }
-    }
-}
-
 /// A bounded, sharded cache with least-hit replacement and hit decay,
 /// whose entries carry the [`Footprint`] they were computed from.
 pub struct FootprintCache<V> {
@@ -140,7 +119,6 @@ pub type StarCache = FootprintCache<Vec<StarRow>>;
 struct Shard<V> {
     map: HashMap<String, Entry<V>>,
     tick: u64,
-    stats: CacheStats,
 }
 
 impl<V> Default for Shard<V> {
@@ -148,7 +126,6 @@ impl<V> Default for Shard<V> {
         Shard {
             map: HashMap::new(),
             tick: 0,
-            stats: CacheStats::default(),
         }
     }
 }
@@ -213,12 +190,10 @@ impl<V: Cached> FootprintCache<V> {
                 e.hits = e.hits * self.decay.powi(age) + 1.0;
                 e.last_tick = tick;
                 let value = Arc::clone(&e.value);
-                inner.stats.hits += 1;
                 obs::with_current(|p| p.add(V::HIT, 1));
                 return Some(value);
             }
         }
-        inner.stats.misses += 1;
         obs::with_current(|p| p.add(V::MISS, 1));
         None
     }
@@ -251,7 +226,6 @@ impl<V: Cached> FootprintCache<V> {
                 .map(|(k, _)| k.clone());
             if let Some(k) = victim {
                 inner.map.remove(&k);
-                inner.stats.evictions += 1;
                 obs::with_current(|p| p.add(V::EVICTION, 1));
             }
         }
@@ -287,8 +261,7 @@ impl<V: Cached> FootprintCache<V> {
     /// entries whose [`Footprint`] is [`affected_by`] the delta are
     /// dropped (counted as evictions), every other entry is carried over
     /// (shared `Arc` values, no recomputation) and keeps hitting in the new
-    /// epoch. Counters are carried cumulatively so hit/miss/eviction
-    /// totals span epochs. `self` — the *old* epoch's cache — is left
+    /// epoch. `self` — the *old* epoch's cache — is left
     /// untouched, which is what keeps sessions still pinned to the old
     /// epoch bit-stable.
     ///
@@ -305,11 +278,9 @@ impl<V: Cached> FootprintCache<V> {
         for (old_shard, new_shard) in self.shards.iter().zip(&next.shards) {
             let old = relock(old_shard.lock());
             let mut fresh = relock(new_shard.lock());
-            fresh.stats = old.stats;
             for (key, e) in &old.map {
                 if e.footprint.affected_by(delta) {
                     evicted += 1;
-                    fresh.stats.evictions += 1;
                     obs::with_current(|p| p.add(V::EVICTION, 1));
                 } else {
                     fresh.map.insert(
@@ -327,14 +298,6 @@ impl<V: Cached> FootprintCache<V> {
         (next, evicted)
     }
 
-    /// Current counters, aggregated across shards.
-    pub fn stats(&self) -> CacheStats {
-        self.shards
-            .iter()
-            .map(|s| relock(s.lock()).stats)
-            .fold(CacheStats::default(), CacheStats::merge)
-    }
-
     /// Number of cached values.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| relock(s.lock()).map.len()).sum()
@@ -345,7 +308,7 @@ impl<V: Cached> FootprintCache<V> {
         self.len() == 0
     }
 
-    /// Drops all entries (keeps counters).
+    /// Drops all entries.
     pub fn clear(&self) {
         for s in &self.shards {
             relock(s.lock()).map.clear();
@@ -357,6 +320,32 @@ impl<V: Cached> FootprintCache<V> {
 mod tests {
     use super::*;
     use wqe_graph::NodeId;
+    use wqe_pool::obs::Profiler;
+    use wqe_pool::scope::{Scope, ScopeGuard};
+
+    /// A fresh profiler entered for the rest of a test: the cache's hit,
+    /// miss and eviction counters land in it.
+    struct Ledger(Arc<Profiler>, ScopeGuard);
+
+    impl Ledger {
+        fn enter() -> Self {
+            let p = Arc::new(Profiler::new());
+            let scope = Scope {
+                profiler: Some(Arc::clone(&p)),
+                ..Scope::default()
+            };
+            Ledger(p, scope.enter())
+        }
+        fn hits(&self) -> u64 {
+            self.0.counter(Counter::CacheHit)
+        }
+        fn misses(&self) -> u64 {
+            self.0.counter(Counter::CacheMiss)
+        }
+        fn evictions(&self) -> u64 {
+            self.0.counter(Counter::CacheEviction)
+        }
+    }
 
     fn row(v: u32) -> StarRow {
         StarRow {
@@ -367,17 +356,18 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counting() {
+        let l = Ledger::enter();
         let c = StarCache::new(8, 1.0);
         let a = c.get_or_compute("k1", Footprint::default, || vec![row(1)]);
         let b = c.get_or_compute("k1", Footprint::default, || panic!("must hit"));
         assert_eq!(a[0].center, b[0].center);
-        let s = c.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 1);
+        assert_eq!(l.hits(), 1);
+        assert_eq!(l.misses(), 1);
     }
 
     #[test]
     fn least_hit_eviction() {
+        let l = Ledger::enter();
         let c = StarCache::new(2, 1.0);
         c.get_or_compute("hot", Footprint::default, || vec![row(1)]);
         c.get_or_compute("hot", Footprint::default, || unreachable!());
@@ -386,15 +376,16 @@ mod tests {
         // Inserting a third key evicts "cold" (1 hit) not "hot" (3 hits).
         c.get_or_compute("new", Footprint::default, || vec![row(3)]);
         assert_eq!(c.len(), 2);
-        let before = c.stats().misses;
+        let before = l.misses();
         c.get_or_compute("hot", Footprint::default, || {
             panic!("hot should have survived")
         });
-        assert_eq!(c.stats().misses, before);
+        assert_eq!(l.misses(), before);
     }
 
     #[test]
     fn decay_prefers_recent() {
+        let l = Ledger::enter();
         let c = StarCache::new(2, 0.5);
         // "old" gets many early hits, then goes quiet.
         for _ in 0..5 {
@@ -406,11 +397,11 @@ mod tests {
         }
         c.get_or_compute("new", Footprint::default, || vec![row(3)]);
         // "old"'s decayed score is tiny; it is the victim.
-        let misses = c.stats().misses;
+        let misses = l.misses();
         c.get_or_compute("fresh", Footprint::default, || {
             panic!("fresh should survive")
         });
-        assert_eq!(c.stats().misses, misses);
+        assert_eq!(l.misses(), misses);
     }
 
     #[test]
@@ -418,12 +409,13 @@ mod tests {
         // The answer cache's former LRU case, at every decay: "a" and "b"
         // are inserted, "a" is touched, and a third key evicts "b".
         for decay in [1.0, 0.95, 0.5] {
+            let l = Ledger::enter();
             let c = StarCache::new(2, decay);
             c.get_or_compute("a", Footprint::default, || vec![row(1)]);
             c.get_or_compute("b", Footprint::default, || vec![row(2)]);
             assert!(c.get("a").is_some());
             c.get_or_compute("c", Footprint::default, || vec![row(3)]);
-            assert_eq!(c.stats().evictions, 1, "decay {decay}");
+            assert_eq!(l.evictions(), 1, "decay {decay}");
             assert!(c.get("a").is_some(), "decay {decay}: a was evicted");
             assert!(c.get("b").is_none(), "decay {decay}: b survived");
             assert!(c.get("c").is_some(), "decay {decay}: c was evicted");
@@ -442,11 +434,14 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_consistent() {
+        let l = Ledger::enter();
         let c = std::sync::Arc::new(StarCache::new(64, 1.0));
         let mut handles = Vec::new();
         for t in 0..8 {
             let c = std::sync::Arc::clone(&c);
+            let scope = Scope::current();
             handles.push(std::thread::spawn(move || {
+                let _scope = scope.enter();
                 for i in 0..200 {
                     let key = format!("k{}", (t + i) % 16);
                     let rows = c.get_or_compute(&key, Footprint::default, || {
@@ -460,8 +455,7 @@ mod tests {
         for h in handles {
             h.join().expect("no panic under contention");
         }
-        let s = c.stats();
-        assert_eq!(s.hits + s.misses, 8 * 200);
+        assert_eq!(l.hits() + l.misses(), 8 * 200);
         assert!(c.len() <= 16);
     }
 
@@ -469,13 +463,16 @@ mod tests {
     fn racing_inserts_converge_to_one_entry() {
         // Hammer a single key from many threads; the first insert must win
         // and the cache must end with exactly one entry for it.
+        let l = Ledger::enter();
         let c = std::sync::Arc::new(StarCache::new(256, 1.0));
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(8));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let c = std::sync::Arc::clone(&c);
             let barrier = std::sync::Arc::clone(&barrier);
+            let scope = Scope::current();
             handles.push(std::thread::spawn(move || {
+                let _scope = scope.enter();
                 barrier.wait();
                 for _ in 0..100 {
                     let rows = c.get_or_compute("shared", Footprint::default, || vec![row(7)]);
@@ -487,9 +484,8 @@ mod tests {
             h.join().expect("no panic");
         }
         assert_eq!(c.len(), 1);
-        let s = c.stats();
-        assert_eq!(s.hits + s.misses, 8 * 100);
-        assert_eq!(s.evictions, 0);
+        assert_eq!(l.hits() + l.misses(), 8 * 100);
+        assert_eq!(l.evictions(), 0);
     }
 
     #[test]
@@ -508,6 +504,7 @@ mod tests {
         // the stalest entry "a" is the victim. With the stale-tick bug "b"'s
         // insert tick equals the preceding lookup's, its score decays as if
         // it were older, and the cache wrongly evicts its newest entry "b".
+        let l = Ledger::enter();
         let c = StarCache::new(3, 0.9);
         c.get_or_compute("a", Footprint::default, || vec![row(1)]);
         c.get_or_compute("f", Footprint::default, || vec![row(2)]);
@@ -517,17 +514,17 @@ mod tests {
         c.get_or_compute("a", Footprint::default, || unreachable!("a is cached"));
         c.get_or_compute("b", Footprint::default, || vec![row(3)]);
         c.get_or_compute("c", Footprint::default, || vec![row(4)]); // evicts exactly one entry
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(l.evictions(), 1);
         assert_eq!(c.len(), 3);
         // "b" must have survived ...
-        let misses = c.stats().misses;
+        let misses = l.misses();
         c.get_or_compute("b", Footprint::default, || {
             panic!("the newest entry was evicted")
         });
-        assert_eq!(c.stats().misses, misses);
+        assert_eq!(l.misses(), misses);
         // ... and "a" (stalest, lowest decayed score) must be the victim.
         c.get_or_compute("a", Footprint::default, || vec![row(1)]);
-        assert_eq!(c.stats().misses, misses + 1, "a should have been evicted");
+        assert_eq!(l.misses(), misses + 1, "a should have been evicted");
     }
 
     #[test]
@@ -536,13 +533,16 @@ mod tests {
         // materialization window held open long enough that both usually
         // miss: both must get equivalent rows, exactly one entry survives,
         // and the counters add up to the two lookups.
+        let l = Ledger::enter();
         let c = std::sync::Arc::new(StarCache::new(8, 1.0));
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
         let mut handles = Vec::new();
         for _ in 0..2 {
             let c = std::sync::Arc::clone(&c);
             let barrier = std::sync::Arc::clone(&barrier);
+            let scope = Scope::current();
             handles.push(std::thread::spawn(move || {
+                let _scope = scope.enter();
                 barrier.wait();
                 c.get_or_compute("cold", Footprint::default, || {
                     std::thread::sleep(std::time::Duration::from_millis(5));
@@ -559,30 +559,30 @@ mod tests {
             assert_eq!(r[0].center, NodeId(42));
         }
         assert_eq!(c.len(), 1, "exactly one entry survives the race");
-        let s = c.stats();
-        assert_eq!(s.hits + s.misses, 2, "one lookup per thread");
-        assert!(s.misses >= 1, "someone had to materialize");
-        assert_eq!(s.evictions, 0);
+        assert_eq!(l.hits() + l.misses(), 2, "one lookup per thread");
+        assert!(l.misses() >= 1, "someone had to materialize");
+        assert_eq!(l.evictions(), 0);
         // The survivor serves subsequent lookups as a plain hit.
-        let before = c.stats();
+        let (hits, misses) = (l.hits(), l.misses());
         c.get_or_compute("cold", Footprint::default, || panic!("must hit"));
-        let after = c.stats();
-        assert_eq!(after.hits, before.hits + 1);
-        assert_eq!(after.misses, before.misses);
+        assert_eq!((l.hits(), l.misses()), (hits + 1, misses));
     }
 
     #[test]
-    fn clear_keeps_counters() {
+    fn clear_empties_the_cache() {
+        let l = Ledger::enter();
         let c = StarCache::new(4, 1.0);
         c.get_or_compute("a", Footprint::default, std::vec::Vec::new);
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.stats().misses, 1);
+        c.get_or_compute("a", Footprint::default, std::vec::Vec::new);
+        assert_eq!(l.misses(), 2);
     }
 
     #[test]
     fn carry_over_evicts_by_footprint() {
         use wqe_graph::{AttrId, LabelId};
+        let l = Ledger::enter();
         let c = StarCache::new(8, 1.0);
         let on_label_3 = || Footprint {
             labels: vec![3],
@@ -618,15 +618,15 @@ mod tests {
         assert_eq!(next.len(), 1);
         let r = next.get_or_compute("l3", on_label_3, || panic!("must survive carry-over"));
         assert_eq!(r[0].center, NodeId(1));
-        assert_eq!(next.stats().evictions, 1, "eviction counted in new cache");
+        assert_eq!(l.evictions(), 1, "the carry-over eviction is counted");
         // The old cache is untouched — pinned sessions keep hitting it.
         assert_eq!(c.len(), 2);
-        assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
     fn carry_over_topology_and_membership() {
         use wqe_graph::{LabelId, NodeId};
+        let l = Ledger::enter();
         let c = StarCache::new(8, 1.0);
         let wildcard = || Footprint {
             wildcard: true,
@@ -657,7 +657,6 @@ mod tests {
         let (next, evicted) = c.carry_over(&delta);
         assert_eq!(evicted, 2);
         assert!(next.is_empty());
-        // Cumulative counters span the carry-over.
-        assert_eq!(next.stats().misses, c.stats().misses);
+        assert_eq!(l.evictions(), 3, "every carry-over eviction is counted");
     }
 }

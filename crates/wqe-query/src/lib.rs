@@ -29,11 +29,9 @@ pub mod matcher;
 mod ops;
 mod pattern;
 
-pub use cache::{CacheStats, Cached, Footprint, FootprintCache, StarCache};
+pub use cache::{Cached, Footprint, FootprintCache, StarCache};
 pub use literal::{simplify_literals, Literal};
-pub use matcher::{
-    naive_evaluate, MatchOutcome, MatchPlan, Matcher, MatcherStats, StarPlan, Valuation,
-};
+pub use matcher::{naive_evaluate, MatchOutcome, Matcher, Valuation};
 pub use ops::{
     is_canonical, is_normal_form, normalize, sequence_cost, ApplyError, AtomicOp, OpClass, Touched,
 };

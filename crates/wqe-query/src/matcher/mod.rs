@@ -8,7 +8,7 @@ pub mod star;
 
 pub use join::{assignment_order, verify_candidate, Truncated, Valuation};
 
-use crate::cache::{CacheStats, Footprint, StarCache};
+use crate::cache::{Footprint, StarCache};
 use crate::pattern::{PatternQuery, QNodeId};
 use star::{StarQuery, StarTable};
 use std::collections::{HashMap, HashSet};
@@ -95,71 +95,6 @@ impl MatchOutcome {
     }
 }
 
-/// One star's row in a [`MatchPlan`].
-#[derive(Debug, Clone)]
-pub struct StarPlan {
-    /// The cache key (spec) of the star.
-    pub spec_key: String,
-    /// Center pattern node.
-    pub center: QNodeId,
-    /// Leaf pattern node (if any).
-    pub leaf: Option<QNodeId>,
-    /// Whether the table came from the cache.
-    pub cached: bool,
-    /// Materialized (label-level) row count.
-    pub rows: usize,
-    /// Rows surviving the current center literals.
-    pub live_rows: usize,
-}
-
-/// The result of [`Matcher::explain_plan`].
-#[derive(Debug, Clone)]
-pub struct MatchPlan {
-    /// Per-star decomposition and materialization info.
-    pub stars: Vec<StarPlan>,
-    /// Candidate-domain size per pattern node after view intersection.
-    pub domains: Vec<(QNodeId, usize)>,
-}
-
-impl MatchPlan {
-    /// Renders a compact textual plan.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("match plan:\n");
-        for s in &self.stars {
-            let leaf = s
-                .leaf
-                .map(|l| format!("u{}", l.0))
-                .unwrap_or_else(|| "-".into());
-            let _ = writeln!(
-                out,
-                "  star u{} -> {leaf}: {} rows ({} live){}",
-                s.center.0,
-                s.rows,
-                s.live_rows,
-                if s.cached { " [cached]" } else { "" }
-            );
-        }
-        out.push_str("  domains:");
-        for (u, n) in &self.domains {
-            let _ = write!(out, " u{}={n}", u.0);
-        }
-        out.push('\n');
-        out
-    }
-}
-
-/// Instrumentation counters for the experiments.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct MatcherStats {
-    /// Number of `evaluate` calls.
-    pub evaluations: u64,
-    /// Focus candidates verified.
-    pub candidates_verified: u64,
-    /// Star tables materialized (cache misses when caching is on).
-    pub tables_built: u64,
-}
-
 /// The star-view matcher.
 ///
 /// Owns an optional [`StarCache`]; with the cache disabled each evaluation
@@ -175,7 +110,6 @@ pub struct Matcher {
     cache: Option<Arc<StarCache>>,
     step_limit: usize,
     parallelism: usize,
-    stats: std::sync::Mutex<MatcherStats>,
 }
 
 impl Matcher {
@@ -187,7 +121,6 @@ impl Matcher {
             cache: Some(Arc::new(StarCache::default_sized())),
             step_limit: 2_000_000,
             parallelism: 1,
-            stats: std::sync::Mutex::new(MatcherStats::default()),
         }
     }
 
@@ -233,24 +166,6 @@ impl Matcher {
         &self.oracle
     }
 
-    /// Locks the stats mutex, recovering from poison: the counters stay
-    /// meaningful even if a verifier thread panicked mid-update.
-    fn stats_lock(&self) -> std::sync::MutexGuard<'_, MatcherStats> {
-        self.stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> MatcherStats {
-        *self.stats_lock()
-    }
-
-    /// Cache counters, when caching is enabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
     /// Candidates `V_u` of a pattern node.
     pub fn candidates(&self, q: &PatternQuery, u: QNodeId) -> Vec<NodeId> {
         candidates::node_candidates(&self.graph, q, u)
@@ -265,26 +180,20 @@ impl Matcher {
         match &self.cache {
             Some(cache) => {
                 let key = s.spec_key(q);
-                let mut built = false;
                 let rows = cache.get_or_compute(
                     &key,
                     || star_footprint(q, s),
                     || {
-                        built = true;
                         let _span = obs::span(obs::Stage::StarMaterialize);
                         star::materialize_rows(&self.graph, q, s, focus_cands)
                     },
                 );
-                if built {
-                    self.stats_lock().tables_built += 1;
-                }
                 StarTable {
                     star: s.clone(),
                     rows,
                 }
             }
             None => {
-                self.stats_lock().tables_built += 1;
                 let _span = obs::span(obs::Stage::StarMaterialize);
                 StarTable {
                     star: s.clone(),
@@ -294,66 +203,9 @@ impl Matcher {
         }
     }
 
-    /// Produces an `EXPLAIN`-style description of how the matcher would
-    /// evaluate `q`: the star decomposition, per-star cache status and row
-    /// counts, and the literal-filtered domain sizes the join would verify.
-    /// Evaluates star tables (and caches them) but skips the join.
-    pub fn explain_plan(&self, q: &PatternQuery) -> MatchPlan {
-        let focus = q.focus();
-        let focus_pool: HashSet<NodeId> = match q.node(focus).and_then(|n| n.label) {
-            Some(l) => self.graph.nodes_with_label(l).iter().copied().collect(),
-            None => self.graph.node_ids().collect(),
-        };
-        let before = self.cache_stats();
-        let stars = star::decompose(q);
-        let mut plan_stars = Vec::with_capacity(stars.len());
-        for s in &stars {
-            let misses_before = self.cache_stats().map(|c| c.misses).unwrap_or(0);
-            let table = self.table_for(q, s, &focus_pool);
-            let was_cached = self
-                .cache_stats()
-                .map(|c| c.misses == misses_before)
-                .unwrap_or(false);
-            let view = star::TableView::build(&self.graph, q, &table);
-            plan_stars.push(StarPlan {
-                spec_key: s.spec_key(q),
-                center: s.center,
-                leaf: s.leaves.first().map(|l| l.node),
-                cached: was_cached,
-                rows: table.rows.len(),
-                live_rows: view.len(),
-            });
-        }
-        let tables: Vec<StarTable> = stars
-            .iter()
-            .map(|s| self.table_for(q, s, &focus_pool))
-            .collect();
-        let views: Vec<star::TableView<'_>> = tables
-            .iter()
-            .map(|t| star::TableView::build(&self.graph, q, t))
-            .collect();
-        let supports = star::support_domains(q, &views);
-        let domains = q
-            .node_ids()
-            .map(|u| {
-                let size = supports
-                    .get(&u)
-                    .map(|s| s.len())
-                    .unwrap_or_else(|| self.candidates(q, u).len());
-                (u, size)
-            })
-            .collect();
-        let _ = before;
-        MatchPlan {
-            stars: plan_stars,
-            domains,
-        }
-    }
-
     /// Evaluates `Q(G)` (procedure `Match`).
     pub fn evaluate(&self, q: &PatternQuery) -> MatchOutcome {
         let _span = obs::span(obs::Stage::Match);
-        self.stats_lock().evaluations += 1;
         let focus = q.focus();
 
         // Single-node query: the candidates are the matches.
@@ -422,7 +274,6 @@ impl Matcher {
 
         let order = assignment_order(q);
         let focus_domain = domains.get(&focus).cloned().unwrap_or_default();
-        self.stats_lock().candidates_verified += focus_domain.len() as u64;
 
         let verify_chunk = |chunk: &[NodeId]| -> (Vec<(NodeId, Valuation)>, bool, usize) {
             let mut found = Vec::new();
@@ -630,61 +481,43 @@ mod tests {
         assert_eq!(out.valuations.len(), 6);
     }
 
+    /// Evaluates `q` twice on `m` under a fresh profiler.
+    fn profile_twice(m: &Matcher, q: &PatternQuery) -> obs::ProfileSnapshot {
+        let p = Arc::new(obs::Profiler::new());
+        let _scope = wqe_pool::scope::Scope {
+            profiler: Some(Arc::clone(&p)),
+            ..Default::default()
+        }
+        .enter();
+        m.evaluate(q);
+        m.evaluate(q);
+        p.snapshot()
+    }
+
     #[test]
     fn cache_hits_across_rewrites() {
         let pg = product_graph();
         let g = &pg.graph;
-        let m = matcher_for(g);
         let q = paper_query(g);
-        m.evaluate(&q);
-        m.evaluate(&q); // identical query: all stars hit
-        let cs = m.cache_stats().unwrap();
-        assert!(cs.hits >= 1, "second evaluation should hit the cache");
+        // Identical query: the second evaluation's stars all hit.
+        let s = profile_twice(&matcher_for(g), &q);
+        assert_eq!(s.stage(obs::Stage::Match).count, 2);
+        assert_eq!(s.counter(obs::Counter::CacheMiss), 2);
+        assert_eq!(s.counter(obs::Counter::CacheHit), 2);
+        assert_eq!(s.stage(obs::Stage::StarMaterialize).count, 2);
     }
 
     #[test]
     fn without_cache_rebuilds() {
         let pg = product_graph();
         let g = &pg.graph;
-        let m = matcher_for(g).without_cache();
         let q = paper_query(g);
-        m.evaluate(&q);
-        m.evaluate(&q);
-        assert!(m.cache_stats().is_none());
-        // Per-edge decomposition: two stars per evaluation, rebuilt twice.
-        assert_eq!(m.stats().tables_built, 4);
-    }
-
-    #[test]
-    fn explain_plan_reports_stars_and_domains() {
-        let pg = product_graph();
-        let g = &pg.graph;
-        let m = matcher_for(g);
-        let q = paper_query(g);
-        let plan = m.explain_plan(&q);
-        assert_eq!(plan.stars.len(), 2, "per-edge decomposition");
-        // Label-level rows exceed the literal-filtered live rows (P1..P5
-        // have carriers, but only P1, P2, P5 pass Price/Brand).
-        let carrier_star = plan
-            .stars
-            .iter()
-            .find(|s| s.rows == 5)
-            .expect("carrier star with 5 label-level rows");
-        assert_eq!(carrier_star.live_rows, 3);
-        // Second explain of the same query must come from the cache.
-        let plan2 = m.explain_plan(&q);
-        assert!(plan2.stars.iter().all(|s| s.cached));
-        // Domain sizes reflect the view intersection.
-        let focus_domain = plan
-            .domains
-            .iter()
-            .find(|(u, _)| *u == q.focus())
-            .map(|&(_, n)| n)
-            .unwrap();
-        assert_eq!(focus_domain, 3);
-        let text = plan.render();
-        assert!(text.contains("match plan:"));
-        assert!(text.contains("domains:"));
+        let s = profile_twice(&matcher_for(g).without_cache(), &q);
+        // Per-edge decomposition: two stars per evaluation, rebuilt twice,
+        // and no cache consulted.
+        assert_eq!(s.stage(obs::Stage::StarMaterialize).count, 4);
+        assert_eq!(s.counter(obs::Counter::CacheHit), 0);
+        assert_eq!(s.counter(obs::Counter::CacheMiss), 0);
     }
 
     #[test]

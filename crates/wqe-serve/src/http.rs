@@ -11,8 +11,9 @@
 //! read) and once between SSE events (a fired fault severs the stream
 //! mid-exchange). Either way the handler sheds only its own connection;
 //! the accept loop and the service's workers never notice.
-//! The plan consulted is the one that was in scope when the server was
-//! bound.
+//! The plan consulted is the one in the request scope that was current
+//! when the server was bound: the accept thread and every connection
+//! thread carry that scope.
 
 use crate::{parse_request, response_json, update_json, ServeCtx};
 use serde_json::{json, Value};
@@ -23,7 +24,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 use wqe_core::{QueryStatus, ShedReason, StreamEvent};
-use wqe_pool::fault::{self, fire, FaultSite};
+use wqe_pool::fault::{fire, FaultSite};
+use wqe_pool::scope::Scope;
 
 /// Largest accepted request head (request line + headers).
 const MAX_HEAD: usize = 64 * 1024;
@@ -49,7 +51,7 @@ impl HttpServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts serving `ctx` on a background accept thread. The accept
     /// thread and every connection thread run under the calling thread's
-    /// fault plan, if any (see [`wqe_pool::fault::enter`]).
+    /// request [`Scope`] — its fault plan, if any.
     pub fn bind(ctx: ServeCtx, addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -59,11 +61,11 @@ impl HttpServer {
         let accept = {
             let stop = Arc::clone(&stop);
             let active = Arc::clone(&active);
-            let plan = fault::current();
+            let scope = Scope::current();
             thread::Builder::new()
                 .name("wqe-serve-accept".into())
                 .spawn(move || {
-                    let _fault = plan.map(fault::enter);
+                    let _scope = scope.enter();
                     accept_loop(listener, ctx, stop, active)
                 })?
         };
@@ -126,7 +128,7 @@ fn accept_loop(
                 active.fetch_add(1, Ordering::Relaxed);
                 let guard = ActiveGuard(Arc::clone(&active));
                 let ctx = ctx.clone();
-                let plan = fault::current();
+                let scope = Scope::current();
                 // On spawn failure the connection is shed and the unrun
                 // closure is dropped, guard included, so the in-flight
                 // count still comes back down.
@@ -134,7 +136,7 @@ fn accept_loop(
                     .name("wqe-serve-conn".into())
                     .spawn(move || {
                         let _guard = guard;
-                        let _fault = plan.map(fault::enter);
+                        let _scope = scope.enter();
                         let _ = handle_connection(stream, &ctx);
                     });
             }

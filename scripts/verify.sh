@@ -65,4 +65,8 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 echo "==> benchmark: run.sh --smoke"
 benchmark/run.sh --smoke
 
+# Size counts (lines of source, API dumps and suites); reported, not gated.
+echo "==> size"
+scripts/size.sh
+
 echo "verify: OK"

@@ -734,7 +734,7 @@ pub fn exp8_governor(cfg: &ExpConfig) -> Reporter {
     for (mode, base) in [("ungoverned", cfg.wqe()), ("governed", governed)] {
         let stats = run_algo_with(&w, &ctx, Algorithm::AnsW, &base);
         rep.record_profiles("exp8-governor", "AnsW", mode, &stats.profiles);
-        for (i, t) in stats.governor.iter().enumerate() {
+        for (i, t) in stats.profiles.iter().enumerate() {
             let q = format!("{mode}/q{i}");
             rep.record(
                 "exp8-governor-elapsed",
@@ -747,14 +747,14 @@ pub fn exp8_governor(cfg: &ExpConfig) -> Reporter {
                 "exp8-governor-steps",
                 &t.termination,
                 &q,
-                t.match_steps as f64,
+                t.counters.match_steps as f64,
                 "steps",
             );
             rep.record(
                 "exp8-governor-frontier",
                 &t.termination,
                 &q,
-                t.frontier_peak as f64,
+                t.counters.frontier_peak as f64,
                 "states",
             );
             rep.record(

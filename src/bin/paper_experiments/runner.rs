@@ -6,8 +6,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 use wqe_core::{
-    relative_closeness, Algorithm, EngineCtx, GovernorTelemetry, QueryProfile, Session, TracePoint,
-    WqeConfig,
+    relative_closeness, Algorithm, EngineCtx, QueryProfile, Session, TracePoint, WqeConfig,
 };
 use wqe_datagen::{
     generate_query, generate_why, generate_why_empty, generate_why_many, GeneratedWhy,
@@ -119,10 +118,6 @@ pub struct RunStats {
     /// Mean number of irrelevant matches remaining in the best rewrite's
     /// answers (the quantity Why-Many minimizes, Fig. 12(b)).
     pub mean_im_after: f64,
-    /// Per-question governor telemetry, in question order: how each run
-    /// ended (`complete`, `deadline`, `step_cap`, …) and what it cost.
-    /// A view over the matching entry of `profiles`.
-    pub governor: Vec<GovernorTelemetry>,
     /// Per-question observability profiles, in question order: stage spans
     /// and the full counter registry (exported as `PROFILE_*.json` under
     /// `--profiles-dir`).
@@ -164,7 +159,6 @@ pub fn run_algo_with(
                 .count() as f64;
         }
         stats.traces.push(report.trace.clone());
-        stats.governor.push(GovernorTelemetry::from_report(&report));
         stats
             .profiles
             .push(report.profile.clone().unwrap_or_default());

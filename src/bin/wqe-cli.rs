@@ -67,13 +67,18 @@ fn main() {
     // WQE_FAULT_PERIOD, site subset via WQE_FAULT_SITES). Absent the env
     // var this is a no-op and the hot paths stay fault-free. The scope is
     // held for the whole run, so `serve --http` / `--mcp` threads capture it.
-    let _fault = wqe::pool::fault::FaultPlan::from_env().map(|plan| {
+    let faults = wqe::pool::fault::FaultPlan::from_env().map(|plan| {
         eprintln!(
             "fault plan armed: seed {} (WQE_FAULT_SEED); injected faults degrade, never corrupt",
             plan.seed()
         );
-        wqe::pool::fault::enter(Arc::new(plan))
+        Arc::new(plan)
     });
+    let _scope = wqe::pool::scope::Scope {
+        faults,
+        ..Default::default()
+    }
+    .enter();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("stats") => cmd_stats(&args[1..]),

@@ -8,18 +8,21 @@
 //! exactly from its seed. The suite's base seed is `WQE_CHAOS_SEED`
 //! (default below); `scripts/verify.sh` pins it.
 //!
-//! A plan is active only inside the thread-local scope opened by
-//! `fault::enter`: the engine's pool workers inherit it, and a service or
-//! HTTP server built inside the scope runs under it. Tests therefore run
+//! A plan is active only inside the request scope that names it
+//! (`wqe::pool::scope::Scope`): the engine's pool workers inherit it, and
+//! a service or HTTP server built inside the scope runs under it. Tests therefore run
 //! concurrently without seeing each other's faults, and baselines are
 //! computed outside the scope, fault-free.
+
+mod common;
 
 use std::sync::Arc;
 use wqe::core::engine::{Algorithm, WqeEngine};
 use wqe::core::service::{QueryRequest, QueryService, QueryStatus, ServiceConfig};
 use wqe::core::{EngineCtx, GraphStore, OracleTier, WhyQuestion, WqeConfig, WqeError};
 use wqe::graph::{Graph, GraphUpdate};
-use wqe::pool::fault::{self, FaultPlan, FaultSite};
+use wqe::pool::fault::{FaultPlan, FaultSite};
+use wqe::pool::scope::{Scope, ScopeGuard};
 
 /// Base seed for every schedule in this suite; override with
 /// `WQE_CHAOS_SEED=<n>` to explore (failures print the effective seed).
@@ -28,6 +31,15 @@ fn chaos_seed() -> u64 {
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(0xC0FFEE)
+}
+
+/// Enters `plan` as the calling thread's fault plan until the guard drops.
+fn armed(plan: &Arc<FaultPlan>) -> ScopeGuard {
+    Scope {
+        faults: Some(Arc::clone(plan)),
+        ..Scope::default()
+    }
+    .enter()
 }
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -121,7 +133,7 @@ fn oracle_faults_never_change_answers() {
     }
 
     let plan = Arc::new(FaultPlan::new(chaos_seed()).arm(FaultSite::Oracle, 2));
-    let _fault = fault::enter(Arc::clone(&plan));
+    let _fault = armed(&plan);
     for (name, ctx, algo, t, expected) in &baselines {
         let report = run(ctx, &q, *algo, *t).unwrap_or_else(|e| {
             panic!("{name} {algo:?}/p{t}: oracle faults must be absorbed, got {e}")
@@ -170,7 +182,7 @@ fn armed_never_firing_plan_leaves_answers_bit_identical() {
         plan = plan.with_budget(site, 0);
     }
     let plan = Arc::new(plan);
-    let _fault = fault::enter(Arc::clone(&plan));
+    let _fault = armed(&plan);
     for (algo, t, expected) in &baselines {
         let report = run(&ctx, &q, *algo, *t).unwrap();
         assert_eq!(
@@ -195,7 +207,7 @@ fn pool_worker_faults_surface_as_typed_errors() {
     let baseline = fingerprint(&run(&ctx, &q, Algorithm::AnsW, 2).unwrap());
 
     let plan = Arc::new(FaultPlan::new(chaos_seed() ^ 1).arm(FaultSite::PoolWorker, 1));
-    let _fault = fault::enter(Arc::clone(&plan));
+    let _fault = armed(&plan);
     for &t in &THREAD_COUNTS {
         match run(&ctx, &q, Algorithm::AnsW, t) {
             Err(WqeError::WorkerPanicked { message, .. }) => {
@@ -238,7 +250,7 @@ fn service_retry_ladder_recovers_transient_faults() {
             .arm(FaultSite::PoolWorker, 1)
             .with_budget(FaultSite::PoolWorker, 1),
     );
-    let _fault = fault::enter(Arc::clone(&plan));
+    let _fault = armed(&plan);
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
@@ -275,7 +287,7 @@ fn queue_faults_reject_like_saturation() {
     let (g, q) = setup();
     let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
     let plan = Arc::new(FaultPlan::new(chaos_seed() ^ 3).arm(FaultSite::Queue, 1));
-    let _fault = fault::enter(Arc::clone(&plan));
+    let _fault = armed(&plan);
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
@@ -318,7 +330,7 @@ fn cache_faults_force_recompute_with_identical_answers() {
             .arm(FaultSite::AnswerCache, 1)
             .arm(FaultSite::StarCache, 1),
     );
-    let _fault = fault::enter(Arc::clone(&plan));
+    let _fault = armed(&plan);
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
@@ -413,7 +425,7 @@ fn randomized_all_site_schedules_are_never_wrong() {
                 .arm(FaultSite::AnswerCache, 2)
                 .arm(FaultSite::StarCache, 3),
         );
-        let _fault = fault::enter(Arc::clone(&plan));
+        let _fault = armed(&plan);
         for algo in ALGORITHMS {
             for &t in &THREAD_COUNTS {
                 match run(&ctx, &q, algo, t) {
@@ -458,7 +470,7 @@ fn store_read_faults_are_typed_or_quarantined() {
             .arm(FaultSite::StoreMmap, 2)
             .arm(FaultSite::StoreRead, 2),
     );
-    let _fault = fault::enter(Arc::clone(&plan));
+    let _fault = armed(&plan);
     for attempt in 0..8 {
         match wqe::store::Snapshot::open(&path) {
             Ok(snap) => {
@@ -508,40 +520,7 @@ fn store_read_faults_are_typed_or_quarantined() {
 fn http_conn_faults_shed_connections_not_the_server() {
     use std::io::{Read as _, Write as _};
 
-    let spec: serde_json::Value = serde_json::from_str(
-        r#"{
-          "query": {
-            "max_bound": 4,
-            "nodes": [
-              {"id": "phone", "label": "Cellphone", "focus": true,
-               "literals": [
-                 {"attr": "Price", "op": ">=", "value": 840},
-                 {"attr": "Brand", "op": "=", "value": "Samsung"},
-                 {"attr": "RAM", "op": ">=", "value": 4},
-                 {"attr": "Display", "op": ">=", "value": 62}
-               ]},
-              {"id": "carrier", "label": "Carrier"},
-              {"id": "sensor", "label": "Sensor"}
-            ],
-            "edges": [
-              {"from": "phone", "to": "carrier", "bound": 1},
-              {"from": "phone", "to": "sensor", "bound": 2}
-            ]
-          },
-          "exemplar": {
-            "tuples": [
-              {"Display": 62, "Storage": "?", "Price": "_"},
-              {"Display": 63, "Storage": "?", "Price": "?"}
-            ],
-            "constraints": [
-              {"lhs": {"tuple": 1, "attr": "Price"}, "op": "<", "value": 800},
-              {"lhs": {"tuple": 0, "attr": "Storage"}, "op": ">",
-               "var": {"tuple": 1, "attr": "Storage"}}
-            ]
-          }
-        }"#,
-    )
-    .unwrap();
+    let spec: serde_json::Value = serde_json::from_str(common::PAPER_SPEC).unwrap();
 
     let (g, _) = setup();
     let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
@@ -603,7 +582,7 @@ fn http_conn_faults_shed_connections_not_the_server() {
             .with_budget(FaultSite::HttpConn, BUDGET),
     );
     let server = {
-        let _fault = fault::enter(Arc::clone(&plan));
+        let _fault = armed(&plan);
         wqe::serve::http::HttpServer::bind(serve_ctx, "127.0.0.1:0").expect("bind")
     };
     let addr = server.addr();

@@ -1,6 +1,6 @@
 //! Test doubles shared by the integration suites.
 
-// Each suite uses one constructor; the other is dead code there.
+// Each suite uses some of these; the rest is dead code there.
 #![allow(dead_code)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,3 +56,37 @@ impl DistanceOracle for FakeOracle {
             .collect()
     }
 }
+
+/// The paper's Fig. 1 question in spec form (the `wqe_core::spec` JSON
+/// format), for the suites that drive the wire and the CLI.
+pub const PAPER_SPEC: &str = r#"{
+  "query": {
+    "max_bound": 4,
+    "nodes": [
+      {"id": "phone", "label": "Cellphone", "focus": true,
+       "literals": [
+         {"attr": "Price", "op": ">=", "value": 840},
+         {"attr": "Brand", "op": "=", "value": "Samsung"},
+         {"attr": "RAM", "op": ">=", "value": 4},
+         {"attr": "Display", "op": ">=", "value": 62}
+       ]},
+      {"id": "carrier", "label": "Carrier"},
+      {"id": "sensor", "label": "Sensor"}
+    ],
+    "edges": [
+      {"from": "phone", "to": "carrier", "bound": 1},
+      {"from": "phone", "to": "sensor", "bound": 2}
+    ]
+  },
+  "exemplar": {
+    "tuples": [
+      {"Display": 62, "Storage": "?", "Price": "_"},
+      {"Display": 63, "Storage": "?", "Price": "?"}
+    ],
+    "constraints": [
+      {"lhs": {"tuple": 1, "attr": "Price"}, "op": "<", "value": 800},
+      {"lhs": {"tuple": 0, "attr": "Storage"}, "op": ">",
+       "var": {"tuple": 1, "attr": "Storage"}}
+    ]
+  }
+}"#;

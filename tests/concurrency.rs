@@ -8,6 +8,8 @@ use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig,
 };
 use wqe::index::{DistanceOracle, Oracle};
+use wqe::pool::obs::{Counter, Profiler, Stage};
+use wqe::pool::scope::Scope;
 use wqe::query::Matcher;
 
 fn questions(
@@ -157,15 +159,26 @@ fn shared_matcher_star_cache_under_contention() {
         .expect("a satisfiable query")
         .query;
     let matcher = Matcher::new(Arc::clone(&graph), Arc::clone(&oracle));
+    // One profiler, carried onto every thread, is the ledger of the run.
+    let profiler = Arc::new(Profiler::new());
+    let _scope = Scope {
+        profiler: Some(Arc::clone(&profiler)),
+        ..Scope::default()
+    }
+    .enter();
 
     let reference = matcher.evaluate(&q).matches;
     const THREADS: usize = 8;
-    let results: Vec<Vec<wqe::graph::NodeId>> = std::thread::scope(|scope| {
+    let results: Vec<Vec<wqe::graph::NodeId>> = std::thread::scope(|threads| {
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
                 let matcher = &matcher;
                 let q = &q;
-                scope.spawn(move || matcher.evaluate(q).matches)
+                let scope = Scope::current();
+                threads.spawn(move || {
+                    let _scope = scope.enter();
+                    matcher.evaluate(q).matches
+                })
             })
             .collect();
         handles
@@ -182,17 +195,16 @@ fn shared_matcher_star_cache_under_contention() {
 
     // Counter consistency: every evaluation was recorded, and the cache
     // answered all repeat lookups without re-materializing tables.
-    let stats = matcher.stats();
-    assert_eq!(stats.evaluations, (THREADS + 1) as u64);
-    let cache = matcher.cache_stats().expect("caching is on by default");
+    let s = profiler.snapshot();
+    assert_eq!(s.stage(Stage::Match).count, (THREADS + 1) as u64);
+    let (hits, misses) = (s.counter(Counter::CacheHit), s.counter(Counter::CacheMiss));
     assert_eq!(
-        cache.misses, stats.tables_built,
+        misses,
+        s.stage(Stage::StarMaterialize).count,
         "every miss materializes exactly one table"
     );
     assert!(
-        cache.hits >= (THREADS as u64) * cache.misses.min(1),
-        "repeat evaluations should hit the cache (hits={}, misses={})",
-        cache.hits,
-        cache.misses
+        hits >= (THREADS as u64) * misses.min(1),
+        "repeat evaluations should hit the cache (hits={hits}, misses={misses})"
     );
 }

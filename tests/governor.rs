@@ -359,6 +359,6 @@ fn injected_panic_fails_one_session_without_poisoning_siblings() {
     let best = report.best.expect("B finds the rewrite");
     assert!((best.closeness - 0.5).abs() < 1e-9);
 
-    // And the calling thread's governor stack is clean after both runs.
+    // And the calling thread's scope stack is clean after both runs.
     assert!(wqe::core::governor::current().is_none());
 }

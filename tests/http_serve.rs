@@ -5,6 +5,8 @@
 //! contracts: overload sheds typed (never hangs), rate limiting is
 //! per-tenant, and a client hanging up mid-stream harms nobody else.
 
+mod common;
+
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -21,42 +23,8 @@ const ALGORITHMS: [&str; 8] = [
     "answ", "answnc", "answb", "heu", "heub:7", "fm", "whymany", "whyempty",
 ];
 
-/// The paper's Fig. 1 question in spec form (same fixture as the spec
-/// suite); exercised here through the network layers.
-const PAPER_SPEC: &str = r#"{
-  "query": {
-    "max_bound": 4,
-    "nodes": [
-      {"id": "phone", "label": "Cellphone", "focus": true,
-       "literals": [
-         {"attr": "Price", "op": ">=", "value": 840},
-         {"attr": "Brand", "op": "=", "value": "Samsung"},
-         {"attr": "RAM", "op": ">=", "value": 4},
-         {"attr": "Display", "op": ">=", "value": 62}
-       ]},
-      {"id": "carrier", "label": "Carrier"},
-      {"id": "sensor", "label": "Sensor"}
-    ],
-    "edges": [
-      {"from": "phone", "to": "carrier", "bound": 1},
-      {"from": "phone", "to": "sensor", "bound": 2}
-    ]
-  },
-  "exemplar": {
-    "tuples": [
-      {"Display": 62, "Storage": "?", "Price": "_"},
-      {"Display": 63, "Storage": "?", "Price": "?"}
-    ],
-    "constraints": [
-      {"lhs": {"tuple": 1, "attr": "Price"}, "op": "<", "value": 800},
-      {"lhs": {"tuple": 0, "attr": "Storage"}, "op": ">",
-       "var": {"tuple": 1, "attr": "Storage"}}
-    ]
-  }
-}"#;
-
 fn spec() -> serde_json::Value {
-    serde_json::from_str(PAPER_SPEC).expect("fixture parses")
+    serde_json::from_str(common::PAPER_SPEC).expect("fixture parses")
 }
 
 fn spec_with(extra: &[(&str, serde_json::Value)]) -> serde_json::Value {

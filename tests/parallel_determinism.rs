@@ -10,7 +10,7 @@
 //! the label entries a batched probe scans against pointwise merge-joins.
 
 use std::sync::Arc;
-use wqe::core::obs::{enter, Counter, Profiler};
+use wqe::core::obs::{Counter, Profiler};
 use wqe::core::{Algorithm, EngineCtx, Session, WhyQuestion, WqeConfig};
 use wqe::datagen::{
     dbpedia_like, generate_query, generate_why, imdb_like, QueryGenConfig, TopologyKind,
@@ -18,6 +18,7 @@ use wqe::datagen::{
 };
 use wqe::graph::NodeId;
 use wqe::index::{BoundedBfsOracle, DistanceOracle, Oracle, PllIndex};
+use wqe::pool::scope::Scope;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -250,7 +251,11 @@ fn batched_probes_scan_half_the_label_entries_of_pointwise() {
     let scanned = |run: &dyn Fn() -> Vec<Option<u32>>| {
         let profiler = Arc::new(Profiler::new());
         let answers = {
-            let _scope = enter(Arc::clone(&profiler));
+            let _scope = Scope {
+                profiler: Some(Arc::clone(&profiler)),
+                ..Scope::default()
+            }
+            .enter();
             run()
         };
         (answers, profiler.counter(Counter::OracleLabelEntries))

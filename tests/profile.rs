@@ -1,13 +1,11 @@
 //! The per-query observability layer end to end: reports carry a
 //! `QueryProfile` with a stable JSON field set, a real `AnsW` run populates
-//! the stage spans and the counter registry, and `GovernorTelemetry` is a
-//! view over the profile.
+//! the stage spans and the counter registry, and the report's governor
+//! fields are a view over the profile.
 
 use std::sync::Arc;
 use wqe::core::obs::Stage;
-use wqe::core::{
-    Algorithm, EngineCtx, GovernorTelemetry, Session, WhyQuestion, WqeConfig, WqeEngine,
-};
+use wqe::core::{Algorithm, EngineCtx, Session, WhyQuestion, WqeConfig, WqeEngine};
 use wqe::index::{DistanceOracle, PllIndex};
 
 fn paper_setup() -> (EngineCtx, WhyQuestion) {
@@ -144,15 +142,14 @@ fn every_algorithm_attaches_a_profile() {
 }
 
 #[test]
-fn telemetry_is_a_view_over_the_profile() {
+fn report_governor_fields_are_a_view_over_the_profile() {
     let (ctx, wq) = paper_setup();
     let session = Session::new(ctx, &wq, cfg());
     let report = session.run(Algorithm::AnsW, &wq).unwrap();
-    let t = GovernorTelemetry::from_report(&report);
     let p = report.profile.as_ref().unwrap();
-    assert_eq!(t.termination, p.termination);
-    assert_eq!(t.partial, p.partial);
-    assert_eq!(t.elapsed_ms, p.elapsed_ms);
-    assert_eq!(t.match_steps, p.counters.match_steps);
-    assert_eq!(t.frontier_peak, p.counters.frontier_peak as usize);
+    assert_eq!(report.termination.as_str(), p.termination);
+    assert_eq!(report.termination.is_partial(), p.partial);
+    assert_eq!(report.elapsed_ms, p.elapsed_ms);
+    assert_eq!(report.match_steps, p.counters.match_steps);
+    assert_eq!(report.frontier_peak as u64, p.counters.frontier_peak);
 }
