@@ -1,16 +1,19 @@
 //! A minimal HTTP/1.1 server over `std::net` — thread-per-connection with
-//! a nonblocking accept poll loop, no external runtime.
+//! a blocking accept loop, no external runtime.
 //!
 //! Every response closes its connection (`Connection: close`): requests
 //! here are answer-a-why-question sized, not keep-alive chatter, and
 //! one-shot connections keep the shutdown story trivial — stop the accept
-//! loop, drain the in-flight handler count, done.
+//! loop, drain the in-flight handler count, done. The accept thread
+//! blocks in `accept`; [`Drop`] sets the stop flag and wakes it with one
+//! connection to its own port, which it closes unserved.
 //!
 //! Fault injection: [`FaultSite::HttpConn`] is consulted once when a
 //! connection is accepted (a fired fault drops it before any bytes are
 //! read) and once between SSE events (a fired fault severs the stream
 //! mid-exchange). Either way the handler sheds only its own connection;
-//! the accept loop and the service's workers never notice.
+//! the accept loop and the service's workers never notice. The wake
+//! connection is never consulted, so shutdown spends no firing.
 //! The plan consulted is the one in the request scope that was current
 //! when the server was bound: the accept thread and every connection
 //! thread carry that scope.
@@ -18,11 +21,11 @@
 use crate::{parse_request, response_json, update_json, ServeCtx};
 use serde_json::{json, Value};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wqe_core::{QueryStatus, ShedReason, StreamEvent};
 use wqe_pool::fault::{fire, FaultSite};
 use wqe_pool::scope::Scope;
@@ -33,8 +36,11 @@ const MAX_HEAD: usize = 64 * 1024;
 const MAX_BODY: usize = 16 * 1024 * 1024;
 /// Per-connection socket read timeout — a stalled client sheds itself.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
-/// Accept-loop poll interval while idle.
-const POLL: Duration = Duration::from_millis(2);
+/// Pause after an `accept` error that is not about one connection — out
+/// of file descriptors (`EMFILE`/`ENFILE`) and the like. Retrying at once
+/// would spin a core until some handler closes its socket. Only that
+/// error path waits; a request never does.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 /// How long [`Drop`] waits for in-flight handlers before giving up.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -43,7 +49,7 @@ const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
+    in_flight: Arc<InFlight>,
     accept: Option<thread::JoinHandle<()>>,
 }
 
@@ -54,25 +60,24 @@ impl HttpServer {
     /// request [`Scope`] — its fault plan, if any.
     pub fn bind(ctx: ServeCtx, addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
+        let in_flight = Arc::new(InFlight::default());
         let accept = {
             let stop = Arc::clone(&stop);
-            let active = Arc::clone(&active);
+            let in_flight = Arc::clone(&in_flight);
             let scope = Scope::current();
             thread::Builder::new()
                 .name("wqe-serve-accept".into())
                 .spawn(move || {
                     let _scope = scope.enter();
-                    accept_loop(listener, ctx, stop, active)
+                    accept_loop(listener, ctx, stop, in_flight)
                 })?
         };
         Ok(Self {
             addr,
             stop,
-            active,
+            in_flight,
             accept: Some(accept),
         })
     }
@@ -84,29 +89,68 @@ impl HttpServer {
 
     /// Connections currently being handled.
     pub fn active_connections(&self) -> usize {
-        self.active.load(Ordering::Relaxed)
+        *self.in_flight.count()
     }
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        // Wake the accept thread out of `accept`: it sees `stop` and
+        // exits, closing the listener. A server bound to the unspecified
+        // address is dialled on the loopback address of its family. If
+        // the wake cannot connect, the thread is left detached rather than
+        // joined forever; it exits at the next connection it accepts.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            if TcpStream::connect(wake).is_ok() {
+                let _ = h.join();
+            }
         }
-        let deadline = Instant::now() + DRAIN_TIMEOUT;
-        while self.active.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
-            thread::sleep(POLL);
-        }
+        let count = self.in_flight.count();
+        let _ = self
+            .in_flight
+            .idle
+            .wait_timeout_while(count, DRAIN_TIMEOUT, |n| *n > 0);
     }
 }
 
-/// Decrements the in-flight counter even if a handler unwinds.
-struct ActiveGuard(Arc<AtomicUsize>);
+/// The number of connections being handled, and the condvar [`Drop`]
+/// waits on for it to reach zero.
+#[derive(Default)]
+struct InFlight {
+    count: Mutex<usize>,
+    idle: Condvar,
+}
+
+impl InFlight {
+    fn count(&self) -> MutexGuard<'_, usize> {
+        // The count is only ever incremented or decremented under the
+        // lock, so a poisoned lock still holds a consistent value.
+        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Counts one connection in; the guard counts it out.
+    fn enter(self: &Arc<Self>) -> ActiveGuard {
+        *self.count() += 1;
+        ActiveGuard(Arc::clone(self))
+    }
+}
+
+/// Decrements the in-flight count, and wakes a draining [`Drop`], even if
+/// a handler unwinds.
+struct ActiveGuard(Arc<InFlight>);
 
 impl Drop for ActiveGuard {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        *self.0.count() -= 1;
+        self.0.idle.notify_all();
     }
 }
 
@@ -114,35 +158,52 @@ fn accept_loop(
     listener: TcpListener,
     ctx: ServeCtx,
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
+    in_flight: Arc<InFlight>,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if fire(FaultSite::HttpConn).is_some() {
-                    // Injected connection loss at accept: the client sees
-                    // a reset, nothing else happens.
-                    drop(stream);
-                    continue;
-                }
-                active.fetch_add(1, Ordering::Relaxed);
-                let guard = ActiveGuard(Arc::clone(&active));
-                let ctx = ctx.clone();
-                let scope = Scope::current();
-                // On spawn failure the connection is shed and the unrun
-                // closure is dropped, guard included, so the in-flight
-                // count still comes back down.
-                let _ = thread::Builder::new()
-                    .name("wqe-serve-conn".into())
-                    .spawn(move || {
-                        let _guard = guard;
-                        let _scope = scope.enter();
-                        let _ = handle_connection(stream, &ctx);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(_) => thread::sleep(POLL),
+    loop {
+        let accepted = listener.accept();
+        // Checked before the fault site, so the wake connection from
+        // `Drop` (or any connection racing it) is closed unserved and
+        // never spends a firing.
+        if stop.load(Ordering::SeqCst) {
+            return;
         }
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            // The peer gave up before we accepted, or a signal landed:
+            // nothing is wrong with the listener.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                ) =>
+            {
+                continue
+            }
+            Err(_) => {
+                thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            }
+        };
+        if fire(FaultSite::HttpConn).is_some() {
+            // Injected connection loss at accept: the client sees a
+            // reset, nothing else happens.
+            drop(stream);
+            continue;
+        }
+        let guard = in_flight.enter();
+        let ctx = ctx.clone();
+        let scope = Scope::current();
+        // On spawn failure the connection is shed and the unrun closure
+        // is dropped, guard included, so the in-flight count still comes
+        // back down.
+        let _ = thread::Builder::new()
+            .name("wqe-serve-conn".into())
+            .spawn(move || {
+                let _guard = guard;
+                let _scope = scope.enter();
+                let _ = handle_connection(stream, &ctx);
+            });
     }
 }
 
@@ -158,14 +219,20 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 }
 
 /// Reads one request. `Ok(None)` means the peer hung up or sent garbage —
-/// the caller just closes the connection.
+/// the caller just closes the connection. A head that parses but frames
+/// its body wrongly is an `InvalidData` error whose message the caller
+/// answers with 400.
 fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 4096];
+    // Where the next scan for the blank line starts: bytes before it were
+    // already scanned, less the 3 a terminator split across reads needs.
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(pos) = find_subslice(&buf, b"\r\n\r\n") {
-            break pos;
+        if let Some(pos) = find_subslice(&buf[scanned..], b"\r\n\r\n") {
+            break scanned + pos;
         }
+        scanned = buf.len().saturating_sub(3);
         if buf.len() > MAX_HEAD {
             return Ok(None);
         }
@@ -198,7 +265,12 @@ fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().unwrap_or(0);
+            content_length = value.parse().map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "content-length: expected a nonnegative integer",
+                )
+            })?;
         } else if name.eq_ignore_ascii_case("x-wqe-tenant") && !value.is_empty() {
             tenant = Some(value.to_string());
         }
@@ -285,8 +357,13 @@ fn http_status(status: &QueryStatus) -> u16 {
 
 fn handle_connection(mut stream: TcpStream, ctx: &ServeCtx) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let Some(req) = read_request(&mut stream)? else {
-        return Ok(());
+    let req = match read_request(&mut stream) {
+        Ok(Some(req)) => req,
+        Ok(None) => return Ok(()),
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            return write_json(&mut stream, 400, &error_json(e.to_string()))
+        }
+        Err(e) => return Err(e),
     };
     // Every route lives under `/v1/`; anything else is a 404.
     let route = req.path.strip_prefix("/v1").unwrap_or("");

@@ -4,7 +4,7 @@
 //!
 //! The workspace builds fully offline, so there is no tokio and no HTTP
 //! framework: [`http::HttpServer`] is a thread-per-connection server over
-//! `std::net` with a nonblocking accept poll loop, which is exactly enough
+//! `std::net` with a blocking accept loop, which is exactly enough
 //! for the serving layer it fronts (a bounded [`wqe_pool::serve::JobQueue`] of worker
 //! threads — the queue, not the socket layer, is the admission control).
 //!

@@ -9,11 +9,13 @@ mod common;
 
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 use wqe::core::{
     CacheConfig, EngineCtx, QueryService, RateLimitConfig, ServiceConfig, ShedConfig, WqeConfig,
 };
+use wqe::pool::fault::{FaultPlan, FaultSite};
+use wqe::pool::scope::Scope;
 use wqe::serve::http::HttpServer;
 use wqe::serve::{mcp, parse_request, ServeCtx};
 
@@ -364,6 +366,141 @@ fn client_disconnect_mid_stream_is_harmless() {
         status, 200,
         "server wedged after client disconnects: {body}"
     );
+}
+
+/// A `Content-Length` that is not a nonnegative integer is a 400 naming
+/// the header, not a body read as empty.
+#[test]
+fn malformed_content_length_is_a_400_naming_the_header() {
+    let ctx = serve_ctx(|_| {});
+    let server = HttpServer::bind(ctx, "127.0.0.1:0").expect("bind");
+    let body = spec().to_string();
+    let (status, reply) = exchange_with_headers(
+        server.addr(),
+        &format!("POST /v1/why HTTP/1.1\r\nHost: t\r\nContent-Length: 12x\r\n\r\n{body}"),
+    );
+    assert_eq!(status, 400, "{reply}");
+    let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
+    assert_eq!(
+        v.get("error").and_then(serde_json::Value::as_str),
+        Some("content-length: expected a nonnegative integer")
+    );
+}
+
+/// A head that trickles in one byte per write — so the blank line that
+/// ends it is split across reads — still parses.
+#[test]
+fn request_head_split_across_reads_parses() {
+    let ctx = serve_ctx(|_| {});
+    let server = HttpServer::bind(ctx, "127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    for byte in b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n" {
+        stream.write_all(&[*byte]).expect("send");
+    }
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("receive");
+    assert!(raw.starts_with("HTTP/1.1 200 "), "{raw:?}");
+    assert!(raw.contains("\"ok\""), "{raw:?}");
+}
+
+/// Drops `server` on another thread and fails, rather than hangs, if the
+/// drop does not return within a generous limit.
+fn drop_or_fail(server: HttpServer) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        drop(server);
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("dropping the server hung");
+}
+
+/// Dropping an idle server returns and closes its listener.
+#[test]
+fn dropping_an_idle_server_closes_its_port() {
+    let server = HttpServer::bind(serve_ctx(|_| {}), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    assert_eq!(get(addr, "/v1/healthz").0, 200);
+    drop_or_fail(server);
+    assert!(
+        TcpStream::connect(addr).is_err(),
+        "the port still accepts after drop"
+    );
+}
+
+/// A server bound to the unspecified address is woken on loopback.
+#[test]
+fn server_bound_to_unspecified_address_drops() {
+    let server = HttpServer::bind(serve_ctx(|_| {}), "0.0.0.0:0").expect("bind");
+    let port = server.addr().port();
+    let loopback = SocketAddr::from(([127, 0, 0, 1], port));
+    assert_eq!(get(loopback, "/v1/healthz").0, 200);
+    drop_or_fail(server);
+}
+
+/// Shutdown's wake connection never reaches the `HttpConn` fault site,
+/// so it neither spends a firing nor counts as a consulted call.
+#[test]
+fn shutdown_spends_no_http_conn_fault() {
+    let plan = Arc::new(FaultPlan::new(7).arm(FaultSite::HttpConn, 1));
+    let server = {
+        let _fault = Scope {
+            faults: Some(Arc::clone(&plan)),
+            ..Scope::default()
+        }
+        .enter();
+        HttpServer::bind(serve_ctx(|_| {}), "127.0.0.1:0").expect("bind")
+    };
+    // Period 1 fires on every consult: the one request is dropped, which
+    // proves the accept thread runs under the plan.
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    let _ = stream.write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let mut raw = Vec::new();
+    let _ = stream.read_to_end(&mut raw);
+    assert!(raw.is_empty(), "a fired HttpConn fault still answered");
+    let (fired, calls) = (
+        plan.fired(FaultSite::HttpConn),
+        plan.calls(FaultSite::HttpConn),
+    );
+    assert_eq!(fired, 1);
+    drop_or_fail(server);
+    assert_eq!(plan.fired(FaultSite::HttpConn), fired);
+    assert_eq!(plan.calls(FaultSite::HttpConn), calls);
+}
+
+/// Dropping a server with a request in flight waits for that request to
+/// be answered before returning.
+#[test]
+fn drop_drains_an_in_flight_request() {
+    let server = HttpServer::bind(serve_ctx(|_| {}), "127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    // Half a head: the handler is accepted and blocks reading the rest.
+    stream
+        .write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n")
+        .unwrap();
+    let accepted_by = Instant::now() + Duration::from_secs(60);
+    while server.active_connections() == 0 {
+        assert!(Instant::now() < accepted_by, "connection never accepted");
+        std::thread::yield_now();
+    }
+    let (tx, rx) = mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(server);
+        let _ = tx.send(());
+    });
+    assert_eq!(
+        rx.recv_timeout(Duration::from_millis(200)),
+        Err(mpsc::RecvTimeoutError::Timeout),
+        "drop returned with a handler still in flight"
+    );
+    stream.write_all(b"\r\n").unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("receive");
+    assert!(raw.starts_with("HTTP/1.1 200 "), "{raw:?}");
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("drop never returned after the drain");
+    dropper.join().unwrap();
 }
 
 /// MCP speaks the same answers: the `ask_why` tool's text content carries
