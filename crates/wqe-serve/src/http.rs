@@ -18,7 +18,8 @@
 //! when the server was bound: the accept thread and every connection
 //! thread carry that scope.
 
-use crate::{parse_request, response_json, update_json, ServeCtx};
+use crate::{response_json, ServeCtx};
+use serde::Deserialize;
 use serde_json::{json, Value};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -26,7 +27,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
-use wqe_core::{QueryStatus, ShedReason, StreamEvent};
+use wqe_core::spec::{parse_updates, Request as SpecRequest, SpecError};
+use wqe_core::{EpochId, QueryRequest, QueryStatus, ShedReason, StreamEvent};
+use wqe_graph::Graph;
 use wqe_pool::fault::{fire, FaultSite};
 use wqe_pool::scope::Scope;
 
@@ -398,14 +401,11 @@ fn handle_update(stream: &mut TcpStream, ctx: &ServeCtx, req: &Request) -> io::R
             &error_json("server is read-only: no live graph store attached"),
         );
     };
-    let spec = match parse_body(&req.body) {
-        Ok(v) => v,
-        Err(e) => return write_json(stream, 400, &error_json(e)),
-    };
-    let updates = match crate::parse_updates(&spec) {
-        Ok(u) => u,
-        Err(e) => return write_json(stream, 400, &error_json(e)),
-    };
+    let updates =
+        match parse_body(&req.body).and_then(|b| parse_updates(&b).map_err(|e| e.to_string())) {
+            Ok(u) => u,
+            Err(e) => return write_json(stream, 400, &error_json(e)),
+        };
     match store.apply(&updates) {
         Ok(report) => write_json(stream, 200, &crate::publish_json(&report)),
         Err(e) => write_json(stream, 400, &error_json(e.to_string())),
@@ -431,40 +431,20 @@ fn parse_body(body: &[u8]) -> Result<Value, String> {
 }
 
 /// Runs one question against two pinned epochs and encodes both responses
-/// plus a comparison. `spec` still parses through [`parse_request`], so
-/// `algo`/`priority`/`deadline_ms` apply to both runs; `epoch` and
-/// `stream` are overridden by the diff itself.
+/// plus a comparison. The request's `algo`/`priority`/`deadline_ms` apply
+/// to both runs; its `epoch` and `stream` are overridden by the diff.
 fn handle_diff(
     stream: &mut TcpStream,
     ctx: &ServeCtx,
-    req: &Request,
-    graph: &wqe_graph::Graph,
-    spec: &Value,
-    diff: &Value,
+    request: QueryRequest,
+    (from, to): (EpochId, EpochId),
 ) -> io::Result<()> {
-    let epoch_of = |key: &str| -> Result<wqe_core::EpochId, String> {
-        diff.get(key)
-            .and_then(Value::as_u64)
-            .map(wqe_core::EpochId)
-            .ok_or_else(|| format!("diff.{key} must be a nonnegative integer epoch"))
-    };
-    let (from, to) = match (epoch_of("from"), epoch_of("to")) {
-        (Ok(f), Ok(t)) => (f, t),
-        (Err(e), _) | (_, Err(e)) => return write_json(stream, 400, &error_json(e)),
-    };
-    let mut responses = Vec::with_capacity(2);
-    for epoch in [from, to] {
-        let (mut request, _) = match parse_request(graph, spec) {
-            Ok(parsed) => parsed,
-            Err(e) => return write_json(stream, 400, &error_json(e)),
-        };
+    let run = |epoch| {
+        let mut request = request.clone();
         request.epoch = Some(epoch);
-        if req.tenant.is_some() {
-            request.tenant = req.tenant.clone();
-        }
-        responses.push(ctx.service.call(request));
-    }
-    let (to_resp, from_resp) = (responses.pop().unwrap(), responses.pop().unwrap());
+        ctx.service.call(request)
+    };
+    let (from_resp, to_resp) = (run(from), run(to));
     let fp = |r: &wqe_core::QueryResponse| r.report().map(|rep| rep.fingerprint());
     let closeness = |r: &wqe_core::QueryResponse| {
         r.report()
@@ -491,20 +471,23 @@ fn handle_diff(
 }
 
 fn handle_why(stream: &mut TcpStream, ctx: &ServeCtx, req: &Request) -> io::Result<()> {
-    let spec = match parse_body(&req.body) {
-        Ok(v) => v,
-        Err(e) => return write_json(stream, 400, &error_json(e)),
-    };
     let graph = ctx.head_graph();
-    if let Some(diff) = spec.get("diff") {
-        return handle_diff(stream, ctx, req, &graph, &spec, diff);
-    }
-    let (mut request, stream_requested) = match parse_request(&graph, &spec) {
+    // The diff epochs come out before resolution: only this route takes them.
+    let parse = |body: Value| -> Result<_, SpecError> {
+        let mut spec = SpecRequest::from_value(&body)?;
+        let diff = spec.take_diff();
+        Ok((spec.resolve(&graph)?, diff))
+    };
+    let parsed = parse_body(&req.body).and_then(|b| parse(b).map_err(|e| e.to_string()));
+    let ((mut request, stream_requested), diff) = match parsed {
         Ok(parsed) => parsed,
         Err(e) => return write_json(stream, 400, &error_json(e)),
     };
     if req.tenant.is_some() {
         request.tenant = req.tenant.clone();
+    }
+    if let Some(epochs) = diff {
+        return handle_diff(stream, ctx, request, epochs);
     }
     if !stream_requested {
         let response = ctx.service.call(request);
@@ -533,7 +516,8 @@ fn handle_why(stream: &mut TcpStream, ctx: &ServeCtx, req: &Request) -> io::Resu
             return Ok(());
         }
         let (name, data) = match &event {
-            StreamEvent::Update(u) => ("update", update_json(u)),
+            // An update's wire shape is its serde derive.
+            StreamEvent::Update(u) => ("update", serde_json::to_value(u)),
             StreamEvent::Done(resp) => ("done", response_json(resp)),
         };
         let frame = format!("event: {name}\ndata: {data}\n\n");
@@ -549,30 +533,35 @@ fn handle_why(stream: &mut TcpStream, ctx: &ServeCtx, req: &Request) -> io::Resu
     Ok(())
 }
 
+/// A `POST /v1/why/batch` body.
+#[derive(Deserialize)]
+#[serde(deny_unknown_fields)]
+struct Batch {
+    questions: Vec<SpecRequest>,
+}
+
+/// Parses a batch body; streaming is a single-question affair, so each
+/// item's `stream` is ignored.
+fn parse_batch(body: &Value, graph: &Graph) -> Result<Vec<QueryRequest>, SpecError> {
+    let batch = Batch::from_value(body)?;
+    let resolve = |(i, q): (usize, &SpecRequest)| match q.resolve(graph) {
+        Ok((request, _)) => Ok(request),
+        Err(e) => Err(SpecError(format!("questions[{i}].{}", e.0))),
+    };
+    batch.questions.iter().enumerate().map(resolve).collect()
+}
+
 fn handle_batch(stream: &mut TcpStream, ctx: &ServeCtx, req: &Request) -> io::Result<()> {
-    let spec = match parse_body(&req.body) {
-        Ok(v) => v,
+    let graph = ctx.head_graph();
+    let parsed =
+        parse_body(&req.body).and_then(|b| parse_batch(&b, &graph).map_err(|e| e.to_string()));
+    let mut requests = match parsed {
+        Ok(requests) => requests,
         Err(e) => return write_json(stream, 400, &error_json(e)),
     };
-    let Some(questions) = spec.get("questions").and_then(Value::as_array) else {
-        return write_json(
-            stream,
-            400,
-            &error_json("body must have a \"questions\" array"),
-        );
-    };
-    let graph = ctx.head_graph();
-    let mut requests = Vec::with_capacity(questions.len());
-    for (i, q) in questions.iter().enumerate() {
-        match parse_request(&graph, q) {
-            // Streaming is a single-question affair; batch ignores the flag.
-            Ok((mut r, _)) => {
-                if req.tenant.is_some() {
-                    r.tenant = req.tenant.clone();
-                }
-                requests.push(r);
-            }
-            Err(e) => return write_json(stream, 400, &error_json(format!("questions[{i}]: {e}"))),
+    if req.tenant.is_some() {
+        for r in &mut requests {
+            r.tenant = req.tenant.clone();
         }
     }
     let responses = ctx.service.serve_batch(requests);

@@ -12,21 +12,28 @@
 //!
 //! Every route lives under the `/v1/` prefix; any other path is a 404.
 //!
+//! Request bodies follow the wire contract in [`wqe_core::spec`]: strict
+//! types, where an unknown key, a value of the wrong type or an
+//! out-of-range integer is a 400 naming its JSON path.
+//!
 //! * `POST /v1/why` — body is the human-writable question spec
-//!   (`{"query": .., "exemplar": ..}`, as in [`wqe_core::spec`]) plus
-//!   optional `"algo"`, `"priority"`, `"deadline_ms"`, and `"stream"`
-//!   keys. Tenant identity comes from the `x-wqe-tenant` header. Without
+//!   (`{"query": .., "exemplar": ..}`) plus the optional serving keys
+//!   `"algo"`, `"priority"`, `"deadline_ms"`, `"tenant"`, `"epoch"`,
+//!   `"stream"` and `"diff"`. The `x-wqe-tenant` header, when present,
+//!   overrides `"tenant"`. Without
 //!   `"stream": true` the response is one JSON document; with it the
 //!   response is `text/event-stream`: zero or more `update` events (one
 //!   per best-so-far improvement, parallelism-invariant) and exactly one
 //!   terminal `done` event whose report — fingerprint included — is
 //!   bit-identical to what the blocking call would have returned.
 //! * `POST /v1/why/batch` — `{"questions": [spec, ..]}`, answers in
-//!   request order.
+//!   request order. An item may not carry `"diff"`; its `"stream"` is
+//!   ignored.
 //! * `GET /v1/stats` — the service's [`wqe_core::ServiceStats`] as JSON,
 //!   plus `"api_version"`.
 //! * `GET /v1/healthz` — liveness probe.
-//! * `POST /v1/graph/update` — `{"updates": [op, ..]}` applied as one
+//! * `POST /v1/graph/update` — `{"updates": [op, ..]}` (see
+//!   [`wqe_core::spec::parse_updates`]) applied as one
 //!   atomic batch through the server's [`wqe_core::GraphStore`]; the
 //!   response is the publish report. 409 when the server was started
 //!   without a store (read-only).
@@ -35,6 +42,8 @@
 //! A `/v1/why` body may carry `"epoch": N` to pin the query to a still-live
 //! published epoch, or `"diff": {"from": N, "to": M}` to run the same
 //! question against two epochs and get both reports plus a comparison.
+//! `"diff"` is valid only there: in a batch item or an MCP call it is an
+//! error.
 //!
 //! Report JSON carries `closeness`/`cost` twice: as plain numbers for
 //! humans and as `*_bits` hex strings (raw IEEE-754 bits) so clients can
@@ -45,13 +54,15 @@
 pub mod http;
 pub mod mcp;
 
+use serde::Deserialize;
 use serde_json::{json, Value};
 use std::sync::Arc;
+use wqe_core::spec::{Request, SpecError};
 use wqe_core::{
-    Algorithm, AnswerReport, AnswerUpdate, EpochId, EpochInfo, GraphStore, Priority, PublishReport,
-    QueryRequest, QueryResponse, QueryService, QueryStatus, RewriteResult, ShedReason,
+    AnswerReport, EpochInfo, GraphStore, PublishReport, QueryRequest, QueryResponse, QueryService,
+    QueryStatus, RewriteResult, ShedReason,
 };
-use wqe_graph::{AttrValue, DeltaSummary, Graph, GraphUpdate, NodeId};
+use wqe_graph::{DeltaSummary, Graph};
 
 /// Version tag of the HTTP API, reported in `/v1/stats` and used as the
 /// route prefix.
@@ -70,37 +81,16 @@ pub struct ServeCtx {
     pub store: Option<Arc<GraphStore>>,
 }
 
-/// Parses one request body: the question spec (`query` + `exemplar`, see
-/// [`wqe_core::spec::parse_question`]) plus the serving keys `algo`,
-/// `priority`, `deadline_ms`, and `tenant` (the HTTP layer overrides the
-/// latter from the `x-wqe-tenant` header). Returns the request and whether
-/// `"stream": true` was set.
+/// Parses one request body, a [`wqe_core::spec::Request`]: the question
+/// spec plus the serving keys. The HTTP layer overrides `tenant` from the
+/// `x-wqe-tenant` header. Returns the request and whether
+/// `"stream": true` was set. A `diff` is an error: only the top level of
+/// `POST /v1/why` takes one.
 pub fn parse_request(graph: &Graph, spec: &Value) -> Result<(QueryRequest, bool), String> {
-    let question = wqe_core::spec::parse_question(graph, spec).map_err(|e| e.to_string())?;
-    let algorithm = match spec.get("algo").and_then(Value::as_str) {
-        Some(name) => Algorithm::parse(name).ok_or_else(|| format!("unknown algo {name:?}"))?,
-        None => Algorithm::AnsW,
-    };
-    let mut request = QueryRequest::new(question, algorithm);
-    if let Some(p) = spec.get("priority").and_then(Value::as_str) {
-        request.priority = Priority::parse(p).ok_or_else(|| format!("unknown priority {p:?}"))?;
-    }
-    if let Some(dl) = spec.get("deadline_ms") {
-        // Forwarded verbatim; the service's front door validates it (a
-        // string or null is a parse error here, a NaN is its problem).
-        request.deadline_ms = Some(dl.as_f64().ok_or("deadline_ms must be a number")?);
-    }
-    if let Some(t) = spec.get("tenant").and_then(Value::as_str) {
-        request.tenant = Some(t.to_string());
-    }
-    if let Some(e) = spec.get("epoch") {
-        let n = e
-            .as_u64()
-            .ok_or("epoch must be a nonnegative integer".to_string())?;
-        request.epoch = Some(EpochId(n));
-    }
-    let stream = spec.get("stream").and_then(Value::as_bool).unwrap_or(false);
-    Ok((request, stream))
+    Request::from_value(spec)
+        .map_err(SpecError::from)
+        .and_then(|request| request.resolve(graph))
+        .map_err(|e| e.to_string())
 }
 
 impl ServeCtx {
@@ -113,104 +103,6 @@ impl ServeCtx {
             None => Arc::clone(&self.graph),
         }
     }
-}
-
-fn attr_value_from_json(v: &Value) -> Result<AttrValue, String> {
-    match v {
-        Value::Bool(b) => Ok(AttrValue::Bool(*b)),
-        Value::String(s) => Ok(AttrValue::Str(s.clone())),
-        Value::Number(n) => {
-            if let Some(i) = n.as_i64() {
-                Ok(AttrValue::Int(i))
-            } else {
-                let f = n.as_f64().ok_or("number out of range")?;
-                AttrValue::float(f).ok_or_else(|| "attribute value may not be NaN".to_string())
-            }
-        }
-        other => Err(format!("unsupported attribute value {other}")),
-    }
-}
-
-fn field_u64(op: &Value, key: &str) -> Result<u64, String> {
-    op.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("{key:?} must be a nonnegative integer"))
-}
-
-fn field_node(op: &Value, key: &str) -> Result<NodeId, String> {
-    Ok(NodeId(field_u64(op, key)? as u32))
-}
-
-fn field_str(op: &Value, key: &str) -> Result<String, String> {
-    op.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("{key:?} must be a string"))
-}
-
-/// Parses one `/v1/graph/update` body: `{"updates": [op, ..]}` where each
-/// op is a tagged object — `{"op": "add_node", "label": .., "attrs":
-/// {..}}`, `{"op": "set_label", "node": .., "label": ..}`, `{"op":
-/// "set_attr", "node": .., "attr": .., "value": ..}` (`null` drops the
-/// attribute), `{"op": "detach_node", "node": ..}`, `{"op":
-/// "insert_edge", "from": .., "to": .., "label": ..}`, `{"op":
-/// "delete_edge", "from": .., "to": ..}`.
-pub fn parse_updates(spec: &Value) -> Result<Vec<GraphUpdate>, String> {
-    let ops = spec
-        .get("updates")
-        .and_then(Value::as_array)
-        .ok_or("body must have an \"updates\" array")?;
-    let mut updates = Vec::with_capacity(ops.len());
-    for (i, op) in ops.iter().enumerate() {
-        let parsed = (|| -> Result<GraphUpdate, String> {
-            let kind = field_str(op, "op")?;
-            match kind.as_str() {
-                "add_node" => {
-                    let mut attrs = Vec::new();
-                    if let Some(Value::Object(m)) = op.get("attrs") {
-                        for (name, v) in m {
-                            attrs.push((name.clone(), attr_value_from_json(v)?));
-                        }
-                    }
-                    Ok(GraphUpdate::AddNode {
-                        label: field_str(op, "label")?,
-                        attrs,
-                    })
-                }
-                "set_label" => Ok(GraphUpdate::SetLabel {
-                    node: field_node(op, "node")?,
-                    label: field_str(op, "label")?,
-                }),
-                "set_attr" => {
-                    let value = match op.get("value") {
-                        None | Some(Value::Null) => None,
-                        Some(v) => Some(attr_value_from_json(v)?),
-                    };
-                    Ok(GraphUpdate::SetAttr {
-                        node: field_node(op, "node")?,
-                        attr: field_str(op, "attr")?,
-                        value,
-                    })
-                }
-                "detach_node" => Ok(GraphUpdate::DetachNode {
-                    node: field_node(op, "node")?,
-                }),
-                "insert_edge" => Ok(GraphUpdate::InsertEdge {
-                    from: field_node(op, "from")?,
-                    to: field_node(op, "to")?,
-                    label: field_str(op, "label")?,
-                }),
-                "delete_edge" => Ok(GraphUpdate::DeleteEdge {
-                    from: field_node(op, "from")?,
-                    to: field_node(op, "to")?,
-                }),
-                other => Err(format!("unknown op {other:?}")),
-            }
-        })()
-        .map_err(|e| format!("updates[{i}]: {e}"))?;
-        updates.push(parsed);
-    }
-    Ok(updates)
 }
 
 fn delta_json(d: &DeltaSummary) -> Value {
@@ -362,12 +254,6 @@ pub fn response_json(resp: &QueryResponse) -> Value {
     v
 }
 
-/// Encodes one streaming [`AnswerUpdate`] (it is already serde; this is
-/// the one place defining the wire shape).
-pub fn update_json(update: &AnswerUpdate) -> Value {
-    serde_json::to_value(update)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,36 +352,6 @@ mod tests {
             }
         }
         v
-    }
-
-    #[test]
-    fn parse_request_honors_serving_keys() {
-        let ctx = serve_ctx();
-        let (req, stream) = parse_request(&ctx.graph, &spec_value()).unwrap();
-        assert_eq!(req.algorithm, Algorithm::AnsW);
-        assert_eq!(req.priority, Priority::Normal);
-        assert_eq!(req.deadline_ms, None);
-        assert_eq!(req.tenant, None);
-        assert!(!stream);
-
-        let v = spec_with(&[
-            ("algo", json!("heu")),
-            ("priority", json!("low")),
-            ("deadline_ms", json!(125.5)),
-            ("tenant", json!("acme")),
-            ("stream", json!(true)),
-        ]);
-        let (req, stream) = parse_request(&ctx.graph, &v).unwrap();
-        assert_eq!(req.algorithm, Algorithm::AnsHeu);
-        assert_eq!(req.priority, Priority::Low);
-        assert_eq!(req.deadline_ms, Some(125.5));
-        assert_eq!(req.tenant.as_deref(), Some("acme"));
-        assert!(stream);
-
-        let bad_algo = spec_with(&[("algo", json!("alchemy"))]);
-        assert!(parse_request(&ctx.graph, &bad_algo).is_err());
-        let bad_deadline = spec_with(&[("deadline_ms", json!("soon"))]);
-        assert!(parse_request(&ctx.graph, &bad_deadline).is_err());
     }
 
     #[test]

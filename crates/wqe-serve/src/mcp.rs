@@ -26,33 +26,53 @@ fn rpc_error(id: &Value, code: i64, message: String) -> Value {
     })
 }
 
+/// The `ask_why` tool. Its input schema describes
+/// [`wqe_core::spec::Request`] key for key, less `diff`, which only
+/// `POST /v1/why` takes; a test holds the two key sets equal.
 fn tool_list() -> Value {
+    let object = |description: &str, properties: Value, required: Value| {
+        json!({
+            "type": "object", "description": description, "properties": properties,
+            "required": required, "additionalProperties": false
+        })
+    };
+    let array = |description: &str| json!({ "type": "array", "description": description });
+    let query = object(
+        "The pattern query.",
+        json!({
+            "max_bound": { "type": "integer", "minimum": 0, "maximum": u32::MAX, "description": "Largest edge bound (default 4)." },
+            "nodes": array("[{id?, label?, focus?, literals?: [{attr, op, value}]}]: id defaults to \"node<index>\", \
+                            label to any label; at most one node says focus (default: the first). \
+                            op is <, <=, = (or ==), >= or >; value a number, string or boolean."),
+            "edges": array("[{from, to, bound?}]: node ids; bound is 1 to max_bound (default 1).")
+        }),
+        json!(["nodes"]),
+    );
+    let exemplar = object(
+        "The exemplar the answers should match.",
+        json!({
+            "tuples": array("[{attribute: constant | \"?\" (variable) | \"_\" (wildcard)}]"),
+            "constraints": array("[{lhs: {tuple, attr}, op, var: {tuple, attr} | value}]: exactly one of var and value.")
+        }),
+        json!(["tuples"]),
+    );
     json!([{
         "name": "ask_why",
         "description": "Answer a why-question by exemplars over the loaded attributed graph: \
-                        given a pattern query and an exemplar of expected/unexpected answers, \
-                        returns the top-k cheapest query rewrites whose answers best match the \
-                        exemplar, with closeness scores and the operator sequence for each.",
-        "inputSchema": {
-            "type": "object",
-            "properties": {
-                "query": {
-                    "type": "object",
-                    "description": "The pattern query: nodes with labels/attribute predicates, edges."
-                },
-                "exemplar": {
-                    "type": "object",
-                    "description": "Expected (Pe) and unexpected (Pu) answer sets."
-                },
-                "algo": {
-                    "type": "string",
-                    "description": "Algorithm: answ (default), answnc, answb, heu, heub:SEED, fm, whymany, whyempty"
-                },
-                "priority": { "type": "string", "description": "high | normal | low" },
-                "deadline_ms": { "type": "number", "description": "Per-request deadline override." }
-            },
-            "required": ["query", "exemplar"]
-        }
+                        given a pattern query and an exemplar of the answers it should have \
+                        returned, returns the top-k cheapest query rewrites whose answers best \
+                        match the exemplar, with closeness scores and the operator sequence for \
+                        each. Unknown keys are errors.",
+        "inputSchema": object("A why-question and its serving keys.", json!({
+            "query": query,
+            "exemplar": exemplar,
+            "algo": { "type": "string", "description": "answ (default), answnc, answb, heu, heub:SEED, fm, whymany, whyempty" },
+            "priority": { "type": "string", "enum": ["high", "normal", "low"], "description": "Default normal." },
+            "deadline_ms": { "type": "number", "description": "Per-request deadline override." },
+            "tenant": { "type": "string", "description": "Rate-limiting identity." },
+            "epoch": { "type": "integer", "minimum": 0, "description": "A live epoch to pin (default: the head)." },
+            "stream": { "type": "boolean", "description": "Ignored: tool answers are not streamed." }
+        }), json!(["query", "exemplar"]))
     }])
 }
 

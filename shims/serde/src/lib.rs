@@ -378,20 +378,65 @@ impl FromIterator<(String, Value)> for Map<String, Value> {
     }
 }
 
-/// Deserialization failure: a human-readable message.
+/// Deserialization failure: a message and the JSON path it happened at
+/// (`query.edges[1].bound`). Containers prefix the path as the error
+/// passes out through each field and element; `Display` prints
+/// `path: message`.
 #[derive(Debug, Clone)]
-pub struct DeError(String);
+pub struct DeError {
+    path: String,
+    msg: String,
+}
 
 impl DeError {
-    /// Builds an error from a message.
+    /// Builds an error from a message, at the root path.
     pub fn custom(msg: impl fmt::Display) -> Self {
-        DeError(msg.to_string())
+        DeError {
+            path: String::new(),
+            msg: msg.to_string(),
+        }
+    }
+
+    /// `expected {expected}, got {v}`: numbers, `null` and booleans are
+    /// shown as written; strings, arrays and objects by their kind.
+    pub fn invalid_type(expected: &str, v: &Value) -> Self {
+        let got = match v {
+            Value::String(_) => "a string".to_string(),
+            Value::Array(_) => "an array".to_string(),
+            Value::Object(_) => "an object".to_string(),
+            _ => v.to_string(),
+        };
+        DeError::custom(format!("expected {expected}, got {got}"))
+    }
+
+    /// Prefixes the path with the object key this error happened under.
+    pub fn at_field(self, key: &str) -> Self {
+        self.prefixed(key)
+    }
+
+    /// Prefixes the path with the array index this error happened under.
+    pub fn at_index(self, i: usize) -> Self {
+        self.prefixed(&format!("[{i}]"))
+    }
+
+    fn prefixed(mut self, segment: &str) -> Self {
+        let dot = if self.path.is_empty() || self.path.starts_with('[') {
+            ""
+        } else {
+            "."
+        };
+        self.path = format!("{segment}{dot}{}", self.path);
+        self
     }
 }
 
 impl fmt::Display for DeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        if self.path.is_empty() {
+            f.write_str(&self.msg)
+        } else {
+            write!(f, "{}: {}", self.path, self.msg)
+        }
     }
 }
 
@@ -420,17 +465,20 @@ macro_rules! serialize_int {
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Number(n) => n
-                        .as_i64()
-                        .and_then(|i| <$t>::try_from(i).ok())
-                        .or_else(|| n.as_u64().and_then(|u| <$t>::try_from(u).ok()))
-                        .ok_or_else(|| DeError::custom(concat!("integer out of range for ", stringify!($t)))),
-                    other => Err(DeError::custom(format!(
-                        "expected {} number, found {other:?}",
-                        stringify!($t)
-                    ))),
-                }
+                let kind = if <$t>::MIN == 0 { "a nonnegative integer" } else { "an integer" };
+                let Value::Number(n) = v else {
+                    return Err(DeError::invalid_type(kind, v));
+                };
+                n.as_i64()
+                    .and_then(|i| <$t>::try_from(i).ok())
+                    .or_else(|| n.as_u64().and_then(|u| <$t>::try_from(u).ok()))
+                    .ok_or_else(|| {
+                        DeError::custom(format!(
+                            "expected {kind} in [{}, {}], got {n}",
+                            <$t>::MIN,
+                            <$t>::MAX
+                        ))
+                    })
             }
         }
     )*};
@@ -450,7 +498,7 @@ impl Deserialize for f64 {
             // Non-finite floats serialize as null; restore a quiet NaN so
             // numeric summaries round-trip without failing the whole record.
             Value::Null => Ok(f64::NAN),
-            other => Err(DeError::custom(format!("expected f64, found {other:?}"))),
+            other => Err(DeError::invalid_type("a number", other)),
         }
     }
 }
@@ -476,7 +524,7 @@ impl Serialize for bool {
 impl Deserialize for bool {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         v.as_bool()
-            .ok_or_else(|| DeError::custom("expected boolean"))
+            .ok_or_else(|| DeError::invalid_type("a boolean", v))
     }
 }
 
@@ -490,7 +538,7 @@ impl Deserialize for String {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         v.as_str()
             .map(str::to_string)
-            .ok_or_else(|| DeError::custom("expected string"))
+            .ok_or_else(|| DeError::invalid_type("a string", v))
     }
 }
 
@@ -574,9 +622,10 @@ impl<T: Serialize> Serialize for Vec<T> {
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         v.as_array()
-            .ok_or_else(|| DeError::custom("expected array"))?
+            .ok_or_else(|| DeError::invalid_type("an array", v))?
             .iter()
-            .map(T::from_value)
+            .enumerate()
+            .map(|(i, item)| T::from_value(item).map_err(|e| e.at_index(i)))
             .collect()
     }
 }
@@ -601,7 +650,7 @@ macro_rules! serialize_tuple {
                 if a.len() != LEN {
                     return Err(DeError::custom(format!("expected {LEN}-tuple, got {} elements", a.len())));
                 }
-                Ok(($($t::from_value(&a[$n])?,)+))
+                Ok(($($t::from_value(&a[$n]).map_err(|e| e.at_index($n))?,)+))
             }
         }
     )*};
@@ -681,7 +730,10 @@ where
             .ok_or_else(|| DeError::custom("expected object"))?;
         let mut out = HashMap::with_capacity_and_hasher(obj.len(), S::default());
         for (k, val) in obj.iter() {
-            out.insert(key_from_string(k)?, V::from_value(val)?);
+            out.insert(
+                key_from_string(k)?,
+                V::from_value(val).map_err(|e| e.at_field(k))?,
+            );
         }
         Ok(out)
     }
@@ -703,7 +755,12 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
             .as_object()
             .ok_or_else(|| DeError::custom("expected object"))?;
         obj.iter()
-            .map(|(k, v)| Ok((key_from_string(k)?, V::from_value(v)?)))
+            .map(|(k, v)| {
+                Ok((
+                    key_from_string(k)?,
+                    V::from_value(v).map_err(|e| e.at_field(k))?,
+                ))
+            })
             .collect()
     }
 }

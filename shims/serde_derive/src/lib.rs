@@ -5,9 +5,14 @@
 //! `quote` (neither is available offline). The supported input grammar is
 //! the subset this workspace uses: non-generic structs (named, tuple, unit)
 //! and enums (unit, tuple, and struct variants), plus the field/variant
-//! attributes `#[serde(skip)]`, `#[serde(default)]`, and
-//! `#[serde(rename = "...")]`. The generated representation matches real
-//! serde's externally-tagged default, so JSON artifacts keep their shape.
+//! attributes `#[serde(skip)]`, `#[serde(default)]` (implied for an
+//! `Option` field, as in real serde) and `#[serde(rename = "...")]`, and
+//! the container attributes `#[serde(deny_unknown_fields)]` and
+//! `#[serde(tag = "...")]` (internally tagged enums of unit and struct
+//! variants; `Deserialize` only). The generated representation matches
+//! real serde's externally-tagged default, so JSON artifacts keep their
+//! shape. A nested error carries the field or index it happened under
+//! (`edges[1].bound: ...`).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -16,6 +21,8 @@ struct SerdeAttrs {
     skip: bool,
     default: bool,
     rename: Option<String>,
+    deny_unknown_fields: bool,
+    tag: Option<String>,
 }
 
 struct Field {
@@ -42,6 +49,7 @@ enum Kind {
 
 struct Input {
     name: String,
+    attrs: SerdeAttrs,
     kind: Kind,
 }
 
@@ -166,17 +174,23 @@ fn parse_serde_attr(body: TokenStream, attrs: &mut SerdeAttrs) {
             match word.to_string().as_str() {
                 "skip" | "skip_serializing" | "skip_deserializing" => attrs.skip = true,
                 "default" => attrs.default = true,
-                "rename" => {
-                    if inner.eat_punct('=') {
-                        if let Some(TokenTree::Literal(lit)) = inner.next() {
-                            let s = lit.to_string();
-                            attrs.rename = Some(s.trim_matches('"').to_string());
-                        }
-                    }
-                }
+                "deny_unknown_fields" => attrs.deny_unknown_fields = true,
+                "rename" => attrs.rename = string_value(&mut inner),
+                "tag" => attrs.tag = string_value(&mut inner),
                 other => panic!("unsupported serde attribute `{other}` in shim serde_derive"),
             }
         }
+    }
+}
+
+/// The `"..."` of a `key = "..."` attribute argument.
+fn string_value(c: &mut Cursor) -> Option<String> {
+    if !c.eat_punct('=') {
+        return None;
+    }
+    match c.next() {
+        Some(TokenTree::Literal(lit)) => Some(lit.to_string().trim_matches('"').to_string()),
+        _ => None,
     }
 }
 
@@ -184,13 +198,15 @@ fn parse_named_fields(body: TokenStream) -> Vec<Field> {
     let mut c = Cursor::new(body);
     let mut fields = Vec::new();
     while c.peek().is_some() {
-        let attrs = c.eat_attrs();
+        let mut attrs = c.eat_attrs();
         c.eat_visibility();
         let name = match c.next() {
             Some(TokenTree::Ident(i)) => i.to_string(),
             other => panic!("expected field name, found {other:?}"),
         };
         assert!(c.eat_punct(':'), "expected `:` after field `{name}`");
+        // As in real serde, a missing `Option` field is `None`.
+        attrs.default |= matches!(c.peek(), Some(TokenTree::Ident(i)) if i.to_string() == "Option");
         c.skip_type();
         c.eat_punct(',');
         fields.push(Field { name, attrs });
@@ -216,7 +232,7 @@ fn count_tuple_fields(body: TokenStream) -> usize {
 
 fn parse_input(input: TokenStream) -> Input {
     let mut c = Cursor::new(input);
-    c.eat_attrs();
+    let attrs = c.eat_attrs();
     c.eat_visibility();
     if c.eat_ident("struct") {
         let name = match c.next() {
@@ -226,14 +242,17 @@ fn parse_input(input: TokenStream) -> Input {
         match c.next() {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => Input {
                 name,
+                attrs,
                 kind: Kind::Struct(Fields::Named(parse_named_fields(g.stream()))),
             },
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => Input {
                 name,
+                attrs,
                 kind: Kind::Struct(Fields::Tuple(count_tuple_fields(g.stream()))),
             },
             Some(TokenTree::Punct(p)) if p.as_char() == ';' => Input {
                 name,
+                attrs,
                 kind: Kind::Struct(Fields::Unit),
             },
             Some(TokenTree::Punct(p)) if p.as_char() == '<' => {
@@ -293,6 +312,7 @@ fn parse_input(input: TokenStream) -> Input {
         }
         Input {
             name,
+            attrs,
             kind: Kind::Enum(variants),
         }
     } else {
@@ -311,6 +331,10 @@ fn wire_name(rust_name: &str, attrs: &SerdeAttrs) -> String {
 
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
+    assert!(
+        input.attrs.tag.is_none(),
+        "shim: #[serde(tag)] is Deserialize-only"
+    );
     let body = match &input.kind {
         Kind::Struct(Fields::Unit) => "::serde::Value::Null".to_string(),
         Kind::Struct(Fields::Tuple(1)) => "::serde::Serialize::to_value(&self.0)".to_string(),
@@ -400,7 +424,27 @@ fn gen_serialize(input: &Input) -> String {
     )
 }
 
-fn gen_named_ctor(path: &str, fields: &[Field], obj: &str, ty_label: &str) -> String {
+/// With `deny_unknown_fields`, rejects any key of `obj` that is not a
+/// wire name of `fields` or `tag`.
+fn gen_unknown_check(input: &Input, fields: &[Field], tag: Option<&str>) -> String {
+    if !input.attrs.deny_unknown_fields {
+        return String::new();
+    }
+    let known: Vec<String> = (fields.iter().filter(|f| !f.attrs.skip))
+        .map(|f| wire_name(&f.name, &f.attrs))
+        .chain(tag.map(str::to_string))
+        .collect();
+    let list: Vec<String> = known.iter().map(|k| format!("`{k}`")).collect();
+    let pattern: Vec<String> = known.iter().map(|k| format!("{k:?}")).collect();
+    format!(
+        "for k in obj.keys() {{ if !matches!(k.as_str(), {}) {{ \
+         return ::core::result::Result::Err(::serde::DeError::custom({:?}).at_field(k)); }} }}\n",
+        pattern.join(" | "),
+        format!("unknown field, expected one of {}", list.join(", "))
+    )
+}
+
+fn gen_named_ctor(path: &str, fields: &[Field], obj: &str) -> String {
     let mut inits = String::new();
     for f in fields {
         if f.attrs.skip {
@@ -415,17 +459,54 @@ fn gen_named_ctor(path: &str, fields: &[Field], obj: &str, ty_label: &str) -> St
             "::core::default::Default::default()".to_string()
         } else {
             format!(
-                "return ::core::result::Result::Err(::serde::DeError::custom(\
-                 concat!(\"missing field `{wire}` in {ty_label}\")))"
+                "return ::core::result::Result::Err(\
+                 ::serde::DeError::custom(\"missing field\").at_field({wire:?}))"
             )
         };
         inits.push_str(&format!(
             "{}: match {obj}.get({wire:?}) {{ \
-             Some(v) => ::serde::Deserialize::from_value(v)?, None => {missing} }},\n",
+             Some(v) => ::serde::Deserialize::from_value(v).map_err(|e| e.at_field({wire:?}))?, \
+             None => {missing} }},\n",
             f.name
         ));
     }
     format!("{path} {{ {inits} }}")
+}
+
+/// An internally tagged enum (`#[serde(tag = "...")]`): one object whose
+/// `tag` key names the variant and whose other keys are its fields.
+fn gen_tagged_deserialize(input: &Input, variants: &[Variant]) -> String {
+    let tag = input.attrs.tag.as_deref().unwrap_or_default();
+    let mut arms = String::new();
+    let mut names = Vec::new();
+    for var in variants {
+        let wire = wire_name(&var.name, &var.attrs);
+        let fields: &[Field] = match &var.fields {
+            Fields::Unit => &[],
+            Fields::Named(fields) => fields,
+            Fields::Tuple(_) => panic!("shim serde_derive: tagged variant `{wire}` is a tuple"),
+        };
+        let check = gen_unknown_check(input, fields, Some(tag));
+        let ctor = gen_named_ctor(&format!("{}::{}", input.name, var.name), fields, "obj");
+        arms.push_str(&format!(
+            "{wire:?} => {{ {check} ::core::result::Result::Ok({ctor}) }}\n"
+        ));
+        names.push(format!("`{wire}`"));
+    }
+    format!(
+        "let obj = v.as_object().ok_or_else(|| ::serde::DeError::invalid_type(\"an object\", v))?;\n\
+         let tag = match obj.get({tag:?}) {{\n\
+             ::core::option::Option::Some(t) => t.as_str().ok_or_else(|| \
+                 ::serde::DeError::invalid_type(\"a string\", t).at_field({tag:?}))?,\n\
+             ::core::option::Option::None => return ::core::result::Result::Err(\
+                 ::serde::DeError::custom(\"missing field\").at_field({tag:?})),\n\
+         }};\n\
+         match tag {{\n{arms}\
+             other => ::core::result::Result::Err(::serde::DeError::custom(::std::format!(\
+                 \"unknown variant {{other:?}}, expected one of {names}\")).at_field({tag:?})),\n\
+         }}",
+        names = names.join(", ")
+    )
 }
 
 fn gen_deserialize(input: &Input) -> String {
@@ -449,12 +530,17 @@ fn gen_deserialize(input: &Input) -> String {
             )
         }
         Kind::Struct(Fields::Named(fields)) => {
-            let ctor = gen_named_ctor(name, fields, "obj", name);
+            let ctor = gen_named_ctor(name, fields, "obj");
+            let check = gen_unknown_check(input, fields, None);
             format!(
-                "let obj = v.as_object().ok_or_else(|| ::serde::DeError::custom(\
-                 \"expected object for struct {name}\"))?;\n\
+                "let obj = v.as_object().ok_or_else(|| \
+                 ::serde::DeError::invalid_type(\"an object\", v))?;\n\
+                 {check}\
                  ::core::result::Result::Ok({ctor})"
             )
+        }
+        Kind::Enum(variants) if input.attrs.tag.is_some() => {
+            gen_tagged_deserialize(input, variants)
         }
         Kind::Enum(variants) => {
             let mut unit_arms = String::new();
@@ -490,8 +576,7 @@ fn gen_deserialize(input: &Input) -> String {
                         ));
                     }
                     Fields::Named(fields) => {
-                        let ctor =
-                            gen_named_ctor(&format!("{name}::{}", var.name), fields, "fo", &wire);
+                        let ctor = gen_named_ctor(&format!("{name}::{}", var.name), fields, "fo");
                         obj_arms.push_str(&format!(
                             "{wire:?} => {{ let fo = inner.as_object().ok_or_else(|| \
                              ::serde::DeError::custom(\"expected object for variant {wire}\"))?;\n\

@@ -33,23 +33,21 @@
 //! `serve --http` binds a streaming HTTP front-end on localhost (`POST
 //! /v1/why` with `"stream": true` for SSE anytime answers, `POST
 //! /v1/why/batch`, `GET /v1/stats`, `GET /v1/healthz`); `serve --mcp`
-//! speaks MCP JSON-RPC over stdio, exposing the `ask_why` tool. Both accept
-//! `--workers`, `--queue-cap`, `--cache-cap`, `--budget`, `--top-k`,
-//! `--deadline`, plus `--shed` (overload-adaptive deadlines + low-priority
-//! shedding) and `--rate-limit N` (per-tenant token bucket, keyed by the
-//! `x-wqe-tenant` header).
+//! speaks MCP JSON-RPC over stdio, exposing the `ask_why` tool. Every
+//! `serve` mode takes `--workers N` (0 = one per core), `--queue-cap N`,
+//! `--cache-cap N` (0 disables the cache), `--shed` (overload-adaptive
+//! deadlines + low-priority shedding), `--rate-limit N` (per-tenant token
+//! bucket, keyed by the `x-wqe-tenant` header or a request's `"tenant"`)
+//! and every `why` tunable. A flag value that does not parse exits 2.
 //!
-//! `serve` reads one question per line from `questions.jsonl` — each line
-//! is the usual `{"query": ..., "exemplar": ...}` spec, optionally with
-//! `"algo"`, `"priority"` (`high|normal|low`), and `"deadline_ms"` keys —
-//! and serves the whole batch through a `QueryService` (admission-controlled
-//! scheduler + answer cache). Options: `--workers N` (0 = one per core),
-//! `--queue-cap N`, `--cache-cap N` (0 disables the cache), `--algo A`
-//! (default for lines without one), every `why` tunable, and `--json` for
-//! one machine-readable response summary per line.
+//! `serve` reads one request per line from `questions.jsonl` — the usual
+//! spec plus any serving keys — and serves the whole batch through a
+//! `QueryService` (admission-controlled scheduler + answer cache).
+//! `--algo A` is the default for lines without one; `--json` prints one
+//! machine-readable response summary per line.
 //!
-//! The question file holds `{"query": ..., "exemplar": ...}` in the format
-//! documented in `wqe_core::spec`.
+//! The question file holds `{"query": ..., "exemplar": ...}` in the strict
+//! format documented in `wqe_core::spec`.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter};
@@ -57,7 +55,7 @@ use std::sync::Arc;
 use wqe::core::engine::WqeEngine;
 use wqe::core::session::WqeConfig;
 use wqe::core::spec::parse_question;
-use wqe::core::{Algorithm, EngineCtx};
+use wqe::core::{Algorithm, EngineCtx, QueryService, RateLimitConfig, ServiceConfig};
 use wqe::graph::{read_jsonl, write_jsonl, Graph, NodeId};
 use wqe::index::Oracle;
 
@@ -227,45 +225,18 @@ fn cmd_why(args: &[String]) -> i32 {
     let mut config = WqeConfig::default();
     let mut algo = "answ".to_string();
     let mut dot_out: Option<String> = None;
-    let mut json_out = false;
-    let mut profile_out = false;
-    let mut i = first + 2;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let val = args.get(i + 1).cloned();
-        let need = |what: &str| -> String {
-            val.clone().unwrap_or_else(|| {
-                eprintln!("{flag} needs {what}");
-                std::process::exit(2);
-            })
-        };
+    let parsed = parse_flags(&args[first + 2..], &["--json", "--profile"], |flag, val| {
         match flag {
-            "--budget" => config.budget = need("a number").parse().unwrap_or(3.0),
-            "--top-k" => config.top_k = need("an int").parse().unwrap_or(1),
-            "--lambda" => config.closeness.lambda = need("a number").parse().unwrap_or(1.0),
-            "--theta" => config.closeness.theta = need("a number").parse().unwrap_or(1.0),
-            "--time-limit" => config.time_limit_ms = Some(need("ms").parse().unwrap_or(10_000)),
-            "--deadline" => config.deadline_ms = need("ms").parse().unwrap_or(0.0),
-            "--max-steps" => config.max_match_steps = need("an int").parse().unwrap_or(0),
-            "--max-frontier" => config.max_frontier_states = need("an int").parse().unwrap_or(0),
-            "--beam" => config.beam_width = need("an int").parse().unwrap_or(3),
-            "--algo" => algo = need("a name"),
-            "--dot" => dot_out = Some(need("a path")),
-            "--json" => {
-                json_out = true;
-                i -= 1; // boolean flag, no value
-            }
-            "--profile" => {
-                profile_out = true;
-                i -= 1; // boolean flag, no value
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                return 2;
-            }
+            "--algo" => algo = val.to_string(),
+            "--dot" => dot_out = Some(val.to_string()),
+            _ => return engine_flag(&mut config, flag, val),
         }
-        i += 2;
-    }
+        Ok(true)
+    });
+    let (json_out, profile_out) = match parsed {
+        Ok(seen) => (seen.contains(&"--json"), seen.contains(&"--profile")),
+        Err(e) => return usage_error(e),
+    };
     let snap = if snapshot_mode {
         match open_snapshot_cli(gpath) {
             Ok(s) => Some(s),
@@ -402,42 +373,99 @@ fn cmd_why(args: &[String]) -> i32 {
     report_result(run())
 }
 
-/// Parses the flags the network front-ends share (`serve --http` /
-/// `serve --mcp`) and builds the `ServeCtx` from a graph file.
-fn build_serve_ctx(gpath: &str, args: &[String]) -> Result<wqe::serve::ServeCtx, String> {
-    use wqe::core::{QueryService, RateLimitConfig, ServiceConfig};
-    let mut service_cfg = ServiceConfig::default();
-    service_cfg.base_config.budget = 3.0;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let val = args.get(i + 1).cloned();
-        let need = |what: &str| -> Result<String, String> {
-            val.clone().ok_or_else(|| format!("{flag} needs {what}"))
-        };
-        match flag {
-            "--budget" => service_cfg.base_config.budget = need("a number")?.parse().unwrap_or(3.0),
-            "--top-k" => service_cfg.base_config.top_k = need("an int")?.parse().unwrap_or(1),
-            "--deadline" => {
-                service_cfg.base_config.deadline_ms = need("ms")?.parse().unwrap_or(0.0)
-            }
-            "--workers" => service_cfg.max_inflight = need("an int")?.parse().unwrap_or(0),
-            "--queue-cap" => service_cfg.queue_cap = need("an int")?.parse().unwrap_or(64),
-            "--cache-cap" => service_cfg.cache.capacity = need("an int")?.parse().unwrap_or(256),
-            "--shed" => {
-                service_cfg.shed.enabled = true;
-                i -= 1; // boolean flag, no value
-            }
-            "--rate-limit" => {
-                service_cfg.rate_limit = Some(RateLimitConfig {
-                    per_sec: need("requests/sec")?.parse().unwrap_or(50.0),
-                    ..Default::default()
-                })
-            }
-            other => return Err(format!("unknown flag {other}")),
+/// Walks `args` as flags. A flag in `switches` takes no value and is
+/// returned when present; any other takes one, which `value` applies
+/// (`Ok(false)` when it does not know the flag). An unknown flag, a
+/// missing value or a value that does not parse is an error.
+fn parse_flags<'a>(
+    args: &'a [String],
+    switches: &[&str],
+    mut value: impl FnMut(&str, &str) -> Result<bool, String>,
+) -> Result<Vec<&'a str>, String> {
+    let (mut seen, mut rest) = (Vec::new(), args.iter());
+    while let Some(flag) = rest.next() {
+        if switches.contains(&flag.as_str()) {
+            seen.push(flag.as_str());
+            continue;
         }
-        i += 2;
+        let val = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        if !value(flag, val)? {
+            return Err(format!("unknown flag {flag}"));
+        }
     }
+    Ok(seen)
+}
+
+/// Reports a command-line mistake: exit code 2.
+fn usage_error(e: String) -> i32 {
+    eprintln!("{e}");
+    2
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, val: &str, what: &str) -> Result<T, String> {
+    val.parse()
+        .map_err(|_| format!("{flag}: expected {what}, got {val:?}"))
+}
+
+/// The engine flags, one per `why` tunable, shared by `why` and every
+/// `serve` mode. `Ok(false)` when `flag` is not one of them.
+fn engine_flag(config: &mut WqeConfig, flag: &str, val: &str) -> Result<bool, String> {
+    match flag {
+        "--budget" => config.budget = parse_value(flag, val, "a number")?,
+        "--top-k" => config.top_k = parse_value(flag, val, "an integer")?,
+        "--lambda" => config.closeness.lambda = parse_value(flag, val, "a number")?,
+        "--theta" => config.closeness.theta = parse_value(flag, val, "a number")?,
+        "--time-limit" => config.time_limit_ms = Some(parse_value(flag, val, "milliseconds")?),
+        "--deadline" => config.deadline_ms = parse_value(flag, val, "milliseconds")?,
+        "--max-steps" => config.max_match_steps = parse_value(flag, val, "an integer")?,
+        "--max-frontier" => config.max_frontier_states = parse_value(flag, val, "an integer")?,
+        "--beam" => config.beam_width = parse_value(flag, val, "an integer")?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// The service flags, then the engine flags. `Ok(false)` when `flag` is
+/// none of them.
+fn service_flag(cfg: &mut ServiceConfig, flag: &str, val: &str) -> Result<bool, String> {
+    match flag {
+        "--workers" => cfg.max_inflight = parse_value(flag, val, "an integer")?,
+        "--queue-cap" => cfg.queue_cap = parse_value(flag, val, "an integer")?,
+        "--cache-cap" => cfg.cache.capacity = parse_value(flag, val, "an integer")?,
+        "--rate-limit" => {
+            cfg.rate_limit = Some(RateLimitConfig {
+                per_sec: parse_value(flag, val, "requests per second")?,
+                ..Default::default()
+            })
+        }
+        _ => return engine_flag(&mut cfg.base_config, flag, val),
+    }
+    Ok(true)
+}
+
+/// Parses a `serve` mode's flags: the service and engine flags, `--shed`
+/// (overload-adaptive deadlines and low-priority shedding), and the
+/// mode's own `switches` (returned when present) and value flags, which
+/// `value` takes first.
+fn serve_flags<'a>(
+    args: &'a [String],
+    switches: &[&str],
+    mut value: impl FnMut(&str, &str) -> bool,
+) -> Result<(ServiceConfig, Vec<&'a str>), String> {
+    let mut cfg = ServiceConfig::default();
+    let seen = parse_flags(args, &[switches, &["--shed"]].concat(), |flag, val| {
+        Ok(value(flag, val) || service_flag(&mut cfg, flag, val)?)
+    })?;
+    cfg.shed.enabled = seen.contains(&"--shed");
+    Ok((cfg, seen))
+}
+
+/// Builds the `ServeCtx` the network front-ends (`serve --http` /
+/// `serve --mcp`) share from a graph file and a service config.
+fn build_serve_ctx(
+    gpath: &str,
+    service_cfg: ServiceConfig,
+) -> Result<wqe::serve::ServeCtx, String> {
     let g = Arc::new(load_graph(gpath)?);
     // Serve live: a GraphStore wraps the loaded graph so the HTTP layer
     // can accept `/v1/graph/update` batches, and the service pins every
@@ -462,8 +490,12 @@ fn cmd_serve_http(args: &[String]) -> i32 {
         );
         return 2;
     };
+    let service_cfg = match serve_flags(&args[2..], &[], |_, _| false) {
+        Ok((cfg, _)) => cfg,
+        Err(e) => return usage_error(e),
+    };
     let run = || -> Result<(), String> {
-        let ctx = build_serve_ctx(gpath, &args[2..])?;
+        let ctx = build_serve_ctx(gpath, service_cfg)?;
         let server = wqe::serve::http::HttpServer::bind(ctx, &format!("127.0.0.1:{port}"))
             .map_err(|e| format!("cannot bind port {port}: {e}"))?;
         eprintln!(
@@ -484,8 +516,12 @@ fn cmd_serve_mcp(args: &[String]) -> i32 {
         eprintln!("usage: wqe-cli serve --mcp <graph.jsonl> [--workers N] ...");
         return 2;
     };
+    let service_cfg = match serve_flags(&args[1..], &[], |_, _| false) {
+        Ok((cfg, _)) => cfg,
+        Err(e) => return usage_error(e),
+    };
     let run = || -> Result<(), String> {
-        let ctx = build_serve_ctx(gpath, &args[1..])?;
+        let ctx = build_serve_ctx(gpath, service_cfg)?;
         let stdin = std::io::stdin();
         let stdout = std::io::stdout();
         wqe::serve::mcp::serve_mcp(&ctx, stdin.lock(), &mut stdout.lock())
@@ -495,9 +531,7 @@ fn cmd_serve_mcp(args: &[String]) -> i32 {
 }
 
 fn cmd_serve(args: &[String]) -> i32 {
-    use wqe::core::{
-        CacheConfig, Priority, QueryRequest, QueryService, QueryStatus, ServiceConfig,
-    };
+    use wqe::core::QueryStatus;
     match args.first().map(String::as_str) {
         Some("--http") => return cmd_serve_http(&args[1..]),
         Some("--mcp") => return cmd_serve_mcp(&args[1..]),
@@ -511,46 +545,18 @@ fn cmd_serve(args: &[String]) -> i32 {
         );
         return 2;
     };
-    let mut config = WqeConfig::default();
-    let mut service_cfg = ServiceConfig::default();
-    let mut cache_cfg = CacheConfig::default();
     let mut default_algo = "answ".to_string();
-    let mut json_out = false;
-    let mut i = 2;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let val = args.get(i + 1).cloned();
-        let need = |what: &str| -> String {
-            val.clone().unwrap_or_else(|| {
-                eprintln!("{flag} needs {what}");
-                std::process::exit(2);
-            })
-        };
-        match flag {
-            "--budget" => config.budget = need("a number").parse().unwrap_or(3.0),
-            "--top-k" => config.top_k = need("an int").parse().unwrap_or(1),
-            "--lambda" => config.closeness.lambda = need("a number").parse().unwrap_or(1.0),
-            "--theta" => config.closeness.theta = need("a number").parse().unwrap_or(1.0),
-            "--time-limit" => config.time_limit_ms = Some(need("ms").parse().unwrap_or(10_000)),
-            "--deadline" => config.deadline_ms = need("ms").parse().unwrap_or(0.0),
-            "--max-steps" => config.max_match_steps = need("an int").parse().unwrap_or(0),
-            "--max-frontier" => config.max_frontier_states = need("an int").parse().unwrap_or(0),
-            "--beam" => config.beam_width = need("an int").parse().unwrap_or(3),
-            "--algo" => default_algo = need("a name"),
-            "--workers" => service_cfg.max_inflight = need("an int").parse().unwrap_or(0),
-            "--queue-cap" => service_cfg.queue_cap = need("an int").parse().unwrap_or(64),
-            "--cache-cap" => cache_cfg.capacity = need("an int").parse().unwrap_or(256),
-            "--json" => {
-                json_out = true;
-                i -= 1; // boolean flag, no value
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                return 2;
-            }
+    let parsed = serve_flags(&args[2..], &["--json"], |flag, val| match flag {
+        "--algo" => {
+            default_algo = val.to_string();
+            true
         }
-        i += 2;
-    }
+        _ => false,
+    });
+    let (mut service_cfg, json_out) = match parsed {
+        Ok((cfg, seen)) => (cfg, seen.contains(&"--json")),
+        Err(e) => return usage_error(e),
+    };
     let run = || -> Result<(), String> {
         let g = Arc::new(load_graph(gpath)?);
         let f = File::open(qpath).map_err(|e| format!("cannot open {qpath}: {e}"))?;
@@ -560,27 +566,17 @@ fn cmd_serve(args: &[String]) -> i32 {
             if line.trim().is_empty() {
                 continue;
             }
-            let json: serde_json::Value = serde_json::from_str(&line)
+            let mut json: serde_json::Value = serde_json::from_str(&line)
                 .map_err(|e| format!("{qpath}:{}: invalid json: {e}", lineno + 1))?;
-            let wq =
-                parse_question(&g, &json).map_err(|e| format!("{qpath}:{}: {e}", lineno + 1))?;
-            let algo_name = json
-                .get("algo")
-                .and_then(serde_json::Value::as_str)
-                .unwrap_or(&default_algo);
-            let algorithm = Algorithm::parse(algo_name).ok_or(format!(
-                "{qpath}:{}: unknown algorithm {algo_name:?}",
-                lineno + 1
-            ))?;
-            let mut req = QueryRequest::new(wq, algorithm);
-            if let Some(p) = json.get("priority").and_then(serde_json::Value::as_str) {
-                req.priority = Priority::parse(p)
-                    .ok_or(format!("{qpath}:{}: unknown priority {p:?}", lineno + 1))?;
+            // A line without "algo" runs `--algo`.
+            if let serde_json::Value::Object(m) = &mut json {
+                if m.get("algo").is_none_or(serde_json::Value::is_null) {
+                    m.insert("algo".into(), default_algo.as_str().into());
+                }
             }
-            if let Some(dl) = json.get("deadline_ms").and_then(serde_json::Value::as_f64) {
-                req = req.with_deadline_ms(dl);
-            }
-            requests.push(req);
+            let (request, _) = wqe::serve::parse_request(&g, &json)
+                .map_err(|e| format!("{qpath}:{}: {e}", lineno + 1))?;
+            requests.push(request);
         }
         if requests.is_empty() {
             return Err(format!("{qpath} holds no questions"));
@@ -589,8 +585,6 @@ fn cmd_serve(args: &[String]) -> i32 {
         if service_cfg.queue_cap < requests.len() {
             service_cfg.queue_cap = requests.len();
         }
-        service_cfg.base_config = config;
-        service_cfg.cache = cache_cfg;
         let ctx = EngineCtx::with_default_oracle(Arc::clone(&g));
         let service = QueryService::new(ctx, service_cfg);
         let started = std::time::Instant::now();

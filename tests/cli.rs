@@ -81,3 +81,26 @@ fn fault_plan_from_the_environment_reaches_the_oracle() {
     assert_eq!(closeness_line(&clean), closeness_line(&faulted));
     assert!(closeness_line(&clean).contains("closeness 0.500"));
 }
+
+#[test]
+fn a_flag_value_that_does_not_parse_exits_2() {
+    let dir = std::env::temp_dir().join(format!("wqe-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let graph = dir.join("product.jsonl");
+    let question = dir.join("fig1.json");
+    let graph = graph.to_str().unwrap();
+    cli(&["gen", "product", "1", "0", graph], &[]);
+    std::fs::write(&question, common::PAPER_SPEC).expect("write spec");
+    let out = Command::new(env!("CARGO_BIN_EXE_wqe-cli"))
+        .args(["why", graph, question.to_str().unwrap(), "--budget", "4x"])
+        .env_remove("WQE_FAULT_SEED")
+        .output()
+        .expect("run wqe-cli");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(
+        stderr.trim_end(),
+        r#"--budget: expected a number, got "4x""#
+    );
+}

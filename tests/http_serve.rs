@@ -548,3 +548,188 @@ fn mcp_tool_answers_match_blocking_service() {
     );
     assert_eq!(fingerprint_of(&body), expected_fp);
 }
+
+/// A spec mistake fails alike on every front door: a 400 over HTTP, an
+/// error from the MCP tool and a nonzero `wqe-cli why` exit, all with one
+/// message that names the mistake's JSON path.
+#[test]
+fn spec_probes_fail_alike_on_every_front_door() {
+    const PROBES: [(&str, &str, &str); 4] = [
+        (
+            r#""bound": 2}"#,
+            r#""bound": "2"}"#,
+            "query.edges[1].bound: ",
+        ),
+        (r#""bound": 2}"#, r#""bund": 2}"#, "query.edges[1].bund: "),
+        (
+            r#""bound": 2}"#,
+            r#""bound": 4294967297}"#,
+            "query.edges[1].bound: ",
+        ),
+        (
+            r#""attr": "Storage"}}"#,
+            r#""attr": "Storage"}, "value": 1}"#,
+            "exemplar.constraints[1]: ",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!("wqe-probe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let graph = dir.join("product.jsonl");
+    let question = dir.join("probe.json");
+    let file = std::fs::File::create(&graph).expect("graph file");
+    wqe::graph::write_jsonl(&wqe::graph::product::product_graph().graph, file)
+        .expect("write graph");
+    let ctx = serve_ctx(|_| {});
+    let server = HttpServer::bind(ctx.clone(), "127.0.0.1:0").expect("bind");
+
+    for (from, to, path) in PROBES {
+        assert_eq!(common::PAPER_SPEC.matches(from).count(), 1, "{from}");
+        let body = common::PAPER_SPEC.replace(from, to);
+
+        let (status, reply) = post(server.addr(), "/v1/why", &body);
+        assert_eq!(status, 400, "{body}");
+        let reply: serde_json::Value = serde_json::from_str(&reply).expect("JSON error");
+        let http = reply
+            .get("error")
+            .and_then(serde_json::Value::as_str)
+            .unwrap();
+
+        let arguments: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let call = serde_json::json!({
+            "jsonrpc": "2.0", "id": 1, "method": "tools/call",
+            "params": { "name": "ask_why", "arguments": arguments },
+        });
+        let reply = &rpc(&ctx, &format!("{call}\n"))[0];
+        let mcp = reply
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(serde_json::Value::as_str)
+            .unwrap();
+
+        std::fs::write(&question, &body).expect("write probe");
+        let cli = std::process::Command::new(env!("CARGO_BIN_EXE_wqe-cli"))
+            .args([
+                "why",
+                graph.to_str().unwrap(),
+                question.to_str().unwrap(),
+                "--budget",
+                "4",
+            ])
+            .env_remove("WQE_FAULT_SEED")
+            .output()
+            .expect("run wqe-cli");
+        assert!(!cli.status.success(), "wqe-cli answered {body}");
+        let stderr = String::from_utf8(cli.stderr).unwrap();
+
+        assert!(http.starts_with(&format!("spec error: {path}")), "{http}");
+        assert_eq!(mcp, http);
+        assert_eq!(stderr.trim_end(), format!("error: {http}"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Update ops are strict too: a node id outside `u32` is a 400 naming it,
+/// never a wrapped id that edits another node, and so are `attrs` that are
+/// not an object.
+#[test]
+fn out_of_range_update_fields_are_400s_naming_their_path() {
+    let graph = Arc::new(wqe::graph::product::product_graph().graph);
+    let store = Arc::new(wqe::core::GraphStore::new(Arc::clone(&graph)));
+    let ctx = ServeCtx {
+        service: Arc::new(QueryService::with_store(
+            Arc::clone(&store),
+            ServiceConfig::default(),
+        )),
+        graph,
+        store: Some(store),
+    };
+    let server = HttpServer::bind(ctx, "127.0.0.1:0").expect("bind");
+    let cases = [
+        (
+            r#"{"updates": [{"op": "detach_node", "node": 4294967301}]}"#,
+            "updates[0].node: ",
+        ),
+        (
+            r#"{"updates": [{"op": "add_node", "label": "Cellphone", "attrs": 7}]}"#,
+            "updates[0].attrs: ",
+        ),
+    ];
+    for (body, path) in cases {
+        let (status, reply) = post(server.addr(), "/v1/graph/update", body);
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains(path), "{reply}");
+    }
+    let (_, epochs) = get(server.addr(), "/v1/epochs");
+    assert!(
+        epochs.contains("\"head\":0"),
+        "a refused batch published: {epochs}"
+    );
+}
+
+/// Runs JSON-RPC `lines` through the MCP loop and returns the replies.
+fn rpc(ctx: &ServeCtx, lines: &str) -> Vec<serde_json::Value> {
+    let mut out = Vec::new();
+    mcp::serve_mcp(ctx, BufReader::new(lines.as_bytes()), &mut out).expect("mcp loop");
+    let text = String::from_utf8(out).expect("utf-8 replies");
+    text.lines()
+        .map(|l| serde_json::from_str(l).expect("reply is JSON"))
+        .collect()
+}
+
+/// A value's keys, sorted.
+fn keys(v: Option<&serde_json::Value>) -> Vec<String> {
+    let object = v.and_then(serde_json::Value::as_object).expect("an object");
+    let mut keys: Vec<String> = object.keys().cloned().collect();
+    keys.sort();
+    keys
+}
+
+/// The `ask_why` schema lists exactly the keys the parser accepts, so an
+/// accepted key cannot be missing from `tools/list`.
+#[test]
+fn tool_schema_lists_every_request_key() {
+    let list = r#"{"jsonrpc":"2.0","id":1,"method":"tools/list"}"#;
+    let replies = rpc(&serve_ctx(|_| {}), &format!("{list}\n"));
+    let schema = replies[0]
+        .get("result")
+        .and_then(|r| r.get("tools"))
+        .and_then(serde_json::Value::as_array)
+        .and_then(|tools| tools[0].get("inputSchema"))
+        .expect("ask_why input schema");
+    let props = schema.get("properties");
+    let request = serde_json::to_value(&wqe::core::spec::Request::default());
+    let mut top = keys(Some(&request));
+    top.retain(|k| k != "diff");
+    assert_eq!(top, keys(props));
+    for part in ["query", "exemplar"] {
+        let described = props
+            .and_then(|p| p.get(part))
+            .and_then(|p| p.get("properties"));
+        assert_eq!(keys(request.get(part)), keys(described), "{part}");
+    }
+}
+
+/// `diff` belongs to the top level of `POST /v1/why` only: in an MCP call
+/// or a batch item it is an error naming its path, not ignored.
+#[test]
+fn diff_is_an_error_in_a_batch_item_and_an_mcp_call() {
+    let ctx = serve_ctx(|_| {});
+    let with_diff = spec_with(&[("diff", serde_json::json!({"from": 0, "to": 1}))]);
+    let call = serde_json::json!({
+        "jsonrpc": "2.0", "id": 1, "method": "tools/call",
+        "params": { "name": "ask_why", "arguments": with_diff.clone() },
+    });
+    let replies = rpc(&ctx, &format!("{call}\n"));
+    let message = replies[0]
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(serde_json::Value::as_str);
+    let expected = "spec error: diff: valid only at the top level of POST /v1/why";
+    assert_eq!(message, Some(expected));
+
+    let server = HttpServer::bind(ctx, "127.0.0.1:0").expect("bind");
+    let batch = serde_json::json!({ "questions": [spec(), with_diff] }).to_string();
+    let (status, body) = post(server.addr(), "/v1/why/batch", &batch);
+    assert_eq!(status, 400);
+    assert!(body.contains("questions[1].diff: valid only"), "{body}");
+}
