@@ -5,7 +5,8 @@
 //! representation `rep(E, V)`, the session-fixed focus candidate pool
 //! `V_uo`, the budget `B`, and the theoretical optimum `cl*`.
 
-use crate::answ::AnswerReport;
+use crate::answ::{AnswerReport, BestFirst};
+use crate::chase;
 use crate::closeness::{
     answer_closeness, closeness_upper_bound, theoretical_optimum, ClosenessConfig,
 };
@@ -13,6 +14,7 @@ use crate::ctx::EngineCtx;
 use crate::engine::Algorithm;
 use crate::error::WqeError;
 use crate::exemplar::{compute_representation, satisfies, Exemplar, Representation};
+use crate::heuristic::Beam;
 use crate::relevance::RelevanceSets;
 use std::sync::Arc;
 use std::time::Instant;
@@ -493,11 +495,11 @@ impl Session {
             },
             None => crate::error::contain(|| match algorithm {
                 Algorithm::AnsW | Algorithm::AnsWnc | Algorithm::AnsWb => {
-                    crate::answ::search(self, question, start)
+                    chase::search(self, question, start, BestFirst::new(self))
                 }
-                Algorithm::AnsHeu => crate::heuristic::search(self, question, start, None),
+                Algorithm::AnsHeu => chase::search(self, question, start, Beam::new(self, None)),
                 Algorithm::AnsHeuB(seed) => {
-                    crate::heuristic::search(self, question, start, Some(seed))
+                    chase::search(self, question, start, Beam::new(self, Some(seed)))
                 }
                 Algorithm::FMAnsW => Ok(crate::fmansw::search(self, question)),
                 Algorithm::WhyMany => Ok(crate::whymany::search(self, question)),
