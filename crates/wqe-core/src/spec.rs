@@ -76,7 +76,7 @@ use crate::session::WhyQuestion;
 use serde::{DeError, Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::HashMap;
-use wqe_graph::{AttrId, AttrValue, CmpOp, Graph, GraphUpdate, NodeId, Schema};
+use wqe_graph::{AttrId, AttrValue, Cells, CmpOp, Graph, GraphUpdate, NodeId, Scalar, Schema};
 use wqe_query::{Literal, PatternError, PatternQuery};
 
 /// A request that does not fit the wire contract: `path: message`, with
@@ -178,70 +178,6 @@ struct ConstraintSpec {
 struct VarSpec {
     tuple: usize,
     attr: String,
-}
-
-/// A JSON number, string or boolean as an [`AttrValue`]: a number that
-/// fits `i64` is `Int`, any other number `Float`.
-#[derive(Debug)]
-struct Scalar(AttrValue);
-
-impl Deserialize for Scalar {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Scalar(match v {
-            Value::Number(n) => match n.as_i64() {
-                Some(i) => AttrValue::Int(i),
-                None => n
-                    .as_f64()
-                    .and_then(AttrValue::float)
-                    .ok_or_else(|| DeError::custom("invalid number"))?,
-            },
-            Value::String(s) => AttrValue::Str(s.clone()),
-            Value::Bool(b) => AttrValue::Bool(*b),
-            other => return Err(DeError::invalid_type("a number, string or boolean", other)),
-        }))
-    }
-}
-
-impl Serialize for Scalar {
-    fn to_value(&self) -> Value {
-        match &self.0 {
-            AttrValue::Int(i) => i.to_value(),
-            AttrValue::Float(f) => f.to_value(),
-            AttrValue::Str(s) => s.to_value(),
-            AttrValue::Bool(b) => b.to_value(),
-        }
-    }
-}
-
-/// An object of attribute name → [`Scalar`], in document order (an
-/// update interns new attribute names in that order).
-#[derive(Debug, Default)]
-struct Cells(Vec<(String, Scalar)>);
-
-impl Serialize for Cells {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.0
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for Cells {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::invalid_type("an object", v))?;
-        let cell = |(k, v): (&String, &Value)| {
-            Ok((k.clone(), Scalar::from_value(v).map_err(|e| e.at_field(k))?))
-        };
-        obj.iter()
-            .map(cell)
-            .collect::<Result<_, DeError>>()
-            .map(Cells)
-    }
 }
 
 fn parse_op(op: &str, path: impl FnOnce() -> String) -> Result<CmpOp, SpecError> {

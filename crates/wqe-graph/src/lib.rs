@@ -38,4 +38,4 @@ pub use graph::{Graph, GraphBuilder, GraphParts, NodeData};
 pub use loader::{read_jsonl, read_tsv, write_jsonl, write_tsv};
 pub use schema::{AttrId, EdgeLabelId, Interner, LabelId, NodeId, Schema};
 pub use stats::{AttrStats, GraphStats};
-pub use value::{AttrValue, CmpOp};
+pub use value::{AttrValue, Cells, CmpOp, Scalar};

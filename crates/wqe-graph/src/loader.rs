@@ -10,12 +10,14 @@
 //!
 //! Node ids are arbitrary strings, resolved to dense [`NodeId`]s on load.
 //! Attribute values map JSON numbers to `Int`/`Float`, strings to `Str`, and
-//! booleans to `Bool`.
+//! booleans to `Bool` ([`Scalar`]). Loading is strict: a `null`, array or
+//! object value, an unknown key, or (in TSV) a field without `=` is an
+//! error naming its line and key.
 
 use crate::error::LoadError;
 use crate::graph::{Graph, GraphBuilder};
 use crate::schema::NodeId;
-use crate::value::AttrValue;
+use crate::value::{AttrValue, Cells, Scalar};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -28,14 +30,16 @@ fn encode_record(rec: &Record) -> std::io::Result<String> {
 }
 
 #[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct NodeRec {
     id: String,
     label: String,
     #[serde(default)]
-    attrs: serde_json::Map<String, serde_json::Value>,
+    attrs: Cells,
 }
 
 #[derive(Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 struct EdgeRec {
     from: String,
     to: String,
@@ -49,30 +53,6 @@ enum Record {
     Node(NodeRec),
     #[serde(rename = "edge")]
     Edge(EdgeRec),
-}
-
-fn json_to_value(v: &serde_json::Value) -> Option<AttrValue> {
-    match v {
-        serde_json::Value::Number(n) => {
-            if let Some(i) = n.as_i64() {
-                Some(AttrValue::Int(i))
-            } else {
-                n.as_f64().and_then(AttrValue::float)
-            }
-        }
-        serde_json::Value::String(s) => Some(AttrValue::Str(s.clone())),
-        serde_json::Value::Bool(b) => Some(AttrValue::Bool(*b)),
-        _ => None,
-    }
-}
-
-fn value_to_json(v: &AttrValue) -> serde_json::Value {
-    match v {
-        AttrValue::Int(i) => serde_json::json!(i),
-        AttrValue::Float(f) => serde_json::json!(f),
-        AttrValue::Str(s) => serde_json::json!(s),
-        AttrValue::Bool(b) => serde_json::json!(b),
-    }
 }
 
 /// Reads a graph from a JSON-lines reader. Edges may reference only nodes
@@ -99,11 +79,7 @@ pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Graph, LoadError> {
                         id: n.id,
                     });
                 }
-                let attrs: Vec<(&str, AttrValue)> = n
-                    .attrs
-                    .iter()
-                    .filter_map(|(k, v)| json_to_value(v).map(|av| (k.as_str(), av)))
-                    .collect();
+                let attrs = n.attrs.0.iter().map(|(k, v)| (k.as_str(), v.0.clone()));
                 let id = builder.add_node(&n.label, attrs);
                 ids.insert(n.id, id);
             }
@@ -127,14 +103,14 @@ pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Graph, LoadError> {
 pub fn write_jsonl<W: Write>(graph: &Graph, mut w: W) -> std::io::Result<()> {
     for v in graph.node_ids() {
         let node = graph.node(v);
-        let mut attrs = serde_json::Map::new();
-        for (a, val) in &node.attrs {
-            attrs.insert(graph.schema().attr_name(*a).to_string(), value_to_json(val));
-        }
+        let attrs = node.attrs.iter().map(|(a, val)| {
+            let name = graph.schema().attr_name(*a).to_string();
+            (name, Scalar(val.clone()))
+        });
         let rec = Record::Node(NodeRec {
             id: format!("n{}", v.0),
             label: graph.schema().label_name(node.label).to_string(),
-            attrs,
+            attrs: Cells(attrs.collect()),
         });
         writeln!(w, "{}", encode_record(&rec)?)?;
     }
@@ -181,12 +157,15 @@ pub fn read_tsv<N: BufRead, E: BufRead>(nodes: N, edges: E) -> Result<Graph, Loa
                 id: id.to_string(),
             });
         }
-        let attrs: Vec<(&str, AttrValue)> = fields
-            .filter_map(|f| {
-                let (k, v) = f.split_once('=')?;
-                Some((k, parse_tsv_value(v)))
+        let attrs = fields
+            .map(|f| match f.split_once('=') {
+                Some((k, v)) => Ok((k, parse_tsv_value(v))),
+                None => Err(LoadError::Malformed {
+                    line: lineno,
+                    detail: format!("attribute field {f:?} needs `name=value`"),
+                }),
             })
-            .collect();
+            .collect::<Result<Vec<_>, _>>()?;
         let nid = builder.add_node(label, attrs);
         ids.insert(id.to_string(), nid);
     }

@@ -200,6 +200,76 @@ impl fmt::Display for CmpOp {
     }
 }
 
+/// The JSON form of an [`AttrValue`]: a number that fits `i64` is `Int`,
+/// any other number `Float`; a string is `Str` and a boolean `Bool`.
+/// `null`, arrays and objects are errors. The one JSON ↔ [`AttrValue`]
+/// converter: graph files and the question wire both use it.
+#[derive(Debug, Clone)]
+pub struct Scalar(pub AttrValue);
+
+impl Deserialize for Scalar {
+    fn from_value(v: &serde_json::Value) -> Result<Self, serde::DeError> {
+        use serde_json::Value;
+        Ok(Scalar(match v {
+            Value::Number(n) => match n.as_i64() {
+                Some(i) => AttrValue::Int(i),
+                None => n
+                    .as_f64()
+                    .and_then(AttrValue::float)
+                    .ok_or_else(|| serde::DeError::custom("invalid number"))?,
+            },
+            Value::String(s) => AttrValue::Str(s.clone()),
+            Value::Bool(b) => AttrValue::Bool(*b),
+            other => {
+                let want = "a number, string or boolean";
+                return Err(serde::DeError::invalid_type(want, other));
+            }
+        }))
+    }
+}
+
+impl Serialize for Scalar {
+    fn to_value(&self) -> serde_json::Value {
+        match &self.0 {
+            AttrValue::Int(i) => i.to_value(),
+            AttrValue::Float(f) => f.to_value(),
+            AttrValue::Str(s) => s.to_value(),
+            AttrValue::Bool(b) => b.to_value(),
+        }
+    }
+}
+
+/// An object of attribute name → [`Scalar`], in document order (a loader
+/// or an update interns new attribute names in that order).
+#[derive(Debug, Clone, Default)]
+pub struct Cells(pub Vec<(String, Scalar)>);
+
+impl Serialize for Cells {
+    fn to_value(&self) -> serde_json::Value {
+        serde_json::Value::Object(
+            self.0
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_value()))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for Cells {
+    fn from_value(v: &serde_json::Value) -> Result<Self, serde::DeError> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| serde::DeError::invalid_type("an object", v))?;
+        let cell = |(k, v): (&String, &serde_json::Value)| {
+            Ok((k.clone(), Scalar::from_value(v).map_err(|e| e.at_field(k))?))
+        };
+        obj.iter()
+            .map(cell)
+            .collect::<Result<_, serde::DeError>>()
+            .map(Cells)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -557,7 +557,8 @@ fn gen_deserialize(input: &Input) -> String {
                     Fields::Tuple(1) => {
                         obj_arms.push_str(&format!(
                             "{wire:?} => return ::core::result::Result::Ok(\
-                             {name}::{v}(::serde::Deserialize::from_value(inner)?)),\n",
+                             {name}::{v}(::serde::Deserialize::from_value(inner)\
+                             .map_err(|e| e.at_field({wire:?}))?)),\n",
                             v = var.name
                         ));
                     }
@@ -592,7 +593,9 @@ fn gen_deserialize(input: &Input) -> String {
                  if let ::core::option::Option::Some(obj) = v.as_object() {{\n\
                      if obj.len() == 1 {{\n\
                          let (tag, inner) = obj.iter().next().expect(\"len checked\");\n\
-                         match tag.as_str() {{ {obj_arms} _ => {{}} }}\n\
+                         match tag.as_str() {{ {obj_arms} _ => return \
+                         ::core::result::Result::Err(::serde::DeError::custom(\
+                         \"unknown variant\").at_field(tag)) }}\n\
                      }}\n\
                  }}\n\
                  ::core::result::Result::Err(::serde::DeError::custom(\

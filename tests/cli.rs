@@ -104,3 +104,37 @@ fn a_flag_value_that_does_not_parse_exits_2() {
         r#"--budget: expected a number, got "4x""#
     );
 }
+
+#[test]
+fn the_question_files_algo_is_the_algorithm() {
+    let dir = std::env::temp_dir().join(format!("wqe-cli-algo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let graph = dir.join("product.jsonl");
+    let question = dir.join("fig1-fm.json");
+    let graph = graph.to_str().unwrap();
+    cli(&["gen", "product", "1", "0", graph], &[]);
+    let mut spec: serde_json::Value = serde_json::from_str(common::PAPER_SPEC).unwrap();
+    if let serde_json::Value::Object(m) = &mut spec {
+        m.insert("algo".into(), serde_json::json!("fm"));
+    }
+    std::fs::write(&question, spec.to_string()).expect("write spec");
+    let q = question.to_str().unwrap();
+
+    let from_file = cli(&["why", graph, q, "--budget", "4"], &[]);
+    let agreeing = cli(&["why", graph, q, "--budget", "4", "--algo", "fm"], &[]);
+    let out = Command::new(env!("CARGO_BIN_EXE_wqe-cli"))
+        .args(["why", graph, q, "--budget", "4", "--algo", "answ"])
+        .env_remove("WQE_FAULT_SEED")
+        .output()
+        .expect("run wqe-cli");
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert!(closeness_line(&from_file).contains("closeness 0.167"));
+    assert_eq!(closeness_line(&from_file), closeness_line(&agreeing));
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("--algo answ") && stderr.contains("\"fm\""),
+        "{stderr}"
+    );
+}

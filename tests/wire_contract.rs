@@ -2,16 +2,20 @@
 //! exactly the question it writes down, and any mistake in it is an error
 //! that names its JSON path — never a default standing in for what was
 //! written. HTTP, MCP and the CLI share these types; their front doors are
-//! checked in `tests/http_serve.rs` and `tests/cli.rs`.
+//! checked in `tests/http_serve.rs` and `tests/cli.rs`. Graph files are
+//! held to the same rule: the loaders keep every value or fail naming its
+//! line and key, and never panic.
 
 mod common;
 
 use serde_json::{json, Value};
+use std::io::Cursor;
 use std::sync::Arc;
 use wqe::core::exemplar::Exemplar;
 use wqe::core::spec::parse_question;
 use wqe::core::{Algorithm, EngineCtx, Priority, WqeConfig, WqeEngine};
 use wqe::graph::product::product_graph;
+use wqe::graph::{read_jsonl, read_tsv, LoadError};
 use wqe::query::PatternQuery;
 use wqe::serve::parse_request;
 
@@ -278,5 +282,112 @@ fn single_key_mutations_error_at_their_path_or_default() {
         });
         let e = outcome(&retyped).expect_err(path);
         assert!(names_it(&e), "retyping {path}: {e}");
+    }
+}
+
+/// A valid graph file the never-panic properties splice into.
+const SAMPLE: &str = r#"
+# product sample
+{"node": {"id": "p1", "label": "Cellphone", "attrs": {"Price": 840, "Brand": "Samsung"}}}
+{"node": {"id": "c1", "label": "Carrier", "attrs": {"Discount": 0.25}}}
+{"edge": {"from": "p1", "to": "c1", "label": "served_by"}}
+"#;
+
+/// Strict loading: every value the loader cannot keep, and every key it
+/// does not know, is an error naming its line and key.
+#[test]
+fn dropped_values_and_unknown_keys_are_errors() {
+    let node = r#"{"node": {"id": "a", "label": "N"}}"#;
+    let cases = [
+        (
+            r#"{"node": {"id": "b", "label": "N", "attrs": {"k": null}}}"#,
+            "node.attrs.k",
+        ),
+        (
+            r#"{"node": {"id": "b", "label": "N", "attrs": {"k": [1]}}}"#,
+            "node.attrs.k",
+        ),
+        (
+            r#"{"node": {"id": "b", "label": "N", "attrs": {"k": {}}}}"#,
+            "node.attrs.k",
+        ),
+        (
+            r#"{"node": {"id": "b", "label": "N", "colour": 1}}"#,
+            "node.colour",
+        ),
+        (
+            r#"{"edge": {"from": "a", "to": "a", "weight": 1}}"#,
+            "edge.weight",
+        ),
+        (r#"{"nodes": {"id": "b", "label": "N"}}"#, "nodes"),
+    ];
+    for (line, key) in cases {
+        let err = read_jsonl(Cursor::new(format!("{node}\n{line}"))).unwrap_err();
+        assert!(matches!(err, LoadError::Json { line: 2, .. }), "{err}");
+        assert!(err.to_string().contains(key), "{err} does not name {key}");
+    }
+    let err = read_tsv(Cursor::new("n1\tN\tPrice=1\tbare\n"), Cursor::new("")).unwrap_err();
+    assert!(matches!(err, LoadError::Malformed { line: 1, .. }), "{err}");
+    assert!(err.to_string().contains("\"bare\""), "{err}");
+}
+
+/// Pieces the never-panic properties assemble lines from: JSON and TSV
+/// syntax, keys, and values that parse, do not parse, or overflow.
+const PIECES: [&str; 24] = [
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\t",
+    "=",
+    " ",
+    "\\",
+    "\"node\"",
+    "\"edge\"",
+    "\"id\"",
+    "\"label\"",
+    "\"attrs\"",
+    "\"from\"",
+    "\"to\"",
+    "null",
+    "1e999",
+    "-0",
+    "true",
+    "\"\\u12\"",
+    "\u{e9}",
+];
+
+fn assemble(ix: &[usize]) -> String {
+    ix.iter().map(|&i| PIECES[i % PIECES.len()]).collect()
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+    /// Arbitrary lines never panic either loader: they load or fail typed.
+    #[test]
+    fn random_lines_never_panic(
+        a in proptest::collection::vec(0usize..PIECES.len(), 0..24),
+        b in proptest::collection::vec(0usize..PIECES.len(), 0..24),
+    ) {
+        let (a, b) = (assemble(&a), assemble(&b));
+        let _ = read_jsonl(Cursor::new(format!("{a}\n{b}")));
+        let _ = read_tsv(Cursor::new(a.clone()), Cursor::new(b.clone()));
+        let _ = read_tsv(Cursor::new(format!("x\tN\n{a}")), Cursor::new(format!("x\tx\t{b}")));
+    }
+
+    /// A valid file with one byte dropped, or one piece spliced in,
+    /// never panics the loader.
+    #[test]
+    fn spliced_records_never_panic(at in 0usize..SAMPLE.len(), piece in 0usize..PIECES.len()) {
+        let at = (0..=at).rev().find(|&i| SAMPLE.is_char_boundary(i)).unwrap_or(0);
+        let spliced = format!("{}{}{}", &SAMPLE[..at], PIECES[piece], &SAMPLE[at..]);
+        let _ = read_jsonl(Cursor::new(spliced));
+        let next = (at + 1..=SAMPLE.len()).find(|&i| SAMPLE.is_char_boundary(i));
+        let dropped = format!("{}{}", &SAMPLE[..at], &SAMPLE[next.unwrap_or(at)..]);
+        let _ = read_jsonl(Cursor::new(dropped));
     }
 }
