@@ -67,14 +67,14 @@ pub struct CounterRegistry {
     /// Star-view cache evictions.
     pub cache_evictions: u64,
     /// Point distance-oracle calls (`distance_within`). The matcher's
-    /// join asks only in batches, so these now come from operator
+    /// join asks the oracle nothing, so these come from operator
     /// generation's `RfE` check alone — plus, on the live overlay tier,
     /// from the overlay answering a batch pair by pair. A query that
     /// reaches neither reports 0 here; that is not "no distance work".
     pub oracle_dist_calls: u64,
-    /// Batched distance-oracle calls (`dist_batch`): one per constraint
-    /// per domain chunk of the matcher's join, plus operator generation's
-    /// `AddE` witness probes.
+    /// Batched distance-oracle calls (`dist_batch`), from operator
+    /// generation's `AddE` witness probes; the matcher's join probes its
+    /// star tables instead.
     pub oracle_dist_batch_calls: u64,
     /// PLL label entries scanned by the merge-join/probe kernels across
     /// all point and batched oracle calls — the work metric the batch
@@ -119,6 +119,10 @@ pub struct CounterRegistry {
     pub shed_requests: u64,
     /// Requests refused by the per-tenant rate limiter.
     pub rate_limited: u64,
+    /// Star-table rows materialized; a star-cache hit materializes none.
+    pub star_rows: u64,
+    /// Nodes the star-materializing bounded BFS expanded.
+    pub star_bfs_pops: u64,
 }
 
 impl CounterRegistry {
@@ -150,6 +154,8 @@ impl CounterRegistry {
             stream_updates: snapshot.counter(Counter::StreamUpdate),
             shed_requests: snapshot.counter(Counter::ShedRequest),
             rate_limited: snapshot.counter(Counter::RateLimited),
+            star_rows: snapshot.counter(Counter::StarRows),
+            star_bfs_pops: snapshot.counter(Counter::StarBfsPops),
         }
     }
 }

@@ -67,9 +67,16 @@ pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Graph, LoadError> {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let rec: Record = serde_json::from_str(trimmed).map_err(|source| LoadError::Json {
+        // Syntax first, then the record schema, so valid JSON that is not
+        // a record is reported as a malformed record, not as bad JSON.
+        let value: serde_json::Value =
+            serde_json::from_str(trimmed).map_err(|source| LoadError::Json {
+                line: lineno,
+                source,
+            })?;
+        let rec: Record = serde_json::from_value(value).map_err(|e| LoadError::Malformed {
             line: lineno,
-            source,
+            detail: e.to_string(),
         })?;
         match rec {
             Record::Node(n) => {
@@ -131,7 +138,7 @@ pub fn write_jsonl<W: Write>(graph: &Graph, mut w: W) -> std::io::Result<()> {
 ///
 /// * `nodes`: `id<TAB>label[<TAB>attr=value ...]` — values parse as `Int`,
 ///   then `Float`, then `Bool`, falling back to `Str`;
-/// * `edges`: `from<TAB>to[<TAB>label]`.
+/// * `edges`: `from<TAB>to[<TAB>label]`, the label `""` when absent.
 ///
 /// Lines starting with `#` and blank lines are skipped in both files.
 pub fn read_tsv<N: BufRead, E: BufRead>(nodes: N, edges: E) -> Result<Graph, LoadError> {
@@ -183,7 +190,9 @@ pub fn read_tsv<N: BufRead, E: BufRead>(nodes: N, edges: E) -> Result<Graph, Loa
                 detail: "edge line needs `from<TAB>to`".to_string(),
             });
         };
-        let label = fields.next().unwrap_or("edge");
+        // No label column (or the trailing tab of `write_tsv`'s empty
+        // label, trimmed away): the empty label, as in JSON lines.
+        let label = fields.next().unwrap_or("");
         let f = *ids.get(from).ok_or_else(|| LoadError::UnknownNode {
             line: lineno,
             id: from.to_string(),
@@ -351,6 +360,41 @@ mod tests {
         let err = read_tsv(Cursor::new(nodes), Cursor::new(edges)).unwrap_err();
         assert!(matches!(err, LoadError::Malformed { line: 1, .. }), "{err}");
         assert!(err.to_string().contains("from<TAB>to"));
+    }
+
+    #[test]
+    fn schema_violation_is_a_malformed_record_not_bad_json() {
+        let bad = r#"{"node": {"id": "a", "label": "N", "attrs": {"Price": null}}}"#;
+        let err = read_jsonl(Cursor::new(bad)).unwrap_err();
+        assert!(matches!(err, LoadError::Malformed { line: 1, .. }), "{err}");
+        let text = err.to_string();
+        assert!(!text.contains("invalid json"), "{text}");
+        assert!(text.contains("node.attrs.Price"), "{text}");
+    }
+
+    #[test]
+    fn tsv_edge_without_label_gets_the_empty_label_and_round_trips() {
+        let nodes = "a\tN\nb\tN\n";
+        let g = read_tsv(Cursor::new(nodes), Cursor::new("a\tb\n")).unwrap();
+        let from_json = read_jsonl(Cursor::new(
+            "{\"node\": {\"id\": \"a\", \"label\": \"N\"}}\n\
+             {\"node\": {\"id\": \"b\", \"label\": \"N\"}}\n\
+             {\"edge\": {\"from\": \"a\", \"to\": \"b\"}}",
+        ))
+        .unwrap();
+        let label = |g: &Graph| {
+            let (_, l) = g.out_neighbors(NodeId(0))[0];
+            g.schema().edge_label_name(l).to_string()
+        };
+        assert_eq!(label(&g), "");
+        assert_eq!(label(&from_json), "");
+        // The written form keeps the empty label column, and reads back.
+        let (mut n, mut e) = (Vec::new(), Vec::new());
+        write_tsv(&g, &mut n, &mut e).unwrap();
+        assert_eq!(String::from_utf8(e.clone()).unwrap(), "n0\tn1\t\n");
+        let back = read_tsv(Cursor::new(n), Cursor::new(e)).unwrap();
+        assert_eq!(back.edge_count(), 1);
+        assert_eq!(label(&back), "");
     }
 
     #[test]

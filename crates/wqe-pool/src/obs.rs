@@ -148,11 +148,17 @@ pub enum Counter {
     ShedRequest = 17,
     /// Requests refused by the per-tenant token-bucket rate limiter.
     RateLimited = 18,
+    /// Star-table rows materialized (kept after the leaf and augmented
+    /// checks) — the work a star-cache hit saves, in rows.
+    StarRows = 19,
+    /// Nodes whose edges the star-materializing bounded BFS scanned — the
+    /// work a star-cache hit saves, in traversal.
+    StarBfsPops = 20,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 21] = [
         Counter::CacheHit,
         Counter::CacheMiss,
         Counter::CacheEviction,
@@ -172,6 +178,8 @@ impl Counter {
         Counter::StreamUpdate,
         Counter::ShedRequest,
         Counter::RateLimited,
+        Counter::StarRows,
+        Counter::StarBfsPops,
     ];
 
     /// A stable snake_case name (used as the JSON key).
@@ -196,6 +204,8 @@ impl Counter {
             Counter::StreamUpdate => "stream_updates",
             Counter::ShedRequest => "shed_requests",
             Counter::RateLimited => "rate_limited",
+            Counter::StarRows => "star_rows",
+            Counter::StarBfsPops => "star_bfs_pops",
         }
     }
 }
@@ -488,6 +498,8 @@ mod tests {
                 "stream_updates",
                 "shed_requests",
                 "rate_limited",
+                "star_rows",
+                "star_bfs_pops",
             ]
         );
     }

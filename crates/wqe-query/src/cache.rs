@@ -118,6 +118,9 @@ pub type StarCache = FootprintCache<Vec<StarRow>>;
 
 struct Shard<V> {
     map: HashMap<String, Entry<V>>,
+    /// Keys being computed by [`FootprintCache::get_or_compute`], each with
+    /// the lock its computing thread holds until the value is in `map`.
+    flights: HashMap<String, Arc<Mutex<()>>>,
     tick: u64,
 }
 
@@ -125,8 +128,21 @@ impl<V> Default for Shard<V> {
     fn default() -> Self {
         Shard {
             map: HashMap::new(),
+            flights: HashMap::new(),
             tick: 0,
         }
+    }
+}
+
+/// Withdraws a key's flight when the thread computing it is done.
+struct Landing<'a, V> {
+    shard: &'a Mutex<Shard<V>>,
+    key: &'a str,
+}
+
+impl<V> Drop for Landing<'_, V> {
+    fn drop(&mut self) {
+        relock(self.shard.lock()).flights.remove(self.key);
     }
 }
 
@@ -244,17 +260,40 @@ impl<V: Cached> FootprintCache<V> {
     }
 
     /// Looks up `key`, or computes with `compute` and inserts. The compute
-    /// runs outside the shard lock: two threads may race on the same new
-    /// key, and both get the value that was inserted first.
+    /// runs outside the shard lock, once per key at a time: a thread that
+    /// misses while another computes the same key waits for it and takes
+    /// its value, so concurrent misses never compute one key twice and the
+    /// work done does not depend on thread timing.
     pub fn get_or_compute<F, P>(&self, key: &str, footprint: P, compute: F) -> Arc<V>
     where
         F: FnOnce() -> V,
         P: FnOnce() -> Footprint,
     {
-        match self.get(key) {
-            Some(value) => value,
-            None => self.insert(key, Arc::new(compute()), footprint),
+        if let Some(value) = self.get(key) {
+            return value;
         }
+        let shard = self.shard_for(key);
+        let flight = Arc::new(Mutex::new(()));
+        let mut inner = relock(shard.lock());
+        if let Some(other) = inner.flights.get(key).cloned() {
+            drop(inner);
+            drop(relock(other.lock()));
+            // The value is there unless the computing thread panicked or
+            // an eviction took it since; then compute it here.
+            let landed = relock(shard.lock())
+                .map
+                .get(key)
+                .map(|e| Arc::clone(&e.value));
+            return landed.unwrap_or_else(|| self.insert(key, Arc::new(compute()), footprint));
+        }
+        // Locked before it is published, so a waiter cannot overtake it.
+        let _turn = relock(flight.lock());
+        inner.flights.insert(key.to_string(), Arc::clone(&flight));
+        drop(inner);
+        // Dropped before `_turn`, panic or not: the flight is withdrawn
+        // before its waiters are let go.
+        let _landing = Landing { shard, key };
+        self.insert(key, Arc::new(compute()), footprint)
     }
 
     /// Derives the next epoch's cache from this one after a publish:
@@ -319,6 +358,7 @@ impl<V: Cached> FootprintCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use wqe_graph::NodeId;
     use wqe_pool::obs::Profiler;
     use wqe_pool::scope::{Scope, ScopeGuard};
@@ -528,23 +568,39 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_computation_withdraws_its_flight() {
+        let c = StarCache::new(8, 1.0);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.get_or_compute("k", Footprint::default, || panic!("injected"))
+        }));
+        assert!(crashed.is_err());
+        assert!(relock(c.shard_for("k").lock()).flights.is_empty());
+        let rows = c.get_or_compute("k", Footprint::default, || vec![row(5)]);
+        assert_eq!(rows[0].center, NodeId(5));
+    }
+
+    #[test]
     fn two_threads_racing_a_cold_key_converge() {
         // Two threads race `get_or_compute` on the same cold key, with the
         // materialization window held open long enough that both usually
         // miss: both must get equivalent rows, exactly one entry survives,
-        // and the counters add up to the two lookups.
+        // the value is computed once, and the counters add up to the two
+        // lookups.
         let l = Ledger::enter();
         let c = std::sync::Arc::new(StarCache::new(8, 1.0));
         let barrier = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let computed = std::sync::Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for _ in 0..2 {
             let c = std::sync::Arc::clone(&c);
             let barrier = std::sync::Arc::clone(&barrier);
+            let computed = std::sync::Arc::clone(&computed);
             let scope = Scope::current();
             handles.push(std::thread::spawn(move || {
                 let _scope = scope.enter();
                 barrier.wait();
                 c.get_or_compute("cold", Footprint::default, || {
+                    computed.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(std::time::Duration::from_millis(5));
                     vec![row(42)]
                 })
@@ -561,6 +617,7 @@ mod tests {
         assert_eq!(c.len(), 1, "exactly one entry survives the race");
         assert_eq!(l.hits() + l.misses(), 2, "one lookup per thread");
         assert!(l.misses() >= 1, "someone had to materialize");
+        assert_eq!(computed.load(Ordering::Relaxed), 1, "computed once");
         assert_eq!(l.evictions(), 0);
         // The survivor serves subsequent lookups as a plain hit.
         let (hits, misses) = (l.hits(), l.misses());

@@ -7,38 +7,27 @@
 //! verification of a candidate stops as soon as one valuation is found
 //! (the Threshold-Algorithm-style early exit the paper describes).
 //!
-//! ## Chunked batch filtering
+//! ## The join probes the stars
 //!
-//! Placing pattern node `u` means testing every value of its domain
-//! against the already-placed neighbors of `u`. Each such constraint has
-//! one endpoint *fixed* (the neighbor's image) and one varying (the domain
-//! value), which is exactly the shape `DistanceOracle::dist_batch` answers
-//! from a single rank table instead of one merge-join per pair. So the
-//! search never asks about one pair at a time: it takes the domain in
-//! chunks, drops values already used (injectivity), and filters the rest
-//! through one `dist_batch` per constraint — the first constraint over the
-//! whole chunk, later ones over the survivors only, the same short-circuit
-//! a per-value `all` performs.
+//! [`star::decompose`](super::star::decompose) makes star `i` from pattern
+//! edge `i`, and its table lists, per center, every leaf candidate within
+//! the edge's bound. So the join computes no distance: an edge constraint
+//! between two placed nodes is answered by [`StarTable::admits`] on that
+//! edge's table, two binary searches. This agrees with the distance for
+//! every value the join sees, because the domains it walks are subsets of
+//! each star's live centers and leaves, and injectivity keeps the two
+//! endpoints apart.
 //!
-//! Chunks start at [`CHUNK_START`] values and double up to [`CHUNK_CAP`]:
-//! the search returns at the first witness, so everything asked about
-//! *after* the witness in its chunk is wasted, and a small first chunk
-//! bounds that waste where witnesses come early while long fruitless
-//! domains still amortize into large batches.
-//!
-//! Batching moves oracle calls, not search steps: after a chunk is
-//! filtered its values are still walked one by one in domain order, each
-//! charged one step *before* it is looked at, recursing exactly where the
-//! pointwise search would. `steps`, the value at which [`Truncated`]
-//! fires, and the valuation found are therefore those of the pointwise
-//! search (pinned against a `#[cfg(test)]` pointwise twin in
-//! `matcher/proptests.rs`); only the oracle sees a few more pairs (the
-//! chunk overshoot).
+//! Placing pattern node `u` walks its domain value by value in domain
+//! order, charging each value one step *before* it is looked at. `steps`,
+//! the value at which [`Truncated`] fires, and the valuation found are
+//! pinned against the oracle join of `naive_evaluate` in
+//! `matcher/proptests.rs`.
 
+use super::star::StarTable;
 use crate::pattern::{PatternQuery, QNodeId};
 use std::collections::{HashMap, HashSet, VecDeque};
-use wqe_graph::{Graph, NodeId};
-use wqe_index::DistanceOracle;
+use wqe_graph::NodeId;
 
 /// One witness valuation `h : V_Q -> V`.
 pub type Valuation = HashMap<QNodeId, NodeId>;
@@ -79,138 +68,103 @@ pub fn assignment_order(q: &PatternQuery) -> Vec<QNodeId> {
 /// Tries to extend `focus -> focus_match` to a full injective valuation.
 ///
 /// `domains` restricts each pattern node to the nodes admitted by the star
-/// tables (an over-approximation of its true matches). `steps` is a
-/// decrementing budget; exhaustion aborts with [`Truncated`].
-pub fn verify_candidate<O: DistanceOracle + ?Sized>(
-    graph: &Graph,
-    oracle: &O,
+/// tables (an over-approximation of its true matches); `tables[i]` is the
+/// table of star `i` of [`star::decompose`](super::star::decompose), the
+/// star of pattern edge `i`, and every domain value must be a live center
+/// or leaf of the stars of its node. `steps` is a decrementing budget;
+/// exhaustion aborts with [`Truncated`].
+pub fn verify_candidate(
     q: &PatternQuery,
     order: &[QNodeId],
     domains: &HashMap<QNodeId, Vec<NodeId>>,
+    tables: &[StarTable],
     focus_match: NodeId,
     steps: &mut usize,
 ) -> Result<Option<Valuation>, Truncated> {
-    let mut assignment: Valuation = HashMap::with_capacity(order.len());
-    assignment.insert(q.focus(), focus_match);
-    let mut used: HashSet<NodeId> = HashSet::with_capacity(order.len());
-    used.insert(focus_match);
-    if order.len() == 1 {
-        return Ok(Some(assignment));
-    }
-    if backtrack(
-        graph,
-        oracle,
-        q,
-        order,
-        domains,
-        1,
-        &mut assignment,
-        &mut used,
-        steps,
-    )? {
-        Ok(Some(assignment))
-    } else {
-        Ok(None)
-    }
-}
-
-/// Domain values filtered per oracle round trip: the first chunk of each
-/// domain scan, doubling per chunk up to [`CHUNK_CAP`] (see module docs).
-const CHUNK_START: usize = 8;
-/// Largest chunk; past this the table load is long amortized and a bigger
-/// batch only delays the step-budget check.
-const CHUNK_CAP: usize = 256;
-
-#[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
-fn backtrack<O: DistanceOracle + ?Sized>(
-    graph: &Graph,
-    oracle: &O,
-    q: &PatternQuery,
-    order: &[QNodeId],
-    domains: &HashMap<QNodeId, Vec<NodeId>>,
-    depth: usize,
-    assignment: &mut Valuation,
-    used: &mut HashSet<NodeId>,
-    steps: &mut usize,
-) -> Result<bool, Truncated> {
-    if depth == order.len() {
-        return Ok(true);
-    }
-    let u = order[depth];
-    let domain = domains.get(&u).map_or(&[][..], Vec::as_slice);
-    // Constraints against already-assigned neighbors.
-    let constraints: Vec<(NodeId, bool, u32)> = q
-        .edges()
+    assert_eq!(tables.len(), q.edge_count(), "one star table per edge");
+    let depth_of = |u: QNodeId| order.iter().position(|&w| w == u);
+    // Per depth: the domain walked and the edges to shallower placements.
+    let levels: Vec<Level<'_>> = order
         .iter()
-        .filter_map(|e| {
-            if e.from == u {
-                assignment.get(&e.to).map(|&t| (t, true, e.bound))
-            } else if e.to == u {
-                assignment.get(&e.from).map(|&s| (s, false, e.bound))
-            } else {
-                None
-            }
+        .enumerate()
+        .map(|(depth, &u)| Level {
+            domain: domains.get(&u).map_or(&[][..], Vec::as_slice),
+            probes: q
+                .edges()
+                .iter()
+                .zip(tables)
+                .filter_map(|(e, table)| {
+                    let other = match (e.from == u, e.to == u) {
+                        (true, _) => e.to,
+                        (_, true) => e.from,
+                        _ => return None,
+                    };
+                    let other = depth_of(other).filter(|&d| d < depth)?;
+                    Some(Probe {
+                        table,
+                        other,
+                        placed_is_center: table.star.center == u,
+                    })
+                })
+                .collect(),
         })
         .collect();
-    // Positions (within the current chunk) of the values that are unused
-    // and satisfy every constraint, ascending; `pairs` is the batch buffer.
-    let mut survivors: Vec<usize> = Vec::new();
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
-    let mut rest = domain;
-    let mut chunk_len = CHUNK_START;
-    while !rest.is_empty() {
-        let (chunk, tail) = rest.split_at(chunk_len.min(rest.len()));
-        rest = tail;
-        chunk_len = (chunk_len * 2).min(CHUNK_CAP);
-        // `used` holds only shallower placements here (deeper ones are
-        // undone before the recursion returns), so it is constant across
-        // the chunk and can be applied up front.
-        survivors.clear();
-        survivors.extend((0..chunk.len()).filter(|&i| !used.contains(&chunk[i])));
-        for &(other, u_is_source, bound) in &constraints {
-            if survivors.is_empty() {
-                break;
-            }
-            pairs.clear();
-            pairs.extend(survivors.iter().map(|&i| {
-                if u_is_source {
-                    // edge u -> other: dist(v, h(other)) <= bound
-                    (chunk[i], other)
-                } else {
-                    (other, chunk[i])
-                }
-            }));
-            let within = oracle.dist_batch(&pairs, bound);
-            let mut answers = within.iter();
-            survivors.retain(|_| answers.next().is_some_and(Option::is_some));
+    let mut placed = Vec::with_capacity(order.len());
+    placed.push(focus_match);
+    if !backtrack(&levels, &mut placed, steps)? {
+        return Ok(None);
+    }
+    Ok(Some(order.iter().copied().zip(placed).collect()))
+}
+
+/// What placing the pattern node at one depth of the order looks at.
+struct Level<'a> {
+    domain: &'a [NodeId],
+    probes: Vec<Probe<'a>>,
+}
+
+/// One edge constraint against an earlier placement: the edge's star
+/// table, the depth of the other endpoint, and which end is the center.
+struct Probe<'a> {
+    table: &'a StarTable,
+    other: usize,
+    placed_is_center: bool,
+}
+
+/// Places `levels[placed.len()..]`; `placed[d]` is the image of the
+/// pattern node at depth `d`.
+fn backtrack(
+    levels: &[Level<'_>],
+    placed: &mut Vec<NodeId>,
+    steps: &mut usize,
+) -> Result<bool, Truncated> {
+    let Some(level) = levels.get(placed.len()) else {
+        return Ok(true);
+    };
+    for &v in level.domain {
+        if *steps == 0 {
+            return Err(Truncated);
         }
-        let mut next_survivor = survivors.iter().copied().peekable();
-        for (i, &v) in chunk.iter().enumerate() {
-            if *steps == 0 {
-                return Err(Truncated);
-            }
-            *steps -= 1;
-            if next_survivor.next_if_eq(&i).is_none() {
-                continue;
-            }
-            assignment.insert(u, v);
-            used.insert(v);
-            if backtrack(
-                graph,
-                oracle,
-                q,
-                order,
-                domains,
-                depth + 1,
-                assignment,
-                used,
-                steps,
-            )? {
-                return Ok(true);
-            }
-            assignment.remove(&u);
-            used.remove(&v);
+        *steps -= 1;
+        if placed.contains(&v) {
+            continue;
         }
+        let fits = level.probes.iter().all(|p| {
+            let other = placed[p.other];
+            if p.placed_is_center {
+                p.table.admits(v, 0, other)
+            } else {
+                p.table.admits(other, 0, v)
+            }
+        });
+        if !fits {
+            continue;
+        }
+        placed.push(v);
+        if backtrack(levels, placed, steps)? {
+            return Ok(true);
+        }
+        placed.pop();
     }
     Ok(false)
 }
@@ -218,9 +172,22 @@ fn backtrack<O: DistanceOracle + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::candidates::node_candidates;
-    use wqe_graph::GraphBuilder;
+    use crate::matcher::Matcher;
+    use std::sync::Arc;
+    use wqe_graph::{Graph, GraphBuilder};
     use wqe_index::PllIndex;
+
+    /// Verifies `v` on the matcher's own tables and support domains.
+    fn verify(
+        g: &Graph,
+        q: &PatternQuery,
+        v: NodeId,
+        steps: &mut usize,
+    ) -> Result<Option<Valuation>, Truncated> {
+        let m = Matcher::new(Arc::new(g.clone()), Arc::new(PllIndex::build(g)));
+        let (tables, domains) = m.plan(q);
+        verify_candidate(q, &assignment_order(q), &domains, &tables, v, steps)
+    }
 
     /// Triangle data graph, query path a->b->c: injectivity must hold.
     #[test]
@@ -231,7 +198,6 @@ mod tests {
         b.add_edge(x, y, "e");
         b.add_edge(y, x, "e");
         let g = b.finalize();
-        let oracle = PllIndex::build(&g);
 
         let s = g.schema();
         // Query: A -> B -> A' (two distinct A-nodes required).
@@ -241,14 +207,9 @@ mod tests {
         q.add_edge(q.focus(), ub, 1).unwrap();
         q.add_edge(ub, ua2, 1).unwrap();
 
-        let order = assignment_order(&q);
-        let mut domains = HashMap::new();
-        for u in q.node_ids() {
-            domains.insert(u, node_candidates(&g, &q, u));
-        }
         let mut steps = 10_000;
         // Only one A exists; ua2 would need to reuse x => no valuation.
-        let r = verify_candidate(&g, &oracle, &q, &order, &domains, x, &mut steps).unwrap();
+        let r = verify(&g, &q, x, &mut steps).unwrap();
         assert!(r.is_none(), "injectivity must reject reusing x");
     }
 
@@ -261,18 +222,12 @@ mod tests {
         b.add_edge(x, y, "e");
         b.add_edge(y, z, "e");
         let g = b.finalize();
-        let oracle = PllIndex::build(&g);
         let s = g.schema();
         let mut q = PatternQuery::new(s.label_id("A"), 2);
         let uc = q.add_node(s.label_id("C"));
         q.add_edge(q.focus(), uc, 2).unwrap();
-        let order = assignment_order(&q);
-        let mut domains = HashMap::new();
-        for u in q.node_ids() {
-            domains.insert(u, node_candidates(&g, &q, u));
-        }
         let mut steps = 1000;
-        let r = verify_candidate(&g, &oracle, &q, &order, &domains, x, &mut steps)
+        let r = verify(&g, &q, x, &mut steps)
             .unwrap()
             .expect("x reaches z within 2");
         assert_eq!(r[&uc], z);
@@ -280,28 +235,33 @@ mod tests {
 
     #[test]
     fn truncation_signals() {
+        // Another A reaches 50 Bs with a C each, so the B domain holds 50
+        // values the focus x does not reach before the one it does.
         let mut b = GraphBuilder::new();
         let x = b.add_node("A", []);
-        let ys: Vec<_> = (0..50).map(|_| b.add_node("B", [])).collect();
-        for &y in &ys {
-            b.add_edge(x, y, "e");
+        let other = b.add_node("A", []);
+        let c = b.add_node("C", []);
+        for _ in 0..50 {
+            let w = b.add_node("B", []);
+            b.add_edge(other, w, "e");
+            b.add_edge(w, c, "e");
         }
+        let y = b.add_node("B", []);
+        b.add_edge(x, y, "e");
+        b.add_edge(y, c, "e");
         let g = b.finalize();
-        let oracle = PllIndex::build(&g);
         let s = g.schema();
         let mut q = PatternQuery::new(s.label_id("A"), 2);
         let ub = q.add_node(s.label_id("B"));
-        let uc = q.add_node(s.label_id("C")); // no C exists
+        let uc = q.add_node(s.label_id("C"));
         q.add_edge(q.focus(), ub, 1).unwrap();
         q.add_edge(ub, uc, 1).unwrap();
-        let order = assignment_order(&q);
-        let mut domains = HashMap::new();
-        for u in q.node_ids() {
-            domains.insert(u, node_candidates(&g, &q, u));
-        }
         let mut steps = 5; // tiny budget
-        let r = verify_candidate(&g, &oracle, &q, &order, &domains, x, &mut steps);
-        assert_eq!(r, Err(Truncated));
+        assert_eq!(verify(&g, &q, x, &mut steps), Err(Truncated));
+        let mut steps = 1000;
+        let h = verify(&g, &q, x, &mut steps).unwrap().expect("x -> y -> c");
+        assert_eq!((h[&ub], h[&uc]), (y, c));
+        assert_eq!(1000 - steps, 52, "50 misses, then y, then c");
     }
 
     #[test]

@@ -99,6 +99,9 @@ impl MatchOutcome {
 ///
 /// Owns an optional [`StarCache`]; with the cache disabled each evaluation
 /// materializes its stars from scratch (the `AnsWnc` ablation of Exp-1).
+/// Evaluation computes every distance it needs in the star tables; the
+/// oracle it carries serves the callers that hold the matcher (operator
+/// generation).
 ///
 /// The matcher shares ownership of its graph and oracle (`Arc`), so it is
 /// `'static`, `Send`, and `Sync`: sessions holding a matcher can be moved
@@ -171,36 +174,52 @@ impl Matcher {
         candidates::node_candidates(&self.graph, q, u)
     }
 
-    fn table_for(
-        &self,
-        q: &PatternQuery,
-        s: &StarQuery,
-        focus_cands: &HashSet<NodeId>,
-    ) -> StarTable {
-        match &self.cache {
+    fn table_for(&self, q: &PatternQuery, s: &StarQuery) -> StarTable {
+        let materialize = || {
+            let _span = obs::span(obs::Stage::StarMaterialize);
+            star::materialize_rows(&self.graph, q, s)
+        };
+        let rows = match &self.cache {
             Some(cache) => {
-                let key = s.spec_key(q);
-                let rows = cache.get_or_compute(
-                    &key,
-                    || star_footprint(q, s),
-                    || {
-                        let _span = obs::span(obs::Stage::StarMaterialize);
-                        star::materialize_rows(&self.graph, q, s, focus_cands)
-                    },
-                );
-                StarTable {
-                    star: s.clone(),
-                    rows,
-                }
+                cache.get_or_compute(&s.spec_key(q), || star_footprint(q, s), materialize)
             }
-            None => {
-                let _span = obs::span(obs::Stage::StarMaterialize);
-                StarTable {
-                    star: s.clone(),
-                    rows: Arc::new(star::materialize_rows(&self.graph, q, s, focus_cands)),
-                }
-            }
+            None => Arc::new(materialize()),
+        };
+        StarTable {
+            star: s.clone(),
+            rows,
         }
+    }
+
+    /// The star tables of `q` (table `i` for pattern edge `i`) and every
+    /// pattern node's join domain: its support in the tables under the
+    /// current center literals, sorted. `q` must have an edge.
+    fn plan(&self, q: &PatternQuery) -> (Vec<StarTable>, HashMap<QNodeId, Vec<NodeId>>) {
+        let tables: Vec<StarTable> = star::decompose(q)
+            .iter()
+            .map(|s| self.table_for(q, s))
+            .collect();
+        // Apply the current center literals at lookup time.
+        let views: Vec<star::TableView<'_>> = tables
+            .iter()
+            .map(|t| star::TableView::build(&self.graph, q, t))
+            .collect();
+
+        // Candidate domains from star supports; nodes untouched by stars
+        // fall back to raw candidates.
+        let supports = star::support_domains(q, &views);
+        let domains = q
+            .node_ids()
+            .map(|u| {
+                let mut dom: Vec<NodeId> = match supports.get(&u) {
+                    Some(set) => set.iter().copied().collect(),
+                    None => self.candidates(q, u),
+                };
+                dom.sort();
+                (u, dom)
+            })
+            .collect();
+        (tables, domains)
     }
 
     /// Evaluates `Q(G)` (procedure `Match`).
@@ -241,65 +260,28 @@ impl Matcher {
             };
         }
 
-        // Label-level focus pool (backs augmented-edge filtering; it is
-        // rewrite-invariant, which keeps cached tables valid).
-        let focus_pool: HashSet<NodeId> = match q.node(focus).and_then(|n| n.label) {
-            Some(l) => self.graph.nodes_with_label(l).iter().copied().collect(),
-            None => self.graph.node_ids().collect(),
-        };
-
-        let stars = star::decompose(q);
-        let tables: Vec<StarTable> = stars
-            .iter()
-            .map(|s| self.table_for(q, s, &focus_pool))
-            .collect();
-        // Apply the current center literals at lookup time.
-        let views: Vec<star::TableView<'_>> = tables
-            .iter()
-            .map(|t| star::TableView::build(&self.graph, q, t))
-            .collect();
-
-        // Candidate domains from star supports; nodes untouched by stars
-        // fall back to raw candidates.
-        let supports = star::support_domains(q, &views);
-        let mut domains: HashMap<QNodeId, Vec<NodeId>> = HashMap::new();
-        for u in q.node_ids() {
-            let mut dom: Vec<NodeId> = match supports.get(&u) {
-                Some(set) => set.iter().copied().collect(),
-                None => self.candidates(q, u),
-            };
-            dom.sort();
-            domains.insert(u, dom);
-        }
-
+        let (tables, domains) = self.plan(q);
         let order = assignment_order(q);
-        let focus_domain = domains.get(&focus).cloned().unwrap_or_default();
+        let focus_domain = domains.get(&focus).map_or(&[][..], Vec::as_slice);
 
         let verify_chunk = |chunk: &[NodeId]| -> (Vec<(NodeId, Valuation)>, bool, usize) {
             let mut found = Vec::new();
             let mut truncated = false;
             let mut consumed = 0usize;
             // Governor halts (cancel/deadline) cut the candidate fan-out
-            // short; polled every few candidates so a slow oracle cannot
-            // pin the thread past the deadline.
+            // short; polled before the first candidate and every 16th
+            // after, so a long focus domain cannot pin the thread past the
+            // deadline and an evaluation started after a halt stops at once.
             let gov = wqe_pool::governor::current();
             for (i, &v) in chunk.iter().enumerate() {
                 if let Some(g) = gov.as_deref() {
-                    if i % 16 == 15 && g.halt().is_some() {
+                    if i % 16 == 0 && g.halt().is_some() {
                         truncated = true;
                         break;
                     }
                 }
                 let mut steps = self.step_limit;
-                match verify_candidate(
-                    &self.graph,
-                    &self.oracle,
-                    q,
-                    &order,
-                    &domains,
-                    v,
-                    &mut steps,
-                ) {
+                match verify_candidate(q, &order, &domains, &tables, v, &mut steps) {
                     Ok(Some(h)) => found.push((v, h)),
                     Ok(None) => {}
                     Err(Truncated) => truncated = true,
@@ -337,7 +319,7 @@ impl Matcher {
             }
             (verified, truncated, steps)
         } else {
-            verify_chunk(&focus_domain)
+            verify_chunk(focus_domain)
         };
         drop(join_span);
 
@@ -391,27 +373,99 @@ fn star_footprint(q: &PatternQuery, s: &StarQuery) -> Footprint {
 }
 
 /// A brute-force reference matcher: enumerates injective assignments over
-/// raw candidate sets with no view pruning. Exponential — use only on small
-/// graphs (the matcher's equivalence tests).
+/// raw candidate sets with no view pruning, asking `oracle` about every
+/// edge. Exponential — use only on small graphs (the matcher's equivalence
+/// tests).
 pub fn naive_evaluate<O: DistanceOracle + ?Sized>(
     graph: &Graph,
     oracle: &O,
     q: &PatternQuery,
 ) -> Vec<NodeId> {
     let order = assignment_order(q);
-    let mut domains = HashMap::new();
-    for u in q.node_ids() {
-        domains.insert(u, candidates::node_candidates(graph, q, u));
-    }
-    let mut result = Vec::new();
-    for &v in domains.get(&q.focus()).unwrap_or(&Vec::new()) {
-        let mut steps = usize::MAX;
-        if let Ok(Some(_)) = verify_candidate(graph, oracle, q, &order, &domains, v, &mut steps) {
-            result.push(v);
-        }
-    }
+    let domains: HashMap<QNodeId, Vec<NodeId>> = q
+        .node_ids()
+        .map(|u| (u, candidates::node_candidates(graph, q, u)))
+        .collect();
+    let mut result: Vec<NodeId> = domains[&q.focus()]
+        .iter()
+        .copied()
+        .filter(|&v| {
+            let mut steps = usize::MAX;
+            matches!(
+                oracle_join(oracle, q, &order, &domains, v, &mut steps),
+                Ok(Some(_))
+            )
+        })
+        .collect();
     result.sort();
     result
+}
+
+/// The join of [`naive_evaluate`]: the same backtracking search as
+/// [`verify_candidate`], written independently of it and asking the
+/// oracle one pair at a time, one `within` per constraint per domain
+/// value, over any domains. The reference the star-probe join must match
+/// in result, valuation and steps left.
+fn oracle_join<O: DistanceOracle + ?Sized>(
+    oracle: &O,
+    q: &PatternQuery,
+    order: &[QNodeId],
+    domains: &HashMap<QNodeId, Vec<NodeId>>,
+    focus_match: NodeId,
+    steps: &mut usize,
+) -> Result<Option<Valuation>, Truncated> {
+    fn backtrack<O: DistanceOracle + ?Sized>(
+        oracle: &O,
+        q: &PatternQuery,
+        order: &[QNodeId],
+        domains: &HashMap<QNodeId, Vec<NodeId>>,
+        assignment: &mut Valuation,
+        used: &mut HashSet<NodeId>,
+        steps: &mut usize,
+    ) -> Result<bool, Truncated> {
+        let Some(&u) = order.get(assignment.len()) else {
+            return Ok(true);
+        };
+        for &v in domains.get(&u).map_or(&[][..], Vec::as_slice) {
+            if *steps == 0 {
+                return Err(Truncated);
+            }
+            *steps -= 1;
+            if used.contains(&v) {
+                continue;
+            }
+            let ok = q.edges().iter().all(|e| {
+                if e.from == u {
+                    assignment
+                        .get(&e.to)
+                        .is_none_or(|&t| oracle.within(v, t, e.bound))
+                } else if e.to == u {
+                    assignment
+                        .get(&e.from)
+                        .is_none_or(|&s| oracle.within(s, v, e.bound))
+                } else {
+                    true
+                }
+            });
+            if !ok {
+                continue;
+            }
+            assignment.insert(u, v);
+            used.insert(v);
+            if backtrack(oracle, q, order, domains, assignment, used, steps)? {
+                return Ok(true);
+            }
+            assignment.remove(&u);
+            used.remove(&v);
+        }
+        Ok(false)
+    }
+    let mut assignment: Valuation = HashMap::from([(q.focus(), focus_match)]);
+    let mut used = HashSet::from([focus_match]);
+    if !backtrack(oracle, q, order, domains, &mut assignment, &mut used, steps)? {
+        return Ok(None);
+    }
+    Ok(Some(assignment))
 }
 
 #[cfg(test)]

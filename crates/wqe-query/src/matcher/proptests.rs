@@ -1,126 +1,35 @@
 //! Property tests for the star-view matcher: equivalence with the naive
-//! reference on random attributed graphs, cache transparency across
-//! rewrite sequences, and parity of the chunked batch join with its
-//! pointwise twin.
+//! reference on random attributed graphs (cache on and off, any
+//! parallelism), parity of the star-probe join with the naive reference's
+//! oracle join on the matcher's own domains, and cache transparency across
+//! rewrite sequences.
 
 use crate::literal::Literal;
-use crate::matcher::candidates::node_candidates;
-use crate::matcher::{
-    assignment_order, naive_evaluate, verify_candidate, Matcher, Truncated, Valuation,
-};
+use crate::matcher::{assignment_order, naive_evaluate, oracle_join, verify_candidate, Matcher};
 use crate::ops::AtomicOp;
-use crate::pattern::{PatternQuery, QNodeId};
+use crate::pattern::PatternQuery;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use wqe_graph::{AttrValue, CmpOp, Graph, GraphBuilder, NodeId};
+use wqe_graph::{AttrValue, CmpOp, Graph, GraphBuilder, LabelId};
 use wqe_index::{DistanceOracle, PllIndex};
 
-/// The pointwise twin of `join::verify_candidate`: the same backtracking
-/// search asking the oracle about one pair at a time, one `within` per
-/// constraint per domain value. The reference the batched join must match
-/// in result, valuation, and steps left.
-fn verify_candidate_pointwise(
-    oracle: &dyn DistanceOracle,
-    q: &PatternQuery,
-    order: &[QNodeId],
-    domains: &HashMap<QNodeId, Vec<NodeId>>,
-    focus_match: NodeId,
-    steps: &mut usize,
-) -> Result<Option<Valuation>, Truncated> {
-    #[allow(clippy::too_many_arguments)]
-    fn backtrack(
-        oracle: &dyn DistanceOracle,
-        q: &PatternQuery,
-        order: &[QNodeId],
-        domains: &HashMap<QNodeId, Vec<NodeId>>,
-        depth: usize,
-        assignment: &mut Valuation,
-        used: &mut HashSet<NodeId>,
-        steps: &mut usize,
-    ) -> Result<bool, Truncated> {
-        if depth == order.len() {
-            return Ok(true);
-        }
-        let u = order[depth];
-        for &v in domains.get(&u).map_or(&[][..], Vec::as_slice) {
-            if *steps == 0 {
-                return Err(Truncated);
-            }
-            *steps -= 1;
-            if used.contains(&v) {
-                continue;
-            }
-            let ok = q.edges().iter().all(|e| {
-                if e.from == u {
-                    assignment
-                        .get(&e.to)
-                        .is_none_or(|&t| oracle.within(v, t, e.bound))
-                } else if e.to == u {
-                    assignment
-                        .get(&e.from)
-                        .is_none_or(|&s| oracle.within(s, v, e.bound))
-                } else {
-                    true
-                }
-            });
-            if !ok {
-                continue;
-            }
-            assignment.insert(u, v);
-            used.insert(v);
-            if backtrack(
-                oracle,
-                q,
-                order,
-                domains,
-                depth + 1,
-                assignment,
-                used,
-                steps,
-            )? {
-                return Ok(true);
-            }
-            assignment.remove(&u);
-            used.remove(&v);
-        }
-        Ok(false)
-    }
-    let mut assignment: Valuation = HashMap::from([(q.focus(), focus_match)]);
-    let mut used = HashSet::from([focus_match]);
-    Ok(backtrack(
-        oracle,
-        q,
-        order,
-        domains,
-        1,
-        &mut assignment,
-        &mut used,
-        steps,
-    )?
-    .then_some(assignment))
-}
-
-/// Verifies every focus candidate of `q` through both joins under a sweep
-/// of step limits — unlimited, then every limit around and below the work
-/// the candidate actually needs, so truncation lands on every value of
-/// every chunk — and demands the same outcome and the same steps left.
-/// Returns how many candidates matched.
-fn assert_join_parity(g: &Graph, oracle: &dyn DistanceOracle, q: &PatternQuery) -> usize {
+/// Verifies every focus candidate of `q` on `matcher`'s own tables and
+/// support domains through both the star-probe join and the oracle join,
+/// under a sweep of step limits — unlimited, then every limit around and
+/// below the work the candidate actually needs — and demands the same
+/// outcome, valuation and steps left. Returns how many candidates matched.
+fn assert_join_parity(matcher: &Matcher, oracle: &dyn DistanceOracle, q: &PatternQuery) -> usize {
     let order = assignment_order(q);
-    let domains: HashMap<QNodeId, Vec<NodeId>> = q
-        .node_ids()
-        .map(|u| (u, node_candidates(g, q, u)))
-        .collect();
+    let (tables, domains) = matcher.plan(q);
     let mut matched = 0;
     for &v in &domains[&q.focus()] {
         let run = |limit: usize| {
-            let (mut batched, mut pointwise) = (limit, limit);
-            let got = verify_candidate(g, oracle, q, &order, &domains, v, &mut batched);
-            let want = verify_candidate_pointwise(oracle, q, &order, &domains, v, &mut pointwise);
+            let (mut probed, mut asked) = (limit, limit);
+            let got = verify_candidate(q, &order, &domains, &tables, v, &mut probed);
+            let want = oracle_join(oracle, q, &order, &domains, v, &mut asked);
             assert_eq!(got, want, "focus {v:?}, step limit {limit}");
-            assert_eq!(batched, pointwise, "steps left, focus {v:?}, limit {limit}");
-            (got, limit - batched)
+            assert_eq!(probed, asked, "steps left, focus {v:?}, limit {limit}");
+            (got, limit - probed)
         };
         let (full, needed) = run(usize::MAX);
         matched += usize::from(matches!(full, Ok(Some(_))));
@@ -128,7 +37,7 @@ fn assert_join_parity(g: &Graph, oracle: &dyn DistanceOracle, q: &PatternQuery) 
         for limit in (0..needed.min(70)).chain(sweep) {
             let (got, _) = run(limit);
             assert_eq!(
-                got == Err(Truncated),
+                got == Err(crate::matcher::Truncated),
                 limit < needed,
                 "limit {limit} of {needed}"
             );
@@ -137,43 +46,64 @@ fn assert_join_parity(g: &Graph, oracle: &dyn DistanceOracle, q: &PatternQuery) 
     matched
 }
 
-/// Domains several chunks long (8, then 16, then 32 values), an
-/// injectivity conflict in the middle of a chunk, a witness in a late
-/// chunk, and a step limit landing on every position of all of them.
+/// `Matcher::evaluate` equals `naive_evaluate` with the star cache on and
+/// off and at parallelism 1, 2 and 8, and never truncates.
+fn assert_matches_naive(g: &Graph, q: &PatternQuery) -> Vec<wqe_graph::NodeId> {
+    let oracle = PllIndex::build(g);
+    let reference = naive_evaluate(g, &oracle, q);
+    for threads in [1, 2, 8] {
+        for cached in [true, false] {
+            let mut m = matcher_for(g).with_parallelism(threads);
+            if !cached {
+                m = m.without_cache();
+            }
+            let out = m.evaluate(q);
+            assert!(!out.truncated);
+            assert_eq!(
+                out.matches,
+                reference,
+                "threads {threads}, cache {cached}, query:\n{}",
+                q.display(g.schema())
+            );
+        }
+    }
+    reference
+}
+
+/// A fixed query with every shape the star-probe join must get right: a
+/// cycle, two opposite edges between the same two nodes, a wildcard node,
+/// and stars whose focus is reached through an augmented edge.
 #[test]
-fn batched_join_equals_pointwise_across_chunk_boundaries() {
+fn star_join_handles_cycles_opposite_edges_wildcards_and_augmented_stars() {
     let mut b = GraphBuilder::new();
-    let a: Vec<_> = (0..40).map(|_| b.add_node("A", [])).collect();
-    let hub = b.add_node("B", []);
-    for &x in &a {
-        b.add_edge(x, hub, "e");
+    let n: Vec<_> = (0..12)
+        .map(|i| b.add_node(["A", "B", "C"][i % 3], []))
+        .collect();
+    for i in 0..12 {
+        b.add_edge(n[i], n[(i + 1) % 12], "e");
+        b.add_edge(n[(i + 4) % 12], n[i], "e");
     }
-    // Only the A-nodes from position 30 on are reachable *from* the hub,
-    // so the second A of the pattern finds its witness in the third chunk.
-    for &x in &a[30..] {
-        b.add_edge(hub, x, "e");
-    }
-    let c = b.add_node("C", []);
-    b.add_edge(a[35], c, "e");
+    b.add_edge(n[1], n[0], "e");
     let g = b.finalize();
-    let oracle = PllIndex::build(&g);
     let s = g.schema();
-
-    // A -> B -> A': A' ranges over all 40 A-nodes, one of them used.
-    let mut q = PatternQuery::new(s.label_id("A"), 2);
+    let mut q = PatternQuery::new(s.label_id("A"), 3);
     let ub = q.add_node(s.label_id("B"));
-    let ua2 = q.add_node(s.label_id("A"));
-    q.add_edge(q.focus(), ub, 1).unwrap();
-    q.add_edge(ub, ua2, 1).unwrap();
-    // Every focus matches (a[30] itself is used when it is the focus, so
-    // its witness is a[31]: the conflict sits inside the chunk).
-    assert_eq!(assert_join_parity(&g, &oracle, &q), 40);
-
-    // A -> B -> A' -> C: two constraints meet on A' only after C is placed
-    // last; only a[35] has a C, so the search backtracks across chunks.
+    let any = q.add_node(None);
     let uc = q.add_node(s.label_id("C"));
-    q.add_edge(ua2, uc, 1).unwrap();
-    assert_eq!(assert_join_parity(&g, &oracle, &q), 39);
+    q.add_edge(q.focus(), ub, 1).unwrap();
+    q.add_edge(ub, q.focus(), 2).unwrap(); // opposite edge, same two nodes
+    q.add_edge(ub, any, 2).unwrap(); // star at B, augmented to the focus
+    q.add_edge(any, uc, 2).unwrap(); // star at the wildcard, augmented
+    q.add_edge(uc, q.focus(), 3).unwrap(); // closes the cycle
+    let stars = crate::matcher::star::decompose(&q);
+    assert!(stars.iter().any(|st| st.augmented.is_some()));
+    let matches = assert_matches_naive(&g, &q);
+    assert!(!matches.is_empty(), "the fixture has a match");
+    let oracle = PllIndex::build(&g);
+    assert_eq!(
+        assert_join_parity(&matcher_for(&g), &oracle, &q),
+        matches.len()
+    );
 }
 
 fn matcher_for(g: &Graph) -> Matcher {
@@ -182,13 +112,18 @@ fn matcher_for(g: &Graph) -> Matcher {
     Matcher::new(graph, oracle)
 }
 
-/// A random attributed digraph: `n` nodes over 3 labels with one numeric
-/// attribute `x` in 0..20, plus random edges.
+/// A random attributed digraph of 4–15 nodes over 3 labels.
 fn arb_graph() -> impl Strategy<Value = Graph> {
-    (4usize..16).prop_flat_map(|n| {
+    arb_graph_of(4..16, 3)
+}
+
+/// A random attributed digraph: `n` nodes over `labels` labels with one
+/// numeric attribute `x` in 0..20, plus random edges.
+fn arb_graph_of(nodes: std::ops::Range<usize>, labels: u8) -> impl Strategy<Value = Graph> {
+    nodes.prop_flat_map(move |n| {
         (
             proptest::collection::vec((0..n, 0..n), 2..(n * 2)),
-            proptest::collection::vec(0u8..3, n),
+            proptest::collection::vec(0u8..labels, n),
             proptest::collection::vec(0i64..20, n),
         )
             .prop_map(move |(edges, labels, xs)| {
@@ -206,21 +141,26 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// A random query over the graph's schema: 1–3 edges with bounds 1–2,
-/// random labels, and numeric literals on random nodes.
+/// A random query over the graph's schema: 1–3 tree edges with bounds
+/// 1–2, then up to two extra edges between existing nodes (cycles, and
+/// opposite edges between the same two nodes), random labels with one
+/// value in four a wildcard, and numeric literals on random nodes.
 fn arb_query(g: &Graph) -> impl Strategy<Value = PatternQuery> {
     let label_count = g.schema().label_count() as u32;
     let x = g.schema().attr_id("x").expect("x attr");
+    // Label values past the schema's labels stand for the wildcard.
+    let label = move |l: u32| (l < label_count).then_some(LabelId(l));
     (
-        proptest::collection::vec((0u32..label_count, 1u32..3), 1..4),
+        proptest::collection::vec((0u32..label_count + 1, 1u32..3), 1..4),
         proptest::collection::vec((0usize..4, 0u8..5, 0i64..20), 0..4),
-        0u32..label_count,
+        0u32..label_count + 1,
+        proptest::collection::vec((0usize..4, 0usize..4, 1u32..3), 0..3),
     )
-        .prop_map(move |(spokes, lits, focus_label)| {
-            let mut q = PatternQuery::new(Some(wqe_graph::LabelId(focus_label)), 2);
+        .prop_map(move |(spokes, lits, focus_label, extra)| {
+            let mut q = PatternQuery::new(label(focus_label), 2);
             let mut nodes = vec![q.focus()];
-            for (i, &(label, bound)) in spokes.iter().enumerate() {
-                let new = q.add_node(Some(wqe_graph::LabelId(label)));
+            for (i, &(l, bound)) in spokes.iter().enumerate() {
+                let new = q.add_node(label(l));
                 // Alternate directions and attachment points.
                 let anchor = nodes[i % nodes.len()];
                 if i % 2 == 0 {
@@ -229,6 +169,10 @@ fn arb_query(g: &Graph) -> impl Strategy<Value = PatternQuery> {
                     let _ = q.add_edge(new, anchor, bound);
                 }
                 nodes.push(new);
+            }
+            for (a, b, bound) in extra {
+                // Self loops and duplicates are refused; that is fine.
+                let _ = q.add_edge(nodes[a % nodes.len()], nodes[b % nodes.len()], bound);
             }
             for (node_ix, op_ix, c) in lits {
                 let u = nodes[node_ix % nodes.len()];
@@ -243,30 +187,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The star-view matcher agrees with the naive reference on arbitrary
-    /// graphs, bounds, and literal sets.
+    /// graphs, bounds, literal sets and pattern shapes, with the star cache
+    /// on and off and at parallelism 1, 2 and 8.
     #[test]
     fn star_matcher_equals_naive((g, q) in arb_graph().prop_flat_map(|g| {
         let q = arb_query(&g);
         (Just(g), q)
     })) {
-        let oracle = PllIndex::build(&g);
-        let matcher = matcher_for(&g);
-        let ours = matcher.evaluate(&q);
-        let reference = naive_evaluate(&g, &oracle, &q);
-        prop_assert!(!ours.truncated);
-        prop_assert_eq!(ours.matches, reference, "query:\n{}", q.display(g.schema()));
+        assert_matches_naive(&g, &q);
     }
 
-    /// The chunked batch join and its pointwise twin agree on outcome,
-    /// valuation, and steps consumed for every focus candidate at every
-    /// step limit, on arbitrary graphs and queries (same-label pattern
-    /// nodes make `used` conflicts routine here).
+    /// As above on one-label graphs large enough for most focus domains
+    /// to pass the matcher's 64-candidate fan-out gate, so the parallel
+    /// runs split the domain across workers.
     #[test]
-    fn batched_join_equals_pointwise((g, q) in arb_graph().prop_flat_map(|g| {
+    fn star_matcher_equals_naive_past_the_fan_out((g, q) in arb_graph_of(120..160, 1).prop_flat_map(|g| {
         let q = arb_query(&g);
         (Just(g), q)
     })) {
-        assert_join_parity(&g, &PllIndex::build(&g), &q);
+        assert_matches_naive(&g, &q);
+    }
+
+    /// The star-probe join and the oracle join agree on outcome,
+    /// valuation, and steps consumed for every focus candidate at every
+    /// step limit, on the matcher's own support domains (same-label
+    /// pattern nodes make `used` conflicts routine here).
+    #[test]
+    fn star_join_equals_oracle_join((g, q) in arb_graph().prop_flat_map(|g| {
+        let q = arb_query(&g);
+        (Just(g), q)
+    })) {
+        assert_join_parity(&matcher_for(&g), &PllIndex::build(&g), &q);
     }
 
     /// Cache transparency: a matcher that has evaluated *other* rewrites

@@ -19,11 +19,17 @@
 //!    refining a center literal (the most common rewrite step) hits the
 //!    cache. Rewrite operators never change labels, so label-keyed tables
 //!    stay valid across a whole chase.
+//!
+//! A table's rows are sorted by center and each row's leaf list by node
+//! id, with the distances the materializing BFS found. The join answers
+//! every edge constraint from them ([`StarTable::admits`]), so each
+//! distance `Match` needs is computed once, here.
 
 use crate::matcher::candidates::is_candidate;
 use crate::pattern::{PatternQuery, QNodeId};
 use std::collections::{HashMap, HashSet, VecDeque};
 use wqe_graph::{Graph, NodeId};
+use wqe_pool::obs::{self, Counter};
 
 /// One leaf (spoke) of a star query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,7 +128,8 @@ pub struct StarRow {
 pub struct StarTable {
     /// The star it materializes.
     pub star: StarQuery,
-    /// Verified rows (center filtered by label only).
+    /// Verified rows (center filtered by label only), sorted by center,
+    /// each leaf list sorted by node id.
     pub rows: std::sync::Arc<Vec<StarRow>>,
 }
 
@@ -168,6 +175,19 @@ impl<'a> TableView<'a> {
 }
 
 impl StarTable {
+    /// True if the row of `center` lists `leaf` among the matches of the
+    /// star's leaf `i`: `center` has a row and `leaf` is a candidate of
+    /// that leaf within its bound of `center`. Two binary searches.
+    pub fn admits(&self, center: NodeId, i: usize, leaf: NodeId) -> bool {
+        self.rows
+            .binary_search_by_key(&center, |r| r.center)
+            .is_ok_and(|r| {
+                self.rows[r].leaf_matches[i]
+                    .binary_search_by_key(&leaf, |&(w, _)| w)
+                    .is_ok()
+            })
+    }
+
     /// Renders the table in the style of Fig. 4: one row per center match,
     /// columns listing the supporting leaf matches with distances.
     /// `name_of` resolves node ids to display names.
@@ -287,94 +307,79 @@ pub fn decompose(q: &PatternQuery) -> Vec<StarQuery> {
 /// Materializes a star table by bounded BFS around each center candidate.
 ///
 /// Centers are filtered by **label only** (literals apply at lookup time);
-/// leaves by their full candidacy; `focus_label_pool` (label-level focus
-/// candidates) backs the augmented constraint.
-pub fn materialize(
-    graph: &Graph,
-    q: &PatternQuery,
-    star: &StarQuery,
-    focus_label_pool: &HashSet<NodeId>,
-) -> StarTable {
-    let rows = materialize_rows(graph, q, star, focus_label_pool);
+/// leaves by their full candidacy; the augmented constraint asks for some
+/// node carrying the focus's label (any node, for a wildcard focus) in
+/// range.
+pub fn materialize(graph: &Graph, q: &PatternQuery, star: &StarQuery) -> StarTable {
     StarTable {
         star: star.clone(),
-        rows: std::sync::Arc::new(rows),
+        rows: std::sync::Arc::new(materialize_rows(graph, q, star)),
     }
 }
 
 /// Row computation behind [`materialize`]; exposed so the star cache can
 /// store rows independently of any particular [`StarQuery`] instance.
-pub fn materialize_rows(
-    graph: &Graph,
-    q: &PatternQuery,
-    star: &StarQuery,
-    focus_label_pool: &HashSet<NodeId>,
-) -> Vec<StarRow> {
+///
+/// Rows come out sorted by center and each leaf list sorted by node id,
+/// which is what [`StarTable::admits`] searches. One forward and one
+/// backward bounded BFS scratch serve every center, and each leaf's
+/// candidacy is decided once per node. Adds the rows kept to [`Counter::StarRows`] and
+/// the nodes the BFS expanded to [`Counter::StarBfsPops`], once per call.
+pub fn materialize_rows(graph: &Graph, q: &PatternQuery, star: &StarQuery) -> Vec<StarRow> {
     // Label-level center pool.
-    let center_cands: Vec<NodeId> = match q.node(star.center).and_then(|n| n.label) {
-        Some(l) => graph.nodes_with_label(l).to_vec(),
-        None => graph.node_ids().collect(),
+    let all_nodes: Vec<NodeId>;
+    let center_cands: &[NodeId] = match q.node(star.center).and_then(|n| n.label) {
+        Some(l) => graph.nodes_with_label(l),
+        None => {
+            all_nodes = graph.node_ids().collect();
+            &all_nodes
+        }
     };
-    let max_out = star
-        .leaves
-        .iter()
-        .filter(|l| l.outgoing)
-        .map(|l| l.bound)
-        .max()
-        .unwrap_or(0);
-    let max_in = star
-        .leaves
-        .iter()
-        .filter(|l| !l.outgoing)
-        .map(|l| l.bound)
-        .max()
-        .unwrap_or(0);
-    let aug_fwd = star
-        .augmented
-        .filter(|a| a.center_to_focus)
-        .map(|a| a.dist)
-        .unwrap_or(0);
-    let aug_bwd = star
-        .augmented
-        .filter(|a| !a.center_to_focus)
-        .map(|a| a.dist)
-        .unwrap_or(0);
+    // How far each direction must reach: the farthest leaf or augmented
+    // constraint on that side.
+    let reach_of = |forward: bool| {
+        let leaves = star.leaves.iter().filter(|l| l.outgoing == forward);
+        let aug = star.augmented.filter(|a| a.center_to_focus == forward);
+        leaves
+            .map(|l| l.bound)
+            .chain(aug.map(|a| a.dist))
+            .max()
+            .unwrap_or(0)
+    };
+    let mut fwd = Reach::new(graph, true, reach_of(true));
+    let mut bwd = Reach::new(graph, false, reach_of(false));
+    let focus_label = q.node(q.focus()).and_then(|n| n.label);
+    // Per leaf, per node: whether it is a candidate of the leaf, once known.
+    let mut candidacy = vec![vec![None; graph.node_count()]; star.leaves.len()];
 
     let mut rows = Vec::new();
-    'cand: for v in center_cands {
-        let fwd: Vec<(NodeId, u32)> = if max_out.max(aug_fwd) > 0 {
-            graph.bounded_bfs(v, max_out.max(aug_fwd))
-        } else {
-            Vec::new()
-        };
-        let bwd: Vec<(NodeId, u32)> = if max_in.max(aug_bwd) > 0 {
-            graph.bounded_bfs_rev(v, max_in.max(aug_bwd))
-        } else {
-            Vec::new()
-        };
-        // Augmented constraint: some label-level focus candidate in range.
+    let mut pops = 0u64;
+    'cand: for &v in center_cands {
+        pops += fwd.run(graph, v) + bwd.run(graph, v);
         if let Some(aug) = star.augmented {
-            let pool = if aug.center_to_focus { &fwd } else { &bwd };
-            let ok = pool
+            let reach = if aug.center_to_focus { &fwd } else { &bwd };
+            let ok = reach
                 .iter()
-                .any(|&(w, d)| d <= aug.dist && focus_label_pool.contains(&w));
+                .any(|(w, d)| d <= aug.dist && focus_label.is_none_or(|l| graph.label(w) == l));
             if !ok {
                 continue 'cand;
             }
         }
         let mut leaf_matches = Vec::with_capacity(star.leaves.len());
-        for leaf in &star.leaves {
-            let pool = if leaf.outgoing { &fwd } else { &bwd };
-            let matches: Vec<(NodeId, u32)> = pool
+        for (leaf, known) in star.leaves.iter().zip(&mut candidacy) {
+            let reach = if leaf.outgoing { &fwd } else { &bwd };
+            let mut matches: Vec<(NodeId, u32)> = reach
                 .iter()
-                .filter(|&&(w, d)| {
-                    d >= 1 && d <= leaf.bound && w != v && is_candidate(graph, q, leaf.node, w)
+                .filter(|&(w, d)| {
+                    (1..=leaf.bound).contains(&d)
+                        && *known[w.index()]
+                            .get_or_insert_with(|| is_candidate(graph, q, leaf.node, w))
                 })
-                .copied()
                 .collect();
             if matches.is_empty() {
                 continue 'cand;
             }
+            matches.sort_unstable_by_key(|&(w, _)| w);
             leaf_matches.push(matches);
         }
         rows.push(StarRow {
@@ -382,7 +387,77 @@ pub fn materialize_rows(
             leaf_matches,
         });
     }
+    rows.sort_unstable_by_key(|r| r.center);
+    obs::with_current(|p| {
+        p.add(Counter::StarRows, rows.len() as u64);
+        p.add(Counter::StarBfsPops, pops);
+    });
     rows
+}
+
+/// Bounded BFS along one edge direction, reused across the centers of one
+/// materialization: `dist` is node-indexed (`u32::MAX` = unseen) and
+/// `reached` lists the nodes seen from the current source in BFS order —
+/// queue, result and reset list at once.
+struct Reach {
+    forward: bool,
+    bound: u32,
+    dist: Vec<u32>,
+    reached: Vec<NodeId>,
+}
+
+impl Reach {
+    /// A BFS reaching `bound` hops; with `bound == 0` it reaches nothing
+    /// and allocates nothing.
+    fn new(graph: &Graph, forward: bool, bound: u32) -> Self {
+        let n = if bound > 0 { graph.node_count() } else { 0 };
+        Reach {
+            forward,
+            bound,
+            dist: vec![u32::MAX; n],
+            reached: Vec::new(),
+        }
+    }
+
+    /// Replaces the reach set with `src`'s (`src` itself at distance 0)
+    /// and returns how many nodes had their edges scanned.
+    fn run(&mut self, graph: &Graph, src: NodeId) -> u64 {
+        for w in self.reached.drain(..) {
+            self.dist[w.index()] = u32::MAX;
+        }
+        if self.bound == 0 {
+            return 0;
+        }
+        self.dist[src.index()] = 0;
+        self.reached.push(src);
+        let mut head = 0;
+        // BFS order is distance order: past the first node at the bound,
+        // nothing left in the queue needs expanding.
+        while let Some(&x) = self.reached.get(head) {
+            let d = self.dist[x.index()];
+            if d == self.bound {
+                break;
+            }
+            head += 1;
+            let edges = if self.forward {
+                graph.out_neighbors(x)
+            } else {
+                graph.in_neighbors(x)
+            };
+            for &(y, _) in edges {
+                if self.dist[y.index()] == u32::MAX {
+                    self.dist[y.index()] = d + 1;
+                    self.reached.push(y);
+                }
+            }
+        }
+        head as u64
+    }
+
+    /// The current reach set as `(node, distance)`, in BFS order.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
+        self.reached.iter().map(|&w| (w, self.dist[w.index()]))
+    }
 }
 
 /// Per-pattern-node support sets from the (literal-filtered) table views:
@@ -440,13 +515,6 @@ mod tests {
         q
     }
 
-    fn focus_pool(g: &wqe_graph::Graph, q: &PatternQuery) -> HashSet<NodeId> {
-        match q.node(q.focus()).and_then(|n| n.label) {
-            Some(l) => g.nodes_with_label(l).iter().copied().collect(),
-            None => g.node_ids().collect(),
-        }
-    }
-
     #[test]
     fn decompose_one_star_per_edge() {
         // Matches Fig. 4: Q decomposes into two views Q01 and Q02.
@@ -484,13 +552,12 @@ mod tests {
         let g = &pg.graph;
         let q = paper_query(g);
         let stars = decompose(&q);
-        let pool = focus_pool(g, &q);
         // The carrier star (bound 1).
         let carrier_star = stars
             .iter()
             .find(|s| s.leaves[0].bound == 1)
             .expect("carrier star");
-        let t = materialize(g, &q, carrier_star, &pool);
+        let t = materialize(g, &q, carrier_star);
         // Label-level rows: every phone with a carrier (P1..P5), literals
         // NOT yet applied.
         let centers: Vec<NodeId> = t.rows.iter().map(|r| r.center).collect();
@@ -546,10 +613,9 @@ mod tests {
         let pg = product_graph();
         let g = &pg.graph;
         let q = paper_query(g);
-        let pool = focus_pool(g, &q);
         let tables: Vec<StarTable> = decompose(&q)
             .iter()
-            .map(|s| materialize(g, &q, s, &pool))
+            .map(|s| materialize(g, &q, s))
             .collect();
         let views: Vec<TableView> = tables.iter().map(|t| TableView::build(g, &q, t)).collect();
         let domains = support_domains(&q, &views);
@@ -572,10 +638,9 @@ mod tests {
         let pg = product_graph();
         let g = &pg.graph;
         let q = paper_query(g);
-        let pool = focus_pool(g, &q);
         let stars = decompose(&q);
         let name_attr = g.schema().attr_id("Name").unwrap();
-        let t = materialize(g, &q, &stars[0], &pool);
+        let t = materialize(g, &q, &stars[0]);
         let rendered = t.display(
             &q,
             |v| {

@@ -77,25 +77,57 @@ fn generated_questions(
     out
 }
 
-/// The paper scenario behind a deterministically slow oracle: every
-/// distance call sleeps `delay_ms`, making wall-clock behavior testable
-/// without large graphs.
-fn slow_paper_setup(delay_ms: u64) -> (EngineCtx, WhyQuestion) {
-    let graph = Arc::new(wqe::graph::product::product_graph().graph);
-    let inner: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&graph));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(FakeOracle::slow(inner, delay_ms));
-    let wq = wqe::core::paper::paper_question(&graph);
-    (EngineCtx::new(graph, oracle), wq)
+/// A search slow because of its own join work: the triangle trap, searched
+/// on one thread so no host's core count shortens it.
+fn slow_trap_setup() -> (EngineCtx, WhyQuestion) {
+    let (ctx, wq) = common::triangle_trap(480, 240, 5);
+    assert_trap_is_slow(&ctx, &wq);
+    (ctx, wq)
+}
+
+/// Match steps the trap's query costs to evaluate once, uncapped. At tens
+/// of nanoseconds a step (an optimized build on a fast core) that is
+/// already longer than every deadline and cancel delay below, and every
+/// run here evaluates that query first.
+const TRAP_ROOT_STEPS: usize = 1_500_000;
+
+/// The precondition that keeps the wall-clock tests honest: the trap's
+/// root evaluation really does at least [`TRAP_ROOT_STEPS`] of work.
+/// Checked once per test binary.
+fn assert_trap_is_slow(ctx: &EngineCtx, wq: &WhyQuestion) {
+    static ROOT_STEPS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    let steps = *ROOT_STEPS.get_or_init(|| {
+        let matcher = wqe::query::Matcher::new(Arc::clone(ctx.graph()), Arc::clone(ctx.oracle()));
+        let out = matcher.evaluate(&wq.query);
+        assert!(!out.truncated);
+        out.steps
+    });
+    assert!(
+        steps >= TRAP_ROOT_STEPS,
+        "the trap's root evaluation takes {steps} match steps, want at least {TRAP_ROOT_STEPS}"
+    );
+}
+
+/// The trap under `config`, searched on one thread.
+fn trap_session(ctx: EngineCtx, wq: &WhyQuestion, config: WqeConfig) -> Session {
+    Session::new(
+        ctx,
+        wq,
+        WqeConfig {
+            budget: 4.0,
+            parallelism: 1,
+            ..config
+        },
+    )
 }
 
 #[test]
 fn deadline_returns_partial_answers() {
-    let (ctx, wq) = slow_paper_setup(2);
-    let session = Session::new(
+    let (ctx, wq) = slow_trap_setup();
+    let session = trap_session(
         ctx,
         &wq,
         WqeConfig {
-            budget: 4.0,
             deadline_ms: 30.0,
             ..Default::default()
         },
@@ -105,9 +137,9 @@ fn deadline_returns_partial_answers() {
         .run(Algorithm::AnsW, &wq)
         .expect("deadline is a partial answer, not an error");
     // The search stops soon after the deadline (generous margin for CI):
-    // cooperative checks sit between pool items, every 16 matcher
-    // candidates, and inside the BFS oracle, so a 2ms-per-call oracle
-    // cannot pin the run for seconds.
+    // cooperative checks sit between pool items, before the first and
+    // every 16th matcher candidate, and inside the BFS oracle, so a long
+    // join cannot pin the run for seconds.
     assert!(
         t0.elapsed() < Duration::from_secs(5),
         "run outlived its deadline by far: {:?}",
@@ -118,22 +150,21 @@ fn deadline_returns_partial_answers() {
     // The root evaluation always commits before the deadline check, so
     // best-so-far exists (the anytime contract of §5.1).
     assert!(report.best.is_some(), "deadline must return best-so-far");
-    assert!(!report.optimal_reached, "25ms is not enough to finish");
+    assert!(!report.optimal_reached, "30ms is not enough to finish");
 }
 
 #[test]
 fn deadline_tags_fmansw_whymany_and_whyempty_partial() {
     // These three evaluate outside the worker pool, so only the governor
     // scope `Session::run` enters lets a deadline reach their matcher and
-    // oracle calls. Each run makes at least ten 2ms distance calls, so it
-    // outlasts a 20ms deadline, and must not come back `Complete`.
+    // oracle calls. Each evaluates the trap's query first, which outlasts
+    // a 20ms deadline, so none may come back `Complete`.
     for algorithm in [Algorithm::FMAnsW, Algorithm::WhyMany, Algorithm::WhyEmpty] {
-        let (ctx, wq) = slow_paper_setup(2);
-        let session = Session::new(
+        let (ctx, wq) = slow_trap_setup();
+        let session = trap_session(
             ctx,
             &wq,
             WqeConfig {
-                budget: 4.0,
                 deadline_ms: 20.0,
                 ..Default::default()
             },
@@ -153,12 +184,11 @@ fn deadline_tags_fmansw_whymany_and_whyempty_partial() {
 
 #[test]
 fn cancellation_stops_a_running_session_from_another_thread() {
-    let (ctx, wq) = slow_paper_setup(2);
-    let session = Session::new(
+    let (ctx, wq) = slow_trap_setup();
+    let session = trap_session(
         ctx,
         &wq,
         WqeConfig {
-            budget: 4.0,
             time_limit_ms: None,
             ..Default::default()
         },
@@ -176,6 +206,7 @@ fn cancellation_stops_a_running_session_from_another_thread() {
     let (report, elapsed) = handle.join().expect("search thread exits cleanly");
     assert_eq!(report.termination, Termination::Cancelled);
     assert!(report.termination.is_partial());
+    assert!(report.best.is_some(), "cancel must return best-so-far");
     assert!(
         elapsed < Duration::from_secs(10),
         "cancel must stop the run promptly, took {elapsed:?}"

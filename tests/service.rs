@@ -13,10 +13,9 @@ use wqe::core::{
     ShedReason, Termination, WhyQuestion, WqeConfig, WqeEngine,
 };
 use wqe::datagen::{generate_query, generate_why, QueryGenConfig, TopologyKind, WhyGenConfig};
-use wqe::index::{DistanceOracle, Oracle, PllIndex};
+use wqe::index::{DistanceOracle, Oracle};
 
 mod common;
-use common::FakeOracle;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
@@ -286,19 +285,17 @@ fn full_queue_rejects_and_the_rest_still_serve() {
 
 #[test]
 fn per_request_deadline_terminates_with_deadline() {
-    // A deterministically slow oracle (2ms per distance call) so a 30ms
-    // deadline reliably trips *during* service, never during queueing.
-    let graph = Arc::new(wqe::graph::product::product_graph().graph);
-    let inner: Arc<dyn DistanceOracle> = Arc::new(PllIndex::build(&graph));
-    let oracle: Arc<dyn DistanceOracle> = Arc::new(FakeOracle::slow(inner, 2));
-    let q = wqe::core::paper::paper_question(&graph);
-    let ctx = EngineCtx::new(graph, oracle);
+    // A search slow because of its own join work (the triangle trap, on one
+    // thread) so a 30ms deadline reliably trips *during* service, never
+    // during queueing.
+    let (ctx, q) = common::triangle_trap(240, 120, 4);
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
             max_inflight: 1,
             base_config: WqeConfig {
-                budget: 4.0,
+                budget: 2.0,
+                parallelism: 1,
                 ..Default::default()
             },
             ..Default::default()
@@ -306,17 +303,33 @@ fn per_request_deadline_terminates_with_deadline() {
     );
     // `deadline_ms` budgets *service* time: the search starts, the governor
     // trips mid-run, and the response carries a best-so-far report.
+    let t0 = std::time::Instant::now();
     let resp = svc.call(QueryRequest::new(q.clone(), Algorithm::AnsW).with_deadline_ms(30.0));
+    assert!(
+        t0.elapsed() < std::time::Duration::from_secs(5),
+        "the deadline must end the run promptly, took {:?}",
+        t0.elapsed()
+    );
     let report = resp
         .report()
         .expect("deadline yields best-so-far, not an error");
     assert_eq!(report.termination, Termination::Deadline);
+    assert!(report.best.is_some(), "deadline must return best-so-far");
 
     // Partial reports must never be cached: a follow-up without the
     // deadline computes the complete answer.
     let full = svc.call(QueryRequest::new(q.clone(), Algorithm::AnsW));
     assert!(!full.cache_hit());
-    assert_eq!(full.report().unwrap().termination, Termination::Complete);
+    let full = full.report().unwrap();
+    assert_eq!(full.termination, Termination::Complete);
+    // The precondition that keeps the deadline honest: the complete run
+    // does millions of match steps, longer than 30ms at tens of
+    // nanoseconds a step on any host.
+    assert!(
+        full.match_steps >= 3_000_000,
+        "the complete run took {} match steps",
+        full.match_steps
+    );
 
     // Queue time is charged separately: a job whose wait already consumed
     // its whole deadline is shed typed at dequeue, not run to a useless

@@ -323,7 +323,7 @@ fn dropped_values_and_unknown_keys_are_errors() {
     ];
     for (line, key) in cases {
         let err = read_jsonl(Cursor::new(format!("{node}\n{line}"))).unwrap_err();
-        assert!(matches!(err, LoadError::Json { line: 2, .. }), "{err}");
+        assert!(matches!(err, LoadError::Malformed { line: 2, .. }), "{err}");
         assert!(err.to_string().contains(key), "{err} does not name {key}");
     }
     let err = read_tsv(Cursor::new("n1\tN\tPrice=1\tbare\n"), Cursor::new("")).unwrap_err();

@@ -5,8 +5,9 @@
 //! on small IMDB-like and DBpedia-like graphs — runs under each of the
 //! eight `Algorithm`s with no wall-clock limit, so no row depends on the
 //! clock. A row holds the run's expansions, charged match steps, frontier
-//! peak, the profile's oracle counters and a hash of the answer
-//! fingerprint. One more row per index build holds its PLL label entries.
+//! peak, the profile's oracle counters, the star rows materialized and the
+//! nodes their BFS expanded (`rows`, `pops`: the work a star-cache hit
+//! saves) and a hash of the answer fingerprint. One more row per index build holds its PLL label entries.
 //! Rows must agree at parallelism 1 and 8; a counter that does not must
 //! be left out of the rows.
 //!
@@ -124,13 +125,15 @@ fn row(id: &str, report: &AnswerReport) -> String {
     let c = &profile.counters;
     let cl = report.best.as_ref().map_or(f64::NAN, |b| b.closeness);
     format!(
-        "{id} exp={} steps={} peak={} dist={} batch={} entries={} term={} cl={cl:.3} fp={:016x}",
+        "{id} exp={} steps={} peak={} dist={} batch={} entries={} rows={} pops={} term={} cl={cl:.3} fp={:016x}",
         report.expansions,
         report.match_steps,
         report.frontier_peak,
         c.oracle_dist_calls,
         c.oracle_dist_batch_calls,
         c.oracle_label_entries_scanned,
+        c.star_rows,
+        c.star_bfs_pops,
         report.termination,
         fnv(&report.fingerprint())
     )
