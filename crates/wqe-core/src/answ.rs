@@ -238,7 +238,8 @@ impl Frontier for BestFirst {
     }
 
     /// Prunes (line 9, Lemma 5.5(2)): in the refinement phase cl⁺ only
-    /// shrinks, so a subtree whose bound is below the k-th best is dead.
+    /// shrinks, so a subtree whose bound is below the k-th best is dead;
+    /// each drop counts one [`crate::obs::Counter::StatesPruned`].
     /// Otherwise the state joins the arena, whose size the governor caps.
     fn keep(
         &mut self,
@@ -251,6 +252,7 @@ impl Frontier for BestFirst {
             && rewrite.phase == Phase::Refine
             && eval.upper_bound <= threshold + 1e-12
         {
+            crate::obs::with_current(|p| p.add(crate::obs::Counter::StatesPruned, 1));
             return None;
         }
         self.heap.push((

@@ -8,7 +8,8 @@
 //! frequency order and kept when full re-evaluation improves closeness.
 
 use crate::answ::{AnswerReport, RewriteResult};
-use crate::session::{Session, WhyQuestion};
+use crate::opsgen::{op_key, rank};
+use crate::session::{LabelKey, Session, WhyQuestion};
 use std::collections::HashMap;
 use wqe_graph::{AttrValue, CmpOp, LabelId, NodeId};
 use wqe_query::{AtomicOp, Literal};
@@ -147,22 +148,10 @@ fn mine_ops(session: &Session, question: &WhyQuestion) -> Vec<(f64, AtomicOp)> {
     }
 
     // Frequent neighbor labels as new pattern edges.
-    let mut label_count: HashMap<(u32, u32, bool), usize> = HashMap::new();
+    let mut label_count: HashMap<LabelKey, usize> = HashMap::new();
     for &v in rel {
-        for (reach, outgoing) in [
-            (g.bounded_bfs(v, 2), true),
-            (g.bounded_bfs_rev(v, 2), false),
-        ] {
-            let mut seen = std::collections::HashSet::new();
-            for (w, d) in reach {
-                if d == 0 {
-                    continue;
-                }
-                let key = (g.label(w).0, d, outgoing);
-                if seen.insert(key) {
-                    *label_count.entry(key).or_insert(0) += 1;
-                }
-            }
+        for &key in session.label_keys(v).iter() {
+            *label_count.entry(key).or_insert(0) += 1;
         }
     }
     for ((label, d, outgoing), count) in label_count {
@@ -180,13 +169,12 @@ fn mine_ops(session: &Session, question: &WhyQuestion) -> Vec<(f64, AtomicOp)> {
         }
     }
 
-    // Fact mining iterates hash maps; tie-break equal supports on the op's
-    // debug form so the greedy application order is deterministic.
-    ops.sort_by(|a, b| {
-        b.0.total_cmp(&a.0)
-            .then_with(|| format!("{:?}", a.1).cmp(&format!("{:?}", b.1)))
-    });
-    ops
+    // Fact mining iterates hash maps; `rank` breaks equal supports on the
+    // op key, so the greedy application order is deterministic.
+    let mut keyed: Vec<(String, (f64, AtomicOp))> =
+        ops.into_iter().map(|o| (op_key(&o.1), o)).collect();
+    rank(&mut keyed, |&(support, _)| support);
+    keyed.into_iter().map(|(_, o)| o).collect()
 }
 
 /// The FM baseline, driven by [`Session::run`]: greedy application of

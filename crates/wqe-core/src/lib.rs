@@ -74,6 +74,8 @@ pub mod metrics;
 pub mod multifocus;
 pub mod obs;
 pub mod opsgen;
+#[cfg(test)]
+mod opsgen_proptests;
 pub mod paper;
 pub mod relevance;
 pub mod service;

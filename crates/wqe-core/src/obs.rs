@@ -123,6 +123,10 @@ pub struct CounterRegistry {
     pub star_rows: u64,
     /// Nodes the star-materializing bounded BFS expanded.
     pub star_bfs_pops: u64,
+    /// Evaluated states Lemma 5.5's cl⁺ prune kept off the frontier.
+    pub states_pruned: u64,
+    /// `NextOp` generation passes withheld only by their cl⁺ condition.
+    pub generations_pruned: u64,
 }
 
 impl CounterRegistry {
@@ -156,6 +160,8 @@ impl CounterRegistry {
             rate_limited: snapshot.counter(Counter::RateLimited),
             star_rows: snapshot.counter(Counter::StarRows),
             star_bfs_pops: snapshot.counter(Counter::StarBfsPops),
+            states_pruned: snapshot.counter(Counter::StatesPruned),
+            generations_pruned: snapshot.counter(Counter::GenerationsPruned),
         }
     }
 }

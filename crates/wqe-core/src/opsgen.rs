@@ -15,10 +15,19 @@
 //!   `p'(o) = (λ|IM̄(o)| − Σ_{v ∈ RM̲(o)} cl(v, E)) / |V_uo|`.
 //!
 //! Every score is an *ordering heuristic*: the search re-evaluates the
-//! rewrite exactly after applying an operator.
+//! rewrite exactly after applying an operator. Operators are ranked by
+//! `rank`: pickiness first, ties on the operator's `Debug` text, which
+//! is built once per operator and also keys `next_ops`'s dedupe.
+//!
+//! `AddNodeEdge` reads each focus match's two-hop label neighbourhood
+//! from the session's memo (`Session::label_keys`, sorted keys): the
+//! candidate keys are the intersection of the RM members' lists (every IM
+//! member's keys when RM is empty), and each key's IM̄ is found by binary
+//! search.
 
 use crate::chase::Phase;
-use crate::session::{EvalResult, Session};
+use crate::obs::{self, Counter};
+use crate::session::{EvalResult, LabelKey, Session};
 use std::collections::{HashMap, HashSet};
 use wqe_graph::{AttrId, AttrValue, CmpOp, NodeId};
 use wqe_query::{AtomicOp, Literal, PatternQuery, QNodeId};
@@ -43,20 +52,34 @@ type Gainers = Vec<(NodeId, f64)>;
 type LeafLitAgg = (QNodeId, Literal, Vec<AttrValue>, Gainers);
 /// Attribute-value facts shared by RM witnesses.
 type FactMap = HashMap<(QNodeId, u32, String), (AttrId, AttrValue, HashSet<NodeId>)>;
-/// RM/IM coverage per `(label, distance, direction)` neighborhood key.
-type LabelCoverage = HashMap<(u32, u32, bool), (HashSet<NodeId>, HashSet<NodeId>)>;
 
-/// Deduplication key for generated operators.
-fn op_key(op: &AtomicOp) -> String {
+/// An operator's rank and dedupe key: its `Debug` text.
+pub(crate) fn op_key(op: &AtomicOp) -> String {
     format!("{op:?}")
 }
 
+/// Sorts `items`, each keyed by [`op_key`], by pickiness, highest first,
+/// ties on the key. The sort is stable. Generation iterates hash maps, and
+/// an order-dependent tie would make concurrent and sequential runs adopt
+/// different (equally good) rewrites.
+pub(crate) fn rank<T>(items: &mut [(String, T)], pickiness: impl Fn(&T) -> f64) {
+    items.sort_by(|(ka, a), (kb, b)| {
+        pickiness(b)
+            .total_cmp(&pickiness(a))
+            .then_with(|| ka.cmp(kb))
+    });
+}
+
 /// `NextOp` (Fig. 7): produces the scored operators applicable at a state,
-/// honoring the normal form and the two generation conditions.
+/// honoring the normal form and the two generation conditions, ranked by
+/// `rank`. An operator generated twice keeps its first generation.
 ///
 /// * `RefineCond`: IM non-empty, and (when pruning) `cl⁺(Q) > best_cl`.
-/// * `RelaxCond`: still in the relax phase, and (when pruning)
-///   `cl⁺(Q) < cl*`.
+/// * `RelaxCond`: still in the relax phase, RC non-empty, and (when
+///   pruning) `cl⁺(Q) < cl*`.
+///
+/// A generation that only its cl⁺ condition withholds counts one
+/// [`Counter::GenerationsPruned`].
 pub fn next_ops(
     session: &Session,
     q: &PatternQuery,
@@ -64,39 +87,30 @@ pub fn next_ops(
     phase: Phase,
     best_closeness: f64,
 ) -> Vec<ScoredOp> {
-    let mut out: Vec<ScoredOp> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
     let pruning = session.config.pruning;
-
-    let refine_cond =
-        !eval.relevance.im.is_empty() && (!pruning || eval.upper_bound > best_closeness + 1e-12);
-    if refine_cond {
-        for sop in generate_refinements(session, q, eval) {
-            if seen.insert(op_key(&sop.op)) {
-                out.push(sop);
-            }
-        }
+    let refine = !eval.relevance.im.is_empty();
+    let refine_bound = !pruning || eval.upper_bound > best_closeness + 1e-12;
+    let relax = phase == Phase::Relax && !eval.relevance.rc.is_empty();
+    let relax_bound = !pruning || eval.upper_bound < session.cl_star - 1e-12;
+    let withheld = u64::from(refine && !refine_bound) + u64::from(relax && !relax_bound);
+    if withheld > 0 {
+        obs::with_current(|p| p.add(Counter::GenerationsPruned, withheld));
     }
 
-    let relax_cond =
-        phase == Phase::Relax && (!pruning || eval.upper_bound < session.cl_star - 1e-12);
-    if relax_cond && !eval.relevance.rc.is_empty() {
-        for sop in generate_relaxations(session, q, eval) {
-            if seen.insert(op_key(&sop.op)) {
-                out.push(sop);
-            }
-        }
+    let mut ops: Vec<ScoredOp> = Vec::new();
+    if refine && refine_bound {
+        ops.extend(generate_refinements(session, q, eval));
     }
-
-    // Equal-pickiness ties break on the op key: generation iterates hash
-    // maps, and an order-dependent tie would make concurrent and sequential
-    // runs adopt different (equally good) rewrites.
-    out.sort_by(|a, b| {
-        b.pickiness
-            .total_cmp(&a.pickiness)
-            .then_with(|| op_key(&a.op).cmp(&op_key(&b.op)))
-    });
-    out
+    if relax && relax_bound {
+        ops.extend(generate_relaxations(session, q, eval));
+    }
+    let mut keyed: Vec<(String, ScoredOp)> = ops.into_iter().map(|s| (op_key(&s.op), s)).collect();
+    // Stable, so equal keys stay in generation order and dedup keeps the
+    // first.
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    keyed.dedup_by(|a, b| a.0 == b.0);
+    rank(&mut keyed, |s| s.pickiness);
+    keyed.into_iter().map(|(_, s)| s).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -658,10 +672,13 @@ pub fn generate_refinements(
             // Every RM witness pair shares the same source (direction
             // fixed, focus side constant per member set), so one batched
             // oracle call amortizes the source-label loads.
+            // An empty member set yields no batch: without RM there is no
+            // `k`, without IM nothing to kill.
             let Some(rm_pairs) = rm
                 .iter()
                 .map(|&m| pair_of(m))
                 .collect::<Option<Vec<(NodeId, NodeId)>>>()
+                .filter(|pairs| !pairs.is_empty())
             else {
                 continue;
             };
@@ -682,6 +699,9 @@ pub fn generate_refinements(
                 .copied()
                 .filter_map(|m| pair_of(m).map(|p| (m, p)))
                 .collect();
+            if im_with.is_empty() {
+                continue;
+            }
             let im_pairs: Vec<(NodeId, NodeId)> = im_with.iter().map(|&(_, p)| p).collect();
             let im_dists = session
                 .matcher
@@ -710,52 +730,41 @@ pub fn generate_refinements(
     }
 
     // ---- AddNodeEdge: neighborhood labels separating RM from IM. ----
-    // For each (label, distance <= 2, direction), check coverage among RM
-    // vs IM focus matches.
-    let mut label_cov: LabelCoverage = HashMap::new();
-    let explore = |m: NodeId, cov: &mut LabelCoverage, is_rm: bool| {
-        for (reach, outgoing) in [
-            (g.bounded_bfs(m, 2), true),
-            (g.bounded_bfs_rev(m, 2), false),
-        ] {
-            let mut seen: HashSet<(u32, u32, bool)> = HashSet::new();
-            for (w, d) in reach {
-                if d == 0 {
-                    continue;
-                }
-                let key = (g.label(w).0, d, outgoing);
-                if seen.insert(key) {
-                    let entry = cov.entry(key).or_default();
-                    if is_rm {
-                        entry.0.insert(m);
-                    } else {
-                        entry.1.insert(m);
-                    }
-                }
-            }
+    // A `(label, distance <= 2, direction)` key is picky when every RM
+    // match has it and some IM match lacks it.
+    let rm_keys: Vec<_> = rm.iter().map(|&m| session.label_keys(m)).collect();
+    let im_keys: Vec<_> = im.iter().map(|&m| session.label_keys(m)).collect();
+    let universe: Vec<LabelKey> = match rm_keys.split_first() {
+        Some((first, rest)) => rest.iter().fold(first.to_vec(), |mut acc, keys| {
+            retain_sorted(&mut acc, keys);
+            acc
+        }),
+        None => {
+            let mut all: Vec<LabelKey> = im_keys.iter().flat_map(|k| k.iter().copied()).collect();
+            all.sort_unstable();
+            all.dedup();
+            all
         }
     };
-    for &m in &rm {
-        explore(m, &mut label_cov, true);
-    }
-    for &m in &im {
-        explore(m, &mut label_cov, false);
-    }
-    for ((label, d, outgoing), (rm_cov, im_cov)) in &label_cov {
-        // Picky when every RM match has the neighbor but some IM lacks it.
-        if rm_cov.len() < rm.len() || im_cov.len() >= im.len() {
+    for key @ (label, d, outgoing) in universe {
+        if d > q.max_bound() {
             continue;
         }
-        if *d > q.max_bound() {
+        let killed: Vec<NodeId> = im
+            .iter()
+            .zip(&im_keys)
+            .filter(|(_, keys)| keys.binary_search(&key).is_err())
+            .map(|(&m, _)| m)
+            .collect();
+        if killed.is_empty() {
             continue;
         }
-        let killed: Vec<NodeId> = im.iter().copied().filter(|m| !im_cov.contains(m)).collect();
         ops.push(ScoredOp {
             op: AtomicOp::AddNodeEdge {
                 anchor: q.focus(),
-                label: Some(wqe_graph::LabelId(*label)),
-                bound: *d,
-                outgoing: *outgoing,
+                label: Some(wqe_graph::LabelId(label)),
+                bound: d,
+                outgoing,
             },
             pickiness: p_refine(&killed, 0.0),
             affected: killed,
@@ -764,6 +773,16 @@ pub fn generate_refinements(
 
     ops.retain(|s| s.op.applicable(q).is_ok());
     ops
+}
+
+/// Keeps the members of sorted `acc` that sorted `keys` also holds: a
+/// merge walk.
+fn retain_sorted<T: Ord>(acc: &mut Vec<T>, keys: &[T]) {
+    let mut rest = keys.iter().peekable();
+    acc.retain(|k| {
+        while rest.next_if(|&x| x < k).is_some() {}
+        rest.peek() == Some(&k)
+    });
 }
 
 #[cfg(test)]
@@ -885,12 +904,11 @@ mod tests {
         assert_eq!(found.affected.len(), 2, "kills P1 and P2");
     }
 
-    #[test]
-    fn adde_between_existing_nodes_generated() {
-        // Data: r -> a1 -> b1 with a shortcut r -> b1 (dist 1);
-        //       i -> a2 -> b2 with no shortcut (dist 2).
-        // Query: F -> A (1), A -> B (1); exemplar wants r.
-        // GenRf must propose AddE((focus, uB), 1), which kills i.
+    /// Data: r -> a1 -> b1 with a shortcut r -> b1 (dist 1);
+    ///       i -> a2 -> b2 with no shortcut (dist 2).
+    /// Query: F -> A (1), A -> B (1), answered by r and i; the exemplar
+    /// wants the `F` nodes whose `x` is among `wanted` (r has 1, i has 2).
+    fn adde_fixture(wanted: &[i64]) -> (Session, PatternQuery, [NodeId; 2], QNodeId) {
         use crate::exemplar::TuplePattern;
         use wqe_graph::GraphBuilder;
         let mut b = GraphBuilder::new();
@@ -908,21 +926,58 @@ mod tests {
         let g = b.finalize();
         let s = g.schema();
         let x = s.attr_id("x").unwrap();
-
         let mut q = wqe_query::PatternQuery::new(s.label_id("F"), 4);
         let ua = q.add_node(s.label_id("A"));
         let ub = q.add_node(s.label_id("B"));
         q.add_edge(q.focus(), ua, 1).unwrap();
         q.add_edge(ua, ub, 1).unwrap();
-
         let mut ex = crate::exemplar::Exemplar::new();
-        ex.add_tuple(TuplePattern::new().constant(x, 1i64));
+        for &c in wanted {
+            ex.add_tuple(TuplePattern::new().constant(x, c));
+        }
         let wq = crate::session::WhyQuestion {
             query: q.clone(),
             exemplar: ex,
         };
-        let ctx = crate::ctx::EngineCtx::with_default_oracle(std::sync::Arc::new(g.clone()));
-        let session = Session::new(ctx.clone(), &wq, WqeConfig::default());
+        let ctx = crate::ctx::EngineCtx::with_default_oracle(std::sync::Arc::new(g));
+        let session = Session::new(ctx, &wq, WqeConfig::default());
+        (session, q, [r, i], ub)
+    }
+
+    #[test]
+    fn adde_scoring_skips_empty_member_batches() {
+        // AddE scoring batches the RM witness pairs, then the IM ones, for
+        // the one node not adjacent to the focus (uB), in each direction.
+        // An empty member set has no pairs, so it costs no oracle call:
+        // the counts below are exactly the non-empty batches. Inward, no B
+        // reaches an F, so the RM batch ends that direction.
+        for (wanted, rm, im, batches) in [
+            (&[1][..], 1, 1, 3), // out: RM and IM; in: RM, unreachable
+            (&[1, 2], 2, 0, 2),  // out: RM; in: RM, unreachable
+            (&[7], 0, 2, 0),     // no RM, no k: nothing to batch
+        ] {
+            let (session, q, _, _) = adde_fixture(wanted);
+            let eval = session.evaluate(&q);
+            assert_eq!((eval.relevance.rm.len(), eval.relevance.im.len()), (rm, im));
+            let profiler = std::sync::Arc::new(crate::obs::Profiler::new());
+            let _scope = wqe_pool::scope::Scope {
+                profiler: Some(std::sync::Arc::clone(&profiler)),
+                ..Default::default()
+            }
+            .enter();
+            generate_refinements(&session, &q, &eval);
+            assert_eq!(
+                profiler.snapshot().counter(Counter::OracleDistBatch),
+                batches,
+                "exemplar wants x in {wanted:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn adde_between_existing_nodes_generated() {
+        // GenRf must propose AddE((focus, uB), 1), which kills i.
+        let (session, q, [r, i], ub) = adde_fixture(&[1]);
         let eval = session.evaluate(&q);
         assert_eq!(eval.relevance.rm, vec![r]);
         assert_eq!(eval.relevance.im, vec![i]);

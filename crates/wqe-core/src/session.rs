@@ -16,7 +16,8 @@ use crate::error::WqeError;
 use crate::exemplar::{compute_representation, satisfies, Exemplar, Representation};
 use crate::heuristic::Beam;
 use crate::relevance::RelevanceSets;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use wqe_graph::{Graph, NodeId};
 use wqe_pool::scope::Scope;
@@ -353,7 +354,14 @@ pub struct Session {
     /// with each [`AnswerUpdate`] as the best-so-far answer improves.
     /// `None` (the default) makes emission a no-op branch.
     pub progress: Option<ProgressSink>,
+    /// [`Session::label_keys`]'s memo: each node asked about, with its keys.
+    label_keys: Mutex<HashMap<NodeId, Arc<[LabelKey]>>>,
 }
+
+/// A `(label, distance, outgoing)` neighbourhood key: some node at exactly
+/// `distance` hops from a node, along out-edges when `outgoing`, carries
+/// `label` (the raw [`wqe_graph::LabelId`]).
+pub(crate) type LabelKey = (u32, u32, bool);
 
 impl Session {
     /// The epoch this session answers against (from its context; epoch 0
@@ -433,6 +441,7 @@ impl Session {
             governor,
             profiler,
             progress: None,
+            label_keys: Mutex::default(),
         })
     }
 
@@ -546,7 +555,7 @@ impl Session {
             self.v_uo.len(),
         );
         let upper_bound = closeness_upper_bound(&outcome.matches, &self.rep, self.v_uo.len());
-        let relevance = RelevanceSets::classify(&outcome.matches, &self.rep, &self.v_uo);
+        let relevance = RelevanceSets::classify(&outcome.matches, &self.rep, &self.r_uo);
         let sat = satisfies(
             self.graph(),
             &self.exemplar,
@@ -562,11 +571,64 @@ impl Session {
         }
     }
 
+    /// The sorted, distinct [`LabelKey`]s of `m`'s neighbourhood within two
+    /// hops, each direction on its own: one key per node at distance 1 or
+    /// 2 from `m` (never `m` itself). Computed once per node and session;
+    /// operator generation asks about the same focus matches in every
+    /// state.
+    pub(crate) fn label_keys(&self, m: NodeId) -> Arc<[LabelKey]> {
+        if let Some(keys) = self.lock_label_keys().get(&m) {
+            return Arc::clone(keys);
+        }
+        let keys = neighbourhood_keys(self.graph(), m);
+        Arc::clone(self.lock_label_keys().entry(m).or_insert(keys))
+    }
+
+    fn lock_label_keys(&self) -> std::sync::MutexGuard<'_, HashMap<NodeId, Arc<[LabelKey]>>> {
+        // Each update is one insert of a finished entry, so a poisoned
+        // memo is still a valid one.
+        self.label_keys.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// The exemplar is *nontrivial* iff its representation is non-empty
     /// (§2.2 only considers nontrivial exemplars).
     pub fn nontrivial(&self) -> bool {
         self.rep.satisfiable && !self.rep.nodes.is_empty()
     }
+}
+
+/// [`Session::label_keys`] computed afresh: the nodes at distance 1, then
+/// 2, from `m` along each direction's edges, as sorted node lists.
+fn neighbourhood_keys(g: &Graph, m: NodeId) -> Arc<[LabelKey]> {
+    let mut keys = Vec::new();
+    for outgoing in [true, false] {
+        let step = |x: NodeId| {
+            if outgoing {
+                g.out_neighbors(x)
+            } else {
+                g.in_neighbors(x)
+            }
+        };
+        let mut near: Vec<NodeId> = step(m)
+            .iter()
+            .map(|&(w, _)| w)
+            .filter(|&w| w != m)
+            .collect();
+        near.dedup(); // adjacency lists are sorted
+        let mut far: Vec<NodeId> = near
+            .iter()
+            .flat_map(|&y| step(y).iter().map(|&(w, _)| w))
+            .filter(|&w| w != m && near.binary_search(&w).is_err())
+            .collect();
+        far.sort_unstable();
+        far.dedup();
+        for (ring, d) in [(&near, 1), (&far, 2)] {
+            keys.extend(ring.iter().map(|&w| (g.label(w).0, d, outgoing)));
+        }
+    }
+    keys.sort_unstable();
+    keys.dedup();
+    keys.into()
 }
 
 /// Rejects questions and configs the algorithms cannot make sense of.

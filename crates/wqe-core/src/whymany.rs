@@ -13,7 +13,7 @@
 //! the general `AnsW` search (Fig. 12(a)).
 
 use crate::answ::{AnswerReport, RewriteResult};
-use crate::opsgen::generate_refinements;
+use crate::opsgen::{generate_refinements, op_key, rank, ScoredOp};
 use crate::session::{Session, WhyQuestion};
 use std::collections::HashSet;
 use wqe_graph::NodeId;
@@ -57,15 +57,14 @@ pub(crate) fn search(session: &Session, question: &WhyQuestion) -> AnswerReport 
     // Generation iterates hash maps, so impose the pickiness order (ties on
     // the op key) before truncating — otherwise both the retained seed set
     // and every downstream tie-break would vary run to run.
-    let mut scored = generate_refinements(session, &question.query, &base);
-    scored.sort_by(|a, b| {
-        b.pickiness
-            .total_cmp(&a.pickiness)
-            .then_with(|| format!("{:?}", a.op).cmp(&format!("{:?}", b.op)))
-    });
+    let mut scored: Vec<(String, ScoredOp)> = generate_refinements(session, &question.query, &base)
+        .into_iter()
+        .map(|s| (op_key(&s.op), s))
+        .collect();
+    rank(&mut scored, |s| s.pickiness);
     scored.truncate(MAX_SEEDS);
     let mut seeds: Vec<Seed> = Vec::with_capacity(scored.len());
-    for s in scored {
+    for (_, s) in scored {
         let cost = s.op.cost(session.graph());
         if cost > budget + 1e-9 {
             continue;

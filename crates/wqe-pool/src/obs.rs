@@ -154,11 +154,17 @@ pub enum Counter {
     /// Nodes whose edges the star-materializing bounded BFS scanned — the
     /// work a star-cache hit saves, in traversal.
     StarBfsPops = 20,
+    /// Evaluated search states dropped by Lemma 5.5's cl⁺ prune instead of
+    /// joining the frontier.
+    StatesPruned = 21,
+    /// Operator generations (`NextOp`'s refinement or relaxation pass)
+    /// withheld only by their cl⁺ condition.
+    GenerationsPruned = 22,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 23] = [
         Counter::CacheHit,
         Counter::CacheMiss,
         Counter::CacheEviction,
@@ -180,6 +186,8 @@ impl Counter {
         Counter::RateLimited,
         Counter::StarRows,
         Counter::StarBfsPops,
+        Counter::StatesPruned,
+        Counter::GenerationsPruned,
     ];
 
     /// A stable snake_case name (used as the JSON key).
@@ -206,6 +214,8 @@ impl Counter {
             Counter::RateLimited => "rate_limited",
             Counter::StarRows => "star_rows",
             Counter::StarBfsPops => "star_bfs_pops",
+            Counter::StatesPruned => "states_pruned",
+            Counter::GenerationsPruned => "generations_pruned",
         }
     }
 }
@@ -500,6 +510,8 @@ mod tests {
                 "rate_limited",
                 "star_rows",
                 "star_bfs_pops",
+                "states_pruned",
+                "generations_pruned",
             ]
         );
     }

@@ -206,16 +206,12 @@ impl Matcher {
             .collect();
 
         // Candidate domains from star supports; nodes untouched by stars
-        // fall back to raw candidates.
-        let supports = star::support_domains(q, &views);
+        // fall back to raw candidates. Both come sorted.
+        let mut supports = star::support_domains(q, &views);
         let domains = q
             .node_ids()
             .map(|u| {
-                let mut dom: Vec<NodeId> = match supports.get(&u) {
-                    Some(set) => set.iter().copied().collect(),
-                    None => self.candidates(q, u),
-                };
-                dom.sort();
+                let dom = supports.remove(&u).unwrap_or_else(|| self.candidates(q, u));
                 (u, dom)
             })
             .collect();

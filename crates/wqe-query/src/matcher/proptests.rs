@@ -1,16 +1,19 @@
 //! Property tests for the star-view matcher: equivalence with the naive
 //! reference on random attributed graphs (cache on and off, any
 //! parallelism), parity of the star-probe join with the naive reference's
-//! oracle join on the matcher's own domains, and cache transparency across
-//! rewrite sequences.
+//! oracle join on the matcher's own domains, cache transparency across
+//! rewrite sequences, and the sorted-merge support domains against hash-set
+//! intersection.
 
 use crate::literal::Literal;
+use crate::matcher::star::{support_domains, StarLeaf, StarQuery, StarRow, StarTable, TableView};
 use crate::matcher::{assignment_order, naive_evaluate, oracle_join, verify_candidate, Matcher};
 use crate::ops::AtomicOp;
-use crate::pattern::PatternQuery;
+use crate::pattern::{PatternQuery, QNodeId};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use wqe_graph::{AttrValue, CmpOp, Graph, GraphBuilder, LabelId};
+use wqe_graph::{AttrValue, CmpOp, Graph, GraphBuilder, LabelId, NodeId};
 use wqe_index::{DistanceOracle, PllIndex};
 
 /// Verifies every focus candidate of `q` on `matcher`'s own tables and
@@ -181,6 +184,119 @@ fn arb_query(g: &Graph) -> impl Strategy<Value = PatternQuery> {
             }
             q
         })
+}
+
+/// Per pattern node, the intersection across views of the node sets each
+/// view supports (its live centers, its live rows' leaf matches), built
+/// from hash sets.
+fn reference_support_domains(views: &[TableView<'_>]) -> HashMap<QNodeId, HashSet<NodeId>> {
+    let mut domains: HashMap<QNodeId, HashSet<NodeId>> = HashMap::new();
+    let mut intersect = |u: QNodeId, support: HashSet<NodeId>| {
+        domains
+            .entry(u)
+            .and_modify(|d| d.retain(|v| support.contains(v)))
+            .or_insert(support);
+    };
+    for view in views {
+        intersect(
+            view.table.star.center,
+            view.rows().map(|r| r.center).collect(),
+        );
+        for (i, leaf) in view.table.star.leaves.iter().enumerate() {
+            let support = view
+                .rows()
+                .flat_map(|r| r.leaf_matches[i].iter().map(|&(w, _)| w))
+                .collect();
+            intersect(leaf.node, support);
+        }
+    }
+    domains
+}
+
+/// A one-leaf star table to build: its center and leaf pattern nodes, and
+/// its rows as `(center, live, leaf matches)`.
+type TableSpec = (u32, u32, Vec<(u32, bool, Vec<u32>)>);
+
+/// Pattern nodes among four, centers and leaf matches among 24 nodes.
+fn arb_table() -> impl Strategy<Value = TableSpec> {
+    (
+        0u32..4,
+        0u32..4,
+        proptest::collection::vec(
+            (
+                0u32..24,
+                any::<bool>(),
+                proptest::collection::vec(0u32..24, 0..6),
+            ),
+            0..10,
+        ),
+    )
+}
+
+/// The table a materialization would hold — rows sorted by distinct
+/// center, leaf lists sorted and distinct — with its live row indices.
+fn build_table((center, leaf, rows): &TableSpec) -> (StarTable, Vec<u32>) {
+    let mut rows: Vec<(u32, bool, Vec<u32>)> = rows.clone();
+    rows.sort_by_key(|r| r.0);
+    rows.dedup_by_key(|r| r.0);
+    let live = (0..rows.len() as u32)
+        .filter(|&i| rows[i as usize].1)
+        .collect();
+    let rows = rows
+        .into_iter()
+        .map(|(c, _, mut leaves)| {
+            leaves.sort_unstable();
+            leaves.dedup();
+            StarRow {
+                center: NodeId(c),
+                leaf_matches: vec![leaves.into_iter().map(|w| (NodeId(w), 1)).collect()],
+            }
+        })
+        .collect();
+    let star = StarQuery {
+        center: QNodeId(*center),
+        leaves: vec![StarLeaf {
+            node: QNodeId(*leaf),
+            outgoing: true,
+            bound: 1,
+        }],
+        augmented: None,
+    };
+    (
+        StarTable {
+            star,
+            rows: Arc::new(rows),
+        },
+        live,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `support_domains` equals hash-set intersection on random star
+    /// tables under random live filters — stars sharing centers and
+    /// leaves, empty rows, empty views — and every domain comes sorted
+    /// and distinct.
+    #[test]
+    fn support_domains_equal_hash_set_intersection(
+        specs in proptest::collection::vec(arb_table(), 1..5),
+    ) {
+        let built: Vec<(StarTable, Vec<u32>)> = specs.iter().map(build_table).collect();
+        let views: Vec<TableView<'_>> = built
+            .iter()
+            .map(|(table, live)| TableView { table, live: live.clone() })
+            .collect();
+        let got = support_domains(&PatternQuery::new(None, 2), &views);
+        let want = reference_support_domains(&views);
+        prop_assert_eq!(got.len(), want.len());
+        for (u, dom) in &got {
+            prop_assert!(dom.windows(2).all(|w| w[0] < w[1]), "{:?}: {:?}", u, dom);
+            let mut expected: Vec<NodeId> = want[u].iter().copied().collect();
+            expected.sort_unstable();
+            prop_assert_eq!(dom, &expected, "pattern node {:?}", u);
+        }
+    }
 }
 
 proptest! {

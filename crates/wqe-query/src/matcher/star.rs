@@ -27,7 +27,8 @@
 
 use crate::matcher::candidates::is_candidate;
 use crate::pattern::{PatternQuery, QNodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use wqe_graph::{Graph, NodeId};
 use wqe_pool::obs::{self, Counter};
 
@@ -461,28 +462,38 @@ impl Reach {
 }
 
 /// Per-pattern-node support sets from the (literal-filtered) table views:
-/// the intersection across stars of the nodes each star admits. This is the
-/// candidate *domain* the join verifies against — an over-approximation of
-/// the true match sets.
-pub fn support_domains(
-    q: &PatternQuery,
-    views: &[TableView<'_>],
-) -> HashMap<QNodeId, HashSet<NodeId>> {
-    let mut domains: HashMap<QNodeId, HashSet<NodeId>> = HashMap::new();
-    let mut intersect = |u: QNodeId, support: HashSet<NodeId>| {
-        domains
-            .entry(u)
-            .and_modify(|d| d.retain(|v| support.contains(v)))
-            .or_insert(support);
+/// the intersection across stars of the nodes each star admits, sorted.
+/// This is the candidate *domain* the join verifies against — an
+/// over-approximation of the true match sets. A view's live centers come
+/// sorted (rows are sorted by center); its leaf supports are its rows'
+/// leaf lists concatenated, sorted and deduplicated; stars sharing a
+/// pattern node intersect by a merge walk.
+pub fn support_domains(q: &PatternQuery, views: &[TableView<'_>]) -> HashMap<QNodeId, Vec<NodeId>> {
+    let mut domains: HashMap<QNodeId, Vec<NodeId>> = HashMap::new();
+    let mut intersect = |u: QNodeId, support: Vec<NodeId>| match domains.entry(u) {
+        Entry::Occupied(mut d) => {
+            let mut rest = support.iter().peekable();
+            d.get_mut().retain(|v| {
+                while rest.next_if(|&w| w < v).is_some() {}
+                rest.peek() == Some(&v)
+            });
+        }
+        Entry::Vacant(d) => {
+            d.insert(support);
+        }
     };
     for view in views {
-        let centers: HashSet<NodeId> = view.rows().map(|r| r.center).collect();
-        intersect(view.table.star.center, centers);
+        intersect(
+            view.table.star.center,
+            view.rows().map(|r| r.center).collect(),
+        );
         for (i, leaf) in view.table.star.leaves.iter().enumerate() {
-            let mut support = HashSet::new();
-            for row in view.rows() {
-                support.extend(row.leaf_matches[i].iter().map(|&(w, _)| w));
-            }
+            let mut support: Vec<NodeId> = view
+                .rows()
+                .flat_map(|row| row.leaf_matches[i].iter().map(|&(w, _)| w))
+                .collect();
+            support.sort_unstable();
+            support.dedup();
             intersect(leaf.node, support);
         }
     }
@@ -619,17 +630,23 @@ mod tests {
             .collect();
         let views: Vec<TableView> = tables.iter().map(|t| TableView::build(g, &q, t)).collect();
         let domains = support_domains(&q, &views);
-        let focus_domain = &domains[&q.focus()];
+        // Every domain is sorted and distinct.
+        for dom in domains.values() {
+            assert!(dom.windows(2).all(|w| w[0] < w[1]), "{dom:?}");
+        }
         // P1, P2, P5 — both stars agree and literals applied.
-        assert_eq!(focus_domain.len(), 3);
+        assert_eq!(
+            domains[&q.focus()],
+            vec![pg.phones[0], pg.phones[1], pg.phones[4]]
+        );
         // Domains over-approximate actual matches: compare with raw
         // candidates for the leaves.
         for u in q.node_ids() {
             if u == q.focus() {
                 continue;
             }
-            let raw: HashSet<NodeId> = node_candidates(g, &q, u).into_iter().collect();
-            assert!(domains[&u].is_subset(&raw));
+            let raw = node_candidates(g, &q, u);
+            assert!(domains[&u].iter().all(|v| raw.contains(v)));
         }
     }
 

@@ -56,7 +56,7 @@ fn main() {
     show("relevant matches   (RM)", &sets.rm);
     show("irrelevant matches (IM)", &sets.im);
     show("relevant candidates(RC)", &sets.rc);
-    show("irrelevant cands   (IC)", &sets.ic);
+    show("irrelevant cands   (IC)", &sets.ic(&engine.session().v_uo));
     println!(
         "\ncl(Q(G), E) = {:.3};  theoretical optimum cl* = {:.3}",
         eval.closeness,

@@ -7,7 +7,10 @@
 //! clock. A row holds the run's expansions, charged match steps, frontier
 //! peak, the profile's oracle counters, the star rows materialized and the
 //! nodes their BFS expanded (`rows`, `pops`: the work a star-cache hit
-//! saves) and a hash of the answer fingerprint. One more row per index build holds its PLL label entries.
+//! saves), the two cl⁺ prune counts (`spruned`: evaluated states kept off
+//! the frontier; `gpruned`: operator generation passes withheld) and a
+//! hash of the answer fingerprint. One more row per index build holds its
+//! PLL label entries.
 //! Rows must agree at parallelism 1 and 8; a counter that does not must
 //! be left out of the rows.
 //!
@@ -125,7 +128,7 @@ fn row(id: &str, report: &AnswerReport) -> String {
     let c = &profile.counters;
     let cl = report.best.as_ref().map_or(f64::NAN, |b| b.closeness);
     format!(
-        "{id} exp={} steps={} peak={} dist={} batch={} entries={} rows={} pops={} term={} cl={cl:.3} fp={:016x}",
+        "{id} exp={} steps={} peak={} dist={} batch={} entries={} rows={} pops={} spruned={} gpruned={} term={} cl={cl:.3} fp={:016x}",
         report.expansions,
         report.match_steps,
         report.frontier_peak,
@@ -134,6 +137,8 @@ fn row(id: &str, report: &AnswerReport) -> String {
         c.oracle_label_entries_scanned,
         c.star_rows,
         c.star_bfs_pops,
+        c.states_pruned,
+        c.generations_pruned,
         report.termination,
         fnv(&report.fingerprint())
     )
