@@ -11,17 +11,14 @@
 //!
 //! ## Batched frontier expansion
 //!
-//! Each round draws up to
-//! [`WqeConfig::frontier_batch`](crate::session::WqeConfig::frontier_batch)
-//! children from the priority queue, in exactly the order a serial search
-//! would pop them. Their evaluations fan out over a worker pool sized by
+//! Each round draws up to `FRONTIER_BATCH` children from the priority
+//! queue, in exactly the order a serial search would pop them. Their
+//! evaluations fan out over a worker pool sized by
 //! [`WqeConfig::parallelism`](crate::session::WqeConfig::parallelism), and
 //! the results merge back serially, stably sorted on
 //! `(cost, closeness, operator-sequence key)`. The search trajectory is a
 //! function of the batch width alone — the thread count never changes
-//! `best`, `top_k`, or `optimal_reached`, only wall-clock — and
-//! `frontier_batch = 1` reproduces the classic pop-one-evaluate-one order
-//! exactly.
+//! `best`, `top_k`, or `optimal_reached`, only wall-clock.
 
 use crate::chase::{Chase, Frontier, Phase, Rewrite};
 use crate::governor::Termination;
@@ -157,25 +154,26 @@ struct State {
     next_op: usize,
 }
 
+/// How many frontier children `AnsW` pops and evaluates per round: the
+/// work a round exposes to the pool. The search trajectory is a function
+/// of this width and never of the thread count.
+pub(crate) const FRONTIER_BATCH: usize = 8;
+
 /// `AnsW`'s frontier: a max-heap on (closeness, lowest cost first, oldest
 /// first) over an arena of every kept state.
 pub(crate) struct BestFirst {
     arena: Vec<State>,
     heap: BinaryHeap<(OrdF64, Reverse<OrdF64>, Reverse<usize>)>,
-    width: usize,
     top_k: usize,
 }
 
 impl BestFirst {
-    /// The frontier `session`'s config asks for: `frontier_batch` children
-    /// a round and `top_k` answers.
+    /// The frontier `session`'s config asks for: `top_k` answers.
     pub(crate) fn new(session: &Session) -> Self {
-        let config = &session.config;
         BestFirst {
             arena: Vec::new(),
             heap: BinaryHeap::new(),
-            width: config.frontier_batch.max(1),
-            top_k: config.top_k.max(1),
+            top_k: session.config.top_k.max(1),
         }
     }
 }
@@ -185,13 +183,13 @@ impl Frontier for BestFirst {
         self.top_k
     }
 
-    /// Up to `frontier_batch` children, in exactly the order the serial
+    /// Up to [`FRONTIER_BATCH`] children, in exactly the order the serial
     /// search would pop them: the top state's next applicable operator
     /// (Fig. 5 line 8), its queue built at the first visit; an exhausted
     /// state is popped (backtracking, line 7).
     fn gather(&mut self, chase: &mut Chase<'_>, room: usize, threshold: f64) -> Vec<Rewrite> {
         let session = chase.session();
-        let width = self.width.min(room);
+        let width = FRONTIER_BATCH.min(room);
         let mut batch = Vec::new();
         while batch.len() < width {
             let Some(&(_, _, Reverse(idx))) = self.heap.peek() else {

@@ -473,7 +473,7 @@ fn canonical_key(question: &WhyQuestion, algorithm: Algorithm, config: &WqeConfi
 
     let _ = write!(
         s,
-        "cfg:theta={},lambda={},budget={},tl={:?},exp={},beam={},topk={},rs={},cache={},prune={},fb={},dl={},mfs={},mms={}",
+        "cfg:theta={},lambda={},budget={},tl={:?},exp={},beam={},topk={},rs={},cache={},prune={},dl={},mfs={},mms={}",
         config.closeness.theta,
         config.closeness.lambda,
         config.budget,
@@ -484,7 +484,6 @@ fn canonical_key(question: &WhyQuestion, algorithm: Algorithm, config: &WqeConfi
         config.relevance_sample,
         config.caching,
         config.pruning,
-        config.frontier_batch,
         config.deadline_ms,
         config.max_frontier_states,
         config.max_match_steps,

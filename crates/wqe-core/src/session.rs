@@ -55,25 +55,20 @@ pub struct WqeConfig {
     /// Use the normal-form + cl⁺ pruning (`false`, with `caching = false`,
     /// reproduces `AnsWb`).
     pub pruning: bool,
-    /// Worker threads for every parallel hot path: batched `AnsW` frontier
-    /// evaluation, `AnsHeu` beam evaluation, and focus-candidate
-    /// verification inside the matcher. `0` (the [`Default`]) means *auto*
-    /// — one worker per available core; `1` forces fully serial execution.
-    /// The thread count never changes answers, only wall-clock (see
-    /// DESIGN.md "Parallel search and index construction").
+    /// Worker threads for the search's one parallel hot path: evaluating a
+    /// round's rewrites (a batch of `AnsW` frontier children, a level of
+    /// the `AnsHeu` beam) concurrently. Each evaluation runs on one thread.
+    /// `0` (the [`Default`]) means *auto* — one worker per available core;
+    /// `1` forces fully serial execution. The thread count never changes
+    /// answers, only wall-clock (see DESIGN.md "Parallel search and index
+    /// construction").
     pub parallelism: usize,
-    /// How many frontier candidates `AnsW` pops and evaluates per batch.
-    /// The search trajectory is a function of this width (and never of
-    /// `parallelism`); `1` reproduces the classic pop-one-evaluate-one
-    /// order exactly, larger batches expose work for the pool. `0` is
-    /// clamped to 1.
-    pub frontier_batch: usize,
     /// Governor wall-clock deadline in milliseconds; `0` (the default)
     /// means no deadline. Unlike `time_limit_ms` — which only the search
     /// loops consult between expansions — the deadline is polled
-    /// cooperatively all the way down (matcher fan-out, BFS oracle), so it
-    /// bounds even a single slow evaluation. See DESIGN.md "Query
-    /// governor".
+    /// cooperatively all the way down (matcher candidate loop, BFS
+    /// oracle), so it bounds even a single slow evaluation. See DESIGN.md
+    /// "Query governor".
     pub deadline_ms: f64,
     /// Governor cap on retained search states (the `AnsW` arena / `AnsHeu`
     /// visited set); `0` means unlimited. Exceeding it ends the search with
@@ -99,7 +94,6 @@ impl Default for WqeConfig {
             caching: true,
             pruning: true,
             parallelism: 0,
-            frontier_batch: 8,
             deadline_ms: 0.0,
             max_frontier_states: 0,
             max_match_steps: 0,
@@ -240,12 +234,6 @@ impl WqeConfigBuilder {
         self
     }
 
-    /// Sets the `AnsW` frontier batch width (`0` is clamped to 1).
-    pub fn frontier_batch(mut self, width: usize) -> Self {
-        self.cfg.frontier_batch = width;
-        self
-    }
-
     /// Sets the governor wall-clock deadline in milliseconds (`0` = none).
     pub fn deadline_ms(mut self, ms: f64) -> Self {
         self.cfg.deadline_ms = ms;
@@ -294,7 +282,7 @@ pub struct EvalResult {
 /// evaluation and AnsW's serial merge loop), exactly when the best
 /// satisfying answer's closeness improves — the same condition that pushes
 /// a [`crate::answ::TracePoint`]. Because the emission point is serial and
-/// the search trajectory is a function of `frontier_batch` alone, the
+/// the search trajectory is a function of `answ::FRONTIER_BATCH` alone, the
 /// sequence of updates is bit-identical across `parallelism` settings.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct AnswerUpdate {
@@ -388,7 +376,7 @@ impl Session {
         config: WqeConfig,
     ) -> Result<Self, WqeError> {
         validate(question, &config)?;
-        let mut matcher = if config.caching {
+        let matcher = if config.caching {
             // Share the context's per-epoch star cache: sessions pinned to
             // the same epoch reuse each other's materialized star tables.
             Matcher::new(Arc::clone(ctx.graph()), Arc::clone(ctx.oracle()))
@@ -396,7 +384,6 @@ impl Session {
         } else {
             Matcher::new(Arc::clone(ctx.graph()), Arc::clone(ctx.oracle())).without_cache()
         };
-        matcher = matcher.with_parallelism(config.effective_parallelism());
         let graph = ctx.graph();
         let focus_label = question
             .query
@@ -489,7 +476,7 @@ impl Session {
         let start = Instant::now();
         let gov = &self.governor;
         let steps_before = gov.steps();
-        // Every shared layer below (matcher fan-out, BFS oracle, pool
+        // Every shared layer below (matcher candidate loop, BFS oracle, pool
         // workers) polls this governor and records into this profiler.
         let _scope = Scope {
             governor: Some(Arc::clone(gov)),

@@ -5,6 +5,11 @@
 //! setting (§7): DBpedia/IMDB/Offshore/WatDiv-shaped graphs, DBPSB/WatDiv-
 //! style ground-truth query instantiation, and the "disturb Q* with up to
 //! k operators, set T = Q*(G) \ Q(G)" why-question construction.
+//!
+//! [`stream`] generates paper-scale graphs block by block and hands them to
+//! `wqe-store`'s one snapshot encoder ([`wqe_store::write_source`]) without
+//! building them in memory; this crate owns generation only, never the
+//! snapshot format.
 
 #![warn(missing_docs)]
 

@@ -1,35 +1,38 @@
 //! Paper-scale streaming graph generation: emits a multi-million-node
-//! synthetic graph *directly* into the durable snapshot format, section by
-//! section, without ever materializing a [`Graph`] (no per-node attribute
-//! heap, no `GraphBuilder` edge list).
+//! synthetic graph *directly* into the durable snapshot format without ever
+//! materializing a [`Graph`] (no per-node attribute heap, no `GraphBuilder`
+//! edge list).
 //!
 //! The trick is determinism: every node block regenerates from an
 //! independent RNG seeded by `(seed, stream, block)`, so the generator can
 //! make several cheap passes over the node stream — one to collect labels
-//! and edges, one to emit attribute tuples — instead of holding the data.
-//! What stays in memory is O(|V| + |E|) flat primitives (labels, both CSR
-//! arrays), a few megabytes per million nodes; attribute values (the bulk
-//! of a graph's heap) are regenerated on demand.
+//! and edges, one per attribute walk of the snapshot encoder — instead of
+//! holding the data. What stays in memory is O(|V| + |E|) flat primitives
+//! (labels, both CSR arrays), a few megabytes per million nodes; attribute
+//! values (the bulk of a graph's heap) are regenerated on demand.
 //!
-//! The output is *byte-identical* to building the same graph in memory and
-//! handing it to [`wqe_store::write_snapshot`] — including the diameter
-//! estimate, whose double-sweep (and its tie-breaking) is replicated
-//! exactly — which is what the cross-validation test pins. Scale snapshots
+//! This module only generates. The snapshot bytes come from
+//! [`wqe_store::write_source`], the encoder [`wqe_store::write_snapshot`]
+//! uses too, and the diameter from [`wqe_graph::estimate_diameter`], the
+//! estimate [`GraphBuilder::finalize`] makes; so the output is
+//! byte-identical to building the same graph in memory ([`materialize`])
+//! and writing it, which the cross-validation test pins. Scale snapshots
 //! carry no PLL sections (`flags = 0`): graphs this size are past the PLL
 //! crossover ([`wqe_index::Oracle::wants_labels`]), so a loaded context
 //! serves distances from the BFS tier exactly like a fresh build would.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use std::io;
 use std::path::Path;
-use wqe_graph::{AttrValue, Graph, GraphBuilder};
-use wqe_store::format::{SectionId, TAG_INT, TAG_STR};
-use wqe_store::SnapshotWriter;
+use wqe_core::pool::fault::splitmix64;
+use wqe_graph::{
+    estimate_diameter, AttrId, AttrValue, EdgeLabelId, Graph, GraphBuilder, LabelId, NodeId, Schema,
+};
+use wqe_store::GraphSource;
 
-/// Nodes per generation block: the RNG re-seeding granularity. Fixed (and
-/// independent of [`ScaleConfig::chunk`]) so the generated graph is a
-/// function of the seed alone, never of I/O buffering.
+/// Nodes per generation block: the RNG re-seeding granularity. Fixed, so
+/// the generated graph is a function of the seed alone.
 const GEN_BLOCK: usize = 4096;
 
 /// Stream tags separating the node and edge RNG sequences.
@@ -67,9 +70,6 @@ pub struct ScaleConfig {
     pub edge_labels: usize,
     /// RNG seed.
     pub seed: u64,
-    /// I/O buffer granularity in section-array elements. Changes write-call
-    /// sizes only — never the bytes produced.
-    pub chunk: usize,
 }
 
 impl ScaleConfig {
@@ -88,7 +88,6 @@ impl ScaleConfig {
             skew: 0.5,
             edge_labels: 12,
             seed,
-            chunk: 65_536,
         }
     }
 }
@@ -104,13 +103,6 @@ pub struct StreamReport {
     pub diameter: u32,
     /// Snapshot file length in bytes.
     pub bytes: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn block_rng(seed: u64, stream: u64, block: u64) -> StdRng {
@@ -224,373 +216,171 @@ fn blocks(nodes: u64) -> u64 {
     nodes.div_ceil(GEN_BLOCK as u64)
 }
 
-/// Schema name lists in id order — must serialize byte-identically to the
-/// batch writer's section payload (same field order, same JSON encoder).
-#[derive(Serialize)]
-struct SchemaJson {
-    labels: Vec<String>,
-    attrs: Vec<String>,
-    edge_labels: Vec<String>,
-}
-
-fn schema_names(cfg: &ScaleConfig, k: &Knobs) -> SchemaJson {
-    SchemaJson {
-        labels: (0..k.label_count)
-            .map(|i| format!("{}_L{i}", cfg.name))
-            .collect(),
-        attrs: (0..k.attr_pool).map(|i| format!("a{i}")).collect(),
-        edge_labels: (0..k.edge_label_count).map(|i| format!("r{i}")).collect(),
+/// The schema: labels, then attributes, then edge labels, each interned in
+/// index order so `"{name}_L{i}"`, `"a{i}"` and `"r{i}"` get id `i`.
+fn schema(cfg: &ScaleConfig, k: &Knobs) -> Schema {
+    let mut schema = Schema::default();
+    for i in 0..k.label_count {
+        schema.label(&format!("{}_L{i}", cfg.name));
     }
+    for i in 0..k.attr_pool {
+        schema.attr(&format!("a{i}"));
+    }
+    for i in 0..k.edge_label_count {
+        schema.edge_label(&format!("r{i}"));
+    }
+    schema
 }
 
-/// Buffered primitive emission into the open section of a
-/// [`SnapshotWriter`]: flushes every `cap` bytes so multi-gigabyte arrays
-/// stream through a small buffer.
-struct SectionBuf {
-    buf: Vec<u8>,
-    cap: usize,
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg.into())
 }
 
-impl SectionBuf {
-    fn new(chunk_elems: usize) -> SectionBuf {
-        let cap = chunk_elems.max(1024) * 4;
-        SectionBuf {
-            buf: Vec::with_capacity(cap + 8),
-            cap,
+/// A generated graph as the snapshot encoder reads it: labels and both CSR
+/// arrays held flat, attribute tuples regenerated block by block on every
+/// walk.
+struct Generated<'a> {
+    cfg: &'a ScaleConfig,
+    k: Knobs,
+    schema: Schema,
+    labels: Vec<LabelId>,
+    out: (Vec<u32>, Vec<(NodeId, EdgeLabelId)>),
+    inn: (Vec<u32>, Vec<(NodeId, EdgeLabelId)>),
+    diameter: u32,
+    /// `Str("v{c}")` for every categorical domain index `c`, so the walk
+    /// lends values instead of allocating one string per entry.
+    categorical: Vec<AttrValue>,
+}
+
+impl<'a> Generated<'a> {
+    /// Generates labels and edges (attribute values are left to the walks)
+    /// and derives the reverse CSR and the diameter.
+    fn new(cfg: &'a ScaleConfig) -> io::Result<Generated<'a>> {
+        let n = cfg.nodes;
+        if n > u32::MAX as u64 - 1 {
+            return Err(invalid(format!("{n} nodes exceeds the u32 node-id space")));
         }
-    }
-
-    fn push_u32(&mut self, w: &mut SnapshotWriter, v: u32) -> std::io::Result<()> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self.spill(w)
-    }
-
-    fn push_u64(&mut self, w: &mut SnapshotWriter, v: u64) -> std::io::Result<()> {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self.spill(w)
-    }
-
-    fn spill(&mut self, w: &mut SnapshotWriter) -> std::io::Result<()> {
-        if self.buf.len() >= self.cap {
-            w.write(&self.buf)?;
-            self.buf.clear();
+        let k = Knobs::derive(cfg);
+        let mut labels = Vec::with_capacity(n as usize);
+        for b in 0..blocks(n) {
+            labels.extend(
+                k.gen_node_block(cfg, b)
+                    .into_iter()
+                    .map(|(l, _)| LabelId(l)),
+            );
         }
-        Ok(())
-    }
-
-    fn flush(&mut self, w: &mut SnapshotWriter) -> std::io::Result<()> {
-        if !self.buf.is_empty() {
-            w.write(&self.buf)?;
-            self.buf.clear();
-        }
-        Ok(())
-    }
-}
-
-/// Per-attribute statistics accumulator mirroring
-/// [`wqe_graph::AttrStats`]'s streaming folds, with the categorical dedup
-/// set replaced by a domain-indexed bitset (values are `"v{k}"`).
-struct StatAcc {
-    count: u64,
-    numeric: u64,
-    min: f64,
-    max: f64,
-    seen: Vec<u64>,
-    distinct: u64,
-}
-
-impl StatAcc {
-    fn new(domain: usize) -> StatAcc {
-        StatAcc {
-            count: 0,
-            numeric: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            seen: vec![0; domain.div_ceil(64)],
-            distinct: 0,
-        }
-    }
-
-    fn observe(&mut self, v: RawValue) {
-        self.count += 1;
-        match v {
-            RawValue::Int(i) => {
-                let x = i as f64;
-                self.numeric += 1;
-                self.min = self.min.min(x);
-                self.max = self.max.max(x);
-            }
-            RawValue::Cat(k) => {
-                let (word, bit) = (k as usize / 64, k as usize % 64);
-                if self.seen[word] & (1 << bit) == 0 {
-                    self.seen[word] |= 1 << bit;
-                    self.distinct += 1;
-                }
-            }
-        }
-    }
-}
-
-fn json_err(e: impl std::fmt::Display) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-}
-
-/// Generates the configured graph and streams it straight into a snapshot
-/// at `path`. Peak memory is the flat label/CSR arrays plus an I/O buffer;
-/// attribute tuples never exist in memory all at once.
-pub fn stream_snapshot(cfg: &ScaleConfig, path: &Path) -> std::io::Result<StreamReport> {
-    let n = cfg.nodes;
-    if n > u32::MAX as u64 - 1 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("{n} nodes exceeds the u32 node-id space"),
-        ));
-    }
-    let k = Knobs::derive(cfg);
-
-    // ---- Pass 1: labels + edges (flat primitives only). ----
-    let mut labels: Vec<u32> = Vec::with_capacity(n as usize);
-    for b in 0..blocks(n) {
-        for (label_idx, _) in k.gen_node_block(cfg, b) {
-            labels.push(label_idx);
-        }
-    }
-    let mut out_offsets: Vec<u32> = Vec::with_capacity(n as usize + 1);
-    out_offsets.push(0);
-    let mut out_pairs: Vec<(u32, u32)> = Vec::new();
-    if n > 0 {
+        let mut out_offsets: Vec<u32> = Vec::with_capacity(n as usize + 1);
+        out_offsets.push(0);
+        let mut out_targets: Vec<(NodeId, EdgeLabelId)> = Vec::new();
         for b in 0..blocks(n) {
             let mut rng = block_rng(cfg.seed, EDGE_STREAM, b);
             let lo = b as usize * GEN_BLOCK;
             let hi = (lo + GEN_BLOCK).min(n as usize);
             for src in lo..hi {
-                out_pairs.extend(k.gen_edge_run(&mut rng, n, src as u64));
-                let total = u32::try_from(out_pairs.len()).map_err(|_| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "edge count exceeds the u32 CSR offset space",
-                    )
-                })?;
+                let run = k.gen_edge_run(&mut rng, n, src as u64);
+                out_targets.extend(run.into_iter().map(|(t, l)| (NodeId(t), EdgeLabelId(l))));
+                let total = u32::try_from(out_targets.len())
+                    .map_err(|_| invalid("edge count exceeds the u32 CSR offset space"))?;
                 out_offsets.push(total);
             }
         }
-    }
-    let m = out_pairs.len();
 
-    // Reverse CSR by counting scatter: in-runs come out sorted by source
-    // because sources are visited in ascending id order.
-    let mut in_offsets = vec![0u32; n as usize + 1];
-    for &(t, _) in &out_pairs {
-        in_offsets[t as usize + 1] += 1;
-    }
-    for i in 0..n as usize {
-        in_offsets[i + 1] += in_offsets[i];
-    }
-    let mut cursor: Vec<u32> = in_offsets[..n as usize].to_vec();
-    let mut in_pairs = vec![(0u32, 0u32); m];
-    for src in 0..n as usize {
-        let (lo, hi) = (out_offsets[src] as usize, out_offsets[src + 1] as usize);
-        for &(t, l) in &out_pairs[lo..hi] {
-            in_pairs[cursor[t as usize] as usize] = (src as u32, l);
-            cursor[t as usize] += 1;
+        // Reverse CSR by counting scatter: in-runs come out sorted by source
+        // because sources are visited in ascending id order.
+        let n = n as usize;
+        let mut in_offsets = vec![0u32; n + 1];
+        for &(t, _) in &out_targets {
+            in_offsets[t.index() + 1] += 1;
         }
-    }
-
-    let diameter = sweep_diameter(n as usize, &out_offsets, &out_pairs);
-
-    // ---- Write sections in id order. ----
-    let mut w = SnapshotWriter::create(path, 13)?;
-    let names = schema_names(cfg, &k);
-    w.write_section(
-        SectionId::Schema,
-        &serde_json::to_vec(&names).map_err(json_err)?,
-    )?;
-
-    let mut meta = Vec::with_capacity(32);
-    for v in [n, m as u64, diameter as u64, 0u64] {
-        meta.extend_from_slice(&v.to_le_bytes());
-    }
-    w.write_section(SectionId::Meta, &meta)?;
-
-    let mut buf = SectionBuf::new(cfg.chunk);
-    w.begin_section(SectionId::NodeLabels)?;
-    for &l in &labels {
-        buf.push_u32(&mut w, l)?;
-    }
-    buf.flush(&mut w)?;
-    w.end_section()?;
-
-    w.begin_section(SectionId::AttrOffsets)?;
-    let mut entry_count = 0u32;
-    buf.push_u32(&mut w, 0)?;
-    for &l in &labels {
-        entry_count = entry_count
-            .checked_add(k.sig_dedup[l as usize].len() as u32)
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "attribute entry count exceeds the u32 offset space",
-                )
-            })?;
-        buf.push_u32(&mut w, entry_count)?;
-    }
-    buf.flush(&mut w)?;
-    w.end_section()?;
-
-    // ---- Pass 2: regenerate values, emit attribute entries, and fold the
-    // string pool + statistics on the way through. ----
-    let mut pool: Vec<String> = Vec::new();
-    let mut pool_idx: Vec<u64> = vec![u64::MAX; k.domain];
-    let mut stats: Vec<StatAcc> = (0..k.attr_pool).map(|_| StatAcc::new(k.domain)).collect();
-    w.begin_section(SectionId::AttrEntries)?;
-    for b in 0..blocks(n) {
-        for (label_idx, values) in k.gen_node_block(cfg, b) {
-            for &(attr_id, slot) in &k.sig_dedup[label_idx as usize] {
-                let v = values[slot];
-                stats[attr_id as usize].observe(v);
-                let (tag, payload) = match v {
-                    RawValue::Int(i) => (TAG_INT, i as u64),
-                    RawValue::Cat(c) => {
-                        if pool_idx[c as usize] == u64::MAX {
-                            pool_idx[c as usize] = pool.len() as u64;
-                            pool.push(format!("v{c}"));
-                        }
-                        (TAG_STR, pool_idx[c as usize])
-                    }
-                };
-                buf.push_u32(&mut w, attr_id)?;
-                buf.push_u32(&mut w, tag)?;
-                buf.push_u64(&mut w, payload)?;
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
+        let mut in_sources = vec![(NodeId(0), EdgeLabelId(0)); out_targets.len()];
+        for src in 0..n {
+            let (lo, hi) = (out_offsets[src] as usize, out_offsets[src + 1] as usize);
+            for &(t, l) in &out_targets[lo..hi] {
+                in_sources[cursor[t.index()] as usize] = (NodeId(src as u32), l);
+                cursor[t.index()] += 1;
             }
         }
-    }
-    buf.flush(&mut w)?;
-    w.end_section()?;
 
-    w.write_section(
-        SectionId::StrPool,
-        &serde_json::to_vec(&pool).map_err(json_err)?,
-    )?;
-
-    for (off_id, tgt_id, offsets, pairs) in [
-        (
-            SectionId::OutOffsets,
-            SectionId::OutTargets,
-            &out_offsets,
-            &out_pairs,
-        ),
-        (
-            SectionId::InOffsets,
-            SectionId::InTargets,
-            &in_offsets,
-            &in_pairs,
-        ),
-    ] {
-        w.begin_section(off_id)?;
-        for &o in offsets {
-            buf.push_u32(&mut w, o)?;
-        }
-        buf.flush(&mut w)?;
-        w.end_section()?;
-        w.begin_section(tgt_id)?;
-        for &(t, l) in pairs {
-            buf.push_u32(&mut w, t)?;
-            buf.push_u32(&mut w, l)?;
-        }
-        buf.flush(&mut w)?;
-        w.end_section()?;
+        Ok(Generated {
+            cfg,
+            schema: schema(cfg, &k),
+            labels,
+            diameter: estimate_diameter(&out_offsets, &out_targets),
+            out: (out_offsets, out_targets),
+            inn: (in_offsets, in_sources),
+            categorical: (0..k.domain)
+                .map(|c| AttrValue::Str(format!("v{c}")))
+                .collect(),
+            k,
+        })
     }
-
-    // Label index by counting scatter, buckets in label id order, node ids
-    // ascending within each bucket.
-    let mut li_offsets = vec![0u32; k.label_count + 1];
-    for &l in &labels {
-        li_offsets[l as usize + 1] += 1;
-    }
-    for i in 0..k.label_count {
-        li_offsets[i + 1] += li_offsets[i];
-    }
-    let mut li_cursor: Vec<u32> = li_offsets[..k.label_count].to_vec();
-    let mut li_nodes = vec![0u32; n as usize];
-    for (v, &l) in labels.iter().enumerate() {
-        li_nodes[li_cursor[l as usize] as usize] = v as u32;
-        li_cursor[l as usize] += 1;
-    }
-    w.begin_section(SectionId::LabelIndexOffsets)?;
-    for &o in &li_offsets {
-        buf.push_u32(&mut w, o)?;
-    }
-    buf.flush(&mut w)?;
-    w.end_section()?;
-    w.begin_section(SectionId::LabelIndexNodes)?;
-    for &v in &li_nodes {
-        buf.push_u32(&mut w, v)?;
-    }
-    buf.flush(&mut w)?;
-    w.end_section()?;
-
-    w.begin_section(SectionId::AttrStats)?;
-    for s in &stats {
-        buf.push_u64(&mut w, s.count)?;
-        buf.push_u64(&mut w, s.numeric)?;
-        buf.push_u64(&mut w, s.min.to_bits())?;
-        buf.push_u64(&mut w, s.max.to_bits())?;
-        buf.push_u64(&mut w, s.distinct)?;
-    }
-    buf.flush(&mut w)?;
-    w.end_section()?;
-
-    let bytes = w.finish()?;
-    Ok(StreamReport {
-        nodes: n,
-        edges: m as u64,
-        diameter,
-        bytes,
-    })
 }
 
-/// Replicates `wqe_graph`'s finalize-time diameter estimate — forward BFS
-/// double-sweeps from seeds spread over the id space — over the flat CSR,
-/// including its tie-breaking (last-discovered farthest node seeds the
-/// second sweep), so streamed meta bytes match a materialized build.
-fn sweep_diameter(n: usize, offsets: &[u32], pairs: &[(u32, u32)]) -> u32 {
-    if n == 0 {
-        return 1;
+impl GraphSource for Generated<'_> {
+    fn schema(&self) -> &Schema {
+        &self.schema
     }
-    let mut dist = vec![u32::MAX; n];
-    let mut queue: Vec<u32> = Vec::new();
-    let far_from = |src: usize, dist: &mut Vec<u32>, queue: &mut Vec<u32>| -> (usize, u32) {
-        dist.iter_mut().for_each(|d| *d = u32::MAX);
-        queue.clear();
-        dist[src] = 0;
-        queue.push(src as u32);
-        let (mut far, mut far_d) = (src, 0u32);
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head] as usize;
-            head += 1;
-            let d = dist[u];
-            for &(t, _) in &pairs[offsets[u] as usize..offsets[u + 1] as usize] {
-                if dist[t as usize] == u32::MAX {
-                    dist[t as usize] = d + 1;
-                    queue.push(t);
-                    if d + 1 >= far_d {
-                        far_d = d + 1;
-                        far = t as usize;
-                    }
+
+    fn label(&self, v: NodeId) -> LabelId {
+        self.labels[v.index()]
+    }
+
+    fn tuple_len(&self, v: NodeId) -> usize {
+        self.k.sig_dedup[self.labels[v.index()].index()].len()
+    }
+
+    fn each_attr(
+        &self,
+        emit: &mut dyn FnMut(AttrId, &AttrValue) -> io::Result<()>,
+    ) -> io::Result<()> {
+        for b in 0..blocks(self.cfg.nodes) {
+            for (label_idx, values) in self.k.gen_node_block(self.cfg, b) {
+                for &(attr_id, slot) in &self.k.sig_dedup[label_idx as usize] {
+                    let int;
+                    let value = match values[slot] {
+                        RawValue::Int(i) => {
+                            int = AttrValue::Int(i);
+                            &int
+                        }
+                        RawValue::Cat(c) => &self.categorical[c as usize],
+                    };
+                    emit(AttrId(attr_id), value)?;
                 }
             }
         }
-        (far, far_d)
-    };
-    let mut best = 1u32;
-    for s in [0, n / 3, (2 * n) / 3, n - 1] {
-        let (far, d1) = far_from(s, &mut dist, &mut queue);
-        best = best.max(d1);
-        let (_, d2) = far_from(far, &mut dist, &mut queue);
-        best = best.max(d2);
+        Ok(())
     }
-    best.max(1)
+
+    fn out_csr(&self) -> (&[u32], &[(NodeId, EdgeLabelId)]) {
+        (&self.out.0, &self.out.1)
+    }
+
+    fn in_csr(&self) -> (&[u32], &[(NodeId, EdgeLabelId)]) {
+        (&self.inn.0, &self.inn.1)
+    }
+
+    fn raw_diameter(&self) -> u32 {
+        self.diameter
+    }
+}
+
+/// Generates the configured graph and streams it straight into a snapshot
+/// at `path`. Peak memory is the flat label/CSR arrays plus the encoder's
+/// buffer and string pool; attribute tuples never exist in memory all at
+/// once.
+pub fn stream_snapshot(cfg: &ScaleConfig, path: &Path) -> std::io::Result<StreamReport> {
+    let g = Generated::new(cfg)?;
+    let bytes = wqe_store::write_source(path, &g, None)?;
+    Ok(StreamReport {
+        nodes: cfg.nodes,
+        edges: g.out.1.len() as u64,
+        diameter: g.diameter,
+        bytes,
+    })
 }
 
 /// Builds the *same* graph [`stream_snapshot`] emits, in memory through
@@ -599,23 +389,10 @@ fn sweep_diameter(n: usize, offsets: &[u32], pairs: &[(u32, u32)]) -> u32 {
 /// path can be pinned against the batch writer.
 pub fn materialize(cfg: &ScaleConfig) -> Graph {
     let k = Knobs::derive(cfg);
-    let mut b = GraphBuilder::new();
-    let names = schema_names(cfg, &k);
-    let label_ids: Vec<_> = names
-        .labels
-        .iter()
-        .map(|l| b.schema_mut().label(l))
-        .collect();
-    let attr_ids: Vec<_> = names.attrs.iter().map(|a| b.schema_mut().attr(a)).collect();
-    let edge_label_ids: Vec<_> = names
-        .edge_labels
-        .iter()
-        .map(|e| b.schema_mut().edge_label(e))
-        .collect();
-
+    let mut b = GraphBuilder::with_schema(schema(cfg, &k));
     for blk in 0..blocks(cfg.nodes) {
         for (label_idx, values) in k.gen_node_block(cfg, blk) {
-            let tuple: Vec<(wqe_graph::AttrId, AttrValue)> = values
+            let tuple: Vec<(AttrId, AttrValue)> = values
                 .iter()
                 .enumerate()
                 .map(|(j, &v)| {
@@ -624,25 +401,19 @@ pub fn materialize(cfg: &ScaleConfig) -> Graph {
                         RawValue::Int(i) => AttrValue::Int(i),
                         RawValue::Cat(c) => AttrValue::Str(format!("v{c}")),
                     };
-                    (attr_ids[ai], value)
+                    (AttrId(ai as u32), value)
                 })
                 .collect();
-            b.add_node_raw(label_ids[label_idx as usize], tuple);
+            b.add_node_raw(LabelId(label_idx), tuple);
         }
     }
-    if cfg.nodes > 0 {
-        for blk in 0..blocks(cfg.nodes) {
-            let mut rng = block_rng(cfg.seed, EDGE_STREAM, blk);
-            let lo = blk as usize * GEN_BLOCK;
-            let hi = (lo + GEN_BLOCK).min(cfg.nodes as usize);
-            for src in lo..hi {
-                for (t, l) in k.gen_edge_run(&mut rng, cfg.nodes, src as u64) {
-                    b.add_edge_raw(
-                        wqe_graph::NodeId(src as u32),
-                        wqe_graph::NodeId(t),
-                        edge_label_ids[l as usize],
-                    );
-                }
+    for blk in 0..blocks(cfg.nodes) {
+        let mut rng = block_rng(cfg.seed, EDGE_STREAM, blk);
+        let lo = blk as usize * GEN_BLOCK;
+        let hi = (lo + GEN_BLOCK).min(cfg.nodes as usize);
+        for src in lo..hi {
+            for (t, l) in k.gen_edge_run(&mut rng, cfg.nodes, src as u64) {
+                b.add_edge_raw(NodeId(src as u32), NodeId(t), EdgeLabelId(l));
             }
         }
     }
@@ -665,10 +436,7 @@ mod tests {
     }
 
     fn small_cfg(nodes: u64, seed: u64) -> ScaleConfig {
-        ScaleConfig {
-            chunk: 333, // deliberately odd: exercises buffer spills
-            ..ScaleConfig::new(nodes, seed)
-        }
+        ScaleConfig::new(nodes, seed)
     }
 
     #[test]
@@ -690,23 +458,6 @@ mod tests {
         );
         std::fs::remove_file(&ps).ok();
         std::fs::remove_file(&pb).ok();
-    }
-
-    #[test]
-    fn chunk_size_never_changes_bytes() {
-        let (p1, p2) = (temp("chunk-a"), temp("chunk-b"));
-        stream_snapshot(&small_cfg(2000, 5), &p1).unwrap();
-        stream_snapshot(
-            &ScaleConfig {
-                chunk: 1 << 20,
-                ..small_cfg(2000, 5)
-            },
-            &p2,
-        )
-        .unwrap();
-        assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
-        std::fs::remove_file(&p1).ok();
-        std::fs::remove_file(&p2).ok();
     }
 
     #[test]

@@ -350,12 +350,6 @@ impl Graph {
         }
     }
 
-    /// Clones the graph into [`GraphParts`] (the snapshot writer's view of
-    /// a live graph it does not own).
-    pub fn to_parts(&self) -> GraphParts {
-        self.clone().into_parts()
-    }
-
     /// Raw forward CSR arrays `(offsets, targets)` — the writer-side view.
     pub fn out_csr(&self) -> (&[u32], &[(NodeId, EdgeLabelId)]) {
         (&self.out.offsets, &self.out.targets)
@@ -410,7 +404,7 @@ impl Graph {
 /// Every derived structure of a finalized [`Graph`], exploded into plain
 /// vectors — the exchange type between a graph and its durable snapshot.
 ///
-/// [`Graph::into_parts`]/[`Graph::to_parts`] export a graph losslessly;
+/// [`Graph::into_parts`] exports a graph losslessly;
 /// [`Graph::from_parts`] reconstitutes one *without re-deriving anything*
 /// (no CSR rebuild, no stats pass, no diameter sweeps), which is what makes
 /// snapshot load fast. `from_parts` validates structural invariants and
@@ -653,43 +647,58 @@ impl GraphBuilder {
         };
         graph.diameter = match self.diameter_override {
             Some(d) => d,
-            None => estimate_diameter(&graph),
+            None => estimate_diameter(&graph.out.offsets, &graph.out.targets),
         };
         graph
     }
 }
 
-/// Estimates the diameter with a handful of BFS double-sweeps. Exact
-/// all-pairs diameter is quadratic; a few sweeps from eccentric nodes give a
-/// lower bound that is tight in practice on small-world graphs and is only
-/// used to normalize operator costs (Table 1).
-fn estimate_diameter(g: &Graph) -> u32 {
-    let n = g.node_count();
+/// Estimates the diameter `D(G)` over a flat forward CSR with a handful of
+/// BFS double-sweeps: from each of four seeds spread over the id space, sweep
+/// to the farthest node (the last one discovered at the largest distance),
+/// then sweep again from it. Exact all-pairs diameter is quadratic; the
+/// sweeps give a lower bound that is tight in practice on small-world graphs
+/// and only normalizes operator costs (Table 1). Floored at 1; the empty
+/// graph reads 1. [`GraphBuilder::finalize`] and the streaming generator
+/// both call this, so a snapshot's meta word never depends on which of the
+/// two built the graph.
+pub fn estimate_diameter(offsets: &[u32], targets: &[(NodeId, EdgeLabelId)]) -> u32 {
+    let n = offsets.len().saturating_sub(1);
     if n == 0 {
         return 1;
     }
-    let mut best = 1u32;
-    // Deterministic seeds spread over the id space.
-    let seeds = [0usize, n / 3, (2 * n) / 3, n - 1];
-    for &s in &seeds {
-        let src = NodeId(s as u32);
-        // Forward sweep: find the farthest node, then sweep again from it.
-        let far = g
-            .bounded_bfs(src, u32::MAX)
-            .into_iter()
-            .max_by_key(|&(_, d)| d);
-        if let Some((far_node, d1)) = far {
-            best = best.max(d1);
-            if let Some((_, d2)) = g
-                .bounded_bfs(far_node, u32::MAX)
-                .into_iter()
-                .max_by_key(|&(_, d)| d)
-            {
-                best = best.max(d2);
+    let mut dist = vec![u32::MAX; n];
+    let mut queue: Vec<u32> = Vec::new();
+    let mut sweep = |src: usize| -> (usize, u32) {
+        for &u in &queue {
+            dist[u as usize] = u32::MAX;
+        }
+        queue.clear();
+        dist[src] = 0;
+        queue.push(src as u32);
+        let (mut far, mut far_d) = (src, 0);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let (u, d) = (u as usize, dist[u as usize] + 1);
+            for &(t, _) in &targets[offsets[u] as usize..offsets[u + 1] as usize] {
+                if dist[t.index()] == u32::MAX {
+                    dist[t.index()] = d;
+                    queue.push(t.0);
+                    // BFS discovers in nondecreasing distance order.
+                    (far, far_d) = (t.index(), d);
+                }
             }
         }
+        (far, far_d)
+    };
+    let mut best = 1u32;
+    for s in [0, n / 3, (2 * n) / 3, n - 1] {
+        let (far, d1) = sweep(s);
+        let (_, d2) = sweep(far);
+        best = best.max(d1).max(d2);
     }
-    best.max(1)
+    best
 }
 
 #[cfg(test)]
@@ -873,7 +882,7 @@ mod tests {
         b.add_edge(c, p, "serves");
         let g = b.finalize();
 
-        let g2 = Graph::from_parts(g.to_parts()).unwrap();
+        let g2 = Graph::from_parts(g.clone().into_parts()).unwrap();
         assert_eq!(g2.node_count(), g.node_count());
         assert_eq!(g2.edge_count(), g.edge_count());
         assert_eq!(g2.diameter(), g.diameter());
@@ -898,7 +907,7 @@ mod tests {
     fn from_parts_rejects_corrupt_structures() {
         let g = chain(4);
 
-        let mut p = g.to_parts();
+        let mut p = g.clone().into_parts();
         p.out_offsets[1] = 99; // beyond target count and non-monotonic
         assert!(matches!(
             Graph::from_parts(p),
@@ -908,7 +917,7 @@ mod tests {
             })
         ));
 
-        let mut p = g.to_parts();
+        let mut p = g.clone().into_parts();
         p.out_targets[0].0 = NodeId(1000);
         assert!(matches!(
             Graph::from_parts(p),
@@ -918,7 +927,7 @@ mod tests {
             })
         ));
 
-        let mut p = g.to_parts();
+        let mut p = g.clone().into_parts();
         p.in_offsets.pop();
         assert!(matches!(
             Graph::from_parts(p),
@@ -928,7 +937,7 @@ mod tests {
             })
         ));
 
-        let mut p = g.to_parts();
+        let mut p = g.clone().into_parts();
         p.label_index[0].push(NodeId(77));
         assert!(matches!(
             Graph::from_parts(p),
@@ -938,7 +947,7 @@ mod tests {
             })
         ));
 
-        let mut p = g.to_parts();
+        let mut p = g.clone().into_parts();
         p.attr_stats.clear();
         assert!(matches!(
             Graph::from_parts(p),
@@ -948,7 +957,7 @@ mod tests {
             })
         ));
 
-        let mut p = g.to_parts();
+        let mut p = g.clone().into_parts();
         p.nodes[0].label = crate::schema::LabelId(9);
         assert!(matches!(
             Graph::from_parts(p),
@@ -967,5 +976,75 @@ mod tests {
         assert_eq!(s.edges, 2);
         assert_eq!(s.labels, 1);
         assert!((s.avg_attrs_per_node - 1.0).abs() < 1e-9);
+    }
+
+    /// Reference for [`estimate_diameter`]: the same double-sweep over
+    /// `bounded_bfs`, with `max_by_key` picking the farthest node (the last
+    /// maximum, i.e. the last discovered).
+    fn reference_diameter(g: &Graph) -> u32 {
+        let n = g.node_count();
+        if n == 0 {
+            return 1;
+        }
+        let mut best = 1u32;
+        for s in [0usize, n / 3, (2 * n) / 3, n - 1] {
+            let far = g
+                .bounded_bfs(NodeId(s as u32), u32::MAX)
+                .into_iter()
+                .max_by_key(|&(_, d)| d);
+            if let Some((far_node, d1)) = far {
+                best = best.max(d1);
+                if let Some((_, d2)) = g
+                    .bounded_bfs(far_node, u32::MAX)
+                    .into_iter()
+                    .max_by_key(|&(_, d)| d)
+                {
+                    best = best.max(d2);
+                }
+            }
+        }
+        best.max(1)
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Random graphs of 0 to 39 nodes and up to 4 edges a node,
+        /// parallel edges and self-loops included: `sel == 0` makes every
+        /// node a sink (no edges at all), otherwise nodes below `sel - 1`
+        /// are sinks; with `parts == 2` edges only join nodes of equal
+        /// parity, so the graph is disconnected.
+        fn arb_graph() -> impl Strategy<Value = Graph> {
+            (0usize..40, 1usize..3, 0usize..8).prop_flat_map(|(n, parts, sel)| {
+                let span = n.max(1);
+                let sinks = if sel == 0 { n } else { sel - 1 };
+                proptest::collection::vec((0..span, 0..span), 0..(n * 4 + 1)).prop_map(
+                    move |edges| {
+                        let mut b = GraphBuilder::new();
+                        let ids: Vec<_> = (0..n).map(|_| b.add_node("N", [])).collect();
+                        for (u, v) in edges {
+                            if u < n && v < n && u >= sinks && u % parts == v % parts {
+                                b.add_edge(ids[u], ids[v], "e");
+                            }
+                        }
+                        b.finalize()
+                    },
+                )
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The flat-CSR estimate equals the `bounded_bfs` reference on
+            /// every graph, ties included: `finalize` stored the reference's
+            /// value in every snapshot written so far.
+            #[test]
+            fn flat_csr_diameter_equals_the_reference(g in arb_graph()) {
+                let (offsets, targets) = g.out_csr();
+                prop_assert_eq!(estimate_diameter(offsets, targets), reference_diameter(&g));
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@ mod value;
 
 pub use delta::{DeltaError, DeltaSummary, GraphUpdate, TOMBSTONE_LABEL};
 pub use error::LoadError;
-pub use graph::{Graph, GraphBuilder, GraphParts, NodeData};
+pub use graph::{estimate_diameter, Graph, GraphBuilder, GraphParts, NodeData};
 pub use loader::{read_jsonl, read_tsv, write_jsonl, write_tsv};
 pub use schema::{AttrId, EdgeLabelId, Interner, LabelId, NodeId, Schema};
 pub use stats::{AttrStats, GraphStats};

@@ -72,16 +72,17 @@ impl AttrStats {
                 self.min_num = self.min_num.min(x);
                 self.max_num = self.max_num.max(x);
             }
-            AttrValue::Str(s) => {
-                if self.seen_categorical.insert(s.clone()) {
-                    self.distinct_categorical += 1;
-                }
-            }
-            AttrValue::Bool(b) => {
-                if self.seen_categorical.insert(b.to_string()) {
-                    self.distinct_categorical += 1;
-                }
-            }
+            AttrValue::Str(s) => self.observe_categorical(s),
+            AttrValue::Bool(b) => self.observe_categorical(if *b { "true" } else { "false" }),
+        }
+    }
+
+    /// Counts `s` as a categorical value: booleans fold in as the strings
+    /// `"true"` and `"false"`, so they share one distinct set with strings.
+    fn observe_categorical(&mut self, s: &str) {
+        if !self.seen_categorical.contains(s) {
+            self.seen_categorical.insert(s.to_owned());
+            self.distinct_categorical += 1;
         }
     }
 

@@ -122,8 +122,8 @@ impl std::fmt::Display for FaultSite {
     }
 }
 
-/// The splitmix64 mixing function — the same constants the data generator
-/// uses, so every fault schedule shares one construction.
+/// The splitmix64 mixing function: every fault schedule and the streaming
+/// data generator's per-block RNG seeds share this one construction.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

@@ -195,8 +195,12 @@ impl<V: Cached> FootprintCache<V> {
     /// since a cached value is a pure function of its key and epoch, so
     /// the recomputed value is equivalent to the cached one.
     pub fn get(&self, key: &str) -> Option<Arc<V>> {
+        self.lookup(&mut relock(self.shard_for(key).lock()), key)
+    }
+
+    /// [`get`](Self::get) on a shard the caller has locked.
+    fn lookup(&self, inner: &mut Shard<V>, key: &str) -> Option<Arc<V>> {
         let forced_miss = fault::fire(V::FAULT).is_some();
-        let mut inner = relock(self.shard_for(key).lock());
         inner.tick += 1;
         let tick = inner.tick;
         if !forced_miss {
@@ -269,12 +273,15 @@ impl<V: Cached> FootprintCache<V> {
         F: FnOnce() -> V,
         P: FnOnce() -> Footprint,
     {
-        if let Some(value) = self.get(key) {
+        // The lookup and the flight check share one lock, so a thread
+        // that misses cannot find the key's flight already landed and
+        // withdrawn, and compute the value a second time.
+        let shard = self.shard_for(key);
+        let mut inner = relock(shard.lock());
+        if let Some(value) = self.lookup(&mut inner, key) {
             return value;
         }
-        let shard = self.shard_for(key);
         let flight = Arc::new(Mutex::new(()));
-        let mut inner = relock(shard.lock());
         if let Some(other) = inner.flights.get(key).cloned() {
             drop(inner);
             drop(relock(other.lock()));
@@ -623,6 +630,43 @@ mod tests {
         let (hits, misses) = (l.hits(), l.misses());
         c.get_or_compute("cold", Footprint::default, || panic!("must hit"));
         assert_eq!((l.hits(), l.misses()), (hits + 1, misses));
+    }
+
+    #[test]
+    fn a_cold_key_is_computed_once_however_fast_it_lands() {
+        // As above with an instant computation, so a racer's flight often
+        // lands between another thread's miss and its flight check; each
+        // of many cold keys must still be computed exactly once.
+        const THREADS: usize = 4;
+        const KEYS: usize = 300;
+        let c = std::sync::Arc::new(StarCache::new(4096, 1.0));
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(THREADS));
+        let computed = std::sync::Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let c = std::sync::Arc::clone(&c);
+                let barrier = std::sync::Arc::clone(&barrier);
+                let computed = std::sync::Arc::clone(&computed);
+                std::thread::spawn(move || {
+                    for k in 0..KEYS {
+                        barrier.wait();
+                        c.get_or_compute(&format!("k{k}"), Footprint::default, || {
+                            computed.fetch_add(1, Ordering::Relaxed);
+                            vec![row(k as u32)]
+                        });
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("no panic under the race");
+        }
+        assert_eq!(c.len(), KEYS);
+        assert_eq!(
+            computed.load(Ordering::Relaxed),
+            KEYS,
+            "one compute per key"
+        );
     }
 
     #[test]

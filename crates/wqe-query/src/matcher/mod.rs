@@ -29,13 +29,13 @@ pub struct MatchOutcome {
     pub tables: Vec<StarTable>,
     /// True if some candidate's verification hit the step budget and was
     /// conservatively reported as a non-match, or a governor halt cut the
-    /// candidate fan-out short.
+    /// candidate loop short.
     pub truncated: bool,
     /// Steps consumed verifying candidates: one per focus candidate
     /// examined, plus the join iterations its verification performed. A
     /// deterministic measure of work done: a pure function of the query
-    /// and graph, independent of thread count, so governor step caps
-    /// keyed on it stay reproducible at any parallelism.
+    /// and graph, so governor step caps keyed on it stay reproducible at
+    /// any search parallelism.
     pub steps: usize,
 }
 
@@ -112,7 +112,6 @@ pub struct Matcher {
     oracle: Arc<dyn DistanceOracle>,
     cache: Option<Arc<StarCache>>,
     step_limit: usize,
-    parallelism: usize,
 }
 
 impl Matcher {
@@ -123,7 +122,6 @@ impl Matcher {
             oracle,
             cache: Some(Arc::new(StarCache::default_sized())),
             step_limit: 2_000_000,
-            parallelism: 1,
         }
     }
 
@@ -145,15 +143,6 @@ impl Matcher {
     /// Overrides the per-candidate verification step budget.
     pub fn with_step_limit(mut self, limit: usize) -> Self {
         self.step_limit = limit.max(1);
-        self
-    }
-
-    /// Verifies focus candidates on up to `threads` OS threads (candidate
-    /// verifications are mutually independent). `0` resolves to one worker
-    /// per available core; `1` (the default) keeps evaluation
-    /// single-threaded; large pools only.
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = wqe_pool::resolve_threads(threads);
         self
     }
 
@@ -260,63 +249,38 @@ impl Matcher {
         let order = assignment_order(q);
         let focus_domain = domains.get(&focus).map_or(&[][..], Vec::as_slice);
 
-        let verify_chunk = |chunk: &[NodeId]| -> (Vec<(NodeId, Valuation)>, bool, usize) {
-            let mut found = Vec::new();
-            let mut truncated = false;
-            let mut consumed = 0usize;
-            // Governor halts (cancel/deadline) cut the candidate fan-out
-            // short; polled before the first candidate and every 16th
-            // after, so a long focus domain cannot pin the thread past the
-            // deadline and an evaluation started after a halt stops at once.
-            let gov = wqe_pool::governor::current();
-            for (i, &v) in chunk.iter().enumerate() {
-                if let Some(g) = gov.as_deref() {
-                    if i % 16 == 0 && g.halt().is_some() {
-                        truncated = true;
-                        break;
-                    }
-                }
-                let mut steps = self.step_limit;
-                match verify_candidate(q, &order, &domains, &tables, v, &mut steps) {
-                    Ok(Some(h)) => found.push((v, h)),
-                    Ok(None) => {}
-                    Err(Truncated) => truncated = true,
-                }
-                // One step for examining the candidate itself, plus the
-                // join work its verification consumed. Without the `1 +`,
-                // candidates rejected before the join recursion descends
-                // (single-node assignment orders, empty inner domains,
-                // literal failures) consume nothing, so tiny queries
-                // report `steps == 0` and a governor step cap can never
-                // engage on them. Charged per candidate — not batched —
-                // so per-chunk sums are exact at any parallelism.
-                consumed += 1 + (self.step_limit - steps);
-            }
-            (found, truncated, consumed)
-        };
-
-        // Candidate verifications are independent; fan out across threads
-        // when the pool is large enough to amortize spawning. Chunk results
-        // come back in chunk order, so matches are thread-count-invariant
-        // even before the final sort.
+        // Candidate verifications run in order on the calling thread; the
+        // search fans out across rewrites (`Chase::evaluate`), not here.
         let join_span = obs::span(obs::Stage::Join);
-        let (verified, truncated, steps) = if self.parallelism > 1 && focus_domain.len() >= 64 {
-            let chunk_size = focus_domain.len().div_ceil(self.parallelism);
-            let chunks: Vec<&[NodeId]> = focus_domain.chunks(chunk_size).collect();
-            let results = wqe_pool::WorkerPool::new(self.parallelism)
-                .map(&chunks, |_, chunk| verify_chunk(chunk));
-            let mut verified = Vec::new();
-            let mut truncated = false;
-            let mut steps = 0usize;
-            for (found, trunc, consumed) in results {
-                verified.extend(found);
-                truncated |= trunc;
-                steps += consumed;
+        let mut verified = Vec::new();
+        let mut truncated = false;
+        let mut steps = 0usize;
+        // Governor halts (cancel/deadline) cut the candidate loop short;
+        // polled before the first candidate and every 16th after, so a long
+        // focus domain cannot pin the thread past the deadline and an
+        // evaluation started after a halt stops at once.
+        let gov = wqe_pool::governor::current();
+        for (i, &v) in focus_domain.iter().enumerate() {
+            if let Some(g) = gov.as_deref() {
+                if i % 16 == 0 && g.halt().is_some() {
+                    truncated = true;
+                    break;
+                }
             }
-            (verified, truncated, steps)
-        } else {
-            verify_chunk(focus_domain)
-        };
+            let mut left = self.step_limit;
+            match verify_candidate(q, &order, &domains, &tables, v, &mut left) {
+                Ok(Some(h)) => verified.push((v, h)),
+                Ok(None) => {}
+                Err(Truncated) => truncated = true,
+            }
+            // One step for examining the candidate itself, plus the join
+            // work its verification consumed. Without the `1 +`, candidates
+            // rejected before the join recursion descends (single-node
+            // assignment orders, empty inner domains, literal failures)
+            // consume nothing, so tiny queries report `steps == 0` and a
+            // governor step cap can never engage on them.
+            steps += 1 + (self.step_limit - left);
+        }
         drop(join_span);
 
         let mut matches: Vec<NodeId> = verified.iter().map(|(v, _)| *v).collect();
@@ -568,36 +532,6 @@ mod tests {
         assert_eq!(s.stage(obs::Stage::StarMaterialize).count, 4);
         assert_eq!(s.counter(obs::Counter::CacheHit), 0);
         assert_eq!(s.counter(obs::Counter::CacheMiss), 0);
-    }
-
-    #[test]
-    fn parallel_evaluation_matches_serial() {
-        // A pool of 200 same-label nodes (past the >= 64 fan-out gate),
-        // half with a neighbor of the right label.
-        let mut b = wqe_graph::GraphBuilder::new();
-        let mut expected = Vec::new();
-        for i in 0..200u32 {
-            let f = b.add_node("F", [("i", wqe_graph::AttrValue::Int(i as i64))]);
-            if i % 2 == 0 {
-                let l = b.add_node("L", []);
-                b.add_edge(f, l, "e");
-                expected.push(f);
-            } else {
-                let x = b.add_node("X", []);
-                b.add_edge(f, x, "e");
-            }
-        }
-        let g = b.finalize();
-        let s = g.schema();
-        let mut q = PatternQuery::new(s.label_id("F"), 2);
-        let leaf = q.add_node(s.label_id("L"));
-        q.add_edge(q.focus(), leaf, 1).unwrap();
-
-        let serial = matcher_for(&g).evaluate(&q);
-        let parallel = matcher_for(&g).with_parallelism(4).evaluate(&q);
-        assert_eq!(serial.matches, parallel.matches);
-        assert_eq!(parallel.matches, expected);
-        assert_eq!(serial.valuations.len(), parallel.valuations.len());
     }
 
     #[test]

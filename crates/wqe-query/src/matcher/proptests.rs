@@ -1,9 +1,8 @@
 //! Property tests for the star-view matcher: equivalence with the naive
-//! reference on random attributed graphs (cache on and off, any
-//! parallelism), parity of the star-probe join with the naive reference's
-//! oracle join on the matcher's own domains, cache transparency across
-//! rewrite sequences, and the sorted-merge support domains against hash-set
-//! intersection.
+//! reference on random attributed graphs (cache on and off), parity of the
+//! star-probe join with the naive reference's oracle join on the matcher's
+//! own domains, cache transparency across rewrite sequences, and the
+//! sorted-merge support domains against hash-set intersection.
 
 use crate::literal::Literal;
 use crate::matcher::star::{support_domains, StarLeaf, StarQuery, StarRow, StarTable, TableView};
@@ -50,25 +49,23 @@ fn assert_join_parity(matcher: &Matcher, oracle: &dyn DistanceOracle, q: &Patter
 }
 
 /// `Matcher::evaluate` equals `naive_evaluate` with the star cache on and
-/// off and at parallelism 1, 2 and 8, and never truncates.
+/// off, and never truncates.
 fn assert_matches_naive(g: &Graph, q: &PatternQuery) -> Vec<wqe_graph::NodeId> {
     let oracle = PllIndex::build(g);
     let reference = naive_evaluate(g, &oracle, q);
-    for threads in [1, 2, 8] {
-        for cached in [true, false] {
-            let mut m = matcher_for(g).with_parallelism(threads);
-            if !cached {
-                m = m.without_cache();
-            }
-            let out = m.evaluate(q);
-            assert!(!out.truncated);
-            assert_eq!(
-                out.matches,
-                reference,
-                "threads {threads}, cache {cached}, query:\n{}",
-                q.display(g.schema())
-            );
+    for cached in [true, false] {
+        let mut m = matcher_for(g);
+        if !cached {
+            m = m.without_cache();
         }
+        let out = m.evaluate(q);
+        assert!(!out.truncated);
+        assert_eq!(
+            out.matches,
+            reference,
+            "cache {cached}, query:\n{}",
+            q.display(g.schema())
+        );
     }
     reference
 }
@@ -304,7 +301,7 @@ proptest! {
 
     /// The star-view matcher agrees with the naive reference on arbitrary
     /// graphs, bounds, literal sets and pattern shapes, with the star cache
-    /// on and off and at parallelism 1, 2 and 8.
+    /// on and off.
     #[test]
     fn star_matcher_equals_naive((g, q) in arb_graph().prop_flat_map(|g| {
         let q = arb_query(&g);
@@ -313,9 +310,8 @@ proptest! {
         assert_matches_naive(&g, &q);
     }
 
-    /// As above on one-label graphs large enough for most focus domains
-    /// to pass the matcher's 64-candidate fan-out gate, so the parallel
-    /// runs split the domain across workers.
+    /// As above on one-label graphs of 120 to 159 nodes, so most focus
+    /// domains are long.
     #[test]
     fn star_matcher_equals_naive_past_the_fan_out((g, q) in arb_graph_of(120..160, 1).prop_flat_map(|g| {
         let q = arb_query(&g);

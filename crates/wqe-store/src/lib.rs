@@ -11,6 +11,10 @@
 //! Layout, versioning, and compatibility policy live in [`format`](module@crate::format);
 //! DESIGN.md "Durable store" has the narrative version. Highlights:
 //!
+//! * one encoder, [`write_source`], writes every snapshot from a
+//!   [`GraphSource`] — a finalized graph ([`write_snapshot`]) or the
+//!   paper-scale generator of `wqe-datagen`, which streams without
+//!   building the graph in memory;
 //! * magic + format version + section table, FNV-1a 64 checksum per
 //!   section, every payload 16-byte aligned little-endian primitives;
 //! * zero-copy load: on unix the file is `mmap`ed (hand-written
@@ -43,7 +47,7 @@ pub use format::{SectionId, FORMAT_VERSION, MAGIC};
 pub use mmap::MappedFile;
 pub use read::{SectionInfo, Snapshot, SnapshotMeta};
 pub use stream::SnapshotWriter;
-pub use write::{build_and_write_snapshot, write_snapshot};
+pub use write::{build_and_write_snapshot, write_snapshot, write_source, GraphSource};
 
 #[cfg(test)]
 mod tests {

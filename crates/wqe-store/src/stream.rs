@@ -2,17 +2,15 @@
 //! [`crate::format`] incrementally, so a producer can write a section in
 //! chunks — checksummed on the fly by [`format::Fnv1a`](crate::format::Fnv1a)
 //! — without ever materializing the whole payload (or the whole file) in
-//! memory. This is what lets the scale datagen path stream multi-million-node
-//! graphs straight to disk.
+//! memory.
 //!
 //! Protocol: `create(path, section_count)` reserves the header + section
 //! table region, then for each section (ascending section id) call
 //! [`SnapshotWriter::begin_section`], any number of
 //! [`SnapshotWriter::write`]s, and [`SnapshotWriter::end_section`]; finally
 //! [`SnapshotWriter::finish`] seeks back, fills in the header and table,
-//! and syncs. The batch writer ([`crate::write_snapshot`]) is a thin loop
-//! over this type, so streamed and batch-built snapshots are byte-identical
-//! given identical payloads.
+//! and syncs. The snapshot encoder ([`crate::write_source`]) drives it
+//! through one fixed buffer, for in-memory graphs and streamed ones alike.
 
 use crate::format::*;
 use std::fs::File;

@@ -1,7 +1,15 @@
-//! Snapshot writer: serializes a finalized [`Graph`] (and optionally its
-//! [`PllIndex`]) into the section format of [`crate::format`].
+//! Snapshot writer: encodes a graph (and optionally its [`PllIndex`]
+//! labels) into the section format of [`crate::format`].
 //!
-//! The writer is deterministic: the same graph and index always produce
+//! There is one encoder, [`write_source`], and it reads its graph through
+//! [`GraphSource`]: a finalized [`Graph`] is one source, the streaming
+//! paper-scale generator of `wqe-datagen` another, which regenerates
+//! attribute tuples on demand instead of holding them. The encoder writes
+//! the sections in id order through one fixed buffer, so no section
+//! payload is held whole; it pools strings, derives the label index and
+//! folds [`AttrStats`] on the way through.
+//!
+//! The encoding is deterministic: the same graph and index always produce
 //! byte-identical files (schema names and pooled strings are emitted in
 //! first-assignment id order, never hash order), so snapshots can be
 //! content-compared and cached.
@@ -10,8 +18,9 @@ use crate::format::*;
 use crate::stream::SnapshotWriter;
 use serde::Serialize;
 use std::collections::HashMap;
+use std::io;
 use std::path::Path;
-use wqe_graph::{AttrValue, Graph};
+use wqe_graph::{AttrId, AttrStats, AttrValue, EdgeLabelId, Graph, LabelId, NodeId, Schema};
 use wqe_index::{Oracle, PllIndex, PllParts};
 
 /// Schema name lists in id order — the JSON payload of
@@ -23,99 +32,227 @@ pub(crate) struct SchemaNames {
     pub edge_labels: Vec<String>,
 }
 
-fn push_u32s(buf: &mut Vec<u8>, vals: impl IntoIterator<Item = u32>) {
-    for v in vals {
-        buf.extend_from_slice(&v.to_le_bytes());
+/// A graph as [`write_source`] reads it. Node ids are dense, `0..n` with
+/// `n + 1 = out_csr().0.len()`.
+pub trait GraphSource {
+    /// Label, attribute and edge-label names; ids index them.
+    fn schema(&self) -> &Schema;
+    /// The label of node `v`.
+    fn label(&self, v: NodeId) -> LabelId;
+    /// The length of node `v`'s attribute tuple.
+    fn tuple_len(&self, v: NodeId) -> usize;
+    /// Calls `emit` once per attribute entry: nodes in id order, each
+    /// node's tuple in order, `tuple_len(v)` entries for node `v`.
+    fn each_attr(
+        &self,
+        emit: &mut dyn FnMut(AttrId, &AttrValue) -> io::Result<()>,
+    ) -> io::Result<()>;
+    /// Forward CSR `(offsets, targets)`, each run sorted by target id.
+    fn out_csr(&self) -> (&[u32], &[(NodeId, EdgeLabelId)]);
+    /// Reverse CSR `(offsets, sources)`, each run sorted by source id.
+    fn in_csr(&self) -> (&[u32], &[(NodeId, EdgeLabelId)]);
+    /// The diameter estimate the meta section stores, unfloored.
+    fn raw_diameter(&self) -> u32;
+}
+
+impl GraphSource for Graph {
+    fn schema(&self) -> &Schema {
+        Graph::schema(self)
+    }
+
+    fn label(&self, v: NodeId) -> LabelId {
+        Graph::label(self, v)
+    }
+
+    fn tuple_len(&self, v: NodeId) -> usize {
+        self.node(v).attrs.len()
+    }
+
+    fn each_attr(
+        &self,
+        emit: &mut dyn FnMut(AttrId, &AttrValue) -> io::Result<()>,
+    ) -> io::Result<()> {
+        for v in self.node_ids() {
+            for (a, value) in &self.node(v).attrs {
+                emit(*a, value)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn out_csr(&self) -> (&[u32], &[(NodeId, EdgeLabelId)]) {
+        Graph::out_csr(self)
+    }
+
+    fn in_csr(&self) -> (&[u32], &[(NodeId, EdgeLabelId)]) {
+        Graph::in_csr(self)
+    }
+
+    fn raw_diameter(&self) -> u32 {
+        Graph::raw_diameter(self)
     }
 }
 
-fn push_u64s(buf: &mut Vec<u8>, vals: impl IntoIterator<Item = u64>) {
-    for v in vals {
-        buf.extend_from_slice(&v.to_le_bytes());
+/// Bytes the encoder gathers before handing them to the writer.
+const BUF_BYTES: usize = 1 << 16;
+
+/// Section payloads on their way into a [`SnapshotWriter`], through one
+/// fixed buffer that spills whenever it fills.
+struct Encoder {
+    w: SnapshotWriter,
+    buf: Vec<u8>,
+}
+
+impl Encoder {
+    fn bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if self.buf.len() + bytes.len() > BUF_BYTES {
+            self.spill()?;
+            if bytes.len() > BUF_BYTES {
+                return self.w.write(bytes);
+            }
+        }
+        self.buf.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn u32(&mut self, v: u32) -> io::Result<()> {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    fn u64(&mut self, v: u64) -> io::Result<()> {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    fn spill(&mut self) -> io::Result<()> {
+        if !self.buf.is_empty() {
+            self.w.write(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// One whole section: `body` emits its payload.
+    fn section(
+        &mut self,
+        id: SectionId,
+        body: impl FnOnce(&mut Encoder) -> io::Result<()>,
+    ) -> io::Result<()> {
+        self.w.begin_section(id)?;
+        body(self)?;
+        self.spill()?;
+        self.w.end_section()
+    }
+
+    fn u32s(&mut self, id: SectionId, vals: impl IntoIterator<Item = u32>) -> io::Result<()> {
+        self.section(id, |e| vals.into_iter().try_for_each(|v| e.u32(v)))
+    }
+
+    fn json(&mut self, id: SectionId, value: &impl Serialize) -> io::Result<()> {
+        let payload = serde_json::to_vec(value)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        self.section(id, |e| e.bytes(&payload))
     }
 }
 
-fn json_err(e: impl std::fmt::Display) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
+/// Distinct string values in first-occurrence order.
+#[derive(Default)]
+struct StrPool {
+    strings: Vec<String>,
+    index: HashMap<String, u64>,
 }
 
-/// Builds every graph section payload (the [`SectionId::REQUIRED`] set),
-/// in section id order. `has_pll` only feeds the meta flags word; the PLL
-/// payloads themselves come from [`pll_sections`].
-fn graph_sections(graph: &Graph, has_pll: bool) -> std::io::Result<Vec<(SectionId, Vec<u8>)>> {
+impl StrPool {
+    fn index_of(&mut self, s: &str) -> u64 {
+        if let Some(&i) = self.index.get(s) {
+            return i;
+        }
+        let i = self.strings.len() as u64;
+        self.strings.push(s.to_owned());
+        self.index.insert(s.to_owned(), i);
+        i
+    }
+}
+
+/// Encodes `graph` (and `pll`'s labels, when given) to `path` in snapshot
+/// format, reading every node's attribute tuple once. Returns the total
+/// bytes written; fails with an [`io::Error`] rather than panicking.
+pub fn write_source(
+    path: &Path,
+    graph: &dyn GraphSource,
+    pll: Option<&PllParts>,
+) -> io::Result<u64> {
     let schema = graph.schema();
-    let mut sections: Vec<(SectionId, Vec<u8>)> = Vec::with_capacity(13);
-
-    let names = SchemaNames {
-        labels: (0..schema.label_count() as u32)
-            .map(|i| schema.label_name(i.into()).to_string())
-            .collect(),
-        attrs: (0..schema.attr_count() as u32)
-            .map(|i| schema.attr_name(i.into()).to_string())
-            .collect(),
-        edge_labels: (0..schema.edge_label_count() as u32)
-            .map(|i| schema.edge_label_name(i.into()).to_string())
-            .collect(),
+    let (out_offsets, out_targets) = graph.out_csr();
+    let n = out_offsets.len().saturating_sub(1);
+    let nodes = || (0..n as u32).map(NodeId);
+    let sections = SectionId::REQUIRED.len() + pll.map_or(0, |_| SectionId::PLL.len());
+    let mut e = Encoder {
+        w: SnapshotWriter::create(path, sections)?,
+        buf: Vec::with_capacity(BUF_BYTES),
     };
-    sections.push((
+
+    e.json(
         SectionId::Schema,
-        serde_json::to_vec(&names).map_err(json_err)?,
-    ));
+        &SchemaNames {
+            labels: (0..schema.label_count() as u32)
+                .map(|i| schema.label_name(i.into()).to_string())
+                .collect(),
+            attrs: (0..schema.attr_count() as u32)
+                .map(|i| schema.attr_name(i.into()).to_string())
+                .collect(),
+            edge_labels: (0..schema.edge_label_count() as u32)
+                .map(|i| schema.edge_label_name(i.into()).to_string())
+                .collect(),
+        },
+    )?;
+    let flags = if pll.is_some() { FLAG_HAS_PLL } else { 0 };
+    let meta = [
+        n as u64,
+        out_targets.len() as u64,
+        graph.raw_diameter() as u64,
+        flags,
+    ];
+    e.section(SectionId::Meta, |e| {
+        meta.into_iter().try_for_each(|v| e.u64(v))
+    })?;
+    e.u32s(SectionId::NodeLabels, nodes().map(|v| graph.label(v).0))?;
 
-    let flags = if has_pll { FLAG_HAS_PLL } else { 0 };
-    let mut meta = Vec::with_capacity(32);
-    push_u64s(
-        &mut meta,
-        [
-            graph.node_count() as u64,
-            graph.edge_count() as u64,
-            graph.raw_diameter() as u64,
-            flags,
-        ],
-    );
-    sections.push((SectionId::Meta, meta));
-
-    let mut node_labels = Vec::with_capacity(4 * graph.node_count());
-    push_u32s(
-        &mut node_labels,
-        graph.node_ids().map(|v| graph.node(v).label.0),
-    );
-    sections.push((SectionId::NodeLabels, node_labels));
-
-    // Attribute tuples: CSR of 16-byte entries plus a string pool holding
-    // every distinct string value (first-occurrence order => determinism).
-    let mut attr_offsets = Vec::new();
-    let mut attr_entries = Vec::new();
-    let mut pool: Vec<String> = Vec::new();
-    let mut pool_index: HashMap<String, u64> = HashMap::new();
-    let mut entry_count = 0u32;
-    push_u32s(&mut attr_offsets, [0u32]);
-    for v in graph.node_ids() {
-        for (a, val) in &graph.node(v).attrs {
-            let (tag, payload) = match val {
+    // Attribute tuples: CSR of 16-byte entries, then the string pool every
+    // `TAG_STR` payload indexes, then the statistics folded on the way.
+    e.section(SectionId::AttrOffsets, |e| {
+        e.u32(0)?;
+        let mut total = 0u32;
+        for v in nodes() {
+            total = u32::try_from(graph.tuple_len(v))
+                .ok()
+                .and_then(|len| total.checked_add(len))
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        "attribute entry count exceeds the u32 offset space",
+                    )
+                })?;
+            e.u32(total)?;
+        }
+        Ok(())
+    })?;
+    let mut pool = StrPool::default();
+    let mut stats = vec![AttrStats::default(); schema.attr_count()];
+    e.section(SectionId::AttrEntries, |e| {
+        graph.each_attr(&mut |a, value| {
+            stats[a.index()].observe(value);
+            let (tag, payload) = match value {
                 AttrValue::Int(i) => (TAG_INT, *i as u64),
                 AttrValue::Float(f) => (TAG_FLOAT, f.to_bits()),
-                AttrValue::Str(s) => {
-                    let idx = *pool_index.entry(s.clone()).or_insert_with(|| {
-                        pool.push(s.clone());
-                        pool.len() as u64 - 1
-                    });
-                    (TAG_STR, idx)
-                }
+                AttrValue::Str(s) => (TAG_STR, pool.index_of(s)),
                 AttrValue::Bool(b) => (TAG_BOOL, *b as u64),
             };
-            push_u32s(&mut attr_entries, [a.0, tag]);
-            push_u64s(&mut attr_entries, [payload]);
-            entry_count += 1;
-        }
-        push_u32s(&mut attr_offsets, [entry_count]);
-    }
-    sections.push((SectionId::AttrOffsets, attr_offsets));
-    sections.push((SectionId::AttrEntries, attr_entries));
-    sections.push((
-        SectionId::StrPool,
-        serde_json::to_vec(&pool).map_err(json_err)?,
-    ));
+            e.u32(a.0)?;
+            e.u32(tag)?;
+            e.u64(payload)
+        })
+    })?;
+    e.json(SectionId::StrPool, &pool.strings)?;
 
     for (off_id, tgt_id, (offsets, targets)) in [
         (
@@ -125,74 +262,64 @@ fn graph_sections(graph: &Graph, has_pll: bool) -> std::io::Result<Vec<(SectionI
         ),
         (SectionId::InOffsets, SectionId::InTargets, graph.in_csr()),
     ] {
-        let mut off = Vec::with_capacity(4 * offsets.len());
-        push_u32s(&mut off, offsets.iter().copied());
-        let mut tgt = Vec::with_capacity(8 * targets.len());
-        push_u32s(&mut tgt, targets.iter().flat_map(|&(t, l)| [t.0, l.0]));
-        sections.push((off_id, off));
-        sections.push((tgt_id, tgt));
+        e.u32s(off_id, offsets.iter().copied())?;
+        e.u32s(tgt_id, targets.iter().flat_map(|&(t, l)| [t.0, l.0]))?;
     }
 
-    let mut li_offsets = Vec::new();
-    let mut li_nodes = Vec::new();
-    let mut total = 0u32;
-    push_u32s(&mut li_offsets, [0u32]);
-    for bucket in graph.label_index() {
-        push_u32s(&mut li_nodes, bucket.iter().map(|v| v.0));
-        total += bucket.len() as u32;
-        push_u32s(&mut li_offsets, [total]);
+    // Label index by counting scatter: buckets in label id order, node ids
+    // ascending within each bucket.
+    let mut li_offsets = vec![0u32; schema.label_count() + 1];
+    for v in nodes() {
+        li_offsets[graph.label(v).index() + 1] += 1;
     }
-    sections.push((SectionId::LabelIndexOffsets, li_offsets));
-    sections.push((SectionId::LabelIndexNodes, li_nodes));
+    for l in 1..li_offsets.len() {
+        li_offsets[l] += li_offsets[l - 1];
+    }
+    let mut cursor = li_offsets.clone();
+    let mut li_nodes = vec![0u32; n];
+    for v in nodes() {
+        let slot = &mut cursor[graph.label(v).index()];
+        li_nodes[*slot as usize] = v.0;
+        *slot += 1;
+    }
+    e.u32s(SectionId::LabelIndexOffsets, li_offsets)?;
+    e.u32s(SectionId::LabelIndexNodes, li_nodes)?;
 
-    let mut stats = Vec::with_capacity(40 * graph.attr_stats_all().len());
-    for s in graph.attr_stats_all() {
-        push_u64s(
-            &mut stats,
+    e.section(SectionId::AttrStats, |e| {
+        stats.iter().try_for_each(|s| {
             [
                 s.count as u64,
                 s.numeric_count as u64,
                 s.min_num.to_bits(),
                 s.max_num.to_bits(),
                 s.distinct_categorical as u64,
-            ],
-        );
-    }
-    sections.push((SectionId::AttrStats, stats));
-    Ok(sections)
-}
+            ]
+            .into_iter()
+            .try_for_each(|v| e.u64(v))
+        })
+    })?;
 
-/// Builds the PLL label section payloads in ascending id order: the flat
-/// struct-of-arrays, persisted as is.
-fn pll_sections(parts: &PllParts) -> Vec<(SectionId, Vec<u8>)> {
-    let flat = |arr: &[u32]| {
-        let mut buf = Vec::with_capacity(4 * arr.len());
-        push_u32s(&mut buf, arr.iter().copied());
-        buf
-    };
-    vec![
-        (SectionId::PllOutOffsets, flat(&parts.out_offsets)),
-        (SectionId::PllInOffsets, flat(&parts.in_offsets)),
-        (SectionId::PllOutRanks, flat(&parts.out_ranks)),
-        (SectionId::PllOutDists, flat(&parts.out_dists)),
-        (SectionId::PllInRanks, flat(&parts.in_ranks)),
-        (SectionId::PllInDists, flat(&parts.in_dists)),
-    ]
+    // PLL labels in ascending id order: the flat struct-of-arrays, as is.
+    if let Some(p) = pll {
+        for (id, arr) in [
+            (SectionId::PllOutOffsets, &p.out_offsets),
+            (SectionId::PllInOffsets, &p.in_offsets),
+            (SectionId::PllOutRanks, &p.out_ranks),
+            (SectionId::PllOutDists, &p.out_dists),
+            (SectionId::PllInRanks, &p.in_ranks),
+            (SectionId::PllInDists, &p.in_dists),
+        ] {
+            e.u32s(id, arr.iter().copied())?;
+        }
+    }
+    e.w.finish()
 }
 
 /// Serializes `graph` (and `pll`, when given) to `path` in snapshot format.
 /// Returns the total bytes written. Writes deterministically; fails with an
 /// [`std::io::Error`] rather than panicking.
 pub fn write_snapshot(path: &Path, graph: &Graph, pll: Option<&PllIndex>) -> std::io::Result<u64> {
-    let mut sections = graph_sections(graph, pll.is_some())?;
-    if let Some(pll) = pll {
-        sections.extend(pll_sections(pll.parts()));
-    }
-    let mut w = SnapshotWriter::create(path, sections.len())?;
-    for (id, payload) in &sections {
-        w.write_section(*id, payload)?;
-    }
-    w.finish()
+    write_source(path, graph, pll.map(PllIndex::parts))
 }
 
 /// Builds whatever index the policy calls for and writes the snapshot in

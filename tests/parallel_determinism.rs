@@ -2,7 +2,7 @@
 //! at any thread count produce byte-identical reports, and the rank-windowed
 //! parallel PLL build answers exactly like sequential construction.
 //!
-//! The search trajectory is a function of `WqeConfig::frontier_batch` alone;
+//! The search trajectory is a function of `answ::FRONTIER_BATCH` alone;
 //! `parallelism` only decides how many workers evaluate each batch. These
 //! tests pin that contract across paper and generated workloads.
 //!

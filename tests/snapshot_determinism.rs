@@ -468,3 +468,43 @@ fn truncated_snapshots_error_cleanly() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+/// The snapshot format, pinned byte for byte: FNV-1a 64 digests of three
+/// whole files, one from each way a snapshot is written — a graph with its
+/// PLL labels, the build-and-write fast path, and the streaming paper-scale
+/// generator. A change to any section's encoding (string pool order, stats
+/// folds, label index, diameter tie-break) moves a digest.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    use wqe::datagen::{stream_snapshot, ScaleConfig};
+    use wqe::index::PllIndex;
+    use wqe::store::{format::fnv1a64, write_snapshot};
+
+    let digest = |path: &PathBuf| {
+        let d = fnv1a64(&std::fs::read(path).unwrap());
+        std::fs::remove_file(path).ok();
+        d
+    };
+    let product = wqe::graph::product::product_graph().graph;
+    let path = temp_path("pinned-product");
+    write_snapshot(&path, &product, Some(&PllIndex::build(&product))).unwrap();
+    let product_digest = digest(&path);
+
+    let path = temp_path("pinned-dbpedia");
+    build_and_write_snapshot(&path, &dbpedia_like(0.01, 9)).unwrap();
+    let dbpedia_digest = digest(&path);
+
+    let path = temp_path("pinned-stream");
+    stream_snapshot(&ScaleConfig::new(1500, 11), &path).unwrap();
+    let stream_digest = digest(&path);
+
+    assert_eq!(
+        [product_digest, dbpedia_digest, stream_digest],
+        [
+            0x4df4_578a_2d7d_3a59,
+            0x978c_52f1_2fee_7271,
+            0x1b9a_1d47_8fce_a573
+        ],
+        "snapshot bytes moved: {product_digest:#018x} {dbpedia_digest:#018x} {stream_digest:#018x}"
+    );
+}
