@@ -17,7 +17,8 @@ use crate::opsgen::{generate_refinements, op_key, rank, ScoredOp};
 use crate::session::{Session, WhyQuestion};
 use std::collections::HashSet;
 use wqe_graph::NodeId;
-use wqe_query::AtomicOp;
+use wqe_pool::WorkerPool;
+use wqe_query::{AtomicOp, PatternQuery};
 
 /// Maximum number of seed operators retained from `SeedRf` (bounds the
 /// `O(|seeds|)` coverage evaluations).
@@ -63,17 +64,25 @@ pub(crate) fn search(session: &Session, question: &WhyQuestion) -> AnswerReport 
         .collect();
     rank(&mut scored, |s| s.pickiness);
     scored.truncate(MAX_SEEDS);
-    let mut seeds: Vec<Seed> = Vec::with_capacity(scored.len());
-    for (_, s) in scored {
-        let cost = s.op.cost(session.graph());
-        if cost > budget + 1e-9 {
-            continue;
-        }
-        let mut q = question.query.clone();
-        if s.op.apply(&mut q).is_err() {
-            continue;
-        }
-        let eval = session.evaluate(&q);
+    // Seeds are applied and filtered here, evaluated on `parallelism`
+    // workers, and merged in seed order, so coverage does not depend on
+    // the worker count.
+    let applied: Vec<(AtomicOp, f64, PatternQuery)> = scored
+        .into_iter()
+        .filter_map(|(_, s)| {
+            let cost = s.op.cost(session.graph());
+            if cost > budget + 1e-9 {
+                return None;
+            }
+            let mut q = question.query.clone();
+            s.op.apply(&mut q).ok()?;
+            Some((s.op, cost, q))
+        })
+        .collect();
+    let evals = WorkerPool::new(session.config.parallelism)
+        .map(&applied, |_, (_, _, q)| session.evaluate(q));
+    let mut seeds: Vec<Seed> = Vec::with_capacity(applied.len());
+    for ((op, cost, _), eval) in applied.into_iter().zip(evals) {
         report.count(&eval);
         let after: HashSet<NodeId> = eval.outcome.matches.iter().copied().collect();
         let mut covers: Vec<NodeId> = base_matches.difference(&after).copied().collect();
@@ -81,11 +90,7 @@ pub(crate) fn search(session: &Session, question: &WhyQuestion) -> AnswerReport 
         if covers.is_empty() {
             continue;
         }
-        seeds.push(Seed {
-            op: s.op,
-            cost,
-            covers,
-        });
+        seeds.push(Seed { op, cost, covers });
     }
 
     let set_weight =

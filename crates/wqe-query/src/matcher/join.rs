@@ -7,16 +7,30 @@
 //! verification of a candidate stops as soon as one valuation is found
 //! (the Threshold-Algorithm-style early exit the paper describes).
 //!
-//! ## The join probes the stars
+//! ## The join walks the stars
 //!
 //! [`star::decompose`](super::star::decompose) makes star `i` from pattern
 //! edge `i`, and its table lists, per center, every leaf candidate within
-//! the edge's bound. So the join computes no distance: an edge constraint
-//! between two placed nodes is answered by [`StarTable::admits`] on that
-//! edge's table, two binary searches. This agrees with the distance for
-//! every value the join sees, because the domains it walks are subsets of
-//! each star's live centers and leaves, and injectivity keeps the two
+//! the edge's bound: rows sorted by center, each leaf list by node id. So
+//! the join computes no distance: an edge constraint between two placed
+//! nodes is answered by that edge's table. This agrees with the distance
+//! for every value the join sees, because the domains it walks are subsets
+//! of each star's live centers and leaves, and injectivity keeps the two
 //! endpoints apart.
+//!
+//! [`JoinPlan::new`] plans the join once per evaluation: per depth of the
+//! assignment order, the domain walked and the probes, the edges to
+//! shallower placements. Domains are sorted too, so each probe walks its
+//! table beside the domain with a cursor, restarted whenever its depth
+//! starts a walk:
+//! - a *leaf-side* probe (the node being placed is the star's leaf) finds
+//!   the placed center's row once and walks that row's leaf list;
+//! - a *center-side* probe walks the table's rows, and searches the row it
+//!   lands on for the placed leaf.
+//!
+//! Once a probe's list holds nothing at or past the current value, no
+//! later value of the walk fits, and the rest of the domain is charged at
+//! once.
 //!
 //! Placing pattern node `u` walks its domain value by value in domain
 //! order, charging each value one step *before* it is looked at. `steps`,
@@ -24,9 +38,10 @@
 //! pinned against the oracle join of `naive_evaluate` in
 //! `matcher/proptests.rs`.
 
-use super::star::StarTable;
+use super::star::{StarRow, StarTable};
 use crate::pattern::{PatternQuery, QNodeId};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use wqe_graph::NodeId;
 
 /// One witness valuation `h : V_Q -> V`.
@@ -65,83 +80,154 @@ pub fn assignment_order(q: &PatternQuery) -> Vec<QNodeId> {
     order
 }
 
-/// Tries to extend `focus -> focus_match` to a full injective valuation.
+/// The join of one evaluation, planned once: per depth of the assignment
+/// order, the domain walked and the probes against shallower placements,
+/// plus the scratch every verification reuses.
 ///
 /// `domains` restricts each pattern node to the nodes admitted by the star
-/// tables (an over-approximation of its true matches); `tables[i]` is the
-/// table of star `i` of [`star::decompose`](super::star::decompose), the
-/// star of pattern edge `i`, and every domain value must be a live center
-/// or leaf of the stars of its node. `steps` is a decrementing budget;
-/// exhaustion aborts with [`Truncated`].
-pub fn verify_candidate(
-    q: &PatternQuery,
-    order: &[QNodeId],
-    domains: &HashMap<QNodeId, Vec<NodeId>>,
-    tables: &[StarTable],
-    focus_match: NodeId,
-    steps: &mut usize,
-) -> Result<Option<Valuation>, Truncated> {
-    assert_eq!(tables.len(), q.edge_count(), "one star table per edge");
-    let depth_of = |u: QNodeId| order.iter().position(|&w| w == u);
-    // Per depth: the domain walked and the edges to shallower placements.
-    let levels: Vec<Level<'_>> = order
-        .iter()
-        .enumerate()
-        .map(|(depth, &u)| Level {
-            domain: domains.get(&u).map_or(&[][..], Vec::as_slice),
-            probes: q
-                .edges()
-                .iter()
-                .zip(tables)
-                .filter_map(|(e, table)| {
-                    let other = match (e.from == u, e.to == u) {
-                        (true, _) => e.to,
-                        (_, true) => e.from,
-                        _ => return None,
-                    };
-                    let other = depth_of(other).filter(|&d| d < depth)?;
-                    Some(Probe {
-                        table,
-                        other,
-                        placed_is_center: table.star.center == u,
-                    })
-                })
-                .collect(),
-        })
-        .collect();
-    let mut placed = Vec::with_capacity(order.len());
-    placed.push(focus_match);
-    if !backtrack(&levels, &mut placed, steps)? {
-        return Ok(None);
-    }
-    Ok(Some(order.iter().copied().zip(placed).collect()))
+/// tables (an over-approximation of its true matches), each sorted
+/// ascending; `tables[i]` is the table of star `i` of
+/// [`star::decompose`](super::star::decompose), the star of pattern edge
+/// `i`.
+pub(crate) struct JoinPlan<'a> {
+    order: Vec<QNodeId>,
+    levels: Vec<Level<'a>>,
+    probes: Vec<Probe<'a>>,
+    /// Per probe, where its walk stands; restarted when its depth starts
+    /// a walk.
+    cursors: Vec<Cursor<'a>>,
+    /// `placed[d]` is the image of the pattern node at depth `d`.
+    placed: Vec<NodeId>,
 }
 
-/// What placing the pattern node at one depth of the order looks at.
+/// What placing the pattern node at one depth of the order looks at: its
+/// domain and its range of [`JoinPlan::probes`].
 struct Level<'a> {
     domain: &'a [NodeId],
-    probes: Vec<Probe<'a>>,
+    probes: Range<usize>,
 }
 
-/// One edge constraint against an earlier placement: the edge's star
-/// table, the depth of the other endpoint, and which end is the center.
+/// One edge constraint against an earlier placement: the rows of the
+/// edge's star table, the depth of the other endpoint, and which end is
+/// the center.
 struct Probe<'a> {
-    table: &'a StarTable,
+    rows: &'a [StarRow],
     other: usize,
     placed_is_center: bool,
 }
 
-/// Places `levels[placed.len()..]`; `placed[d]` is the image of the
-/// pattern node at depth `d`.
-fn backtrack(
-    levels: &[Level<'_>],
+/// A probe's position: a leaf-side probe walks `leaves`, the leaf list of
+/// the placed center's row (empty when the center has no row); a
+/// center-side probe walks the table's rows. `at` indexes the walked list.
+#[derive(Clone, Copy, Default)]
+struct Cursor<'a> {
+    leaves: &'a [(NodeId, u32)],
+    at: usize,
+}
+
+/// What a probe says of one domain value.
+enum Fit {
+    Yes,
+    No,
+    /// No later value of the walk can fit either: the walked list holds
+    /// nothing at or past it.
+    Never,
+}
+
+impl<'a> JoinPlan<'a> {
+    /// Plans the join of `q` over `domains` and `tables`.
+    pub(crate) fn new(
+        q: &PatternQuery,
+        domains: &'a HashMap<QNodeId, Vec<NodeId>>,
+        tables: &'a [StarTable],
+    ) -> Self {
+        assert_eq!(tables.len(), q.edge_count(), "one star table per edge");
+        let order = assignment_order(q);
+        let depth_of = |u: QNodeId| order.iter().position(|&w| w == u);
+        let mut probes = Vec::new();
+        let levels = order
+            .iter()
+            .enumerate()
+            .map(|(depth, &u)| {
+                let first = probes.len();
+                for (e, table) in q.edges().iter().zip(tables) {
+                    let other = match (e.from == u, e.to == u) {
+                        (true, _) => e.to,
+                        (_, true) => e.from,
+                        _ => continue,
+                    };
+                    if let Some(other) = depth_of(other).filter(|&d| d < depth) {
+                        probes.push(Probe {
+                            rows: &table.rows,
+                            other,
+                            placed_is_center: table.star.center == u,
+                        });
+                    }
+                }
+                let domain = domains.get(&u).map_or(&[][..], Vec::as_slice);
+                debug_assert!(domain.windows(2).all(|w| w[0] < w[1]), "sorted domain");
+                Level {
+                    domain,
+                    probes: first..probes.len(),
+                }
+            })
+            .collect();
+        JoinPlan {
+            cursors: vec![Cursor::default(); probes.len()],
+            placed: Vec::with_capacity(order.len()),
+            order,
+            levels,
+            probes,
+        }
+    }
+
+    /// Tries to extend `focus -> focus_match` to a full injective
+    /// valuation. `steps` is a decrementing budget; exhaustion aborts with
+    /// [`Truncated`].
+    pub(crate) fn verify(
+        &mut self,
+        focus_match: NodeId,
+        steps: &mut usize,
+    ) -> Result<Option<Valuation>, Truncated> {
+        self.placed.clear();
+        self.placed.push(focus_match);
+        let found = place(
+            &self.levels,
+            &self.probes,
+            &mut self.cursors,
+            &mut self.placed,
+            steps,
+        )?;
+        Ok(found.then(|| {
+            self.order
+                .iter()
+                .copied()
+                .zip(self.placed.iter().copied())
+                .collect()
+        }))
+    }
+}
+
+/// Places `levels[placed.len()..]`, walking each depth's domain in order
+/// and charging every value one step before looking at it.
+fn place<'a>(
+    levels: &[Level<'a>],
+    probes: &[Probe<'a>],
+    cursors: &mut [Cursor<'a>],
     placed: &mut Vec<NodeId>,
     steps: &mut usize,
 ) -> Result<bool, Truncated> {
     let Some(level) = levels.get(placed.len()) else {
         return Ok(true);
     };
-    for &v in level.domain {
+    let range = level.probes.clone();
+    for (p, c) in probes[range.clone()]
+        .iter()
+        .zip(&mut cursors[range.clone()])
+    {
+        *c = p.start(placed);
+    }
+    for (k, &v) in level.domain.iter().enumerate() {
         if *steps == 0 {
             return Err(Truncated);
         }
@@ -149,24 +235,89 @@ fn backtrack(
         if placed.contains(&v) {
             continue;
         }
-        let fits = level.probes.iter().all(|p| {
-            let other = placed[p.other];
-            if p.placed_is_center {
-                p.table.admits(v, 0, other)
-            } else {
-                p.table.admits(other, 0, v)
+        let fit = probes[range.clone()]
+            .iter()
+            .zip(&mut cursors[range.clone()])
+            .map(|(p, c)| p.fit(c, v, placed))
+            .find(|f| !matches!(f, Fit::Yes));
+        match fit {
+            None | Some(Fit::Yes) => {}
+            Some(Fit::No) => continue,
+            Some(Fit::Never) => {
+                // The rest of the walk, charged as it would be value by
+                // value.
+                let rest = level.domain.len() - k - 1;
+                if *steps < rest {
+                    *steps = 0;
+                    return Err(Truncated);
+                }
+                *steps -= rest;
+                return Ok(false);
             }
-        });
-        if !fits {
-            continue;
         }
         placed.push(v);
-        if backtrack(levels, placed, steps)? {
+        if place(levels, probes, cursors, placed, steps)? {
             return Ok(true);
         }
         placed.pop();
     }
     Ok(false)
+}
+
+impl<'a> Probe<'a> {
+    /// The cursor a walk starts from: a leaf-side probe finds the placed
+    /// center's row once, here.
+    fn start(&self, placed: &[NodeId]) -> Cursor<'a> {
+        let leaves = if self.placed_is_center {
+            &[][..]
+        } else {
+            let center = placed[self.other];
+            self.rows
+                .binary_search_by_key(&center, |r| r.center)
+                .map_or(&[][..], |r| &self.rows[r].leaf_matches[0])
+        };
+        Cursor { leaves, at: 0 }
+    }
+
+    /// Whether `v` fits this constraint, moving the cursor up to `v`. The
+    /// walk's values ascend, so the cursor never moves back.
+    fn fit(&self, c: &mut Cursor<'a>, v: NodeId, placed: &[NodeId]) -> Fit {
+        if self.placed_is_center {
+            c.at = seek(self.rows, c.at, v, |r| r.center);
+            match self.rows.get(c.at) {
+                None => Fit::Never,
+                Some(row) if row.center == v => {
+                    let leaf = placed[self.other];
+                    match row.leaf_matches[0].binary_search_by_key(&leaf, |&(w, _)| w) {
+                        Ok(_) => Fit::Yes,
+                        Err(_) => Fit::No,
+                    }
+                }
+                Some(_) => Fit::No,
+            }
+        } else {
+            c.at = seek(c.leaves, c.at, v, |&(w, _)| w);
+            match c.leaves.get(c.at) {
+                None => Fit::Never,
+                Some(&(w, _)) if w == v => Fit::Yes,
+                Some(_) => Fit::No,
+            }
+        }
+    }
+}
+
+/// The first index at or past `at` whose key is not below `v`: a gallop
+/// from `at`, then a binary search inside the last stride, so a cursor
+/// that moves a little costs a comparison or two and one that leaps costs
+/// a logarithm of the leap.
+fn seek<T>(s: &[T], at: usize, v: NodeId, key: impl Fn(&T) -> NodeId) -> usize {
+    let (mut lo, mut hi, mut stride) = (at, at, 1);
+    while hi < s.len() && key(&s[hi]) < v {
+        lo = hi + 1;
+        hi = (hi + stride).min(s.len());
+        stride *= 2;
+    }
+    lo + s[lo..hi].partition_point(|x| key(x) < v)
 }
 
 #[cfg(test)]
@@ -186,7 +337,7 @@ mod tests {
     ) -> Result<Option<Valuation>, Truncated> {
         let m = Matcher::new(Arc::new(g.clone()), Arc::new(PllIndex::build(g)));
         let (tables, domains) = m.plan(q);
-        verify_candidate(q, &assignment_order(q), &domains, &tables, v, steps)
+        JoinPlan::new(q, &domains, &tables).verify(v, steps)
     }
 
     /// Triangle data graph, query path a->b->c: injectivity must hold.

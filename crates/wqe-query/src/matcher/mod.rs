@@ -6,10 +6,11 @@ mod join;
 mod proptests;
 pub mod star;
 
-pub use join::{assignment_order, verify_candidate, Truncated, Valuation};
+pub use join::{assignment_order, Truncated, Valuation};
 
 use crate::cache::{Footprint, StarCache};
 use crate::pattern::{PatternQuery, QNodeId};
+use join::JoinPlan;
 use star::{StarQuery, StarTable};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -196,7 +197,7 @@ impl Matcher {
 
         // Candidate domains from star supports; nodes untouched by stars
         // fall back to raw candidates. Both come sorted.
-        let mut supports = star::support_domains(q, &views);
+        let mut supports = star::support_domains(&views);
         let domains = q
             .node_ids()
             .map(|u| {
@@ -246,8 +247,8 @@ impl Matcher {
         }
 
         let (tables, domains) = self.plan(q);
-        let order = assignment_order(q);
         let focus_domain = domains.get(&focus).map_or(&[][..], Vec::as_slice);
+        let mut join = JoinPlan::new(q, &domains, &tables);
 
         // Candidate verifications run in order on the calling thread; the
         // search fans out across rewrites (`Chase::evaluate`), not here.
@@ -268,7 +269,7 @@ impl Matcher {
                 }
             }
             let mut left = self.step_limit;
-            match verify_candidate(q, &order, &domains, &tables, v, &mut left) {
+            match join.verify(v, &mut left) {
                 Ok(Some(h)) => verified.push((v, h)),
                 Ok(None) => {}
                 Err(Truncated) => truncated = true,
@@ -362,7 +363,7 @@ pub fn naive_evaluate<O: DistanceOracle + ?Sized>(
 }
 
 /// The join of [`naive_evaluate`]: the same backtracking search as
-/// [`verify_candidate`], written independently of it and asking the
+/// [`JoinPlan::verify`], written independently of it and asking the
 /// oracle one pair at a time, one `within` per constraint per domain
 /// value, over any domains. The reference the star-probe join must match
 /// in result, valuation and steps left.

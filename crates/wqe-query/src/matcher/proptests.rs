@@ -1,12 +1,16 @@
 //! Property tests for the star-view matcher: equivalence with the naive
 //! reference on random attributed graphs (cache on and off), parity of the
-//! star-probe join with the naive reference's oracle join on the matcher's
-//! own domains, cache transparency across rewrite sequences, and the
-//! sorted-merge support domains against hash-set intersection.
+//! planned cursor join with the naive reference's oracle join on the
+//! matcher's own domains and on synthetic tables and domains, cache
+//! transparency across rewrite sequences, and the bitset-union support
+//! domains against hash-set intersection.
 
 use crate::literal::Literal;
+use crate::matcher::join::JoinPlan;
 use crate::matcher::star::{support_domains, StarLeaf, StarQuery, StarRow, StarTable, TableView};
-use crate::matcher::{assignment_order, naive_evaluate, oracle_join, verify_candidate, Matcher};
+use crate::matcher::{
+    assignment_order, naive_evaluate, oracle_join, Matcher, Truncated, Valuation,
+};
 use crate::ops::AtomicOp;
 use crate::pattern::{PatternQuery, QNodeId};
 use proptest::prelude::*;
@@ -16,19 +20,34 @@ use wqe_graph::{AttrValue, CmpOp, Graph, GraphBuilder, LabelId, NodeId};
 use wqe_index::{DistanceOracle, PllIndex};
 
 /// Verifies every focus candidate of `q` on `matcher`'s own tables and
-/// support domains through both the star-probe join and the oracle join,
-/// under a sweep of step limits — unlimited, then every limit around and
-/// below the work the candidate actually needs — and demands the same
-/// outcome, valuation and steps left. Returns how many candidates matched.
+/// support domains through both the planned join and the oracle join.
+/// Returns how many candidates matched.
 fn assert_join_parity(matcher: &Matcher, oracle: &dyn DistanceOracle, q: &PatternQuery) -> usize {
-    let order = assignment_order(q);
     let (tables, domains) = matcher.plan(q);
+    assert_join_parity_on(oracle, q, &domains, &tables, &domains[&q.focus()])
+}
+
+/// Verifies each of `focus` through one [`JoinPlan`] of `q` over `domains`
+/// and `tables`, and through the oracle join, under a sweep of step
+/// limits — unlimited, then every limit around and below the work the
+/// candidate actually needs — and demands the same outcome, valuation and
+/// steps left. One plan serves every candidate and limit, as it does in
+/// an evaluation. Returns how many candidates matched.
+fn assert_join_parity_on(
+    oracle: &dyn DistanceOracle,
+    q: &PatternQuery,
+    domains: &HashMap<QNodeId, Vec<NodeId>>,
+    tables: &[StarTable],
+    focus: &[NodeId],
+) -> usize {
+    let order = assignment_order(q);
+    let mut plan = JoinPlan::new(q, domains, tables);
     let mut matched = 0;
-    for &v in &domains[&q.focus()] {
-        let run = |limit: usize| {
+    for &v in focus {
+        let mut run = |limit: usize| {
             let (mut probed, mut asked) = (limit, limit);
-            let got = verify_candidate(q, &order, &domains, &tables, v, &mut probed);
-            let want = oracle_join(oracle, q, &order, &domains, v, &mut asked);
+            let got = plan.verify(v, &mut probed);
+            let want = oracle_join(oracle, q, &order, domains, v, &mut asked);
             assert_eq!(got, want, "focus {v:?}, step limit {limit}");
             assert_eq!(probed, asked, "steps left, focus {v:?}, limit {limit}");
             (got, limit - probed)
@@ -39,13 +58,220 @@ fn assert_join_parity(matcher: &Matcher, oracle: &dyn DistanceOracle, q: &Patter
         for limit in (0..needed.min(70)).chain(sweep) {
             let (got, _) = run(limit);
             assert_eq!(
-                got == Err(crate::matcher::Truncated),
+                got == Err(Truncated),
                 limit < needed,
                 "limit {limit} of {needed}"
             );
         }
     }
     matched
+}
+
+/// An oracle that answers from star tables: a query whose edge `i` has
+/// bound `i + 1` asks about edge `i`, and the pair is within it when edge
+/// `i`'s table lists the leaf end in the center end's row. The star-probe
+/// join answers the same way on any domains, so on synthetic tables the
+/// oracle join is its reference.
+struct TableOracle {
+    edges: Vec<(QNodeId, QNodeId)>,
+    tables: Vec<StarTable>,
+}
+
+impl DistanceOracle for TableOracle {
+    fn distance_within(&self, u: NodeId, v: NodeId, bound: u32) -> Option<u32> {
+        let i = bound as usize - 1;
+        let (from, _) = self.edges[i];
+        let table = &self.tables[i];
+        let (center, leaf) = if table.star.center == from {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        let row = table.rows.iter().find(|r| r.center == center)?;
+        row.leaf_matches[0]
+            .iter()
+            .any(|&(w, _)| w == leaf)
+            .then_some(bound)
+    }
+}
+
+/// Node ids of the synthetic joins: few, so rows, leaves and domains
+/// collide and injectivity skips are routine.
+const JOIN_IDS: u32 = 10;
+
+/// A synthetic join: a wildcard pattern on four nodes (a random tree and
+/// up to two extra edges, so cycles and opposite edges occur) whose edge
+/// `i` has bound `i + 1`; per edge, a table centered on a random end with
+/// random rows — centers without a row, rows with an empty leaf list —
+/// and per node a random sorted domain, values with no row included.
+fn arb_join() -> impl Strategy<Value = (PatternQuery, Vec<StarTable>, HashMap<QNodeId, Vec<NodeId>>)>
+{
+    let ids = || 0..JOIN_IDS;
+    let rows = proptest::collection::vec((ids(), proptest::collection::vec(ids(), 0..5)), 0..7);
+    (
+        proptest::collection::vec((0usize..4, any::<bool>()), 3),
+        proptest::collection::vec((0usize..4, 0usize..4), 0..3),
+        proptest::collection::vec((any::<bool>(), rows), 5),
+        proptest::collection::vec(proptest::collection::vec(ids(), 0..8), 4),
+    )
+        .prop_map(|(tree, extra, specs, doms)| {
+            let mut q = PatternQuery::new(None, 8);
+            let mut nodes = vec![q.focus()];
+            let mut next_bound = 1;
+            let mut add = |q: &mut PatternQuery, from, to| {
+                if q.add_edge(from, to, next_bound).is_ok() {
+                    next_bound += 1;
+                }
+            };
+            for (i, (anchor, outgoing)) in tree.into_iter().enumerate() {
+                let anchor = nodes[anchor % (i + 1)];
+                let new = q.add_node(None);
+                nodes.push(new);
+                if outgoing {
+                    add(&mut q, anchor, new);
+                } else {
+                    add(&mut q, new, anchor);
+                }
+            }
+            for (a, b) in extra {
+                add(&mut q, nodes[a], nodes[b]);
+            }
+            let tables = q
+                .edges()
+                .iter()
+                .zip(specs)
+                .map(|(e, (outgoing, rows))| {
+                    let (center, leaf) = if outgoing {
+                        (e.from, e.to)
+                    } else {
+                        (e.to, e.from)
+                    };
+                    let mut rows: Vec<StarRow> = rows
+                        .into_iter()
+                        .map(|(c, mut leaves)| {
+                            leaves.sort_unstable();
+                            leaves.dedup();
+                            row(c, &leaves)
+                        })
+                        .collect();
+                    rows.sort_by_key(|r| r.center);
+                    rows.dedup_by_key(|r| r.center);
+                    table(center, leaf, outgoing, e.bound, rows)
+                })
+                .collect();
+            let domains = nodes
+                .iter()
+                .zip(doms)
+                .map(|(&u, mut dom)| {
+                    dom.sort_unstable();
+                    dom.dedup();
+                    (u, dom.into_iter().map(NodeId).collect())
+                })
+                .collect();
+            (q, tables, domains)
+        })
+}
+
+/// The planned join against the oracle join on a synthetic join, for every
+/// node id as the focus match (in the focus domain or not, with a row or
+/// not). Returns how many matched.
+fn assert_synthetic_parity(
+    q: &PatternQuery,
+    tables: &[StarTable],
+    domains: &HashMap<QNodeId, Vec<NodeId>>,
+) -> usize {
+    let oracle = TableOracle {
+        edges: q.edges().iter().map(|e| (e.from, e.to)).collect(),
+        tables: tables.to_vec(),
+    };
+    let focus: Vec<NodeId> = (0..JOIN_IDS).map(NodeId).collect();
+    assert_join_parity_on(&oracle, q, domains, tables, &focus)
+}
+
+/// One table row: `center` and its sorted leaf ids.
+fn row(center: u32, leaves: &[u32]) -> StarRow {
+    StarRow {
+        center: NodeId(center),
+        leaf_matches: vec![leaves.iter().map(|&w| (NodeId(w), 1)).collect()],
+    }
+}
+
+/// A one-leaf star of pattern edge `bound - 1` over `rows`.
+fn table(
+    center: QNodeId,
+    leaf: QNodeId,
+    outgoing: bool,
+    bound: u32,
+    rows: Vec<StarRow>,
+) -> StarTable {
+    StarTable {
+        star: StarQuery {
+            center,
+            leaves: vec![StarLeaf {
+                node: leaf,
+                outgoing,
+                bound,
+            }],
+            augmented: None,
+        },
+        rows: Arc::new(rows),
+    }
+}
+
+/// The walks the cursors must get right, each pinned against the oracle
+/// join at every step limit: a focus path `f -> a <- b` whose first edge
+/// is probed from the leaf side (a's domain walks f's leaf list) and
+/// whose second from the center side (b's domain walks the rows of a
+/// star centered on b).
+///
+/// - Focus 3's row lists 2 and 6. a's domain `[0, 1, 2, 3, 5, 6]` holds
+///   0, 1 and 5, which the list lacks; the hit 2, under which b finds
+///   nothing; 3, the focus itself, skipped for injectivity between the
+///   two hits; and the hit 6, which completes the valuation.
+/// - Focus 1 has no row: a's walk fits nothing and is charged whole.
+/// - Under a = 2, b's domain `[0, 2, 4, 5, 7, 9]` holds 2, skipped for
+///   injectivity between rows 0 and 4; 5 and 9, which have no row; and
+///   0, 4 and 7, whose rows do not list 2.
+#[test]
+fn cursor_join_walks_rows_and_leaf_lists_exactly() {
+    let mut q = PatternQuery::new(None, 4);
+    let f = q.focus();
+    let a = q.add_node(None);
+    let b = q.add_node(None);
+    q.add_edge(f, a, 1).unwrap();
+    q.add_edge(b, a, 2).unwrap();
+    let tables = vec![
+        table(f, a, true, 1, vec![row(3, &[2, 6])]),
+        table(
+            b,
+            a,
+            true,
+            2,
+            vec![row(0, &[6]), row(2, &[6]), row(4, &[6]), row(7, &[3])],
+        ),
+    ];
+    let ids = |v: &[u32]| v.iter().copied().map(NodeId).collect::<Vec<_>>();
+    let domains = HashMap::from([
+        (f, ids(&[1, 3])),
+        (a, ids(&[0, 1, 2, 3, 5, 6])),
+        (b, ids(&[0, 2, 4, 5, 7, 9])),
+    ]);
+    let mut plan = JoinPlan::new(&q, &domains, &tables);
+    let mut steps = usize::MAX;
+    let h = plan
+        .verify(NodeId(3), &mut steps)
+        .unwrap()
+        .expect("3 -> 6 <- 0");
+    assert_eq!(
+        h,
+        Valuation::from([(f, NodeId(3)), (a, NodeId(6)), (b, NodeId(0))])
+    );
+    // a: 0, 1, 2; b under a = 2: all six; a: 3, 5, 6; b under a = 6: 0.
+    assert_eq!(usize::MAX - steps, 3 + 6 + 3 + 1);
+    let mut steps = 100;
+    assert_eq!(plan.verify(NodeId(1), &mut steps), Ok(None));
+    assert_eq!(100 - steps, 6, "a rowless center charges a's whole domain");
+    assert_eq!(assert_synthetic_parity(&q, &tables, &domains), 1);
 }
 
 /// `Matcher::evaluate` equals `naive_evaluate` with the star cache on and
@@ -214,20 +440,31 @@ fn reference_support_domains(views: &[TableView<'_>]) -> HashMap<QNodeId, HashSe
 /// its rows as `(center, live, leaf matches)`.
 type TableSpec = (u32, u32, Vec<(u32, bool, Vec<u32>)>);
 
-/// Pattern nodes among four, centers and leaf matches among 24 nodes.
-fn arb_table() -> impl Strategy<Value = TableSpec> {
+/// Pattern nodes among four, centers and leaf matches drawn from `ids`.
+fn arb_table(ids: impl Strategy<Value = u32> + Clone) -> impl Strategy<Value = TableSpec> {
     (
         0u32..4,
         0u32..4,
         proptest::collection::vec(
             (
-                0u32..24,
+                ids.clone(),
                 any::<bool>(),
-                proptest::collection::vec(0u32..24, 0..6),
+                proptest::collection::vec(ids, 0..6),
             ),
             0..10,
         ),
     )
+}
+
+/// Star tables over node ids that share one 64-bit word, that span many,
+/// or that are sparse and high.
+fn arb_tables() -> impl Strategy<Value = Vec<TableSpec>> {
+    let tables = |ids: BoxedStrategy<u32>| proptest::collection::vec(arb_table(ids), 1..5);
+    prop_oneof![
+        tables((0u32..24).boxed()),
+        tables((0u32..2_000).boxed()),
+        tables((0u32..40).prop_map(|k| (1 << 22) + k * 4_099).boxed()),
+    ]
 }
 
 /// The table a materialization would hold — rows sorted by distinct
@@ -273,18 +510,17 @@ proptest! {
 
     /// `support_domains` equals hash-set intersection on random star
     /// tables under random live filters — stars sharing centers and
-    /// leaves, empty rows, empty views — and every domain comes sorted
-    /// and distinct.
+    /// leaves, empty rows, empty views, ids in one bitset word, across
+    /// many, or sparse and high — and every domain comes sorted and
+    /// distinct.
     #[test]
-    fn support_domains_equal_hash_set_intersection(
-        specs in proptest::collection::vec(arb_table(), 1..5),
-    ) {
+    fn support_domains_equal_hash_set_intersection(specs in arb_tables()) {
         let built: Vec<(StarTable, Vec<u32>)> = specs.iter().map(build_table).collect();
         let views: Vec<TableView<'_>> = built
             .iter()
             .map(|(table, live)| TableView { table, live: live.clone() })
             .collect();
-        let got = support_domains(&PatternQuery::new(None, 2), &views);
+        let got = support_domains(&views);
         let want = reference_support_domains(&views);
         prop_assert_eq!(got.len(), want.len());
         for (u, dom) in &got {
@@ -320,7 +556,7 @@ proptest! {
         assert_matches_naive(&g, &q);
     }
 
-    /// The star-probe join and the oracle join agree on outcome,
+    /// The planned join and the oracle join agree on outcome,
     /// valuation, and steps consumed for every focus candidate at every
     /// step limit, on the matcher's own support domains (same-label
     /// pattern nodes make `used` conflicts routine here).
@@ -330,6 +566,14 @@ proptest! {
         (Just(g), q)
     })) {
         assert_join_parity(&matcher_for(&g), &PllIndex::build(&g), &q);
+    }
+
+    /// The planned join equals the oracle join on synthetic tables and
+    /// domains: rows missing for domain values and for placed centers,
+    /// empty leaf lists, injectivity skips between hits, every step limit.
+    #[test]
+    fn planned_join_equals_oracle_join_on_any_tables((q, tables, domains) in arb_join()) {
+        assert_synthetic_parity(&q, &tables, &domains);
     }
 
     /// Cache transparency: a matcher that has evaluated *other* rewrites

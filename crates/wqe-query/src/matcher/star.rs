@@ -22,8 +22,8 @@
 //!
 //! A table's rows are sorted by center and each row's leaf list by node
 //! id, with the distances the materializing BFS found. The join answers
-//! every edge constraint from them ([`StarTable::admits`]), so each
-//! distance `Match` needs is computed once, here.
+//! every edge constraint by walking them, so each distance `Match` needs
+//! is computed once, here.
 
 use crate::matcher::candidates::is_candidate;
 use crate::pattern::{PatternQuery, QNodeId};
@@ -176,19 +176,6 @@ impl<'a> TableView<'a> {
 }
 
 impl StarTable {
-    /// True if the row of `center` lists `leaf` among the matches of the
-    /// star's leaf `i`: `center` has a row and `leaf` is a candidate of
-    /// that leaf within its bound of `center`. Two binary searches.
-    pub fn admits(&self, center: NodeId, i: usize, leaf: NodeId) -> bool {
-        self.rows
-            .binary_search_by_key(&center, |r| r.center)
-            .is_ok_and(|r| {
-                self.rows[r].leaf_matches[i]
-                    .binary_search_by_key(&leaf, |&(w, _)| w)
-                    .is_ok()
-            })
-    }
-
     /// Renders the table in the style of Fig. 4: one row per center match,
     /// columns listing the supporting leaf matches with distances.
     /// `name_of` resolves node ids to display names.
@@ -322,7 +309,7 @@ pub fn materialize(graph: &Graph, q: &PatternQuery, star: &StarQuery) -> StarTab
 /// store rows independently of any particular [`StarQuery`] instance.
 ///
 /// Rows come out sorted by center and each leaf list sorted by node id,
-/// which is what [`StarTable::admits`] searches. One forward and one
+/// which is what the join's cursors walk. One forward and one
 /// backward bounded BFS scratch serve every center, and each leaf's
 /// candidacy is decided once per node. Adds the rows kept to [`Counter::StarRows`] and
 /// the nodes the BFS expanded to [`Counter::StarBfsPops`], once per call.
@@ -465,10 +452,10 @@ impl Reach {
 /// the intersection across stars of the nodes each star admits, sorted.
 /// This is the candidate *domain* the join verifies against — an
 /// over-approximation of the true match sets. A view's live centers come
-/// sorted (rows are sorted by center); its leaf supports are its rows'
-/// leaf lists concatenated, sorted and deduplicated; stars sharing a
-/// pattern node intersect by a merge walk.
-pub fn support_domains(q: &PatternQuery, views: &[TableView<'_>]) -> HashMap<QNodeId, Vec<NodeId>> {
+/// sorted (rows are sorted by center); its leaf supports are unioned on a
+/// node-id bitset that is read back in order; stars sharing a pattern node
+/// intersect by a merge walk.
+pub fn support_domains(views: &[TableView<'_>]) -> HashMap<QNodeId, Vec<NodeId>> {
     let mut domains: HashMap<QNodeId, Vec<NodeId>> = HashMap::new();
     let mut intersect = |u: QNodeId, support: Vec<NodeId>| match domains.entry(u) {
         Entry::Occupied(mut d) => {
@@ -482,23 +469,65 @@ pub fn support_domains(q: &PatternQuery, views: &[TableView<'_>]) -> HashMap<QNo
             d.insert(support);
         }
     };
+    let mut marker = Marker::default();
     for view in views {
         intersect(
             view.table.star.center,
             view.rows().map(|r| r.center).collect(),
         );
         for (i, leaf) in view.table.star.leaves.iter().enumerate() {
-            let mut support: Vec<NodeId> = view
-                .rows()
-                .flat_map(|row| row.leaf_matches[i].iter().map(|&(w, _)| w))
-                .collect();
-            support.sort_unstable();
-            support.dedup();
-            intersect(leaf.node, support);
+            for row in view.rows() {
+                marker.mark(&row.leaf_matches[i]);
+            }
+            intersect(leaf.node, marker.drain());
         }
     }
-    let _ = q;
     domains
+}
+
+/// A node-id bitset that unions sorted lists and is read back in
+/// ascending order. `words[lo..hi]` spans every marked id; reading clears
+/// them, so one marker serves every leaf.
+#[derive(Default)]
+struct Marker {
+    words: Vec<u64>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Marker {
+    /// Marks the ids of `leaves`, a list sorted by node id.
+    fn mark(&mut self, leaves: &[(NodeId, u32)]) {
+        let (Some(first), Some(last)) = (leaves.first(), leaves.last()) else {
+            return;
+        };
+        let (lo, hi) = (first.0.index() / 64, last.0.index() / 64 + 1);
+        if self.words.len() < hi {
+            self.words.resize(hi, 0);
+        }
+        if self.lo >= self.hi {
+            (self.lo, self.hi) = (lo, hi);
+        } else {
+            (self.lo, self.hi) = (self.lo.min(lo), self.hi.max(hi));
+        }
+        for &(w, _) in leaves {
+            self.words[w.index() / 64] |= 1 << (w.index() % 64);
+        }
+    }
+
+    /// The marked ids in ascending order; leaves the marker clear.
+    fn drain(&mut self) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        for (i, word) in self.words[self.lo..self.hi].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                out.push(NodeId(((self.lo + i) * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        self.hi = self.lo;
+        out
+    }
 }
 
 #[cfg(test)]
@@ -629,7 +658,7 @@ mod tests {
             .map(|s| materialize(g, &q, s))
             .collect();
         let views: Vec<TableView> = tables.iter().map(|t| TableView::build(g, &q, t)).collect();
-        let domains = support_domains(&q, &views);
+        let domains = support_domains(&views);
         // Every domain is sorted and distinct.
         for dom in domains.values() {
             assert!(dom.windows(2).all(|w| w[0] < w[1]), "{dom:?}");

@@ -173,6 +173,48 @@ impl StrPool {
     }
 }
 
+/// The categorical values each attribute has carried, one bit per
+/// (value, attribute) in rows of `words` words. [`AttrStats::observe`]
+/// counts a boolean and the string of the same name as one value, so rows
+/// 0 and 1 stand for `true` and `false`, and pool id `i` is row `i + 2`.
+struct Categorical {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Categorical {
+    fn new(attrs: usize) -> Self {
+        Categorical {
+            words: attrs.div_ceil(64).max(1),
+            bits: Vec::new(),
+        }
+    }
+
+    /// The row of the string `s` whose pool id is `id`.
+    fn row(s: &str, id: u64) -> usize {
+        match s {
+            "true" => 0,
+            "false" => 1,
+            _ => id as usize + 2,
+        }
+    }
+
+    /// Folds one categorical value, the one of `row`, into `st`, the
+    /// statistics of attribute `attr`, as [`AttrStats::observe`] would.
+    fn observe(&mut self, st: &mut AttrStats, attr: usize, row: usize) {
+        let at = row * self.words + attr / 64;
+        if self.bits.len() <= at {
+            self.bits.resize((row + 1) * self.words, 0);
+        }
+        let bit = 1 << (attr % 64);
+        st.count += 1;
+        if self.bits[at] & bit == 0 {
+            self.bits[at] |= bit;
+            st.distinct_categorical += 1;
+        }
+    }
+}
+
 /// Encodes `graph` (and `pll`'s labels, when given) to `path` in snapshot
 /// format, reading every node's attribute tuple once. Returns the total
 /// bytes written; fails with an [`io::Error`] rather than panicking.
@@ -238,15 +280,23 @@ pub fn write_source(
     })?;
     let mut pool = StrPool::default();
     let mut stats = vec![AttrStats::default(); schema.attr_count()];
+    let mut seen = Categorical::new(schema.attr_count());
     e.section(SectionId::AttrEntries, |e| {
         graph.each_attr(&mut |a, value| {
-            stats[a.index()].observe(value);
             let (tag, payload) = match value {
                 AttrValue::Int(i) => (TAG_INT, *i as u64),
                 AttrValue::Float(f) => (TAG_FLOAT, f.to_bits()),
                 AttrValue::Str(s) => (TAG_STR, pool.index_of(s)),
                 AttrValue::Bool(b) => (TAG_BOOL, *b as u64),
             };
+            // A string is hashed once, by the pool; its pool id decides
+            // whether the attribute has carried it before.
+            let st = &mut stats[a.index()];
+            match value {
+                AttrValue::Int(_) | AttrValue::Float(_) => st.observe(value),
+                AttrValue::Str(s) => seen.observe(st, a.index(), Categorical::row(s, payload)),
+                AttrValue::Bool(b) => seen.observe(st, a.index(), usize::from(!*b)),
+            }
             e.u32(a.0)?;
             e.u32(tag)?;
             e.u64(payload)

@@ -80,16 +80,17 @@ fn generated_questions(
 /// A search slow because of its own join work: the triangle trap, searched
 /// on one thread so no host's core count shortens it.
 fn slow_trap_setup() -> (EngineCtx, WhyQuestion) {
-    let (ctx, wq) = common::triangle_trap(480, 240, 5);
+    let (ctx, wq) = common::triangle_trap(1440, 720, 5);
     assert_trap_is_slow(&ctx, &wq);
     (ctx, wq)
 }
 
-/// Match steps the trap's query costs to evaluate once, uncapped. At tens
-/// of nanoseconds a step (an optimized build on a fast core) that is
-/// already longer than every deadline and cancel delay below, and every
-/// run here evaluates that query first.
-const TRAP_ROOT_STEPS: usize = 1_500_000;
+/// Match steps the trap's query costs to evaluate once, uncapped. At a
+/// few nanoseconds a step (an optimized build on a fast core: the join
+/// walks sorted rows with cursors and charges a walk's exhausted tail at
+/// once) that is already longer than every deadline and cancel delay
+/// below, and every run here evaluates that query first.
+const TRAP_ROOT_STEPS: usize = 15_000_000;
 
 /// The precondition that keeps the wall-clock tests honest: the trap's
 /// root evaluation really does at least [`TRAP_ROOT_STEPS`] of work.

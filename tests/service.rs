@@ -288,7 +288,7 @@ fn per_request_deadline_terminates_with_deadline() {
     // A search slow because of its own join work (the triangle trap, on one
     // thread) so a 30ms deadline reliably trips *during* service, never
     // during queueing.
-    let (ctx, q) = common::triangle_trap(240, 120, 4);
+    let (ctx, q) = common::triangle_trap(720, 360, 4);
     let svc = QueryService::new(
         ctx,
         ServiceConfig {
